@@ -2,7 +2,6 @@
 powered by stacked electrohydraulic (Peano-HASEL) actuators."""
 
 from .actuator import (
-    ActuatorStackState,
     StackConfig,
     active_force,
     capacitance_of,
@@ -55,7 +54,7 @@ from .kinematics import (
     fingertip_force,
     tendon_tension_from_torques,
 )
-from .plant import Plant, PlantState, run_scenario, voltage_profile
+from .plant import Plant, run_scenario
 from .trace import SignalTrace, load_trace, reconstruct_current
 from .transmission import (
     TendonPath,

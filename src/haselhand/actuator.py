@@ -81,25 +81,6 @@ class StackConfig:
         return tuple(xs), tuple(fs)
 
 
-@dataclass
-class ActuatorStackState:
-    """Instantaneous electromechanical state of one stack.
-
-    c is always derived from x through capacitance_of; it is stored for
-    trace output, never set independently.
-    """
-
-    x: float = 0.0      # contraction, mm
-    v: float = 0.0      # applied voltage, kV
-    c: float = 0.0      # capacitance, nF
-    i: float = 0.0      # drawn current, uA
-    t: float = 0.0      # time, s
-
-    @classmethod
-    def at_rest(cls, cfg: StackConfig) -> "ActuatorStackState":
-        return cls(x=0.0, v=0.0, c=capacitance_of(cfg, 0.0), i=0.0, t=0.0)
-
-
 def _interp_curve(xs: Sequence[float], fs: Sequence[float], x: float) -> float:
     """Piecewise-linear interpolation on a sorted knot table."""
     if x <= xs[0]:

@@ -15,10 +15,9 @@ codes: 0 success, 2 configuration error, 3 model-consistency error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -31,6 +30,7 @@ from .config import (
     ProfileSpec,
     ScenarioPreset,
     config_hash,
+    decode,
     default_config,
     load_config,
     resolve_preset,
@@ -47,30 +47,13 @@ from .errors import (
 )
 from .kinematics import FingerState, fingertip_force
 from .plant import run_scenario
-from .trace import load_trace
+from .trace import json_text, load_trace, read_json, write_atomic
 from .transmission import delivered_tension
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_CALIBRATION = 4
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _json_text(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _load(args) -> HandConfig:
@@ -82,11 +65,6 @@ def _outdir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _save_trace(trace, path: Path) -> None:
-    _write_atomic(path, trace.to_csv_text())
-    _write_atomic(path.with_suffix(".meta.json"), _json_text(trace.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +100,7 @@ def cmd_characterize(args) -> int:
         preset = ScenarioPreset(
             name=f"characterize_{finger}",
             fingers=(finger,),
-            profiles={"*": ProfileSpec("ramp_hold", target, 1.0)},
+            profiles={"*": ProfileSpec(target_kv=target)},
             duration=2.0,
         )
         scenario = resolve_preset(cfg, preset)
@@ -133,7 +111,7 @@ def cmd_characterize(args) -> int:
         for k in range(len(trace)):
             vals = [trace.v_cmd[k]] + [trace.theta[f"{finger}_{j}"][k] for j in joints]
             lines.append(",".join(repr(float(v)) for v in vals))
-        _write_atomic(out / f"voltage_angle_{finger}.csv", "\n".join(lines) + "\n")
+        write_atomic(out / f"voltage_angle_{finger}.csv", "\n".join(lines) + "\n")
 
         for tid in layout.tendon_ids:
             meta["onset_voltage_kv"][tid] = _onset_voltage(cfg, tid)
@@ -167,11 +145,11 @@ def cmd_characterize(args) -> int:
     lines = ["v(kV),f_index(N),f_thumb(N)"]
     for row in force_rows:
         lines.append(",".join(repr(float(v)) for v in row))
-    _write_atomic(out / "fingertip_force.csv", "\n".join(lines) + "\n")
+    write_atomic(out / "fingertip_force.csv", "\n".join(lines) + "\n")
     meta["fingertip_n"]["index"] = tips["index"][-1]
     meta["fingertip_n"]["thumb"] = tips["thumb"][-1]
 
-    _write_atomic(out / "characterize.meta.json", _json_text(meta))
+    write_atomic(out / "characterize.meta.json", json_text(meta))
     print(f"characterize: wrote {out}/voltage_angle_*.csv, fingertip_force.csv")
     return EXIT_OK
 
@@ -191,8 +169,8 @@ def cmd_grasp(args) -> int:
         controller="none" if args.no_controller else None,
     )
     stem = f"{args.preset}_seed{args.seed}"
-    _save_trace(report.trace, out / f"{stem}.csv")
-    _write_atomic(out / f"{stem}.report.json", _json_text(report.to_dict()))
+    report.trace.save(out / f"{stem}.csv")
+    write_atomic(out / f"{stem}.report.json", json_text(report.to_dict()))
     print(f"grasp: {args.preset} seed={args.seed} verdicts={report.verdicts}")
     return EXIT_OK
 
@@ -221,16 +199,7 @@ def cmd_detect_batch(args) -> int:
                  for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
 
-    det = DetectionConfig(
-        monitored_stack=cfg.detection.monitored_stack,
-        i_threshold=threshold,
-        window=cfg.detection.window,
-        smoothing=cfg.detection.smoothing,
-        debounce=cfg.detection.debounce,
-        deviation_mult=cfg.detection.deviation_mult,
-        deviation_floor=cfg.detection.deviation_floor,
-        baseline_seed=cfg.detection.baseline_seed,
-    )
+    det = replace(cfg.detection, i_threshold=threshold)
 
     counts = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     misclassified = []
@@ -266,7 +235,7 @@ def cmd_detect_batch(args) -> int:
         "misclassified": misclassified,
         "seed": args.seed,
     }
-    _write_atomic(out / "detect_batch_summary.json", _json_text(summary))
+    write_atomic(out / "detect_batch_summary.json", json_text(summary))
     detector_doc = {
         "monitored_stack": det.monitored_stack,
         "i_threshold": threshold,
@@ -276,7 +245,7 @@ def cmd_detect_batch(args) -> int:
         "profile_hash": profile_fp,
         "config_hash": config_hash(cfg),
     }
-    _write_atomic(out / "detector.json", _json_text(detector_doc))
+    write_atomic(out / "detector.json", json_text(detector_doc))
     print(f"detect-batch: {correct}/{total} correct, threshold {threshold:.3f} uA")
     return EXIT_OK
 
@@ -287,7 +256,8 @@ def cmd_detect_batch(args) -> int:
 
 def cmd_replay(args) -> int:
     out = _outdir(args)
-    detector_doc = json.loads(Path(args.detector).read_text(encoding="utf-8"))
+    detector_doc = read_json(args.detector)
+    det = decode(DetectionConfig, detector_doc, "detector")
     trace = load_trace(args.trace)
 
     trace_profile = trace.meta.get("profile_hash")
@@ -298,13 +268,6 @@ def cmd_replay(args) -> int:
             f"baseline hash {want_profile}"
         )
 
-    det = DetectionConfig(
-        monitored_stack=detector_doc.get("monitored_stack", "index_mcp"),
-        i_threshold=float(detector_doc["i_threshold"]),
-        window=tuple(detector_doc.get("window", (0.88, 0.99))),
-        smoothing=int(detector_doc.get("smoothing", 5)),
-        debounce=int(detector_doc.get("debounce", 10)),
-    )
     grasped, t_dec = detect_grasp(trace, det)
     verdict = {
         "trace": Path(args.trace).name,
@@ -315,7 +278,7 @@ def cmd_replay(args) -> int:
         "profile_hash": trace_profile,
     }
     path = out / (Path(args.trace).stem + ".verdict.json")
-    _write_atomic(path, _json_text(verdict))
+    write_atomic(path, json_text(verdict))
     print(f"replay: grasped={grasped} decision_time={t_dec}")
     return EXIT_OK
 

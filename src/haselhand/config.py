@@ -5,6 +5,15 @@ fingers, objects, amplifier, sim, detection and presets. Stacks and
 tendon paths are keyed by the same chain id (e.g. "index_mcp"), which
 is how a finger's tendons join up with their actuators.
 
+The document mirrors the dataclasses below field by field, and one
+encoder/decoder pair (encode, decode) walks the field types to convert
+between them. Every default lives only on its dataclass field: a key
+may be left out exactly when its field has a default, except for the
+keys whose field metadata marks them required (fingers.*.tendons,
+presets.*.profiles). Field metadata may also rename a key ("json").
+A dataclass stored under a dict key takes its name from that key.
+Unknown keys are ignored.
+
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
 everything else (extensor rates, friction split, contact angles) is
@@ -13,16 +22,20 @@ tuned so the simulated bench reproduces the characterization targets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
+from typing import Any, Optional, Union
 
 from .actuator import StackConfig
 from .errors import ConfigError
 from .kinematics import FingerLayout, JointSpec, ObjectModel
-from .transmission import TendonPath
+from .trace import json_text, read_json, write_atomic
+from .transmission import TendonPath, excursion_of
 
 FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
 
@@ -134,13 +147,20 @@ class ProfileSpec:
         if self.kind != "hold" and self.ramp_s <= 0:
             raise ConfigError("ramp duration must be > 0")
 
+    def __call__(self, t: float) -> float:
+        """Commanded voltage (kV) at time t (s)."""
+        if self.kind == "hold":
+            return self.target_kv
+        return self.target_kv * min(t, self.ramp_s) / self.ramp_s
+
 
 @dataclass(frozen=True)
 class ScenarioPreset:
     name: str
     fingers: tuple[str, ...]
-    obj: Optional[str] = None
-    profiles: dict[str, ProfileSpec] = field(default_factory=lambda: {"*": ProfileSpec()})
+    obj: Optional[str] = field(default=None, metadata={"json": "object"})
+    profiles: dict[str, ProfileSpec] = field(
+        default_factory=lambda: {"*": ProfileSpec()}, metadata={"required": True})
     duration: Optional[float] = None       # falls back to sim.duration
     controller: str = "none"               # none | detect | contact_aware
     amp_ceiling: Optional[float] = None    # overrides amplifier.v_ceiling
@@ -166,10 +186,10 @@ class HandConfig:
     tendons: dict[str, TendonPath]
     fingers: dict[str, FingerLayout]
     objects: dict[str, ObjectModel]
-    amplifier: AmplifierModel
-    sim: SimConfig
-    detection: DetectionConfig
     presets: dict[str, ScenarioPreset]
+    amplifier: AmplifierModel = field(default_factory=AmplifierModel)
+    sim: SimConfig = field(default_factory=SimConfig)
+    detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
         for fname, layout in self.fingers.items():
@@ -203,10 +223,8 @@ def _stack(n_units: int) -> StackConfig:
         n_units=n_units,
         force_knots=STACK_KNOTS[n_units],
         v_ref=5.5,
-        x_free=12.0,
         c0=0.2 * n_units,
         c_slope=0.05 * n_units,
-        v_max=6.0,
     )
 
 
@@ -277,23 +295,20 @@ def default_config() -> HandConfig:
         ),
     }
 
-    ramp_55 = {"*": ProfileSpec("ramp_hold", 5.5, 1.0)}
+    # Presets without profiles run the default ProfileSpec, the 5.5 kV ramp.
     presets = {
-        "free_motion": ScenarioPreset("free_motion", ("thumb", "index"), None, ramp_55),
-        "pinch_mushroom": ScenarioPreset(
-            "pinch_mushroom", ("thumb", "index"), "mushroom", ramp_55),
-        "pinch_cube": ScenarioPreset("pinch_cube", ("thumb", "index"), "cube", ramp_55),
-        "tripod_toy": ScenarioPreset(
-            "tripod_toy", ("thumb", "index", "middle"), "stuffed_toy", ramp_55),
-        "power_grasp_bottle": ScenarioPreset(
-            "power_grasp_bottle", FINGER_NAMES, "pet_bottle", ramp_55),
+        "free_motion": ScenarioPreset("free_motion", ("thumb", "index")),
+        "pinch_mushroom": ScenarioPreset("pinch_mushroom", ("thumb", "index"), "mushroom"),
+        "pinch_cube": ScenarioPreset("pinch_cube", ("thumb", "index"), "cube"),
+        "tripod_toy": ScenarioPreset("tripod_toy", ("thumb", "index", "middle"), "stuffed_toy"),
+        "power_grasp_bottle": ScenarioPreset("power_grasp_bottle", FINGER_NAMES, "pet_bottle"),
         "detect_free": ScenarioPreset(
-            "detect_free", ("thumb", "index"), None, ramp_55, controller="detect"),
+            "detect_free", ("thumb", "index"), controller="detect"),
         "detect_cube": ScenarioPreset(
-            "detect_cube", ("thumb", "index"), "cube", ramp_55, controller="detect"),
+            "detect_cube", ("thumb", "index"), "cube", controller="detect"),
         "balloon_hold": ScenarioPreset(
             "balloon_hold", ("thumb", "index"), "paper_balloon",
-            {"*": ProfileSpec("ramp_hold", 6.0, 1.2)},
+            {"*": ProfileSpec(target_kv=6.0, ramp_s=1.2)},
             controller="contact_aware", amp_ceiling=6.0),
     }
 
@@ -302,9 +317,6 @@ def default_config() -> HandConfig:
         tendons=tendons,
         fingers=fingers,
         objects=objects,
-        amplifier=AmplifierModel(),
-        sim=SimConfig(),
-        detection=DetectionConfig(),
         presets=presets,
     )
 
@@ -313,224 +325,110 @@ def default_config() -> HandConfig:
 # JSON round trip
 # ---------------------------------------------------------------------------
 
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(field name, JSON key, resolved type, required) per field of a
+    dataclass, computed once per class."""
+    types = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("json", f.name), types[f.name],
+         f.metadata.get("required", f.default is MISSING and f.default_factory is MISSING))
+        for f in fields(cls)
+    )
+
+
+def encode(value: Any, keyed: bool = False) -> Any:
+    """JSON document of a dataclass value: objects for dataclasses and
+    dicts, arrays for tuples. keyed drops the name field of a dataclass
+    stored under a dict key, where the key already carries it."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode(v, keyed=True) for k, v in value.items()}
+    return {key: encode(getattr(value, name))
+            for name, key, _, _ in _schema(type(value)) if not (keyed and name == "name")}
+
+
+def _object(doc: Any, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where or 'config'}: expected a JSON object, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
+def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
+    """Build dataclass cls from a JSON object, the inverse of encode.
+
+    Absent keys take the field default; a field without one, or marked
+    required in its metadata, must be present. where is the key path
+    used in error messages; name fills a name field from a dict key.
+    """
+    doc = _object(doc, where)
+    kwargs = {}
+    for fname, key, tp, required in _schema(cls):
+        if fname == "name" and name is not None:
+            kwargs["name"] = name
+        elif key in doc:
+            kwargs[fname] = _decode_value(tp, doc[key], _path(where, key))
+        elif required:
+            raise ConfigError(f"{where or 'config'}: missing required key {key!r}")
+    return cls(**kwargs)
+
+
+def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any:
+    if tp is float or tp is int:
+        try:
+            return tp(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}") from None
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: expected a string, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        return decode(tp, value, where, name)
+    origin = typing.get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+        return _decode_value(tp, value, where, name)
+    if origin is dict:
+        item = typing.get_args(tp)[1]
+        return {k: _decode_value(item, v, _path(where, k), name=k)
+                for k, v in _object(value, where).items()}
+    # The remaining annotations are tuples.
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a JSON array, got {type(value).__name__}")
+    items = typing.get_args(tp)
+    if items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    elif len(items) != len(value):
+        raise ConfigError(f"{where}: expected {len(items)} items, got {len(value)}")
+    return tuple(_decode_value(t, v, f"{where}[{i}]")
+                 for i, (t, v) in enumerate(zip(items, value)))
+
+
 def config_to_dict(cfg: HandConfig) -> dict[str, Any]:
-    return {
-        "stacks": {
-            k: {
-                "n_units": s.n_units,
-                "force_knots": [list(p) for p in s.force_knots],
-                "v_ref": s.v_ref,
-                "x_free": s.x_free,
-                "c0": s.c0,
-                "c_slope": s.c_slope,
-                "v_max": s.v_max,
-                "force_exponent": s.force_exponent,
-            }
-            for k, s in cfg.stacks.items()
-        },
-        "tendons": {
-            k: {
-                "pulley_ratio": t.pulley_ratio,
-                "eta_fwd": t.eta_fwd,
-                "f_breakaway": t.f_breakaway,
-                "slack": t.slack,
-                "k_ext": t.k_ext,
-                "f_ext0": t.f_ext0,
-            }
-            for k, t in cfg.tendons.items()
-        },
-        "fingers": {
-            k: {
-                "joints": [
-                    {"name": j.name, "r_eff": j.r_eff, "theta_max": j.theta_max,
-                     "phalanx_len": j.phalanx_len}
-                    for j in f.joints
-                ],
-                "coupled_pair": list(f.coupled_pair) if f.coupled_pair else None,
-                "tendons": list(f.tendon_ids),
-            }
-            for k, f in cfg.fingers.items()
-        },
-        "objects": {
-            k: {
-                "kind": o.kind,
-                "k_obj": o.k_obj,
-                "theta_contact": o.theta_contact,
-                "f_crush": o.f_crush,
-                "mass_g": o.mass_g,
-            }
-            for k, o in cfg.objects.items()
-        },
-        "amplifier": {
-            "v_ceiling": cfg.amplifier.v_ceiling,
-            "slew_max": cfg.amplifier.slew_max,
-            "monitor_noise_v": cfg.amplifier.monitor_noise_v,
-            "monitor_noise_i": cfg.amplifier.monitor_noise_i,
-        },
-        "sim": {
-            "dt_internal": cfg.sim.dt_internal,
-            "dt_sample": cfg.sim.dt_sample,
-            "tau_mech": cfg.sim.tau_mech,
-            "duration": cfg.sim.duration,
-        },
-        "detection": {
-            "monitored_stack": cfg.detection.monitored_stack,
-            "i_threshold": cfg.detection.i_threshold,
-            "window": list(cfg.detection.window),
-            "smoothing": cfg.detection.smoothing,
-            "debounce": cfg.detection.debounce,
-            "deviation_mult": cfg.detection.deviation_mult,
-            "deviation_floor": cfg.detection.deviation_floor,
-            "baseline_seed": cfg.detection.baseline_seed,
-        },
-        "presets": {
-            k: {
-                "fingers": list(p.fingers),
-                "object": p.obj,
-                "profiles": {
-                    pk: {"kind": ps.kind, "target_kv": ps.target_kv, "ramp_s": ps.ramp_s}
-                    for pk, ps in p.profiles.items()
-                },
-                "duration": p.duration,
-                "controller": p.controller,
-                "amp_ceiling": p.amp_ceiling,
-                "repetitions": p.repetitions,
-                "seed_base": p.seed_base,
-            }
-            for k, p in cfg.presets.items()
-        },
-    }
+    return encode(cfg)
 
 
-def _require(d: dict, key: str, where: str) -> Any:
-    if key not in d:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return d[key]
-
-
-def config_from_dict(doc: dict[str, Any]) -> HandConfig:
-    try:
-        stacks = {
-            k: StackConfig(
-                n_units=int(_require(s, "n_units", f"stacks.{k}")),
-                force_knots=tuple((float(x), float(f))
-                                  for x, f in _require(s, "force_knots", f"stacks.{k}")),
-                v_ref=float(_require(s, "v_ref", f"stacks.{k}")),
-                x_free=float(s.get("x_free", 12.0)),
-                c0=float(s.get("c0", 0.4)),
-                c_slope=float(s.get("c_slope", 0.1)),
-                v_max=float(s.get("v_max", 6.0)),
-                force_exponent=float(s.get("force_exponent", 2.0)),
-            )
-            for k, s in _require(doc, "stacks", "config").items()
-        }
-        tendons = {
-            k: TendonPath(
-                pulley_ratio=float(t.get("pulley_ratio", 2.0)),
-                eta_fwd=float(t.get("eta_fwd", 0.55)),
-                f_breakaway=float(t.get("f_breakaway", 3.0)),
-                slack=float(t.get("slack", 0.0)),
-                k_ext=float(t.get("k_ext", 0.0)),
-                f_ext0=float(t.get("f_ext0", 0.0)),
-            )
-            for k, t in _require(doc, "tendons", "config").items()
-        }
-        fingers = {}
-        for k, f in _require(doc, "fingers", "config").items():
-            joints = tuple(
-                JointSpec(j["name"], float(j["r_eff"]), float(j["theta_max"]),
-                          float(j["phalanx_len"]))
-                for j in _require(f, "joints", f"fingers.{k}")
-            )
-            pair = f.get("coupled_pair")
-            fingers[k] = FingerLayout(
-                name=k,
-                joints=joints,
-                coupled_pair=tuple(pair) if pair else None,
-                tendon_ids=tuple(_require(f, "tendons", f"fingers.{k}")),
-            )
-        objects = {
-            k: ObjectModel(
-                name=k,
-                kind=_require(o, "kind", f"objects.{k}"),
-                k_obj=float(_require(o, "k_obj", f"objects.{k}")),
-                theta_contact={
-                    fn: {jn: float(a) for jn, a in per.items()}
-                    for fn, per in _require(o, "theta_contact", f"objects.{k}").items()
-                },
-                f_crush=(None if o.get("f_crush") is None else float(o["f_crush"])),
-                mass_g=(None if o.get("mass_g") is None else float(o["mass_g"])),
-            )
-            for k, o in _require(doc, "objects", "config").items()
-        }
-        amp = doc.get("amplifier", {})
-        amplifier = AmplifierModel(
-            v_ceiling=float(amp.get("v_ceiling", 5.5)),
-            slew_max=float(amp.get("slew_max", 100.0)),
-            monitor_noise_v=float(amp.get("monitor_noise_v", 0.005)),
-            monitor_noise_i=float(amp.get("monitor_noise_i", 0.05)),
-        )
-        sim_d = doc.get("sim", {})
-        sim = SimConfig(
-            dt_internal=float(sim_d.get("dt_internal", 1e-4)),
-            dt_sample=float(sim_d.get("dt_sample", 1e-3)),
-            tau_mech=float(sim_d.get("tau_mech", 0.08)),
-            duration=float(sim_d.get("duration", 2.0)),
-        )
-        det = doc.get("detection", {})
-        detection = DetectionConfig(
-            monitored_stack=det.get("monitored_stack", "index_mcp"),
-            i_threshold=(None if det.get("i_threshold") is None
-                         else float(det["i_threshold"])),
-            window=tuple(det.get("window", (0.88, 0.99))),
-            smoothing=int(det.get("smoothing", 5)),
-            debounce=int(det.get("debounce", 10)),
-            deviation_mult=float(det.get("deviation_mult", 3.0)),
-            deviation_floor=float(det.get("deviation_floor", 0.05)),
-            baseline_seed=int(det.get("baseline_seed", 10000019)),
-        )
-        presets = {}
-        for k, p in _require(doc, "presets", "config").items():
-            profiles = {
-                pk: ProfileSpec(ps.get("kind", "ramp_hold"),
-                                float(ps.get("target_kv", 5.5)),
-                                float(ps.get("ramp_s", 1.0)))
-                for pk, ps in _require(p, "profiles", f"presets.{k}").items()
-            }
-            presets[k] = ScenarioPreset(
-                name=k,
-                fingers=tuple(_require(p, "fingers", f"presets.{k}")),
-                obj=p.get("object"),
-                profiles=profiles,
-                duration=(None if p.get("duration") is None else float(p["duration"])),
-                controller=p.get("controller", "none"),
-                amp_ceiling=(None if p.get("amp_ceiling") is None
-                             else float(p["amp_ceiling"])),
-                repetitions=int(p.get("repetitions", 1)),
-                seed_base=int(p.get("seed_base", 0)),
-            )
-    except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"malformed config: {exc}") from exc
-
-    return HandConfig(stacks, tendons, fingers, objects, amplifier, sim,
-                      detection, presets)
+def config_from_dict(doc: Any) -> HandConfig:
+    return decode(HandConfig, doc)
 
 
 def load_config(path) -> HandConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))
 
 
 def save_config(cfg: HandConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(Path(path), json_text(config_to_dict(cfg)))
 
 
 def canonical_json(obj: Any) -> str:
@@ -544,14 +442,7 @@ def config_hash(cfg: HandConfig) -> str:
 
 def profile_hash(profiles: dict[str, ProfileSpec], duration: float, dt_sample: float) -> str:
     """Fingerprint of the voltage schedule a baseline was recorded under."""
-    doc = {
-        "profiles": {
-            k: {"kind": p.kind, "target_kv": p.target_kv, "ramp_s": p.ramp_s}
-            for k, p in profiles.items()
-        },
-        "duration": duration,
-        "dt_sample": dt_sample,
-    }
+    doc = {"profiles": encode(profiles), "duration": duration, "dt_sample": dt_sample}
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
@@ -571,6 +462,11 @@ class ChainSpec:
     path: TendonPath
     profile: ProfileSpec
 
+    def theta_at(self, x: float) -> float:
+        """Common angle (rad) of the driven joints at stack contraction x (mm)."""
+        cap = min(self.layout.joints[j].theta_max for j in self.joint_group)
+        return min(excursion_of(self.path, x) / self.layout.group_radius(self.joint_group), cap)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -585,12 +481,6 @@ class Scenario:
     monitored_stack: str
     profiles: dict[str, ProfileSpec]
     config_fingerprint: str
-
-    def chain(self, tendon_id: str) -> ChainSpec:
-        for c in self.chains:
-            if c.tendon_id == tendon_id:
-                return c
-        raise ConfigError(f"scenario {self.name}: no chain {tendon_id!r}")
 
 
 def resolve_scenario(
@@ -630,12 +520,7 @@ def resolve_preset(
     preset_name = preset.name
 
     ceiling = preset.amp_ceiling if preset.amp_ceiling is not None else cfg.amplifier.v_ceiling
-    amplifier = AmplifierModel(
-        v_ceiling=ceiling,
-        slew_max=cfg.amplifier.slew_max,
-        monitor_noise_v=cfg.amplifier.monitor_noise_v,
-        monitor_noise_i=cfg.amplifier.monitor_noise_i,
-    )
+    amplifier = replace(cfg.amplifier, v_ceiling=ceiling)
 
     chains: list[ChainSpec] = []
     for fname in preset.fingers:

@@ -11,7 +11,6 @@ single noise excursions cannot trigger it.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +31,9 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
 )
+from .kinematics import contact_torque
 from .plant import run_scenario
-from .trace import SignalTrace
+from .trace import SignalTrace, json_text, read_json, write_atomic
 
 _T_EPS = 1e-9
 
@@ -175,11 +175,10 @@ class BaselineProfile:
         lines = ["t(s),i(uA)"]
         for k in range(len(self.t)):
             lines.append(f"{float(self.t[k])!r},{float(self.i[k])!r}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(csv_path, "\n".join(lines) + "\n")
         meta = {"profile_hash": self.profile_hash, "seed": self.seed,
                 "dt_sample": self.dt_sample}
-        csv_path.with_suffix(".meta.json").write_text(
-            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_atomic(csv_path.with_suffix(".meta.json"), json_text(meta))
         return csv_path
 
     @classmethod
@@ -187,7 +186,7 @@ class BaselineProfile:
         csv_path = Path(csv_path)
         lines = [ln for ln in csv_path.read_text(encoding="utf-8").splitlines() if ln.strip()]
         rows = [tuple(float(p) for p in ln.split(",")) for ln in lines[1:]]
-        meta = json.loads(csv_path.with_suffix(".meta.json").read_text(encoding="utf-8"))
+        meta = read_json(csv_path.with_suffix(".meta.json"))
         t = np.array([r[0] for r in rows])
         i = np.array([r[1] for r in rows])
         return cls(t=t, i=i, profile_hash=meta["profile_hash"],
@@ -417,14 +416,7 @@ def _force_bound(scenario, trace: SignalTrace) -> float:
         xt = final_targets.get(chain.tendon_id)
         if xt is None:
             continue
-        path = chain.path
-        r_div = chain.layout.group_radius(chain.joint_group)
-        exc = max(0.0, path.pulley_ratio * xt - path.slack)
-        theta_cap = min(chain.layout.joints[j].theta_max for j in chain.joint_group)
-        theta = min(exc / r_div, theta_cap)
+        theta = chain.theta_at(xt)
         for j in chain.joint_group:
-            theta_c = scenario.obj.contact_angle(chain.layout.name,
-                                                 chain.layout.joints[j].name)
-            if theta_c is not None and theta > theta_c:
-                bound = max(bound, scenario.obj.k_obj * (theta - theta_c))
+            bound = max(bound, contact_torque(scenario.obj, chain.layout, j, theta)[1])
     return bound

@@ -13,7 +13,7 @@ angle and compresses it with a linear stiffness beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError
@@ -49,7 +49,7 @@ class FingerLayout:
     name: str
     joints: tuple[JointSpec, ...]
     coupled_pair: Optional[tuple[int, int]] = None
-    tendon_ids: tuple[str, ...] = ()
+    tendon_ids: tuple[str, ...] = field(default=(), metadata={"json": "tendons", "required": True})
 
     def __post_init__(self):
         if not self.joints:

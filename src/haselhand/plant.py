@@ -19,6 +19,11 @@ per-step cost low enough for the 10 kHz loop in pure Python. The
 general bisection solver in the actuator module is the slow reference
 implementation; the two are cross-checked in the test suite.
 
+run_scenario is the only stepping code: Plant builds the per-chain
+tables (ChainSim) from the transmission helpers once per run, and the
+loop in run_scenario slew-limits the commands, advances every chain and
+synthesizes the monitor samples.
+
 Monitor synthesis: the drawn current is evaluated from the step-level
 finite differences of capacitance and applied voltage (central at the
 internal step around each sample instant), then Gaussian monitor noise
@@ -29,67 +34,14 @@ byte-for-byte.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .actuator import (
-    ActuatorStackState,
-    capacitance_of,
-    displacement_current,
-    reference_force,
-)
+from .actuator import capacitance_of, displacement_current, reference_force
 from .config import ChainSpec, ProfileSpec, Scenario, SimConfig, profile_hash
-from .errors import ConfigError, DomainError
 from .trace import SignalTrace
-from .transmission import extensor_tension
-
-
-# ---------------------------------------------------------------------------
-# Voltage profiles
-# ---------------------------------------------------------------------------
-
-class VoltageProfile:
-    """Piecewise-linear commanded-voltage schedule."""
-
-    def __init__(self, kind: str, target_kv: float, ramp_s: float = 1.0):
-        if kind not in ("ramp", "hold", "ramp_hold"):
-            raise ConfigError(f"unknown profile kind {kind!r}")
-        if kind != "hold" and ramp_s <= 0:
-            raise ConfigError("ramp duration must be > 0")
-        if target_kv < 0:
-            raise ConfigError("profile target must be >= 0")
-        self.kind = kind
-        self.target_kv = target_kv
-        self.ramp_s = ramp_s
-
-    def __call__(self, t: float) -> float:
-        if self.kind == "hold":
-            return self.target_kv
-        return self.target_kv * min(t, self.ramp_s) / self.ramp_s
-
-    @property
-    def ramp_end(self) -> float:
-        return 0.0 if self.kind == "hold" else self.ramp_s
-
-
-def voltage_profile(
-    kind: str,
-    target_kv: float,
-    ramp_s: float = 1.0,
-    ceiling: Optional[float] = None,
-) -> VoltageProfile:
-    """Build a voltage schedule, checking the target against a ceiling."""
-    if ceiling is not None and target_kv > ceiling:
-        raise ConfigError(
-            f"profile target {target_kv} kV exceeds amplifier ceiling {ceiling} kV"
-        )
-    return VoltageProfile(kind, target_kv, ramp_s)
-
-
-def profile_from_spec(spec: ProfileSpec, ceiling: Optional[float] = None) -> VoltageProfile:
-    return voltage_profile(spec.kind, spec.target_kv, spec.ramp_s, ceiling)
+from .transmission import excursion_of, extensor_tension, reflected_load
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +78,12 @@ class ChainSim:
         x_at_cap = (theta_cap * r_div + path.slack) / ratio
         self.x_cap = min(spec.stack.x_free, x_at_cap)
 
-        # Contact onset contraction per driven joint (None when the
-        # object never meets that joint).
-        self.contact: list[tuple[int, float, float, float]] = []  # (joint, x_on, k, phal)
-        self.x_onset: dict[int, float] = {}
+        # Per driven joint the object meets: joint -> (onset contraction,
+        # onset angle, stiffness, moment arm). The onset angle is x_on
+        # mapped back through theta_at, not the object's contact angle:
+        # the two differ in the last bits, and both the load table and
+        # the f_contact column are defined by the mapped one.
+        self.contact: dict[int, tuple[float, float, float, float]] = {}
         if obj is not None:
             for j in group:
                 jspec = layout.joints[j]
@@ -138,8 +92,8 @@ class ChainSim:
                     continue
                 x_on = (theta_c * r_div + path.slack) / ratio
                 if x_on < self.x_cap:
-                    self.contact.append((j, x_on, obj.k_obj, jspec.phalanx_len))
-                    self.x_onset[j] = x_on
+                    self.contact[j] = (x_on, spec.theta_at(x_on), obj.k_obj,
+                                       jspec.phalanx_len)
 
         bps = {0.0, self.x_cap}
         if 0.0 < path.slack / ratio < self.x_cap:
@@ -147,7 +101,7 @@ class ChainSim:
         for kx, _ in spec.stack.force_knots:
             if 0.0 < kx < self.x_cap:
                 bps.add(kx)
-        for _, x_on, _, _ in self.contact:
+        for x_on, _, _, _ in self.contact.values():
             if 0.0 < x_on < self.x_cap:
                 bps.add(x_on)
         self.xs = sorted(bps)
@@ -160,21 +114,15 @@ class ChainSim:
         # scale (hold phases) reuses its stall point.
         self._memo: tuple[float, float, float] | None = None
 
-    def _theta(self, x: float) -> float:
-        exc = max(0.0, self.ratio * x - self.spec.path.slack)
-        return min(exc / self.r_div, self.theta_cap)
-
     def _load_at(self, x: float) -> float:
         """Reflected actuator load (N) at contraction x, excluding friction."""
         path = self.spec.path
-        exc = max(0.0, self.ratio * x - path.slack)
-        tension = extensor_tension(path, exc)
-        theta = min(exc / self.r_div, self.theta_cap)
-        for _, x_on, k_obj, phal in self.contact:
-            theta_c = self._theta(x_on)
-            if theta > theta_c:
-                tension += k_obj * (theta - theta_c) * phal / self.r_div
-        return self.ratio * tension / path.eta_fwd
+        tension = extensor_tension(path, excursion_of(path, x))
+        theta = self.spec.theta_at(x)
+        for _, theta_on, k_obj, phal in self.contact.values():
+            if theta > theta_on:
+                tension += k_obj * (theta - theta_on) * phal / self.r_div
+        return reflected_load(path, tension)
 
     def net(self, a: float, x: float) -> float:
         """Active force minus load at contraction x for voltage scale a."""
@@ -237,83 +185,14 @@ class ChainSim:
         return target
 
 
-# ---------------------------------------------------------------------------
-# Public single-step interface
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PlantState:
-    """Mutable snapshot of the plant between steps."""
-
-    t: float
-    v_applied: dict[str, float]
-    x: dict[str, float]
-    c: dict[str, float]
-    i: dict[str, float]
-    x_target: dict[str, float] = field(default_factory=dict)
-
-    def stack_state(self, tendon_id: str) -> ActuatorStackState:
-        """View of one stack as a standalone state value."""
-        return ActuatorStackState(
-            x=self.x[tendon_id], v=self.v_applied[tendon_id],
-            c=self.c[tendon_id], i=self.i[tendon_id], t=self.t,
-        )
-
-
 class Plant:
-    """The resolved scenario's physics, steppable one dt_internal at a time."""
+    """The resolved scenario's chain tables, built once per run."""
 
     def __init__(self, scenario: Scenario, sim: SimConfig):
         self.scenario = scenario
         self.sim = sim
         self.chains = [ChainSim(spec, scenario.obj) for spec in scenario.chains]
         self.by_id = {c.spec.tendon_id: c for c in self.chains}
-
-    def initial_state(self) -> PlantState:
-        return PlantState(
-            t=0.0,
-            v_applied={c.spec.tendon_id: 0.0 for c in self.chains},
-            x={c.spec.tendon_id: 0.0 for c in self.chains},
-            c={c.spec.tendon_id: capacitance_of(c.spec.stack, 0.0) for c in self.chains},
-            i={c.spec.tendon_id: 0.0 for c in self.chains},
-            x_target={c.spec.tendon_id: 0.0 for c in self.chains},
-        )
-
-    def step(self, state: PlantState, v_cmd: dict[str, float] | float, dt: float) -> PlantState:
-        """Advance the plant by one internal step under commanded voltage.
-
-        The amplifier slew-limits and ceiling-clamps each channel, every
-        chain relaxes toward its friction-aware equilibrium, and the
-        drawn current is synthesized from this step's finite differences
-        of voltage and capacitance.
-        """
-        if abs(dt - self.sim.dt_internal) > 1e-12:
-            raise DomainError(f"step dt {dt} must equal dt_internal {self.sim.dt_internal}")
-        amp = self.scenario.amplifier
-        dv_max = amp.slew_max * dt
-        dt_over_tau = dt / self.sim.tau_mech
-
-        new = PlantState(t=state.t + dt, v_applied={}, x={}, c={}, i={}, x_target={})
-        for chain in self.chains:
-            tid = chain.spec.tendon_id
-            cmd = v_cmd[tid] if isinstance(v_cmd, dict) else v_cmd
-            v_prev = state.v_applied[tid]
-            dv = min(max(cmd - v_prev, -dv_max), dv_max)
-            v = min(max(v_prev + dv, 0.0), amp.v_ceiling)
-
-            chain.x = state.x[tid]
-            target = chain.advance(v, dt_over_tau)
-            c_prev = state.c[tid]
-            c_now = capacitance_of(chain.spec.stack, chain.x)
-
-            new.v_applied[tid] = v
-            new.x[tid] = chain.x
-            new.c[tid] = c_now
-            new.x_target[tid] = target
-            new.i[tid] = displacement_current(
-                c_now, (v - v_prev) / dt, v, (c_now - c_prev) / dt
-            )
-        return new
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +227,7 @@ def run_scenario(
         mon_chain = plant.by_id[monitored]
     mon_id = mon_chain.spec.tendon_id
 
-    profiles = {
-        c.spec.tendon_id: profile_from_spec(c.spec.profile, scenario.amplifier.v_ceiling)
-        for c in chains
-    }
+    profiles = {c.spec.tendon_id: c.spec.profile for c in chains}
     # Chains sharing a profile spec share one evaluation per step.
     uniq_specs: list[ProfileSpec] = []
     chain_pidx: list[int] = []
@@ -359,8 +235,6 @@ def run_scenario(
         if c.spec.profile not in uniq_specs:
             uniq_specs.append(c.spec.profile)
         chain_pidx.append(uniq_specs.index(c.spec.profile))
-    uniq_profiles = [profile_from_spec(s, scenario.amplifier.v_ceiling)
-                     for s in uniq_specs]
 
     dt = sim.dt_internal
     sps = sim.steps_per_sample
@@ -458,7 +332,7 @@ def run_scenario(
                 capture_state(k)
             t_n = n * dt
             if held is None:
-                scheds = [p(t_n) for p in uniq_profiles]
+                scheds = [p(t_n) for p in uniq_specs]
             for ch, pidx in zip(chains, chain_pidx):
                 tid = ch.spec.tendon_id
                 cmd = held[tid] if held is not None else scheds[pidx]
@@ -497,12 +371,9 @@ def run_scenario(
             key = f"{layout.name}_{layout.joints[j].name}"
             theta_cols[key] = theta
             fc = np.zeros_like(theta)
-            x_on = ch.x_onset.get(j)
-            if x_on is not None:
-                theta_c = ch._theta(x_on)
-                fc = np.where(theta > theta_c,
-                              (scenario.obj.k_obj if scenario.obj else 0.0) * (theta - theta_c),
-                              0.0)
+            if j in ch.contact:
+                x_on, theta_on, k_obj, _ = ch.contact[j]
+                fc = np.where(theta > theta_on, k_obj * (theta - theta_on), 0.0)
                 engaged = np.maximum(xs, xts) >= x_on - 1e-12
                 if engaged.any():
                     first_contact[key] = float(t_arr[int(np.argmax(engaged))])

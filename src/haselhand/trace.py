@@ -9,20 +9,52 @@ On disk a trace is a CSV whose header names every column with its unit
 in parentheses, next to a .meta.json companion carrying seed, config
 hash, scenario name and run diagnostics. Floats are written with repr
 so a re-run with the same seed is byte-identical.
+
+Every file the package writes goes through write_atomic, and every JSON
+document it reads goes through read_json.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .errors import TraceSchemaError
+from .errors import ConfigError, TraceSchemaError
 
 FIXED_COLUMNS = ("t(s)", "v_cmd(kV)", "v_meas(kV)", "i_meas(uA)")
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def json_text(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; malformed JSON is a ConfigError naming the line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def theta_col(finger: str, joint: str) -> str:
@@ -58,7 +90,10 @@ class SignalTrace:
 
     @property
     def dt_sample(self) -> float:
-        return float(self.meta.get("dt_sample", 1e-3))
+        """Sample period (s): from the meta, else from the uniform time grid."""
+        if "dt_sample" in self.meta:
+            return float(self.meta["dt_sample"])
+        return float(self.t[1] - self.t[0])
 
     def columns(self) -> list[tuple[str, np.ndarray]]:
         cols: list[tuple[str, np.ndarray]] = [
@@ -90,11 +125,8 @@ class SignalTrace:
 
     def save(self, csv_path: str | Path) -> Path:
         csv_path = Path(csv_path)
-        csv_path.write_text(self.to_csv_text(), encoding="utf-8")
-        meta_path = csv_path.with_suffix(".meta.json")
-        meta_path.write_text(
-            json.dumps(self.meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_atomic(csv_path, self.to_csv_text())
+        write_atomic(csv_path.with_suffix(".meta.json"), json_text(self.meta))
         return csv_path
 
 
@@ -121,7 +153,10 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
             raise TraceSchemaError(
                 f"row {r + 1} has {len(parts)} values for {len(names)} columns"
             )
-        data[r] = [float(p) for p in parts]
+        try:
+            data[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise TraceSchemaError(f"row {r + 1} has a non-numeric value: {exc}") from None
 
     by_name = {name: data[:, j] for j, name in enumerate(names)}
     theta: dict[str, np.ndarray] = {}
@@ -145,7 +180,7 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
     meta: dict[str, Any] = {}
     meta_path = csv_path.with_suffix(".meta.json")
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = read_json(meta_path)
 
     return SignalTrace(
         t=by_name["t(s)"],

@@ -14,8 +14,7 @@ from haselhand import (
 
 def noise_free(cfg: HandConfig) -> HandConfig:
     amp = replace(cfg.amplifier, monitor_noise_v=0.0, monitor_noise_i=0.0)
-    return HandConfig(cfg.stacks, cfg.tendons, cfg.fingers, cfg.objects,
-                      amp, cfg.sim, cfg.detection, cfg.presets)
+    return replace(cfg, amplifier=amp)
 
 
 @pytest.fixture(scope="session")

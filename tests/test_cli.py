@@ -6,6 +6,7 @@ import pytest
 
 from haselhand.cli import main
 from haselhand.config import config_to_dict, default_config
+from haselhand.errors import TraceSchemaError
 from haselhand.trace import load_trace
 
 
@@ -220,6 +221,47 @@ class TestReplay:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "hash" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.__setitem__("stacks", [1, 2]),
+        lambda d: d.__setitem__("sim", "fast"),
+    ], ids=["stacks_array", "sim_string"])
+    def test_config_block_of_wrong_type_exits_2(self, tmp_path, capsys, mutate):
+        cfg_path = write_config(tmp_path, mutate)
+        code = run_cli("characterize", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_text", [
+        lambda doc: "{not json",
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "i_threshold"}),
+        lambda doc: json.dumps({**doc, "i_threshold": "abc"}),
+    ], ids=["malformed_json", "no_threshold", "non_numeric_threshold"])
+    def test_bad_detector_document_exits_2(self, batch_out, tmp_path, make_text):
+        doc = json.loads((batch_out / "detector.json").read_text())
+        bad = tmp_path / "detector.json"
+        bad.write_text(make_text(doc))
+        code = run_cli("replay", "--trace", str(batch_out / "detect_cube_seed100000.csv"),
+                       "--detector", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2
+
+    def test_non_numeric_trace_cell_names_row(self, batch_out, tmp_path, capsys):
+        rows = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
+        cells = rows[3].split(",")
+        cells[3] = "abc"
+        rows[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        with pytest.raises(TraceSchemaError, match="row 3"):
+            load_trace(bad)
+        code = run_cli("replay", "--trace", str(bad),
+                       "--detector", str(batch_out / "detector.json"),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
 
 
 class TestOutputDirOverride:

@@ -36,6 +36,23 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="stacks"):
             config_from_dict({"tendons": {}})
 
+    @pytest.mark.parametrize("block, item, key", [
+        ("stacks", "index_mcp", "v_ref"),
+        ("fingers", "index", "tendons"),
+        ("presets", "pinch_cube", "profiles"),
+    ])
+    def test_missing_required_key_reported(self, cfg, block, item, key):
+        doc = config_to_dict(cfg)
+        del doc[block][item][key]
+        with pytest.raises(ConfigError, match=f"{block}.{item}: missing required key '{key}'"):
+            config_from_dict(doc)
+
+    def test_absent_blocks_take_field_defaults(self, cfg):
+        doc = config_to_dict(cfg)
+        for block in ("amplifier", "sim", "detection"):
+            del doc[block]
+        assert config_hash(config_from_dict(doc)) == config_hash(cfg)
+
 
 class TestCrossReferences:
     def test_preset_with_unknown_finger(self, cfg):

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from haselhand import (
-    Plant,
     equilibrium_contraction,
     resolve_scenario,
     run_scenario,
-    voltage_profile,
 )
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError
@@ -19,38 +17,39 @@ from haselhand.trace import reconstruct_current
 
 class TestVoltageProfile:
     def test_ramp_hold_midpoint(self):
-        prof = voltage_profile("ramp_hold", 5.5, 1.0)
+        prof = ProfileSpec("ramp_hold", 5.5, 1.0)
         assert prof(0.5) == pytest.approx(2.75)
 
     def test_holds_target_after_ramp(self):
-        prof = voltage_profile("ramp_hold", 5.5, 1.0)
+        prof = ProfileSpec("ramp_hold", 5.5, 1.0)
         assert prof(2.0) == 5.5
 
     def test_hold_zero(self):
-        prof = voltage_profile("hold", 0.0)
+        prof = ProfileSpec("hold", 0.0)
         assert all(prof(t) == 0.0 for t in (0.0, 0.5, 10.0))
 
-    def test_target_above_ceiling_rejected(self):
-        with pytest.raises(ConfigError):
-            voltage_profile("ramp_hold", 6.5, 1.0, ceiling=6.0)
+    def test_target_above_ceiling_rejected(self, cfg):
+        preset = ScenarioPreset("over", ("index",),
+                                profiles={"*": ProfileSpec("ramp_hold", 6.5, 1.0)},
+                                amp_ceiling=6.0)
+        with pytest.raises(ConfigError, match="ceiling"):
+            resolve_preset(cfg, preset)
 
     def test_nonpositive_ramp_rejected(self):
         with pytest.raises(ConfigError):
-            voltage_profile("ramp", 5.5, 0.0)
+            ProfileSpec("ramp", 5.5, 0.0)
 
 
 class TestStep:
     def test_rest_is_a_fixed_point_at_zero_volts(self, cfg_nf):
-        scenario = resolve_scenario(cfg_nf, "free_motion")
-        plant = Plant(scenario, cfg_nf.sim)
-        state = plant.initial_state()
-        for _ in range(50):
-            state = plant.step(state, 0.0, cfg_nf.sim.dt_internal)
-        assert all(x == 0.0 for x in state.x.values())
-        assert all(i == 0.0 for i in state.i.values())
-        stack = state.stack_state("index_mcp")
-        assert stack.c == cfg_nf.stacks["index_mcp"].c0
-        assert stack.i == 0.0 and stack.x == 0.0
+        preset = ScenarioPreset("rest", ("thumb", "index"),
+                                profiles={"*": ProfileSpec("hold", 0.0)},
+                                duration=0.05)
+        trace = run_scenario(resolve_preset(cfg_nf, preset), cfg_nf.sim, seed=0)
+        assert all((x == 0.0).all() for x in trace.x.values())
+        assert (trace.i_meas == 0.0).all()
+        for tid, c in trace.c.items():
+            assert (c == cfg_nf.stacks[tid].c0).all()
 
     def test_converged_hold_is_steady(self, cfg_nf):
         # After a long hold the stall point is reached: x and c freeze

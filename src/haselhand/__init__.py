@@ -22,13 +22,10 @@ from .config import (
     save_config,
 )
 from .control import (
-    BaselineProfile,
     ContactAwareController,
-    ControllerState,
     EpisodeReport,
     StreamingDetector,
     calibrate_threshold,
-    contact_aware_step,
     detect_grasp,
     record_baseline,
     run_grasp_episode,
@@ -46,7 +43,6 @@ from .errors import (
 )
 from .kinematics import (
     FingerLayout,
-    FingerState,
     JointSpec,
     ObjectModel,
     angles_from_excursion,

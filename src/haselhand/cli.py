@@ -45,9 +45,9 @@ from .errors import (
     InsufficientDataError,
     ModelConsistencyError,
 )
-from .kinematics import FingerState, fingertip_force
+from .kinematics import fingertip_force
 from .plant import run_scenario
-from .trace import json_text, load_trace, read_json, write_atomic
+from .trace import csv_text, json_text, load_trace, read_json, theta_col, write_atomic
 from .transmission import delivered_tension
 
 EXIT_OK = 0
@@ -90,7 +90,6 @@ def cmd_characterize(args) -> int:
         "config_hash": config_hash(cfg),
         "onset_voltage_kv": {},
         "saturation_deg": {},
-        "fingertip_n": {},
     }
 
     for finger in ("index", "thumb"):
@@ -107,11 +106,9 @@ def cmd_characterize(args) -> int:
         trace = run_scenario(scenario, cfg.sim, seed=args.seed)
 
         joints = [j.name for j in layout.joints]
-        lines = ["v_cmd(kV)," + ",".join(f"theta_{finger}_{j}(rad)" for j in joints)]
-        for k in range(len(trace)):
-            vals = [trace.v_cmd[k]] + [trace.theta[f"{finger}_{j}"][k] for j in joints]
-            lines.append(",".join(repr(float(v)) for v in vals))
-        write_atomic(out / f"voltage_angle_{finger}.csv", "\n".join(lines) + "\n")
+        columns = [("v_cmd(kV)", trace.v_cmd)]
+        columns += [(theta_col(finger, j), trace.theta[f"{finger}_{j}"]) for j in joints]
+        write_atomic(out / f"voltage_angle_{finger}.csv", csv_text(columns))
 
         for tid in layout.tendon_ids:
             meta["onset_voltage_kv"][tid] = _onset_voltage(cfg, tid)
@@ -125,29 +122,17 @@ def cmd_characterize(args) -> int:
     # tension works against the extensor pretension about the MCP.
     sweep_top = min(5.5, cfg.amplifier.v_ceiling)
     volts = [round(0.01 * k, 10) for k in range(int(round(sweep_top / 0.01)) + 1)]
-    if not volts:
-        volts = [0.0]
-    force_rows = []
     tips: dict[str, list[float]] = {"index": [], "thumb": []}
     for v in volts:
-        row = [v]
         for finger in ("index", "thumb"):
             layout = cfg.fingers[finger]
             tid = layout.tendon_ids[0]
             stack, path = cfg.stacks[tid], cfg.tendons[tid]
             tension = delivered_tension(path, active_force(stack, v, 0.0))
-            f_tip = fingertip_force(
-                layout, tension, FingerState.at_rest(layout), extensor_tension=path.f_ext0
-            )
-            row.append(f_tip)
-            tips[finger].append(f_tip)
-        force_rows.append(row)
-    lines = ["v(kV),f_index(N),f_thumb(N)"]
-    for row in force_rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    write_atomic(out / "fingertip_force.csv", "\n".join(lines) + "\n")
-    meta["fingertip_n"]["index"] = tips["index"][-1]
-    meta["fingertip_n"]["thumb"] = tips["thumb"][-1]
+            tips[finger].append(fingertip_force(layout, tension, extensor_tension=path.f_ext0))
+    columns = [("v(kV)", volts), ("f_index(N)", tips["index"]), ("f_thumb(N)", tips["thumb"])]
+    write_atomic(out / "fingertip_force.csv", csv_text(columns))
+    meta["fingertip_n"] = {finger: forces[-1] for finger, forces in tips.items()}
 
     write_atomic(out / "characterize.meta.json", json_text(meta))
     print(f"characterize: wrote {out}/voltage_angle_*.csv, fingertip_force.csv")
@@ -190,12 +175,11 @@ def cmd_detect_batch(args) -> int:
     if args.free < 1 or args.grasp < 1:
         raise ConfigError("detect-batch needs at least one episode of each class")
 
-    def _run(preset: str, seed: int):
-        return run_scenario(resolve_scenario(cfg, preset), cfg.sim, seed)
-
-    cal_free = [_run("detect_free", args.seed + CAL_SEED_OFFSET + k)
+    free = resolve_scenario(cfg, "detect_free")
+    cube = resolve_scenario(cfg, "detect_cube")
+    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k)
                 for k in range(N_CALIBRATION)]
-    cal_grasp = [_run("detect_cube", args.seed + CAL_SEED_OFFSET + 500 + k)
+    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k)
                  for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
 
@@ -205,7 +189,7 @@ def cmd_detect_batch(args) -> int:
     misclassified = []
     profile_fp = None
     for k in range(args.free):
-        trace = _run("detect_free", args.seed + k)
+        trace = run_scenario(free, cfg.sim, args.seed + k)
         profile_fp = trace.meta["profile_hash"]
         grasped, _ = detect_grasp(trace, det)
         if grasped:
@@ -214,7 +198,7 @@ def cmd_detect_batch(args) -> int:
         else:
             counts["tn"] += 1
     for k in range(args.grasp):
-        trace = _run("detect_cube", args.seed + GRASP_SEED_OFFSET + k)
+        trace = run_scenario(cube, cfg.sim, args.seed + GRASP_SEED_OFFSET + k)
         grasped, _ = detect_grasp(trace, det)
         if grasped:
             counts["tp"] += 1
@@ -225,7 +209,7 @@ def cmd_detect_batch(args) -> int:
     total = args.free + args.grasp
     correct = counts["tp"] + counts["tn"]
     summary = {
-        "config_hash": config_hash(cfg),
+        "config_hash": free.config_fingerprint,
         "threshold_ua": threshold,
         "n_free": args.free,
         "n_grasp": args.grasp,
@@ -243,7 +227,7 @@ def cmd_detect_batch(args) -> int:
         "smoothing": det.smoothing,
         "debounce": det.debounce,
         "profile_hash": profile_fp,
-        "config_hash": config_hash(cfg),
+        "config_hash": free.config_fingerprint,
     }
     write_atomic(out / "detector.json", json_text(detector_doc))
     print(f"detect-batch: {correct}/{total} correct, threshold {threshold:.3f} uA")

@@ -382,11 +382,21 @@ def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
 
 
 def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any:
-    if tp is float or tp is int:
+    # A JSON number only: bool is an int subclass in Python but not a
+    # number here, an int field takes no fraction and a float field no
+    # NaN or infinity (every range check in the model is false for NaN).
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        return value
+    if tp is float:
         try:
-            return tp(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}") from None
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number; an int beyond float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        return float(value)
     if tp is str:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: expected a string, got {value!r}")

@@ -7,13 +7,18 @@ the current deviating from a pre-recorded free-motion baseline. Both
 algorithms run on the 1 kHz monitor samples after a short moving
 average; detection additionally debounces over consecutive samples so
 single noise excursions cannot trigger it.
+
+Contact-aware control is one decision. The baseline is the free-motion
+trace of the same voltage schedule, recorded under the same profile
+hash. ContactAwareController only decides at which sample the plant
+stops ramping; the plant then holds every channel at its previous
+command (see run_scenario).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Optional
 
 import numpy as np
@@ -33,7 +38,7 @@ from .errors import (
 )
 from .kinematics import contact_torque
 from .plant import run_scenario
-from .trace import SignalTrace, json_text, read_json, write_atomic
+from .trace import SignalTrace
 
 _T_EPS = 1e-9
 
@@ -160,144 +165,57 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BaselineProfile:
-    """Free-motion current recording used as the contact reference."""
-
-    t: np.ndarray
-    i: np.ndarray
-    profile_hash: str
-    seed: int
-    dt_sample: float
-
-    def save(self, csv_path: str | Path) -> Path:
-        csv_path = Path(csv_path)
-        lines = ["t(s),i(uA)"]
-        for k in range(len(self.t)):
-            lines.append(f"{float(self.t[k])!r},{float(self.i[k])!r}")
-        write_atomic(csv_path, "\n".join(lines) + "\n")
-        meta = {"profile_hash": self.profile_hash, "seed": self.seed,
-                "dt_sample": self.dt_sample}
-        write_atomic(csv_path.with_suffix(".meta.json"), json_text(meta))
-        return csv_path
-
-    @classmethod
-    def load(cls, csv_path: str | Path) -> "BaselineProfile":
-        csv_path = Path(csv_path)
-        lines = [ln for ln in csv_path.read_text(encoding="utf-8").splitlines() if ln.strip()]
-        rows = [tuple(float(p) for p in ln.split(",")) for ln in lines[1:]]
-        meta = read_json(csv_path.with_suffix(".meta.json"))
-        t = np.array([r[0] for r in rows])
-        i = np.array([r[1] for r in rows])
-        return cls(t=t, i=i, profile_hash=meta["profile_hash"],
-                   seed=int(meta["seed"]), dt_sample=float(meta["dt_sample"]))
-
-
 def record_baseline(
     cfg: HandConfig,
     preset_name: str,
     seed: Optional[int] = None,
     sim: Optional[SimConfig] = None,
-) -> BaselineProfile:
-    """Record the free-motion current of a preset's voltage schedule."""
+) -> SignalTrace:
+    """Record the free-motion trace of a preset's voltage schedule.
+
+    The baseline is an ordinary trace: its meta carries the profile hash
+    it was recorded under, and it is saved with SignalTrace.save and read
+    back with load_trace.
+    """
     scenario = resolve_scenario(cfg, preset_name, drop_object=True, controller="none")
     sim = sim or cfg.sim
     seed = cfg.detection.baseline_seed if seed is None else seed
-    trace = run_scenario(scenario, sim, seed)
-    return BaselineProfile(
-        t=trace.t, i=trace.i_meas, profile_hash=trace.meta["profile_hash"],
-        seed=seed, dt_sample=sim.dt_sample,
-    )
-
-
-def deviation_threshold_of(baseline: BaselineProfile, det: DetectionConfig) -> float:
-    """Contact deviation threshold from the baseline's own residual noise."""
-    smoothed = smooth_causal(baseline.i, det.smoothing)
-    resid_std = float(np.std(baseline.i - smoothed))
-    return max(det.deviation_mult * resid_std, det.deviation_floor)
-
-
-@dataclass
-class ControllerState:
-    """Contact-aware controller mode; transitions ramping -> holding only."""
-
-    mode: str = "ramping"
-    v_held: Optional[float] = None
-    contact_time: Optional[float] = None
-
-
-def contact_aware_step(
-    i_smoothed: float,
-    baseline_at_t: Optional[float],
-    v_cmd_prev: float,
-    v_scheduled: float,
-    state: ControllerState,
-    deviation_threshold: float,
-    t: Optional[float] = None,
-) -> tuple[float, ControllerState]:
-    """One 1 kHz decision of the contact-aware voltage controller.
-
-    While ramping, a drop of the smoothed current more than
-    deviation_threshold below the baseline means the finger met
-    something: the voltage freezes at the previous command for the rest
-    of the episode. In holding mode the held voltage is returned
-    unconditionally.
-    """
-    if state.mode == "holding":
-        return state.v_held, state
-    if baseline_at_t is None:
-        raise BaselineExhaustedError(
-            "ramp ran past the recorded baseline without detecting contact"
-        )
-    if baseline_at_t - i_smoothed > deviation_threshold:
-        held = ControllerState(mode="holding", v_held=v_cmd_prev, contact_time=t)
-        return v_cmd_prev, held
-    return v_scheduled, state
+    return run_scenario(scenario, sim, seed)
 
 
 class ContactAwareController:
-    """Adapter running contact_aware_step against a recorded baseline.
+    """Decides when the plant stops ramping, from a free-motion baseline.
 
     Decisions use the previous sample's measured current (one sample of
-    pipeline latency) compared against the baseline at the same instant.
+    pipeline latency), smoothed like the baseline, against the smoothed
+    baseline at the same instant. A drop of more than the deviation
+    threshold, set from the baseline's own residual noise, means the
+    finger met something.
     """
 
-    def __init__(self, baseline: BaselineProfile, det: DetectionConfig,
-                 expected_profile_hash: Optional[str] = None):
-        if expected_profile_hash is not None and baseline.profile_hash != expected_profile_hash:
-            raise ConfigError(
-                f"baseline profile hash {baseline.profile_hash} does not match "
-                f"scenario profile hash {expected_profile_hash}"
-            )
-        self.baseline = baseline
-        self.baseline_smoothed = smooth_causal(baseline.i, det.smoothing)
-        self.det = det
-        self.deviation_threshold = deviation_threshold_of(baseline, det)
-        self.state = ControllerState()
+    def __init__(self, baseline: SignalTrace, det: DetectionConfig):
+        self.dt_sample = baseline.dt_sample
+        self.baseline_smoothed = smooth_causal(baseline.i_meas, det.smoothing)
+        resid_std = float(np.std(baseline.i_meas - self.baseline_smoothed))
+        self.deviation_threshold = max(det.deviation_mult * resid_std, det.deviation_floor)
+        self.contact_time: Optional[float] = None
         self._buf: deque[float] = deque(maxlen=det.smoothing)
-        self._last_cmd = 0.0
 
-    def command(self, t: float, i_prev: Optional[float], scheduled: float) -> tuple[str, float]:
-        if self.state.mode == "holding":
-            return "hold", float(self.state.v_held)
+    def command(self, t: float, i_prev: Optional[float]) -> bool:
+        """True when the plant should hold its commands from sample t on."""
         if i_prev is None:
-            self._last_cmd = scheduled
-            return "ramp", scheduled
+            return False
         self._buf.append(i_prev)
-        k_prev = round(t / self.baseline.dt_sample) - 1
-        baseline_at = (
-            float(self.baseline_smoothed[k_prev])
-            if 0 <= k_prev < len(self.baseline_smoothed) else None
-        )
+        k_prev = round(t / self.dt_sample) - 1
+        if not 0 <= k_prev < len(self.baseline_smoothed):
+            raise BaselineExhaustedError(
+                "ramp ran past the recorded baseline without detecting contact"
+            )
         i_smoothed = sum(self._buf) / len(self._buf)
-        v_out, self.state = contact_aware_step(
-            i_smoothed, baseline_at, self._last_cmd, scheduled,
-            self.state, self.deviation_threshold, t=t,
-        )
-        if self.state.mode == "holding":
-            return "hold", v_out
-        self._last_cmd = v_out
-        return "ramp", v_out
+        if float(self.baseline_smoothed[k_prev]) - i_smoothed > self.deviation_threshold:
+            self.contact_time = t
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +250,7 @@ def run_grasp_episode(
     *,
     drop_object: bool = False,
     controller: Optional[str] = None,
-    baseline: Optional[BaselineProfile] = None,
+    baseline: Optional[SignalTrace] = None,
     detection: Optional[DetectionConfig] = None,
     sim: Optional[SimConfig] = None,
 ) -> EpisodeReport:
@@ -341,41 +259,41 @@ def run_grasp_episode(
     The preset decides the controller: "none" runs the schedule open
     loop, "detect" classifies the finished trace against the calibrated
     threshold, "contact_aware" closes the loop on the baseline deviation
-    (recording a baseline on the fly if none is supplied).
+    (recording a baseline on the fly if none is supplied). A supplied
+    baseline must carry the scenario's profile hash in its meta.
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
     det = detection if detection is not None else cfg.detection
     sim = sim or cfg.sim
 
-    commander = None
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
         if baseline is None:
             baseline = record_baseline(cfg, preset_name, sim=sim)
         expected = profile_hash(scenario.profiles, scenario.duration, sim.dt_sample)
-        ctrl = ContactAwareController(baseline, det, expected_profile_hash=expected)
-        commander = ctrl.command
+        recorded = baseline.meta.get("profile_hash")
+        if recorded != expected:
+            raise ConfigError(
+                f"baseline profile hash {recorded} does not match "
+                f"scenario profile hash {expected}"
+            )
+        ctrl = ContactAwareController(baseline, det)
 
-    trace = run_scenario(scenario, sim, seed, commander)
+    trace = run_scenario(scenario, sim, seed, ctrl.command if ctrl is not None else None)
 
+    holds = trace.meta["events"]["hold"]
     events: list[dict[str, Any]] = []
     for key, t_c in sorted(trace.meta["events"]["first_contact"].items()):
         events.append({"type": "contact", "joint": key, "t": t_c})
-    for h in trace.meta["events"]["hold"]:
+    for h in holds:
         events.append({"type": "hold", "t": h["t"], "v_held": h["v_held"]})
 
-    verdicts: dict[str, Any] = {}
-
-    engaged = sorted({c.finger for c in scenario.chains})
-    if scenario.obj is not None:
-        contacted = {key.rsplit("_", 1)[0] for key in trace.meta["events"]["first_contact"]}
-        verdicts["stable"] = all(f in contacted for f in engaged)
-    else:
-        verdicts["stable"] = False
-    verdicts["fingers_contacted"] = sorted(
-        {key.rsplit("_", 1)[0] for key in trace.meta["events"]["first_contact"]}
-    )
+    contacted = sorted({key.rsplit("_", 1)[0] for key in trace.meta["events"]["first_contact"]})
+    verdicts: dict[str, Any] = {
+        "stable": scenario.obj is not None and all(c.finger in contacted for c in scenario.chains),
+        "fingers_contacted": contacted,
+    }
 
     if scenario.controller in ("detect", "contact_aware") and det.i_threshold is not None:
         grasped, t_dec = detect_grasp(trace, det)
@@ -385,9 +303,9 @@ def run_grasp_episode(
             events.append({"type": "detection", "t": t_dec})
 
     if ctrl is not None:
-        verdicts["held"] = ctrl.state.mode == "holding"
-        verdicts["v_held"] = ctrl.state.v_held
-        verdicts["contact_time"] = ctrl.state.contact_time
+        verdicts["held"] = bool(holds)
+        verdicts["v_held"] = holds[0]["v_held"] if holds else None
+        verdicts["contact_time"] = ctrl.contact_time
         verdicts["deviation_threshold"] = ctrl.deviation_threshold
 
     if scenario.obj is not None:

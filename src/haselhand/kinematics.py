@@ -87,18 +87,6 @@ class FingerLayout:
         return sum(j.phalanx_len for j in self.joints)
 
 
-@dataclass
-class FingerState:
-    theta: list[float]
-    contact: list[bool]
-    f_contact: list[float]
-
-    @classmethod
-    def at_rest(cls, layout: FingerLayout) -> "FingerState":
-        n = len(layout.joints)
-        return cls(theta=[0.0] * n, contact=[False] * n, f_contact=[0.0] * n)
-
-
 @dataclass(frozen=True)
 class ObjectModel:
     """Lumped contact model of a graspable object.
@@ -190,10 +178,9 @@ def contact_torque(
 def fingertip_force(
     layout: FingerLayout,
     tension: float,
-    posture: FingerState,
     extensor_tension: float = 0.0,
 ) -> float:
-    """Static fingertip normal force (N) in the extended test posture.
+    """Static fingertip normal force (N) in the fully extended test posture.
 
     Moment balance about the base (MCP) joint with the finger pressing
     straight down on a load cell:
@@ -203,8 +190,6 @@ def fingertip_force(
     """
     if tension < 0:
         raise DomainError(f"tendon tension {tension} N must be >= 0")
-    if any(abs(t) > 1e-9 for t in posture.theta):
-        raise DomainError("fingertip_force is defined for the fully extended posture")
     r_mcp = layout.joints[0].r_eff
     moment = (tension - extensor_tension) * r_mcp
     return max(0.0, moment / layout.total_length())

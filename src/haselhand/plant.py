@@ -203,7 +203,7 @@ def run_scenario(
     scenario: Scenario,
     sim: SimConfig,
     seed: int,
-    commander: Optional[Callable[[float, Optional[float], float], tuple[str, float]]] = None,
+    commander: Optional[Callable[[float, Optional[float]], bool]] = None,
 ) -> SignalTrace:
     """Simulate a scenario and return its 1 kHz monitor trace.
 
@@ -212,10 +212,11 @@ def run_scenario(
     identical traces byte-for-byte.
 
     commander, when given, is consulted once per sample period with
-    (t, previous sample's measured current or None, scheduled command of
-    the monitored stack); it returns ("ramp", scheduled) to follow the
-    schedule or ("hold", v) to freeze every channel. Commands freeze at
-    the previous sample's values on the hold transition.
+    (t, previous sample's measured current or None) until it returns
+    True. From that sample on every channel holds its previous sample's
+    command, limited to the amplifier ceiling, and the commander is not
+    consulted again. The hold instant and the monitored channel's held
+    voltage are recorded as the trace's hold event.
     """
     rng = np.random.default_rng(seed)
     plant = Plant(scenario, sim)
@@ -264,7 +265,7 @@ def run_scenario(
     i_meas = np.zeros(n_samples)
 
     held: dict[str, float] | None = None
-    mode_log: list[str] = []
+    hold_events: list[dict[str, float]] = []
     last_sample_i: Optional[float] = None
 
     prev_cmd: dict[str, float] = {tid: profiles[tid](0.0) for tid in profiles}
@@ -278,18 +279,13 @@ def run_scenario(
         """
         nonlocal held
         t_k = k * sim.dt_sample
-        scheduled_mon = profiles[mon_id](t_k)
-        if commander is not None and held is None:
-            mode, v_out = commander(t_k, last_sample_i, scheduled_mon)
-            if mode == "hold":
-                held = {tid: min(v, ceiling) for tid, v in prev_cmd.items()}
-                # The monitored channel's held value is authoritative.
-                held[mon_id] = v_out
+        if commander is not None and held is None and commander(t_k, last_sample_i):
+            held = {tid: min(v, ceiling) for tid, v in prev_cmd.items()}
+            hold_events.append({"t": t_k, "v_held": held[mon_id]})
         for tid, prof in profiles.items():
             prev_cmd[tid] = held[tid] if held is not None else prof(t_k)
         v_cmd_arr[k] = prev_cmd[mon_id]
         t_arr[k] = t_k
-        mode_log.append("holding" if held is not None else "ramping")
 
     def capture_state(k: int) -> None:
         """Record every chain's contraction and target at sample instant k."""
@@ -380,10 +376,6 @@ def run_scenario(
             fc_cols[key] = fc
 
     max_residual = max((ch.max_residual for ch in chains), default=0.0)
-    hold_events = []
-    for k, m in enumerate(mode_log):
-        if m == "holding" and (k == 0 or mode_log[k - 1] == "ramping"):
-            hold_events.append({"t": float(t_arr[k]), "v_held": float(v_cmd_arr[k])})
 
     meta = {
         "scenario": scenario.name,
@@ -399,7 +391,7 @@ def run_scenario(
         "max_equilibrium_residual_n": max_residual,
         "final_x_target": {tid: float(v) for tid, v in last_target.items()},
         "events": {"first_contact": first_contact, "hold": hold_events},
-        "controller_modes": {"final": mode_log[-1] if mode_log else "ramping"},
+        "controller_modes": {"final": "ramping" if held is None else "holding"},
     }
 
     return SignalTrace(

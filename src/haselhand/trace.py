@@ -49,12 +49,32 @@ def json_text(doc: Any) -> str:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed JSON is a ConfigError naming the line."""
+    """Parse a JSON file; malformed JSON is a ConfigError naming the line.
+
+    The non-standard constants NaN, Infinity and -Infinity are rejected:
+    no document the package reads can give them a meaning.
+    """
+    def reject(name: str):
+        raise ConfigError(f"{path}: {name} is not a finite JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def csv_text(columns: list[tuple[str, Any]]) -> str:
+    """CSV document of (header name, values) columns of equal length.
+
+    Values are written as repr of the float, so equal inputs give equal
+    bytes.
+    """
+    arrays = [values for _, values in columns]
+    lines = [",".join(name for name, _ in columns)]
+    for k in range(len(arrays[0])):
+        lines.append(",".join(repr(float(a[k])) for a in arrays))
+    return "\n".join(lines) + "\n"
 
 
 def theta_col(finger: str, joint: str) -> str:
@@ -115,13 +135,7 @@ class SignalTrace:
         return cols
 
     def to_csv_text(self) -> str:
-        cols = self.columns()
-        header = ",".join(name for name, _ in cols)
-        lines = [header]
-        arrays = [arr for _, arr in cols]
-        for k in range(len(self.t)):
-            lines.append(",".join(repr(float(a[k])) for a in arrays))
-        return "\n".join(lines) + "\n"
+        return csv_text(self.columns())
 
     def save(self, csv_path: str | Path) -> Path:
         csv_path = Path(csv_path)

@@ -248,6 +248,30 @@ class TestBadInputs:
                        "--detector", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize("where, value, named", [
+        ("detection.smoothing", 5.9, "detection.smoothing"),
+        ("stacks.index_mcp.n_units", 2.7, "stacks.index_mcp.n_units"),
+        ("detection.debounce", True, "detection.debounce"),
+        ("stacks.index_mcp.c0", True, "stacks.index_mcp.c0"),
+        ("stacks.index_mcp.c0", math.nan, "NaN"),
+        ("tendons.index_mcp.k_ext", math.nan, "NaN"),
+        ("sim.tau_mech", math.inf, "Infinity"),
+        ("amplifier.slew_max", math.nan, "NaN"),
+    ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
+            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew"])
+    def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, value, named):
+        def mutate(doc):
+            *parents, key = where.split(".")
+            for part in parents:
+                doc = doc[part]
+            doc[key] = value
+        cfg_path = write_config(tmp_path, mutate)
+        code = run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_non_numeric_trace_cell_names_row(self, batch_out, tmp_path, capsys):
         rows = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
         cells = rows[3].split(",")

@@ -1,6 +1,10 @@
-import json
+import copy
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haselhand import config_hash, default_config, load_config, save_config
 from haselhand.config import (
@@ -115,3 +119,52 @@ class TestPresetValidation:
         for name in cfg.presets:
             scenario = resolve_scenario(cfg, name)
             assert scenario.chains
+
+
+def _numeric_leaves(doc, path=""):
+    """(key path as error messages print it, value) of every number in doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        where = f"{path}[{key}]" if isinstance(doc, list) else f"{path}.{key}".lstrip(".")
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, where)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield where, value
+
+
+DEFAULT_DOC = config_to_dict(default_config())
+NUMERIC_LEAVES = list(_numeric_leaves(DEFAULT_DOC))
+
+
+def _with_leaf(doc, where, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = re.findall(r"[^.\[\]]+", where)
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+@st.composite
+def corrupted_leaf(draw):
+    where, value = draw(st.sampled_from(NUMERIC_LEAVES))
+    if isinstance(value, int):  # any JSON number with a fraction or an exponent
+        bad = st.one_of(st.floats(), st.booleans())
+    else:  # 10 ** 400 is an integer beyond float range
+        bad = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, True, False])
+    return where, draw(bad)
+
+
+class TestNumericBoundary:
+    @given(corrupted_leaf())
+    @settings(max_examples=200, deadline=None)
+    def test_value_the_model_cannot_mean_is_rejected(self, case):
+        where, bad = case
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(_with_leaf(DEFAULT_DOC, where, bad))
+
+    def test_json_integer_in_float_field_accepted(self):
+        doc = _with_leaf(DEFAULT_DOC, "stacks.index_mcp.c0", 1)
+        assert config_from_dict(doc).stacks["index_mcp"].c0 == 1.0
+        assert isinstance(config_from_dict(doc).stacks["index_mcp"].c0, float)

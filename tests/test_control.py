@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from haselhand import (
-    BaselineProfile,
     BaselineExhaustedError,
     CalibrationError,
-    ControllerState,
+    ContactAwareController,
     InsufficientDataError,
     StreamingDetector,
     calibrate_threshold,
-    contact_aware_step,
     detect_grasp,
     record_baseline,
     resolve_scenario,
@@ -21,7 +19,7 @@ from haselhand import (
 )
 from haselhand.config import DetectionConfig
 from haselhand.errors import ConfigError
-from haselhand.trace import SignalTrace
+from haselhand.trace import SignalTrace, load_trace
 
 
 def synthetic_trace(i_values, dt=1e-3, profile_hash="p0") -> SignalTrace:
@@ -156,46 +154,68 @@ class TestDetectGrasp:
         assert not grasped
 
 
+def flat_controller(level=1.0, n=1000, **det) -> ContactAwareController:
+    """Controller on a noise-free flat baseline: the threshold is the floor."""
+    return ContactAwareController(synthetic_trace([level] * n),
+                                  det_cfg(deviation_floor=0.2, **det))
+
+
+def run_with_commander(cfg, decide):
+    """pinch_cube under a stub commander; returns the trace and the call times."""
+    calls = []
+
+    def commander(t, i_prev):
+        calls.append(t)
+        return decide(t, i_prev)
+
+    trace = run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, 0, commander)
+    return trace, calls
+
+
 class TestContactAwareStep:
     def test_pass_through_below_threshold(self):
-        state = ControllerState()
-        v, new = contact_aware_step(
-            i_smoothed=1.0, baseline_at_t=1.05, v_cmd_prev=2.0,
-            v_scheduled=2.1, state=state, deviation_threshold=0.2)
-        assert v == 2.1
-        assert new.mode == "ramping"
+        ctrl = flat_controller(1.05)
+        assert ctrl.deviation_threshold == 0.2
+        assert not ctrl.command(0.0, None)
+        assert not ctrl.command(0.001, 1.0)
+        assert ctrl.contact_time is None
 
-    def test_holds_previous_command_on_deviation(self):
-        state = ControllerState()
-        v, new = contact_aware_step(
-            i_smoothed=0.5, baseline_at_t=1.0, v_cmd_prev=2.0,
-            v_scheduled=2.1, state=state, deviation_threshold=0.2, t=0.5)
-        assert v == 2.0
-        assert new.mode == "holding"
-        assert new.v_held == 2.0
-        assert new.contact_time == 0.5
+    def test_holds_previous_command_on_deviation(self, cfg):
+        ctrl = flat_controller(1.0)
+        assert not ctrl.command(0.499, 1.0)
+        assert ctrl.command(0.5, -0.5)  # smoothed over two samples: 0.25
+        assert ctrl.contact_time == 0.5
+        # The plant holds the command of the sample before the decision.
+        trace, _ = run_with_commander(cfg, lambda t, i: t >= 0.5 - 1e-9)
+        k = int(np.argmax(trace.t >= 0.5 - 1e-9))
+        assert trace.v_cmd[k - 1] > 0.0
+        assert (trace.v_cmd[k:] == trace.v_cmd[k - 1]).all()
+        assert trace.meta["events"]["hold"] == [
+            {"t": float(trace.t[k]), "v_held": float(trace.v_cmd[k - 1])}]
+        assert trace.meta["controller_modes"]["final"] == "holding"
 
-    def test_immediate_contact_holds_at_zero(self):
-        state = ControllerState()
-        v, new = contact_aware_step(
-            i_smoothed=0.0, baseline_at_t=1.0, v_cmd_prev=0.0,
-            v_scheduled=0.005, state=state, deviation_threshold=0.2)
-        assert v == 0.0
-        assert new.v_held == 0.0
+    def test_immediate_contact_holds_at_zero(self, cfg):
+        assert flat_controller(1.0).command(0.001, 0.0)
+        trace, calls = run_with_commander(cfg, lambda t, i: True)
+        assert calls == [0.0]
+        assert trace.meta["events"]["hold"] == [{"t": 0.0, "v_held": 0.0}]
+        assert (trace.v_cmd == 0.0).all()
+        assert all((x == 0.0).all() for x in trace.x.values())
 
-    def test_holding_never_reverts(self):
-        held = ControllerState(mode="holding", v_held=3.3, contact_time=0.4)
-        v, new = contact_aware_step(
-            i_smoothed=5.0, baseline_at_t=5.0, v_cmd_prev=4.0,
-            v_scheduled=4.1, state=held, deviation_threshold=0.2)
-        assert v == 3.3
-        assert new.mode == "holding"
+    def test_holding_never_reverts(self, cfg):
+        trace, calls = run_with_commander(cfg, lambda t, i: t >= 0.4 - 1e-9)
+        # The commander is not consulted again once it asked for the hold.
+        assert calls[-1] == pytest.approx(0.4)
+        assert len(calls) == 401
+        held = trace.v_cmd[trace.t >= 0.4 - 1e-9]
+        assert (held == held[0]).all()
+        assert len(trace.meta["events"]["hold"]) == 1
 
     def test_exhausted_baseline_raises(self):
+        ctrl = flat_controller(1.0, n=10)
+        assert not ctrl.command(0.010, 1.0)
         with pytest.raises(BaselineExhaustedError):
-            contact_aware_step(
-                i_smoothed=1.0, baseline_at_t=None, v_cmd_prev=2.0,
-                v_scheduled=2.1, state=ControllerState(), deviation_threshold=0.2)
+            ctrl.command(0.011, 1.0)
 
 
 class TestGraspEpisodes:
@@ -247,10 +267,7 @@ class TestGraspEpisodes:
     def test_truncated_baseline_exhausts(self, cfg):
         baseline = record_baseline(cfg, "balloon_hold")
         cut = len(baseline.t) // 4
-        truncated = BaselineProfile(
-            t=baseline.t[:cut], i=baseline.i[:cut],
-            profile_hash=baseline.profile_hash, seed=baseline.seed,
-            dt_sample=baseline.dt_sample)
+        truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
         with pytest.raises(BaselineExhaustedError):
             run_grasp_episode(cfg, "balloon_hold", seed=0, baseline=truncated,
@@ -258,14 +275,15 @@ class TestGraspEpisodes:
 
     def test_mismatched_baseline_profile_rejected(self, cfg):
         baseline = record_baseline(cfg, "balloon_hold")
-        wrong = BaselineProfile(t=baseline.t, i=baseline.i, profile_hash="deadbeef",
-                                seed=baseline.seed, dt_sample=baseline.dt_sample)
+        wrong = replace(baseline, meta={**baseline.meta, "profile_hash": "deadbeef"})
         with pytest.raises(ConfigError):
             run_grasp_episode(cfg, "balloon_hold", seed=0, baseline=wrong)
 
     def test_baseline_round_trip(self, cfg, tmp_path):
         baseline = record_baseline(cfg, "balloon_hold")
         path = baseline.save(tmp_path / "baseline.csv")
-        loaded = BaselineProfile.load(path)
-        assert np.array_equal(loaded.i, baseline.i)
-        assert loaded.profile_hash == baseline.profile_hash
+        loaded = load_trace(path)
+        assert np.array_equal(loaded.i_meas, baseline.i_meas)
+        assert loaded.meta["profile_hash"] == baseline.meta["profile_hash"]
+        threshold = ContactAwareController(baseline, cfg.detection).deviation_threshold
+        assert ContactAwareController(loaded, cfg.detection).deviation_threshold == threshold

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from haselhand import (
     DomainError,
     FingerLayout,
-    FingerState,
     JointSpec,
     ObjectModel,
     angles_from_excursion,
@@ -167,27 +166,17 @@ class TestContactTorque:
 class TestFingertipForce:
     def test_zero_tension_gives_zero(self):
         layout = index_layout()
-        assert fingertip_force(layout, 0.0, FingerState.at_rest(layout)) == 0.0
+        assert fingertip_force(layout, 0.0) == 0.0
 
     def test_moment_balance_linearity(self):
         layout = index_layout()
-        rest = FingerState.at_rest(layout)
-        f1 = fingertip_force(layout, 3.0, rest, extensor_tension=1.0)
-        f2 = fingertip_force(layout, 5.0, rest, extensor_tension=1.0)
+        f1 = fingertip_force(layout, 3.0, extensor_tension=1.0)
+        f2 = fingertip_force(layout, 5.0, extensor_tension=1.0)
         # Doubling (tension - extensor) doubles the output.
         assert f2 == pytest.approx(2 * f1, rel=1e-12)
 
     def test_extensor_can_cancel_everything(self):
-        layout = index_layout()
-        rest = FingerState.at_rest(layout)
-        assert fingertip_force(layout, 1.0, rest, extensor_tension=2.0) == 0.0
-
-    def test_requires_extended_posture(self):
-        layout = index_layout()
-        bent = FingerState(theta=[0.5, 0.0, 0.0], contact=[False] * 3,
-                           f_contact=[0.0] * 3)
-        with pytest.raises(DomainError):
-            fingertip_force(layout, 1.0, bent)
+        assert fingertip_force(index_layout(), 1.0, extensor_tension=2.0) == 0.0
 
 
 class TestValidation:

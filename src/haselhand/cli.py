@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kinematics import fingertip_force
 from .plant import run_scenario
-from .trace import csv_text, json_text, load_trace, read_json, theta_col, write_atomic
+from .trace import column_name, csv_text, json_text, load_trace, read_json, write_atomic
 from .transmission import delivered_tension
 
 EXIT_OK = 0
@@ -107,7 +107,8 @@ def cmd_characterize(args) -> int:
 
         joints = [j.name for j in layout.joints]
         columns = [("v_cmd(kV)", trace.v_cmd)]
-        columns += [(theta_col(finger, j), trace.theta[f"{finger}_{j}"]) for j in joints]
+        columns += [(column_name("theta", f"{finger}_{j}"), trace.theta[f"{finger}_{j}"])
+                    for j in joints]
         write_atomic(out / f"voltage_angle_{finger}.csv", csv_text(columns))
 
         for tid in layout.tendon_ids:

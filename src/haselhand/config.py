@@ -488,7 +488,7 @@ class Scenario:
     amplifier: AmplifierModel
     duration: float
     controller: str
-    monitored_stack: str
+    monitored_stack: str    # detection stack if the chains drive it, else the first chain
     profiles: dict[str, ProfileSpec]
     config_fingerprint: str
 
@@ -554,6 +554,19 @@ def resolve_preset(
     duration = preset.duration if preset.duration is not None else cfg.sim.duration
     ctrl = controller if controller is not None else preset.controller
 
+    # The monitor reads the detection stack; a preset that does not drive
+    # it is monitored on its first chain, which only an open-loop run may use.
+    if not chains:
+        raise ConfigError(f"preset {preset_name}: its fingers drive no stack")
+    monitored = cfg.detection.monitored_stack
+    if all(c.tendon_id != monitored for c in chains):
+        if ctrl != "none":
+            raise ConfigError(
+                f"preset {preset_name}: controller {ctrl!r} needs "
+                f"detection.monitored_stack {monitored!r}, which its fingers do not drive"
+            )
+        monitored = chains[0].tendon_id
+
     return Scenario(
         name=preset_name,
         chains=tuple(chains),
@@ -561,7 +574,7 @@ def resolve_preset(
         amplifier=amplifier,
         duration=duration,
         controller=ctrl,
-        monitored_stack=cfg.detection.monitored_stack,
+        monitored_stack=monitored,
         profiles=dict(preset.profiles),
         config_fingerprint=config_hash(cfg),
     )

@@ -18,7 +18,7 @@ command (see run_scenario).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from .config import (
     DetectionConfig,
     HandConfig,
+    Scenario,
     SimConfig,
     profile_hash,
     resolve_scenario,
@@ -165,22 +166,15 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-def record_baseline(
-    cfg: HandConfig,
-    preset_name: str,
-    seed: Optional[int] = None,
-    sim: Optional[SimConfig] = None,
-) -> SignalTrace:
-    """Record the free-motion trace of a preset's voltage schedule.
+def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrace:
+    """Record the free-motion trace of a scenario's voltage schedule.
 
-    The baseline is an ordinary trace: its meta carries the profile hash
-    it was recorded under, and it is saved with SignalTrace.save and read
-    back with load_trace.
+    The scenario runs open loop without its object. The baseline is an
+    ordinary trace: its meta carries the profile hash it was recorded
+    under, and it is saved with SignalTrace.save and read back with
+    load_trace.
     """
-    scenario = resolve_scenario(cfg, preset_name, drop_object=True, controller="none")
-    sim = sim or cfg.sim
-    seed = cfg.detection.baseline_seed if seed is None else seed
-    return run_scenario(scenario, sim, seed)
+    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed)
 
 
 class ContactAwareController:
@@ -270,7 +264,7 @@ def run_grasp_episode(
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
         if baseline is None:
-            baseline = record_baseline(cfg, preset_name, sim=sim)
+            baseline = record_baseline(scenario, sim, cfg.detection.baseline_seed)
         expected = profile_hash(scenario.profiles, scenario.duration, sim.dt_sample)
         recorded = baseline.meta.get("profile_hash")
         if recorded != expected:

@@ -20,15 +20,18 @@ general bisection solver in the actuator module is the slow reference
 implementation; the two are cross-checked in the test suite.
 
 run_scenario is the only stepping code: Plant builds the per-chain
-tables (ChainSim) from the transmission helpers once per run, and the
-loop in run_scenario slew-limits the commands, advances every chain and
-synthesizes the monitor samples.
+tables (ChainSim) from the transmission helpers once per run, and
+run_scenario runs one loop over the sample periods. The commands are
+schedules, evaluated once per distinct profile; the contact-aware hold
+is an edit to them (every channel keeps its previous sample's command),
+so the step loop itself never asks whether the plant is holding.
 
-Monitor synthesis: the drawn current is evaluated from the step-level
-finite differences of capacitance and applied voltage (central at the
-internal step around each sample instant), then Gaussian monitor noise
-is added from a seeded generator, so runs are reproducible
-byte-for-byte.
+Monitor synthesis: the drawn current of the monitored stack (chosen in
+config.resolve_preset) is evaluated from the step-level finite
+differences of capacitance and applied voltage around each sample
+instant (central inside the run, one-sided at its ends), then Gaussian
+monitor noise is added from a seeded generator, so runs are
+reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .actuator import capacitance_of, displacement_current, reference_force
-from .config import ChainSpec, ProfileSpec, Scenario, SimConfig, profile_hash
+from .config import ChainSpec, Scenario, SimConfig, profile_hash
 from .trace import SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
 
@@ -211,31 +214,24 @@ def run_scenario(
     seeded generator consumed in sample order, so identical runs produce
     identical traces byte-for-byte.
 
+    Each sample period is one iteration: the commander's decision at the
+    sample instant, the state standing there, the internal steps up to
+    the next sample, then the monitor sample. The commands are schedules
+    evaluated once per distinct profile, at the sample instants (the
+    v_cmd column) and at the internal steps (what the amplifier follows).
+
     commander, when given, is consulted once per sample period with
     (t, previous sample's measured current or None) until it returns
-    True. From that sample on every channel holds its previous sample's
-    command, limited to the amplifier ceiling, and the commander is not
-    consulted again. The hold instant and the monitored channel's held
-    voltage are recorded as the trace's hold event.
+    True. A hold at sample k overwrites the rest of every schedule with
+    its value at sample k - 1 (at sample 0 for k = 0), limited to the
+    amplifier ceiling, and the commander is not consulted again. The
+    hold instant and the monitored channel's held voltage are recorded
+    as the trace's hold event.
     """
     rng = np.random.default_rng(seed)
     plant = Plant(scenario, sim)
     chains = plant.chains
-    monitored = scenario.monitored_stack
-    if monitored not in plant.by_id:
-        mon_chain = chains[0]
-    else:
-        mon_chain = plant.by_id[monitored]
-    mon_id = mon_chain.spec.tendon_id
-
-    profiles = {c.spec.tendon_id: c.spec.profile for c in chains}
-    # Chains sharing a profile spec share one evaluation per step.
-    uniq_specs: list[ProfileSpec] = []
-    chain_pidx: list[int] = []
-    for c in chains:
-        if c.spec.profile not in uniq_specs:
-            uniq_specs.append(c.spec.profile)
-        chain_pidx.append(uniq_specs.index(c.spec.profile))
+    mon = plant.by_id[scenario.monitored_stack]
 
     dt = sim.dt_internal
     sps = sim.steps_per_sample
@@ -247,117 +243,70 @@ def run_scenario(
     sigma_v = scenario.amplifier.monitor_noise_v
     sigma_i = scenario.amplifier.monitor_noise_i
 
-    # Internal histories of the monitored channel (for the central
-    # finite differences at sample instants) and per-chain contraction.
-    v_hist = [0.0] * (n_internal + 1)
-    c_hist = [capacitance_of(mon_chain.spec.stack, 0.0)] * (n_internal + 1)
-    for ch in chains:
-        ch.x = 0.0
-        ch.v_applied = 0.0
-        ch.max_residual = 0.0
-    x_at_sample = {c.spec.tendon_id: [0.0] * n_samples for c in chains}
-    xt_at_sample = {c.spec.tendon_id: [0.0] * n_samples for c in chains}
-    last_target = {c.spec.tendon_id: 0.0 for c in chains}
+    # profile -> (schedule at the sample instants, at the internal steps).
+    # Chains with equal profiles share the lists.
+    t_samples = [k * sim.dt_sample for k in range(n_samples)]
+    schedules = {p: ([p(t) for t in t_samples], [p(n * dt) for n in range(n_internal + 1)])
+                 for p in dict.fromkeys(c.spec.profile for c in chains)}
+    step_cmds = [schedules[c.spec.profile][1] for c in chains]
+    v_cmd = schedules[mon.spec.profile][0]
 
-    t_arr = np.zeros(n_samples)
-    v_cmd_arr = np.zeros(n_samples)
+    # Internal histories of the monitored channel (for the finite
+    # differences at sample instants); per-chain state at the samples.
+    v_hist = [0.0] * (n_internal + 1)
+    c_hist = [capacitance_of(mon.spec.stack, 0.0)] * (n_internal + 1)
+    x_at = [[0.0] * n_samples for _ in chains]
+    xt_at = [[0.0] * n_samples for _ in chains]
+    targets = [0.0] * len(chains)
     v_meas = np.zeros(n_samples)
     i_meas = np.zeros(n_samples)
-
-    held: dict[str, float] | None = None
     hold_events: list[dict[str, float]] = []
-    last_sample_i: Optional[float] = None
+    i_last: Optional[float] = None
 
-    prev_cmd: dict[str, float] = {tid: profiles[tid](0.0) for tid in profiles}
-
-    def decide_commands(k: int) -> None:
-        """Let the controller act at sample instant k and log the command.
-
-        Commands follow the continuous voltage schedule between samples;
-        the controller can only freeze them, once, at the previous
-        sample's values.
-        """
-        nonlocal held
-        t_k = k * sim.dt_sample
-        if commander is not None and held is None and commander(t_k, last_sample_i):
-            held = {tid: min(v, ceiling) for tid, v in prev_cmd.items()}
-            hold_events.append({"t": t_k, "v_held": held[mon_id]})
-        for tid, prof in profiles.items():
-            prev_cmd[tid] = held[tid] if held is not None else prof(t_k)
-        v_cmd_arr[k] = prev_cmd[mon_id]
-        t_arr[k] = t_k
-
-    def capture_state(k: int) -> None:
-        """Record every chain's contraction and target at sample instant k."""
-        for ch in chains:
-            tid = ch.spec.tendon_id
-            x_at_sample[tid][k] = ch.x
-            xt_at_sample[tid][k] = last_target[tid]
-
-    def emit_sample(k: int, idx: int, kind: str) -> None:
-        """Store monitor channels for sample k from differences around idx."""
-        nonlocal last_sample_i
-        if kind == "central":
-            dv = (v_hist[idx + 1] - v_hist[idx - 1]) / (2 * dt)
-            dc = (c_hist[idx + 1] - c_hist[idx - 1]) / (2 * dt)
-        elif kind == "forward":
-            dv = (v_hist[idx + 1] - v_hist[idx]) / dt
-            dc = (c_hist[idx + 1] - c_hist[idx]) / dt
-        elif kind == "backward":
-            dv = (v_hist[idx] - v_hist[idx - 1]) / dt
-            dc = (c_hist[idx] - c_hist[idx - 1]) / dt
-        else:
-            dv = dc = 0.0
-        i_true = displacement_current(c_hist[idx], dv, v_hist[idx], dc)
-        v_meas[k] = v_hist[idx] + rng.normal(0.0, sigma_v)
-        i_meas[k] = i_true + rng.normal(0.0, sigma_i)
-        last_sample_i = i_meas[k]
-
-    decide_commands(0)
-    capture_state(0)
-    if n_internal == 0:
-        emit_sample(0, 0, "none")
-    else:
-        for n in range(1, n_internal + 1):
-            at_sample = (n - 1) % sps == 0
-            k = (n - 1) // sps
-            if at_sample and n > 1:
-                # Entering sample period k: controller decision, then
-                # capture the state standing at t_k before stepping on.
-                decide_commands(k)
-                capture_state(k)
-            t_n = n * dt
-            if held is None:
-                scheds = [p(t_n) for p in uniq_specs]
-            for ch, pidx in zip(chains, chain_pidx):
-                tid = ch.spec.tendon_id
-                cmd = held[tid] if held is not None else scheds[pidx]
+    for k in range(n_samples):
+        idx = k * sps
+        if commander is not None and not hold_events and commander(t_samples[k], i_last):
+            for at_samples, at_steps in schedules.values():
+                v_held = min(at_samples[max(k - 1, 0)], ceiling)
+                at_samples[k:] = [v_held] * (n_samples - k)
+                at_steps[idx + 1:] = [v_held] * (n_internal - idx)
+            hold_events.append({"t": t_samples[k], "v_held": v_cmd[k]})
+        for ci, ch in enumerate(chains):
+            x_at[ci][k] = ch.x
+            xt_at[ci][k] = targets[ci]
+        for n in range(idx + 1, min(idx + sps, n_internal) + 1):
+            for ci, ch in enumerate(chains):
                 v_prev = ch.v_applied
-                dv = min(max(cmd - v_prev, -dv_max), dv_max)
+                dv = min(max(step_cmds[ci][n] - v_prev, -dv_max), dv_max)
                 v = min(max(v_prev + dv, 0.0), ceiling)
                 ch.v_applied = v
-                last_target[tid] = ch.advance(v, dt_over_tau)
-            v_hist[n] = mon_chain.v_applied
-            c_hist[n] = mon_chain.c0 + mon_chain.c_slope * mon_chain.x
-            if at_sample:
-                emit_sample(k, n - 1, "central" if k > 0 else "forward")
-        # Final sample sits at the end of the run: command decision,
-        # state capture and a backward difference for the current.
-        decide_commands(n_samples - 1)
-        capture_state(n_samples - 1)
-        emit_sample(n_samples - 1, n_internal, "backward")
+                targets[ci] = ch.advance(v, dt_over_tau)
+            v_hist[n] = mon.v_applied
+            c_hist[n] = mon.c0 + mon.c_slope * mon.x
+        # Differences around the sample's internal step: central inside
+        # the run, one-sided at its ends, and 0 / dt = 0 for a run of
+        # zero duration, where lo == hi.
+        lo, hi = max(idx - 1, 0), min(idx + 1, n_internal)
+        span = max(hi - lo, 1) * dt
+        dv = (v_hist[hi] - v_hist[lo]) / span
+        dc = (c_hist[hi] - c_hist[lo]) / span
+        i_true = displacement_current(c_hist[idx], dv, v_hist[idx], dc)
+        v_meas[k] = v_hist[idx] + rng.normal(0.0, sigma_v)
+        i_last = i_true + rng.normal(0.0, sigma_i)
+        i_meas[k] = i_last
 
     # Assemble per-joint and per-stack columns at the sample grid.
+    t_arr = np.array(t_samples)
     theta_cols: dict[str, np.ndarray] = {}
     fc_cols: dict[str, np.ndarray] = {}
     x_cols: dict[str, np.ndarray] = {}
     c_cols: dict[str, np.ndarray] = {}
     first_contact: dict[str, float] = {}
 
-    for ch in chains:
+    for ch, x_k, xt_k in zip(chains, x_at, xt_at):
         tid = ch.spec.tendon_id
-        xs = np.asarray(x_at_sample[tid])
-        xts = np.asarray(xt_at_sample[tid])
+        xs = np.asarray(x_k)
+        xts = np.asarray(xt_k)
         x_cols[tid] = xs
         c_cols[tid] = ch.c0 + ch.c_slope * xs
         layout = ch.spec.layout
@@ -385,16 +334,16 @@ def run_scenario(
         "dt_sample": sim.dt_sample,
         "dt_internal": sim.dt_internal,
         "duration": scenario.duration,
-        "monitored_stack": mon_id,
+        "monitored_stack": scenario.monitored_stack,
         "object": scenario.obj.name if scenario.obj else None,
         "noise": {"v": sigma_v, "i": sigma_i},
         "max_equilibrium_residual_n": max_residual,
-        "final_x_target": {tid: float(v) for tid, v in last_target.items()},
+        "final_x_target": {ch.spec.tendon_id: float(xt) for ch, xt in zip(chains, targets)},
         "events": {"first_contact": first_contact, "hold": hold_events},
-        "controller_modes": {"final": "ramping" if held is None else "holding"},
+        "controller_modes": {"final": "holding" if hold_events else "ramping"},
     }
 
     return SignalTrace(
-        t=t_arr, v_cmd=v_cmd_arr, v_meas=v_meas, i_meas=i_meas,
+        t=t_arr, v_cmd=np.array(v_cmd), v_meas=v_meas, i_meas=i_meas,
         theta=theta_cols, f_contact=fc_cols, x=x_cols, c=c_cols, meta=meta,
     )

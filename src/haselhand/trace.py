@@ -27,7 +27,13 @@ import numpy as np
 
 from .errors import ConfigError, TraceSchemaError
 
-FIXED_COLUMNS = ("t(s)", "v_cmd(kV)", "v_meas(kV)", "i_meas(uA)")
+# SignalTrace attribute -> header name of the four fixed columns, and
+# SignalTrace attribute -> (header prefix, unit) of the keyed column
+# groups, in file order. Both encode and decode read these tables.
+FIXED_COLUMNS = {"t": "t(s)", "v_cmd": "v_cmd(kV)",
+                 "v_meas": "v_meas(kV)", "i_meas": "i_meas(uA)"}
+KEYED_COLUMNS = {"theta": ("theta", "rad"), "f_contact": ("fc", "N"),
+                 "x": ("x", "mm"), "c": ("c", "nF")}
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -49,19 +55,23 @@ def json_text(doc: Any) -> str:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed JSON is a ConfigError naming the line.
+    """Parse a JSON file; a document the parser rejects is a ConfigError
+    naming the file.
 
     The non-standard constants NaN, Infinity and -Infinity are rejected:
-    no document the package reads can give them a meaning.
+    no document the package reads can give them a meaning. So is an
+    integer too long to convert (Python's int string-conversion limit).
     """
     def reject(name: str):
-        raise ConfigError(f"{path}: {name} is not a finite JSON number")
+        raise ValueError(f"{name} is not a finite JSON number")
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def csv_text(columns: list[tuple[str, Any]]) -> str:
@@ -77,20 +87,10 @@ def csv_text(columns: list[tuple[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def theta_col(finger: str, joint: str) -> str:
-    return f"theta_{finger}_{joint}(rad)"
-
-
-def fc_col(finger: str, joint: str) -> str:
-    return f"fc_{finger}_{joint}(N)"
-
-
-def x_col(stack: str) -> str:
-    return f"x_{stack}(mm)"
-
-
-def c_col(stack: str) -> str:
-    return f"c_{stack}(nF)"
+def column_name(group: str, key: str) -> str:
+    """Header name of a keyed trace column, e.g. ("theta", "index_mcp")."""
+    prefix, unit = KEYED_COLUMNS[group]
+    return f"{prefix}_{key}({unit})"
 
 
 @dataclass
@@ -116,22 +116,10 @@ class SignalTrace:
         return float(self.t[1] - self.t[0])
 
     def columns(self) -> list[tuple[str, np.ndarray]]:
-        cols: list[tuple[str, np.ndarray]] = [
-            ("t(s)", self.t),
-            ("v_cmd(kV)", self.v_cmd),
-            ("v_meas(kV)", self.v_meas),
-            ("i_meas(uA)", self.i_meas),
-        ]
-        for key in sorted(self.theta):
-            finger, joint = key.rsplit("_", 1)
-            cols.append((theta_col(finger, joint), self.theta[key]))
-        for key in sorted(self.f_contact):
-            finger, joint = key.rsplit("_", 1)
-            cols.append((fc_col(finger, joint), self.f_contact[key]))
-        for key in sorted(self.x):
-            cols.append((x_col(key), self.x[key]))
-        for key in sorted(self.c):
-            cols.append((c_col(key), self.c[key]))
+        cols = [(name, getattr(self, attr)) for attr, name in FIXED_COLUMNS.items()]
+        for group in KEYED_COLUMNS:
+            arrays = getattr(self, group)
+            cols += [(column_name(group, key), arrays[key]) for key in sorted(arrays)]
         return cols
 
     def to_csv_text(self) -> str:
@@ -146,7 +134,7 @@ class SignalTrace:
 
 def _parse_header(header: str) -> list[str]:
     names = [h.strip() for h in header.split(",")]
-    for required in FIXED_COLUMNS:
+    for required in FIXED_COLUMNS.values():
         if required not in names:
             raise TraceSchemaError(f"trace is missing column {required!r}", column=required)
     return names
@@ -173,21 +161,14 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
             raise TraceSchemaError(f"row {r + 1} has a non-numeric value: {exc}") from None
 
     by_name = {name: data[:, j] for j, name in enumerate(names)}
-    theta: dict[str, np.ndarray] = {}
-    fcs: dict[str, np.ndarray] = {}
-    xs: dict[str, np.ndarray] = {}
-    cs: dict[str, np.ndarray] = {}
+    groups: dict[str, dict[str, np.ndarray]] = {group: {} for group in KEYED_COLUMNS}
     for name, col in by_name.items():
-        if name in FIXED_COLUMNS:
+        if name in FIXED_COLUMNS.values():
             continue
-        if name.startswith("theta_") and name.endswith("(rad)"):
-            theta[name[len("theta_"):-len("(rad)")]] = col
-        elif name.startswith("fc_") and name.endswith("(N)"):
-            fcs[name[len("fc_"):-len("(N)")]] = col
-        elif name.startswith("x_") and name.endswith("(mm)"):
-            xs[name[len("x_"):-len("(mm)")]] = col
-        elif name.startswith("c_") and name.endswith("(nF)"):
-            cs[name[len("c_"):-len("(nF)")]] = col
+        for group, (prefix, unit) in KEYED_COLUMNS.items():
+            if name.startswith(f"{prefix}_") and name.endswith(f"({unit})"):
+                groups[group][name[len(prefix) + 1:-len(unit) - 2]] = col
+                break
         else:
             raise TraceSchemaError(f"unrecognized column {name!r}", column=name)
 
@@ -196,17 +177,8 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
     if meta_path.exists():
         meta = read_json(meta_path)
 
-    return SignalTrace(
-        t=by_name["t(s)"],
-        v_cmd=by_name["v_cmd(kV)"],
-        v_meas=by_name["v_meas(kV)"],
-        i_meas=by_name["i_meas(uA)"],
-        theta=theta,
-        f_contact=fcs,
-        x=xs,
-        c=cs,
-        meta=meta,
-    )
+    fixed = {attr: by_name[name] for attr, name in FIXED_COLUMNS.items()}
+    return SignalTrace(**fixed, **groups, meta=meta)
 
 
 def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:

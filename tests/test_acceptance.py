@@ -152,7 +152,8 @@ def test_criterion_6_contact_aware_safety(cfg):
     from haselhand import record_baseline
 
     t0 = time.time()
-    baseline = record_baseline(cfg, "balloon_hold")
+    baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
+                               cfg.detection.baseline_seed)
     f_crush = cfg.objects["paper_balloon"].f_crush
 
     held_all, safe_all, max_on = True, True, 0.0

@@ -223,6 +223,16 @@ class TestReplay:
         assert "hash" in capsys.readouterr().err
 
 
+def thumb_only_detection(doc):
+    for name in ("detect_free", "detect_cube"):
+        doc["presets"][name]["fingers"] = ["thumb"]
+
+
+def index_without_tendons(doc):
+    doc["fingers"]["index"]["tendons"] = []
+    doc["presets"]["pinch_cube"]["fingers"] = ["index"]
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("mutate", [
         lambda d: d.__setitem__("stacks", [1, 2]),
@@ -248,29 +258,49 @@ class TestBadInputs:
                        "--detector", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
 
-    @pytest.mark.parametrize("where, value, named", [
-        ("detection.smoothing", 5.9, "detection.smoothing"),
-        ("stacks.index_mcp.n_units", 2.7, "stacks.index_mcp.n_units"),
-        ("detection.debounce", True, "detection.debounce"),
-        ("stacks.index_mcp.c0", True, "stacks.index_mcp.c0"),
-        ("stacks.index_mcp.c0", math.nan, "NaN"),
-        ("tendons.index_mcp.k_ext", math.nan, "NaN"),
-        ("sim.tau_mech", math.inf, "Infinity"),
-        ("amplifier.slew_max", math.nan, "NaN"),
+    # Each value is JSON text: an integer beyond Python's int-to-string
+    # limit cannot be written by json.dumps, and NaN/Infinity are written
+    # as the constants json.dumps would give them.
+    @pytest.mark.parametrize("where, text, named", [
+        ("detection.smoothing", "5.9", "detection.smoothing"),
+        ("stacks.index_mcp.n_units", "2.7", "stacks.index_mcp.n_units"),
+        ("detection.debounce", "true", "detection.debounce"),
+        ("stacks.index_mcp.c0", "true", "stacks.index_mcp.c0"),
+        ("stacks.index_mcp.c0", "NaN", "NaN"),
+        ("tendons.index_mcp.k_ext", "NaN", "NaN"),
+        ("sim.tau_mech", "Infinity", "Infinity"),
+        ("amplifier.slew_max", "NaN", "NaN"),
+        ("detection.smoothing", "1" + "0" * 5000, "config.json"),
     ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
-            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew"])
-    def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, value, named):
+            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int"])
+    def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, text, named):
         def mutate(doc):
             *parents, key = where.split(".")
             for part in parents:
                 doc = doc[part]
-            doc[key] = value
+            doc[key] = "@value@"
         cfg_path = write_config(tmp_path, mutate)
+        cfg_path.write_text(cfg_path.read_text().replace('"@value@"', text))
         code = run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert named in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv, mutate, named", [
+        (("detect-batch", "--free", "1", "--grasp", "1"), thumb_only_detection,
+         "preset detect_free: controller 'detect' needs detection.monitored_stack 'index_mcp'"),
+        (("grasp", "--preset", "pinch_cube"), index_without_tendons,
+         "preset pinch_cube: its fingers drive no stack"),
+    ], ids=["detection_stack_not_driven", "no_stack_driven"])
+    def test_preset_without_its_monitored_stack_exits_2(self, tmp_path, capsys,
+                                                        argv, mutate, named):
+        cfg_path = write_config(tmp_path, mutate)
+        out = tmp_path / "o"
+        code = run_cli(*argv, "--config", str(cfg_path), "--out", str(out))
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not list(out.rglob("*"))
 
     def test_non_numeric_trace_cell_names_row(self, batch_out, tmp_path, capsys):
         rows = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()

@@ -17,7 +17,8 @@ from haselhand import (
     run_scenario,
     smooth_causal,
 )
-from haselhand.config import DetectionConfig
+from haselhand import config as config_module
+from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
 from haselhand.trace import SignalTrace, load_trace
 
@@ -211,6 +212,24 @@ class TestContactAwareStep:
         assert (held == held[0]).all()
         assert len(trace.meta["events"]["hold"]) == 1
 
+    def test_hold_stops_every_schedule(self, cfg):
+        # Three distinct schedules: the hold at 0.85 s must rewrite each
+        # of them, not only the monitored one. thumb_mcp is still below
+        # its onset at the hold; open loop it goes on to 1.17 mm.
+        preset = ScenarioPreset("mixed", ("thumb", "index"), profiles={
+            "*": ProfileSpec("ramp_hold", 5.5, 1.0),
+            "thumb_mcp": ProfileSpec("ramp_hold", 5.5, 1.4),
+            "thumb_ip": ProfileSpec("hold", 4.0),
+        })
+        scenario = resolve_preset(cfg, preset)
+        open_loop = run_scenario(scenario, cfg.sim, 0)
+        held = run_scenario(scenario, cfg.sim, 0, lambda t, i: t >= 0.85 - 1e-9)
+        assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
+        for tid, x in held.x.items():
+            assert x[-1] <= open_loop.x[tid][-1]
+        assert open_loop.x["thumb_mcp"][-1] == pytest.approx(1.17, abs=0.01)
+        assert held.x["thumb_mcp"][-1] == 0.0
+
     def test_exhausted_baseline_raises(self):
         ctrl = flat_controller(1.0, n=10)
         assert not ctrl.command(0.010, 1.0)
@@ -264,8 +283,17 @@ class TestGraspEpisodes:
         assert not report.verdicts["grasped"]
         assert not report.verdicts["stable"]
 
+    def test_controlled_episode_hashes_config_once(self, cfg, monkeypatch):
+        calls = []
+        real = config_module.config_hash
+        monkeypatch.setattr(config_module, "config_hash",
+                            lambda c: calls.append(c) or real(c))
+        run_grasp_episode(cfg, "balloon_hold", seed=0)
+        assert len(calls) == 1
+
     def test_truncated_baseline_exhausts(self, cfg):
-        baseline = record_baseline(cfg, "balloon_hold")
+        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
+                                   cfg.detection.baseline_seed)
         cut = len(baseline.t) // 4
         truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
@@ -274,13 +302,15 @@ class TestGraspEpisodes:
                               detection=det)
 
     def test_mismatched_baseline_profile_rejected(self, cfg):
-        baseline = record_baseline(cfg, "balloon_hold")
+        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
+                                   cfg.detection.baseline_seed)
         wrong = replace(baseline, meta={**baseline.meta, "profile_hash": "deadbeef"})
         with pytest.raises(ConfigError):
             run_grasp_episode(cfg, "balloon_hold", seed=0, baseline=wrong)
 
     def test_baseline_round_trip(self, cfg, tmp_path):
-        baseline = record_baseline(cfg, "balloon_hold")
+        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
+                                   cfg.detection.baseline_seed)
         path = baseline.save(tmp_path / "baseline.csv")
         loaded = load_trace(path)
         assert np.array_equal(loaded.i_meas, baseline.i_meas)

@@ -169,6 +169,17 @@ class TestTraceInvariants:
             peak = float(np.abs(trace.i_meas).max())
             assert rms <= 0.01 * peak
 
+    def test_one_step_per_sample_reconstructs_current_exactly(self, cfg_nf):
+        # With dt_internal == dt_sample the monitor's differences are the
+        # sampled ones: central inside the run, one-sided at its ends.
+        sim = replace(cfg_nf.sim, dt_internal=cfg_nf.sim.dt_sample)
+        trace = run_scenario(resolve_scenario(cfg_nf, "pinch_cube"), sim, seed=0)
+        stack = trace.meta["monitored_stack"]
+        v, c, i, dt = trace.v_meas, trace.c[stack], trace.i_meas, sim.dt_sample
+        assert np.array_equal(i[1:-1], reconstruct_current(trace, stack)[1:-1])
+        assert i[0] == c[0] * ((v[1] - v[0]) / dt) + v[0] * ((c[1] - c[0]) / dt)
+        assert i[-1] == c[-1] * ((v[-1] - v[-2]) / dt) + v[-1] * ((c[-1] - c[-2]) / dt)
+
     def test_contact_causality(self, cfg):
         # The current may only collapse below half the matched free
         # trace after the object has entered the force balance.

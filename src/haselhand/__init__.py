@@ -45,10 +45,8 @@ from .kinematics import (
     FingerLayout,
     JointSpec,
     ObjectModel,
-    angles_from_excursion,
-    contact_torque,
+    contact_force,
     fingertip_force,
-    tendon_tension_from_torques,
 )
 from .plant import Plant, run_scenario
 from .trace import SignalTrace, load_trace, reconstruct_current
@@ -57,7 +55,6 @@ from .transmission import (
     delivered_tension,
     excursion_of,
     extensor_tension,
-    motion_permitted,
     reflected_load,
 )
 

@@ -48,7 +48,7 @@ from .errors import (
 from .kinematics import fingertip_force
 from .plant import run_scenario
 from .trace import column_name, csv_text, json_text, load_trace, read_json, write_atomic
-from .transmission import delivered_tension
+from .transmission import delivered_tension, extensor_tension, reflected_load
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,7 +78,7 @@ def _onset_voltage(cfg: HandConfig, tendon_id: str) -> Optional[float]:
     f0 = active_force(stack, stack.v_ref, 0.0)
     if f0 <= 0:
         return None
-    need = path.f_breakaway + path.pulley_ratio * path.f_ext0 / path.eta_fwd
+    need = path.f_breakaway + reflected_load(path, extensor_tension(path, 0.0))
     frac = need / f0
     return stack.v_ref * frac ** (1.0 / stack.force_exponent)
 
@@ -188,24 +188,14 @@ def cmd_detect_batch(args) -> int:
 
     counts = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     misclassified = []
-    profile_fp = None
-    for k in range(args.free):
-        trace = run_scenario(free, cfg.sim, args.seed + k)
-        profile_fp = trace.meta["profile_hash"]
-        grasped, _ = detect_grasp(trace, det)
-        if grasped:
-            counts["fp"] += 1
-            misclassified.append({"class": "free", "seed": args.seed + k})
-        else:
-            counts["tn"] += 1
-    for k in range(args.grasp):
-        trace = run_scenario(cube, cfg.sim, args.seed + GRASP_SEED_OFFSET + k)
-        grasped, _ = detect_grasp(trace, det)
-        if grasped:
-            counts["tp"] += 1
-        else:
-            counts["fn"] += 1
-            misclassified.append({"class": "grasp", "seed": args.seed + GRASP_SEED_OFFSET + k})
+    for cls, scenario, n, seed0 in (("free", free, args.free, args.seed),
+                                    ("grasp", cube, args.grasp, args.seed + GRASP_SEED_OFFSET)):
+        for seed in range(seed0, seed0 + n):
+            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed), det)
+            expected = cls == "grasp"
+            counts[("t" if grasped == expected else "f") + ("p" if grasped else "n")] += 1
+            if grasped != expected:
+                misclassified.append({"class": cls, "seed": seed})
 
     total = args.free + args.grasp
     correct = counts["tp"] + counts["tn"]
@@ -227,7 +217,7 @@ def cmd_detect_batch(args) -> int:
         "window": list(det.window),
         "smoothing": det.smoothing,
         "debounce": det.debounce,
-        "profile_hash": profile_fp,
+        "profile_hash": cal_free[0].meta["profile_hash"],
         "config_hash": free.config_fingerprint,
     }
     write_atomic(out / "detector.json", json_text(detector_doc))
@@ -245,13 +235,11 @@ def cmd_replay(args) -> int:
     det = decode(DetectionConfig, detector_doc, "detector")
     trace = load_trace(args.trace)
 
-    trace_profile = trace.meta.get("profile_hash")
-    want_profile = detector_doc.get("profile_hash")
-    if trace_profile and want_profile and trace_profile != want_profile:
-        raise ConfigError(
-            f"trace profile hash {trace_profile} does not match detector "
-            f"baseline hash {want_profile}"
-        )
+    # A detector applies to traces of its own voltage schedule and config.
+    for key in ("profile_hash", "config_hash"):
+        got, want = trace.meta.get(key), detector_doc.get(key)
+        if got and want and got != want:
+            raise ConfigError(f"trace {key} {got} does not match detector {key} {want}")
 
     grasped, t_dec = detect_grasp(trace, det)
     verdict = {
@@ -260,7 +248,7 @@ def cmd_replay(args) -> int:
         "decision_time": t_dec,
         "threshold_ua": det.i_threshold,
         "config_hash": trace.meta.get("config_hash"),
-        "profile_hash": trace_profile,
+        "profile_hash": trace.meta.get("profile_hash"),
     }
     path = out / (Path(args.trace).stem + ".verdict.json")
     write_atomic(path, json_text(verdict))

@@ -31,6 +31,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
+import numpy as np
+
 from .actuator import StackConfig
 from .errors import ConfigError
 from .kinematics import FingerLayout, JointSpec, ObjectModel
@@ -462,7 +464,14 @@ def profile_hash(profiles: dict[str, ProfileSpec], duration: float, dt_sample: f
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """One actuator chain: stack -> pulley/tendon -> joint group."""
+    """One actuator chain: stack -> pulley/tendon -> joint group.
+
+    The chain geometry lives here only: theta_at maps stack contraction
+    to the driven joints' common angle, x_at inverts it (stroke cap,
+    contact onsets), and contact_table says where an object meets the
+    group. The plant's load table, the trace's theta/f_contact columns
+    and the controller's force bound are all built from these.
+    """
 
     tendon_id: str
     finger: str
@@ -472,10 +481,48 @@ class ChainSpec:
     path: TendonPath
     profile: ProfileSpec
 
-    def theta_at(self, x: float) -> float:
-        """Common angle (rad) of the driven joints at stack contraction x (mm)."""
-        cap = min(self.layout.joints[j].theta_max for j in self.joint_group)
-        return min(excursion_of(self.path, x) / self.layout.group_radius(self.joint_group), cap)
+    @property
+    def radius(self) -> float:
+        """Rolling radius (mm) of the group: the sum over a coupled pair."""
+        return self.layout.group_radius(self.joint_group)
+
+    @property
+    def theta_cap(self) -> float:
+        """Flexion limit (rad) of the group: its lowest joint limit."""
+        return min(self.layout.joints[j].theta_max for j in self.joint_group)
+
+    def theta_at(self, x):
+        """Common angle (rad) of the driven joints at stack contraction x (mm).
+
+        x may be a float or an array; the result is a numpy value either way.
+        """
+        return np.minimum(excursion_of(self.path, x) / self.radius, self.theta_cap)
+
+    def x_at(self, theta: float) -> float:
+        """Contraction (mm) at which the joints reach theta: theta_at's inverse
+        for 0 <= theta <= theta_cap."""
+        return (theta * self.radius + self.path.slack) / self.path.pulley_ratio
+
+    @property
+    def x_cap(self) -> float:
+        """Stroke limit (mm): the free stroke, or the joint hard stop if nearer."""
+        return min(self.stack.x_free, self.x_at(self.theta_cap))
+
+    def contact_table(self, obj: Optional[ObjectModel]) -> dict[int, tuple[float, ...]]:
+        """joint -> (onset contraction, onset angle, k_obj, phalanx length)
+        for each driven joint the object meets inside the stroke. The onset
+        angle is theta_at(onset), which can differ from the object's contact
+        angle in the last bits; every user of the table sees the same one."""
+        if obj is None:
+            return {}
+        table, x_cap = {}, self.x_cap
+        for j in self.joint_group:
+            joint = self.layout.joints[j]
+            theta_c = obj.contact_angle(self.layout.name, joint.name)
+            x_on = self.x_at(theta_c) if theta_c is not None else math.inf
+            if x_on < x_cap:
+                table[j] = (x_on, float(self.theta_at(x_on)), obj.k_obj, joint.phalanx_len)
+        return table
 
 
 @dataclass(frozen=True)
@@ -542,6 +589,8 @@ def resolve_preset(
                     f"preset {preset_name}: profile target {profile.target_kv} kV "
                     f"exceeds amplifier ceiling {amplifier.v_ceiling} kV"
                 )
+            if any(c.tendon_id == tid for c in chains):
+                raise ConfigError(f"preset {preset_name}: stack {tid!r} is driven twice")
             stack = cfg.stacks[tid]
             if profile.target_kv > stack.v_max:
                 raise ConfigError(

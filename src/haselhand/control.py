@@ -37,7 +37,7 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
 )
-from .kinematics import contact_torque
+from .kinematics import contact_force
 from .plant import run_scenario
 from .trace import SignalTrace
 
@@ -246,7 +246,6 @@ def run_grasp_episode(
     controller: Optional[str] = None,
     baseline: Optional[SignalTrace] = None,
     detection: Optional[DetectionConfig] = None,
-    sim: Optional[SimConfig] = None,
 ) -> EpisodeReport:
     """Run one grasp episode and assemble its report.
 
@@ -259,13 +258,12 @@ def run_grasp_episode(
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
     det = detection if detection is not None else cfg.detection
-    sim = sim or cfg.sim
 
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
         if baseline is None:
-            baseline = record_baseline(scenario, sim, cfg.detection.baseline_seed)
-        expected = profile_hash(scenario.profiles, scenario.duration, sim.dt_sample)
+            baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        expected = profile_hash(scenario.profiles, scenario.duration, cfg.sim.dt_sample)
         recorded = baseline.meta.get("profile_hash")
         if recorded != expected:
             raise ConfigError(
@@ -274,7 +272,7 @@ def run_grasp_episode(
             )
         ctrl = ContactAwareController(baseline, det)
 
-    trace = run_scenario(scenario, sim, seed, ctrl.command if ctrl is not None else None)
+    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None)
 
     holds = trace.meta["events"]["hold"]
     events: list[dict[str, Any]] = []
@@ -320,7 +318,8 @@ def _force_bound(scenario, trace: SignalTrace) -> float:
 
     The contraction only ever approaches its stall target from below, so
     the force at the end-of-episode target (hold voltage plus residual
-    relaxation) bounds everything seen on the trace.
+    relaxation) bounds everything seen on the trace. It uses each chain's
+    contact table, like the trace's f_contact columns.
     """
     bound = 0.0
     final_targets = trace.meta.get("final_x_target", {})
@@ -329,6 +328,6 @@ def _force_bound(scenario, trace: SignalTrace) -> float:
         if xt is None:
             continue
         theta = chain.theta_at(xt)
-        for j in chain.joint_group:
-            bound = max(bound, contact_torque(scenario.obj, chain.layout, j, theta)[1])
+        for _, theta_on, k_obj, _ in chain.contact_table(scenario.obj).values():
+            bound = max(bound, float(contact_force(k_obj, theta_on, theta)))
     return bound

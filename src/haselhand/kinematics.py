@@ -8,13 +8,18 @@ of their radii. Abduction is mechanically fixed at zero and is not
 represented in any state.
 
 Objects are lumped per joint: a joint meets the object at a configured
-angle and compresses it with a linear stiffness beyond that.
+angle and compresses it with a linear stiffness beyond that
+(contact_force, the one contact law). The map from stack contraction to
+joint angle, its inverse and the contact table of a chain live on
+config.ChainSpec, which holds the joint group, tendon path and stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError, DomainError
 
@@ -119,60 +124,14 @@ class ObjectModel:
         return self.theta_contact.get(finger, {}).get(joint_name)
 
 
-def angles_from_excursion(layout: FingerLayout, excursions: Sequence[float]) -> list[float]:
-    """Joint angles (rad) for the given per-tendon excursions (mm).
+def contact_force(k_obj: float, theta_on: float, theta):
+    """Normal force (N) an object exerts on a joint at angle theta (rad).
 
-    A single joint takes theta = excursion / r_eff; a coupled pair
-    shares the excursion over the sum of its radii and flexes with one
-    common angle. All angles saturate at the joint flexion limit.
+    Zero up to the onset angle theta_on, then a linear spring:
+    k_obj * (theta - theta_on). theta may be a float or an array; the
+    result is a numpy value either way.
     """
-    groups = layout.tendon_joint_groups()
-    if len(excursions) != len(groups):
-        raise DomainError(
-            f"finger {layout.name}: expected {len(groups)} excursions, got {len(excursions)}"
-        )
-    theta = [0.0] * len(layout.joints)
-    for exc, group in zip(excursions, groups):
-        if exc < 0:
-            raise DomainError(f"excursion {exc} mm must be >= 0")
-        cap = min(layout.joints[j].theta_max for j in group)
-        ang = min(exc / layout.group_radius(group), cap)
-        for j in group:
-            theta[j] = ang
-    return theta
-
-
-def tendon_tension_from_torques(layout: FingerLayout, torques: Sequence[float]) -> list[float]:
-    """Per-tendon tensions (N) balancing the given joint torques (N*mm).
-
-    Moment balance: a single joint needs tension = torque / r_eff; a
-    coupled pair sums torques over the summed radii.
-    """
-    if len(torques) != len(layout.joints):
-        raise DomainError(
-            f"finger {layout.name}: expected {len(layout.joints)} torques, got {len(torques)}"
-        )
-    tensions = []
-    for group in layout.tendon_joint_groups():
-        total = sum(torques[j] for j in group)
-        tensions.append(total / layout.group_radius(group))
-    return tensions
-
-
-def contact_torque(
-    obj: ObjectModel, layout: FingerLayout, joint: int, theta: float
-) -> tuple[float, float]:
-    """(torque N*mm, normal force N) the object exerts on one joint.
-
-    Zero until theta reaches the contact angle, then a linear spring:
-    force = k_obj * (theta - theta_contact), torque = force * phalanx.
-    """
-    spec = layout.joints[joint]
-    theta_c = obj.contact_angle(layout.name, spec.name)
-    if theta_c is None or theta < theta_c:
-        return 0.0, 0.0
-    force = obj.k_obj * (theta - theta_c)
-    return force * spec.phalanx_len, force
+    return k_obj * np.maximum(theta - theta_on, 0.0)
 
 
 def fingertip_force(

@@ -19,12 +19,17 @@ per-step cost low enough for the 10 kHz loop in pure Python. The
 general bisection solver in the actuator module is the slow reference
 implementation; the two are cross-checked in the test suite.
 
+The chain geometry (x -> theta map, stroke cap, contact onsets) comes
+from config.ChainSpec and the contact law from kinematics.contact_force:
+ChainSim's load table and run_scenario's theta/f_contact columns call
+them on whole arrays.
+
 run_scenario is the only stepping code: Plant builds the per-chain
-tables (ChainSim) from the transmission helpers once per run, and
-run_scenario runs one loop over the sample periods. The commands are
-schedules, evaluated once per distinct profile; the contact-aware hold
-is an edit to them (every channel keeps its previous sample's command),
-so the step loop itself never asks whether the plant is holding.
+tables (ChainSim) once per run, and run_scenario runs one loop over the
+sample periods. The commands are schedules, evaluated once per distinct
+profile; the contact-aware hold is an edit to them (every channel keeps
+its previous sample's command), so the step loop itself never asks
+whether the plant is holding.
 
 Monitor synthesis: the drawn current of the monitored stack (chosen in
 config.resolve_preset) is evaluated from the step-level finite
@@ -43,6 +48,7 @@ import numpy as np
 
 from .actuator import capacitance_of, displacement_current, reference_force
 from .config import ChainSpec, Scenario, SimConfig, profile_hash
+from .kinematics import contact_force
 from .trace import SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
 
@@ -55,61 +61,29 @@ class ChainSim:
     """Precomputed piecewise-linear force balance for one actuator chain.
 
     Tables are built once per scenario: contraction breakpoints with the
-    reference force and the reflected load at each. Contact onsets of
-    the driven joints appear as breakpoints, so the load table already
+    reference force and the reflected load at each, as Python floats for
+    the step loop. Contact onsets of the driven joints (the chain spec's
+    contact table) appear as breakpoints, so the load table already
     contains the object.
     """
 
     def __init__(self, spec: ChainSpec, obj):
         self.spec = spec
-        path = spec.path
-        layout = spec.layout
-        group = spec.joint_group
         self.v_ref = spec.stack.v_ref
         self.exponent = spec.stack.force_exponent
-        self.f_breakaway = path.f_breakaway
+        self.f_breakaway = spec.path.f_breakaway
         self.c0 = spec.stack.c0
         self.c_slope = spec.stack.c_slope
+        self.x_cap = spec.x_cap
+        self.contact = spec.contact_table(obj)
 
-        r_div = layout.group_radius(group)
-        self.r_div = r_div
-        ratio = path.pulley_ratio
-        self.ratio = ratio
-        theta_cap = min(layout.joints[j].theta_max for j in group)
-        self.theta_cap = theta_cap
-        # The tendon cannot travel past the joint hard stop.
-        x_at_cap = (theta_cap * r_div + path.slack) / ratio
-        self.x_cap = min(spec.stack.x_free, x_at_cap)
-
-        # Per driven joint the object meets: joint -> (onset contraction,
-        # onset angle, stiffness, moment arm). The onset angle is x_on
-        # mapped back through theta_at, not the object's contact angle:
-        # the two differ in the last bits, and both the load table and
-        # the f_contact column are defined by the mapped one.
-        self.contact: dict[int, tuple[float, float, float, float]] = {}
-        if obj is not None:
-            for j in group:
-                jspec = layout.joints[j]
-                theta_c = obj.contact_angle(layout.name, jspec.name)
-                if theta_c is None:
-                    continue
-                x_on = (theta_c * r_div + path.slack) / ratio
-                if x_on < self.x_cap:
-                    self.contact[j] = (x_on, spec.theta_at(x_on), obj.k_obj,
-                                       jspec.phalanx_len)
-
-        bps = {0.0, self.x_cap}
-        if 0.0 < path.slack / ratio < self.x_cap:
-            bps.add(path.slack / ratio)
-        for kx, _ in spec.stack.force_knots:
-            if 0.0 < kx < self.x_cap:
-                bps.add(kx)
-        for x_on, _, _, _ in self.contact.values():
-            if 0.0 < x_on < self.x_cap:
-                bps.add(x_on)
-        self.xs = sorted(bps)
+        # Breakpoints: the ends of the stroke and, inside it, the end of
+        # the slack, the force knots and the contact onsets.
+        inner = [spec.x_at(0.0), *(kx for kx, _ in spec.stack.force_knots),
+                 *(x_on for x_on, _, _, _ in self.contact.values())]
+        self.xs = sorted({0.0, self.x_cap, *(x for x in inner if 0.0 < x < self.x_cap)})
         self.fs = [reference_force(spec.stack, x) for x in self.xs]
-        self.ls = [self._load_at(x) for x in self.xs]
+        self.ls = self._load_at(np.array(self.xs)).tolist()
         self.x = 0.0
         self.v_applied = 0.0
         self.max_residual = 0.0
@@ -117,15 +91,16 @@ class ChainSim:
         # scale (hold phases) reuses its stall point.
         self._memo: tuple[float, float, float] | None = None
 
-    def _load_at(self, x: float) -> float:
-        """Reflected actuator load (N) at contraction x, excluding friction."""
-        path = self.spec.path
-        tension = extensor_tension(path, excursion_of(path, x))
-        theta = self.spec.theta_at(x)
-        for _, theta_on, k_obj, phal in self.contact.values():
-            if theta > theta_on:
-                tension += k_obj * (theta - theta_on) * phal / self.r_div
-        return reflected_load(path, tension)
+    def _load_at(self, x):
+        """Reflected actuator load (N) at contraction x (float or array),
+        excluding friction: the extensor plus each contact force's moment
+        about the group radius, through the pulley."""
+        spec = self.spec
+        theta = spec.theta_at(x)
+        tension = extensor_tension(spec.path, excursion_of(spec.path, x))
+        for _, theta_on, k_obj, phalanx in self.contact.values():
+            tension = tension + contact_force(k_obj, theta_on, theta) * phalanx / spec.radius
+        return reflected_load(spec.path, tension)
 
     def net(self, a: float, x: float) -> float:
         """Active force minus load at contraction x for voltage scale a."""
@@ -304,25 +279,21 @@ def run_scenario(
     first_contact: dict[str, float] = {}
 
     for ch, x_k, xt_k in zip(chains, x_at, xt_at):
-        tid = ch.spec.tendon_id
+        spec = ch.spec
         xs = np.asarray(x_k)
-        xts = np.asarray(xt_k)
-        x_cols[tid] = xs
-        c_cols[tid] = ch.c0 + ch.c_slope * xs
-        layout = ch.spec.layout
-        exc = np.maximum(0.0, ch.ratio * xs - ch.spec.path.slack)
-        theta = np.minimum(exc / ch.r_div, ch.theta_cap)
-        for j in ch.spec.joint_group:
-            key = f"{layout.name}_{layout.joints[j].name}"
+        x_cols[spec.tendon_id] = xs
+        c_cols[spec.tendon_id] = ch.c0 + ch.c_slope * xs
+        theta = spec.theta_at(xs)
+        for j in spec.joint_group:
+            key = f"{spec.layout.name}_{spec.layout.joints[j].name}"
             theta_cols[key] = theta
-            fc = np.zeros_like(theta)
+            fc_cols[key] = np.zeros_like(theta)
             if j in ch.contact:
                 x_on, theta_on, k_obj, _ = ch.contact[j]
-                fc = np.where(theta > theta_on, k_obj * (theta - theta_on), 0.0)
-                engaged = np.maximum(xs, xts) >= x_on - 1e-12
+                fc_cols[key] = contact_force(k_obj, theta_on, theta)
+                engaged = np.maximum(xs, np.asarray(xt_k)) >= x_on - 1e-12
                 if engaged.any():
                     first_contact[key] = float(t_arr[int(np.argmax(engaged))])
-            fc_cols[key] = fc
 
     max_residual = max((ch.max_residual for ch in chains), default=0.0)
 

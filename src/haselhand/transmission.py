@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 
 
@@ -38,32 +40,31 @@ class TendonPath:
             raise ConfigError("f_ext0 must be >= 0")
 
 
-def excursion_of(path: TendonPath, x: float) -> float:
-    """Tendon excursion (mm) produced by actuator contraction x (mm)."""
-    if x < 0:
-        raise DomainError(f"contraction x={x} mm must be >= 0")
-    return max(0.0, path.pulley_ratio * x - path.slack)
+def excursion_of(path: TendonPath, x):
+    """Tendon excursion (mm) produced by actuator contraction x (mm).
+
+    x may be a float or an array; the result is a numpy value either way.
+    """
+    if np.any(x < 0):
+        raise DomainError(f"contraction x={np.min(x)} mm must be >= 0")
+    return np.maximum(0.0, path.pulley_ratio * x - path.slack)
 
 
-def reflected_load(path: TendonPath, tendon_tension: float) -> float:
+def reflected_load(path: TendonPath, tendon_tension):
     """Load (N) the actuator must bear to hold a given tendon tension.
 
     Pulley force balance: the actuator carries pulley_ratio times the
-    tendon tension, divided by the transmission efficiency.
+    tendon tension, divided by the transmission efficiency. The tension
+    may be a float or an array.
     """
-    if tendon_tension < 0:
-        raise DomainError(f"tendon tension {tendon_tension} N must be >= 0")
+    if np.any(tendon_tension < 0):
+        raise DomainError(f"tendon tension {np.min(tendon_tension)} N must be >= 0")
     return path.pulley_ratio * tendon_tension / path.eta_fwd
 
 
 def extensor_tension(path: TendonPath, excursion: float) -> float:
     """Passive extensor pull (N) at a given flexor excursion (mm)."""
     return path.f_ext0 + path.k_ext * excursion
-
-
-def motion_permitted(path: TendonPath, net_force: float) -> bool:
-    """Stiction gate: true iff |net_force| exceeds the breakaway force."""
-    return abs(net_force) > path.f_breakaway
 
 
 def delivered_tension(path: TendonPath, actuator_force: float) -> float:

@@ -211,16 +211,18 @@ class TestReplay:
         assert code == 2
         assert "i_meas(uA)" in capsys.readouterr().err
 
-    def test_profile_hash_mismatch_rejected(self, batch_out, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["profile_hash", "config_hash"])
+    def test_profile_hash_mismatch_rejected(self, batch_out, tmp_path, capsys, key):
         doc = json.loads((batch_out / "detector.json").read_text())
-        doc["profile_hash"] = "0" * 16
+        doc[key] = "0" * 16
         bad_detector = tmp_path / "detector.json"
         bad_detector.write_text(json.dumps(doc))
         code = run_cli("replay", "--trace", str(batch_out / "detect_cube_seed100000.csv"),
                        "--detector", str(bad_detector),
                        "--out", str(tmp_path / "o"))
         assert code == 2
-        assert "hash" in capsys.readouterr().err
+        assert f"{key} {'0' * 16}" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*"))
 
 
 def thumb_only_detection(doc):
@@ -231,6 +233,15 @@ def thumb_only_detection(doc):
 def index_without_tendons(doc):
     doc["fingers"]["index"]["tendons"] = []
     doc["presets"]["pinch_cube"]["fingers"] = ["index"]
+
+
+def index_listed_twice(doc):
+    doc["presets"]["pinch_cube"]["fingers"] = ["index", "index"]
+
+
+def middle_on_index_tendons(doc):
+    doc["fingers"]["middle"]["tendons"] = ["index_mcp", "index_pip_dip"]
+    doc["presets"]["pinch_cube"]["fingers"] = ["index", "middle"]
 
 
 class TestBadInputs:
@@ -292,7 +303,12 @@ class TestBadInputs:
          "preset detect_free: controller 'detect' needs detection.monitored_stack 'index_mcp'"),
         (("grasp", "--preset", "pinch_cube"), index_without_tendons,
          "preset pinch_cube: its fingers drive no stack"),
-    ], ids=["detection_stack_not_driven", "no_stack_driven"])
+        (("grasp", "--preset", "pinch_cube"), index_listed_twice,
+         "preset pinch_cube: stack 'index_mcp' is driven twice"),
+        (("grasp", "--preset", "pinch_cube"), middle_on_index_tendons,
+         "preset pinch_cube: stack 'index_mcp' is driven twice"),
+    ], ids=["detection_stack_not_driven", "no_stack_driven", "finger_listed_twice",
+            "tendon_shared_by_two_fingers"])
     def test_preset_without_its_monitored_stack_exits_2(self, tmp_path, capsys,
                                                         argv, mutate, named):
         cfg_path = write_config(tmp_path, mutate)

@@ -1,6 +1,7 @@
 import copy
 import math
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from haselhand import config_hash, default_config, load_config, save_config
 from haselhand.config import (
+    DetectionConfig,
     ProfileSpec,
     ScenarioPreset,
     SimConfig,
@@ -16,6 +18,7 @@ from haselhand.config import (
     resolve_scenario,
 )
 from haselhand.errors import ConfigError
+from haselhand.transmission import TendonPath
 
 
 class TestRoundTrip:
@@ -56,6 +59,52 @@ class TestRoundTrip:
         for block in ("amplifier", "sim", "detection"):
             del doc[block]
         assert config_hash(config_from_dict(doc)) == config_hash(cfg)
+
+
+def _floats(low, high=None, **kw):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def valid_config(draw):
+    """The default config with one stack, one tendon path and the detection
+    block replaced by values inside their validated ranges."""
+    cfg = default_config()
+    tid = draw(st.sampled_from(sorted(cfg.stacks)))
+    v_max = draw(_floats(1e-3, 6.0))
+    stack = replace(
+        cfg.stacks[tid], n_units=draw(st.integers(1, 10 ** 6)), v_max=v_max,
+        v_ref=draw(_floats(1e-3, v_max)),
+        x_free=draw(_floats(cfg.stacks[tid].force_knots[-1][0], exclude_min=True)),
+        c0=draw(_floats(0.0, exclude_min=True)), c_slope=draw(_floats(0.0)),
+        force_exponent=draw(_floats(0.0, exclude_min=True)))
+    pid = draw(st.sampled_from(sorted(cfg.tendons)))
+    path = TendonPath(
+        pulley_ratio=draw(_floats(0.0, exclude_min=True)),
+        eta_fwd=draw(_floats(0.0, 1.0, exclude_min=True)),
+        f_breakaway=draw(_floats(0.0)), slack=draw(_floats(0.0)),
+        k_ext=draw(_floats(0.0)), f_ext0=draw(_floats(0.0)))
+    lo = draw(_floats(0.0, 1e6))
+    detection = DetectionConfig(
+        monitored_stack=draw(st.sampled_from(sorted(cfg.stacks))),
+        i_threshold=draw(st.none() | _floats(0.0, exclude_min=True)),
+        window=(lo, draw(_floats(lo, exclude_min=True))),
+        smoothing=draw(st.integers(1, 10 ** 9)), debounce=draw(st.integers(1, 10 ** 9)),
+        deviation_mult=draw(_floats(0.0, exclude_min=True)), deviation_floor=draw(_floats(0.0)),
+        baseline_seed=draw(st.integers(-2 ** 63, 2 ** 63)))
+    return replace(cfg, stacks={**cfg.stacks, tid: stack}, tendons={**cfg.tendons, pid: path},
+                   detection=detection)
+
+
+class TestValidRoundTrip:
+    @given(valid_config())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_config_round_trips_with_stable_hash(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("round_trip") / "config.json"
+        save_config(cfg, path)
+        loaded = load_config(path)
+        assert loaded == cfg
+        assert config_hash(loaded) == config_hash(cfg)
 
 
 class TestCrossReferences:

@@ -11,7 +11,7 @@ from haselhand import (
 )
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError
-from haselhand.plant import ChainSim
+from haselhand.plant import ChainSim, Plant
 from haselhand.trace import reconstruct_current
 
 
@@ -216,3 +216,12 @@ class TestStallSolverAgainstBisection:
                 x_ref = equilibrium_contraction(spec.stack, v, load)
                 x_ref = min(x_ref, chain.x_cap)
                 assert x_fast == pytest.approx(x_ref, abs=1e-5)
+
+    def test_tables_hold_python_floats(self, cfg):
+        # The 10 kHz step loop does scalar arithmetic on these tables,
+        # where numpy scalars would slow every step.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        for chain in Plant(scenario, cfg.sim).chains:
+            values = chain.xs + chain.fs + chain.ls + [chain.x_cap]
+            values += [v for row in chain.contact.values() for v in row]
+            assert {type(v) for v in values} == {float}

@@ -1,3 +1,7 @@
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,13 +9,15 @@ from hypothesis import strategies as st
 from haselhand import (
     DomainError,
     TendonPath,
+    default_config,
     delivered_tension,
     excursion_of,
     extensor_tension,
-    motion_permitted,
     reflected_load,
+    resolve_scenario,
 )
 from haselhand.errors import ConfigError
+from haselhand.plant import ChainSim
 
 
 def path(**kw) -> TendonPath:
@@ -86,17 +92,41 @@ class TestExtensor:
         assert extensor_tension(p, 8.0) == pytest.approx(2 * extensor_tension(p, 4.0))
 
 
+def gated_chain(f_breakaway, f_ext0=0.0) -> ChainSim:
+    """The default index MCP chain with the given breakaway and pretension."""
+    chains = resolve_scenario(default_config(), "free_motion").chains
+    spec = next(c for c in chains if c.tendon_id == "index_mcp")
+    return ChainSim(replace(spec, path=path(f_breakaway=f_breakaway, f_ext0=f_ext0)), None)
+
+
+def volts_for_net(chain: ChainSim, net: float) -> float:
+    """Applied voltage (kV) at which the chain's net force at its x is net."""
+    x = chain.x
+    a = (net + float(chain._load_at(x))) / float(np.interp(x, chain.xs, chain.fs))
+    return chain.v_ref * math.sqrt(a)
+
+
 class TestMotionPermitted:
+    """ChainSim's stiction gate: x moves only when |net force| exceeds
+    the breakaway force."""
+
     def test_below_breakaway_blocked(self):
-        assert not motion_permitted(path(f_breakaway=0.5), 0.4)
+        chain = gated_chain(0.5, f_ext0=1.0)
+        assert chain.advance(volts_for_net(chain, 0.4), 0.5) == chain.x == 0.0
 
     def test_above_breakaway_moves(self):
-        assert motion_permitted(path(f_breakaway=0.5), 0.6)
-        assert motion_permitted(path(f_breakaway=0.5), -0.6)
+        chain = gated_chain(0.5, f_ext0=1.0)
+        chain.advance(volts_for_net(chain, 0.6), 0.5)
+        assert chain.x > 0.0
+        chain.x = 3.0
+        chain.advance(volts_for_net(chain, -0.6), 0.5)
+        assert chain.x < 3.0
 
     def test_frictionless_limit(self):
-        assert motion_permitted(path(), 1e-9)
-        assert not motion_permitted(path(), 0.0)
+        chain = gated_chain(0.0)
+        assert chain.advance(0.0, 0.5) == chain.x == 0.0
+        chain.advance(1e-6, 0.5)
+        assert chain.x > 0.0
 
 
 class TestDeliveredTension:

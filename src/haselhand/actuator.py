@@ -19,6 +19,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DomainError, ModelConsistencyError
 
 # Bisection defaults for the quasi-static force balance.
@@ -113,10 +115,15 @@ def active_force(cfg: StackConfig, v: float, x: float) -> float:
     return reference_force(cfg, x) * (v / cfg.v_ref) ** cfg.force_exponent
 
 
-def capacitance_of(cfg: StackConfig, x: float) -> float:
-    """Stack capacitance (nF) at contraction x (mm): c0 + c_slope * x."""
-    if not 0.0 <= x <= cfg.x_free:
-        raise DomainError(f"contraction x={x} mm outside [0, x_free={cfg.x_free}]")
+def capacitance_of(cfg: StackConfig, x):
+    """Stack capacitance (nF) at contraction x (mm): c0 + c_slope * x.
+
+    x may be a float or an array, and every value must lie in [0, x_free].
+    """
+    lo, hi = np.min(x), np.max(x)
+    if not (0.0 <= lo and hi <= cfg.x_free):
+        raise DomainError(f"contraction x={hi if lo >= 0.0 else lo} mm "
+                          f"outside [0, x_free={cfg.x_free}]")
     return cfg.c0 + cfg.c_slope * x
 
 

@@ -178,9 +178,11 @@ def cmd_detect_batch(args) -> int:
 
     free = resolve_scenario(cfg, "detect_free")
     cube = resolve_scenario(cfg, "detect_cube")
-    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k)
+    # Every episode of a class has the same mechanics: step them once.
+    cache: dict = {}
+    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k, cache=cache)
                 for k in range(N_CALIBRATION)]
-    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k)
+    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k, cache=cache)
                  for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
 
@@ -191,7 +193,7 @@ def cmd_detect_batch(args) -> int:
     for cls, scenario, n, seed0 in (("free", free, args.free, args.seed),
                                     ("grasp", cube, args.grasp, args.seed + GRASP_SEED_OFFSET)):
         for seed in range(seed0, seed0 + n):
-            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed), det)
+            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed, cache=cache), det)
             expected = cls == "grasp"
             counts[("t" if grasped == expected else "f") + ("p" if grasped else "n")] += 1
             if grasped != expected:

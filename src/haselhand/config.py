@@ -202,6 +202,18 @@ class HandConfig:
                     raise ConfigError(f"finger {fname}: unknown stack {tid!r}")
                 if tid not in self.tendons:
                     raise ConfigError(f"finger {fname}: unknown tendon path {tid!r}")
+        for oname, obj in self.objects.items():
+            for fname, angles in obj.theta_contact.items():
+                where = f"objects.{oname}.theta_contact.{fname}"
+                if fname not in self.fingers:
+                    raise ConfigError(f"{where}: unknown finger {fname!r}")
+                limits = {j.name: j.theta_max for j in self.fingers[fname].joints}
+                for jname, theta in angles.items():
+                    if jname not in limits:
+                        raise ConfigError(f"{where}.{jname}: finger {fname} has no joint {jname!r}")
+                    if not 0.0 <= theta <= limits[jname]:
+                        raise ConfigError(f"{where}.{jname}: contact angle {theta} rad "
+                                          f"outside [0, theta_max={limits[jname]}]")
         if self.detection.monitored_stack not in self.stacks:
             raise ConfigError(
                 f"detection.monitored_stack {self.detection.monitored_stack!r} is not a stack"

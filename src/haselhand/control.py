@@ -166,15 +166,16 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrace:
+def record_baseline(scenario: Scenario, sim: SimConfig, seed: int,
+                    cache: Optional[dict] = None) -> SignalTrace:
     """Record the free-motion trace of a scenario's voltage schedule.
 
     The scenario runs open loop without its object. The baseline is an
     ordinary trace: its meta carries the profile hash it was recorded
     under, and it is saved with SignalTrace.save and read back with
-    load_trace.
+    load_trace. cache is run_scenario's mechanics cache.
     """
-    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed)
+    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed, cache=cache)
 
 
 class ContactAwareController:
@@ -246,6 +247,7 @@ def run_grasp_episode(
     controller: Optional[str] = None,
     baseline: Optional[SignalTrace] = None,
     detection: Optional[DetectionConfig] = None,
+    cache: Optional[dict] = None,
 ) -> EpisodeReport:
     """Run one grasp episode and assemble its report.
 
@@ -253,7 +255,9 @@ def run_grasp_episode(
     loop, "detect" classifies the finished trace against the calibrated
     threshold, "contact_aware" closes the loop on the baseline deviation
     (recording a baseline on the fly if none is supplied). A supplied
-    baseline must carry the scenario's profile hash in its meta.
+    baseline must carry the scenario's profile hash in its meta. cache
+    is run_scenario's mechanics cache, shared by the baseline and the
+    episode.
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
@@ -262,7 +266,7 @@ def run_grasp_episode(
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
         if baseline is None:
-            baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+            baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed, cache)
         expected = profile_hash(scenario.profiles, scenario.duration, cfg.sim.dt_sample)
         recorded = baseline.meta.get("profile_hash")
         if recorded != expected:
@@ -272,7 +276,8 @@ def run_grasp_episode(
             )
         ctrl = ContactAwareController(baseline, det)
 
-    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None)
+    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None,
+                         cache=cache)
 
     holds = trace.meta["events"]["hold"]
     events: list[dict[str, Any]] = []

@@ -24,19 +24,38 @@ from config.ChainSpec and the contact law from kinematics.contact_force:
 ChainSim's load table and run_scenario's theta/f_contact columns call
 them on whole arrays.
 
-run_scenario is the only stepping code: Plant builds the per-chain
-tables (ChainSim) once per run, and run_scenario runs one loop over the
-sample periods. The commands are schedules, evaluated once per distinct
-profile; the contact-aware hold is an edit to them (every channel keeps
-its previous sample's command), so the step loop itself never asks
-whether the plant is holding.
+run_scenario makes two passes over a scenario.
 
-Monitor synthesis: the drawn current of the monitored stack (chosen in
-config.resolve_preset) is evaluated from the step-level finite
-differences of capacitance and applied voltage around each sample
-instant (central inside the run, one-sided at its ends), then Gaussian
-monitor noise is added from a seeded generator, so runs are
-reproducible byte-for-byte.
+- The mechanics pass, Plant.extend, is the only code that steps chains.
+  It steps each chain under its voltage schedule (slew-limited, capped
+  at the amplifier ceiling) and records, at every sample instant, each
+  chain's contraction, applied voltage, stall target and running
+  maximum stall residual, and the monitored chain's contraction and
+  voltage one internal step before and after the instant. What a chain
+  holds at a sample is also where a hold resumes it from.
+- The monitor pass, Plant.current, runs once per seed on those arrays.
+  The drawn current of the monitored stack (chosen in
+  config.resolve_preset) comes from the step-level finite differences
+  of capacitance and applied voltage around each sample instant:
+  central inside the run, one-sided at its ends. Gaussian monitor noise
+  is drawn from a seeded generator in one block whose values are those
+  of one draw per monitor per sample, in sample order, so runs are
+  reproducible byte for byte.
+
+Open loop, the mechanics do not depend on the seed. run_scenario keeps
+each recorded Plant in a cache dict under mechanics_key: the canonical
+JSON of what the mechanics read (the chains, their contact tables, the
+duration, the amplifier's slew limit and ceiling, the time steps and
+the monitored stack), not the name, the seed, the monitor noise or the
+controller. The cache lives as long as the caller keeps it: detect-batch
+passes one to all its episodes, and a call without one gets its own.
+
+Closed loop, the commander walks the open-loop record sample by sample,
+and the record is stepped MECHANICS_BLOCK samples at a time only as far
+as the walk has come. A hold at sample k sets every schedule to its
+command at sample k - 1 (at sample 0 for k = 0), limited to the
+amplifier ceiling, and resumes the chains from their sample-k state; a
+resumed record is cached under its mechanics key and k.
 """
 
 from __future__ import annotations
@@ -47,10 +66,24 @@ from typing import Callable, Optional
 import numpy as np
 
 from .actuator import capacitance_of, displacement_current, reference_force
-from .config import ChainSpec, Scenario, SimConfig, profile_hash
+from .config import (
+    ChainSpec,
+    ProfileSpec,
+    Scenario,
+    SimConfig,
+    canonical_json,
+    encode,
+    profile_hash,
+)
+from .errors import ModelConsistencyError
 from .kinematics import contact_force
 from .trace import SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
+
+# Samples by which a commander's walk steps the open-loop record ahead.
+MECHANICS_BLOCK = 50
+# Acceptance criterion 8: the largest stall residual a run may report.
+STALL_RESIDUAL_TOL_N = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +105,6 @@ class ChainSim:
         self.v_ref = spec.stack.v_ref
         self.exponent = spec.stack.force_exponent
         self.f_breakaway = spec.path.f_breakaway
-        self.c0 = spec.stack.c0
-        self.c_slope = spec.stack.c_slope
         self.x_cap = spec.x_cap
         self.contact = spec.contact_table(obj)
 
@@ -164,13 +195,158 @@ class ChainSim:
 
 
 class Plant:
-    """The resolved scenario's chain tables, built once per run."""
+    """A scenario's chain tables and their motion, recorded at the samples.
+
+    Column k of x, v, target and residual holds each chain's contraction
+    (mm), applied voltage (kV), stall target (mm) and running maximum
+    stall residual (N) after internal step k * steps_per_sample.
+    x_lo/v_lo and x_hi/v_hi hold the monitored chain's contraction and
+    voltage one internal step before and after that step, clamped to
+    the run. Samples 0..end are recorded; extend steps further.
+    """
 
     def __init__(self, scenario: Scenario, sim: SimConfig):
         self.scenario = scenario
         self.sim = sim
         self.chains = [ChainSim(spec, scenario.obj) for spec in scenario.chains]
-        self.by_id = {c.spec.tendon_id: c for c in self.chains}
+        self.schedules = [spec.profile for spec in scenario.chains]
+        self.mon = [spec.tendon_id for spec in scenario.chains].index(scenario.monitored_stack)
+        self.n_samples = round(scenario.duration / sim.dt_sample) + 1
+        self.end = 0
+        shape = (len(self.chains), self.n_samples)
+        self.x, self.v, self.target, self.residual = (np.zeros(shape) for _ in range(4))
+        self.x_lo, self.v_lo, self.x_hi, self.v_hi = (np.zeros(self.n_samples) for _ in range(4))
+
+    def extend(self, k_end: int) -> None:
+        """Step every chain from sample end to sample k_end and record it.
+
+        Each internal step moves a chain's applied voltage toward its
+        schedule, by at most the slew limit and within [0, ceiling],
+        then advances the chain.
+        """
+        k0, sps = self.end, self.sim.steps_per_sample
+        if k_end <= k0:
+            return
+        dt = self.sim.dt_internal
+        dt_over_tau = dt / self.sim.tau_mech
+        dv_max = self.scenario.amplifier.slew_max * dt
+        ceiling = self.scenario.amplifier.v_ceiling
+        # Commands at internal steps k0 * sps .. k_end * sps; chains with
+        # equal schedules share the list.
+        steps = range(k0 * sps, k_end * sps + 1)
+        cmds = {p: [p(n * dt) for n in steps] for p in dict.fromkeys(self.schedules)}
+        recorded = slice(k0 + 1, k_end + 1)
+        for c, ch in enumerate(self.chains):
+            cmd = cmds[self.schedules[c]]
+            advance = ch.advance
+            v = ch.v_applied
+            xs, vs = [ch.x] * len(cmd), [v] * len(cmd)
+            targets, residuals = [], []
+            for k in range(k_end - k0):
+                for j in range(k * sps + 1, (k + 1) * sps + 1):
+                    dv = cmd[j] - v
+                    if dv < -dv_max:
+                        dv = -dv_max
+                    elif dv > dv_max:
+                        dv = dv_max
+                    v += dv
+                    if v < 0.0:
+                        v = 0.0
+                    elif v > ceiling:
+                        v = ceiling
+                    target = advance(v, dt_over_tau)
+                    xs[j] = ch.x
+                    vs[j] = v
+                targets.append(target)
+                residuals.append(ch.max_residual)
+            ch.v_applied = v
+            self.x[c, recorded] = xs[sps::sps]
+            self.v[c, recorded] = vs[sps::sps]
+            self.target[c, recorded] = targets
+            self.residual[c, recorded] = residuals
+            if c == self.mon:
+                self.x_lo[recorded], self.v_lo[recorded] = xs[sps - 1:-1:sps], vs[sps - 1:-1:sps]
+                self.x_hi[k0:k_end], self.v_hi[k0:k_end] = xs[1::sps], vs[1::sps]
+        self.end = k_end
+        if k_end == self.n_samples - 1:
+            self.x_hi[k_end], self.v_hi[k_end] = self.x[self.mon, k_end], self.v[self.mon, k_end]
+
+    def resume(self, k: int, held: dict[ProfileSpec, float]) -> "Plant":
+        """This record up to sample k, then every chain under a constant
+        schedule from there: held maps each schedule to its held command."""
+        plant = Plant(self.scenario, self.sim)
+        plant.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
+        for name in ("x", "v", "target", "residual", "x_lo", "v_lo", "x_hi", "v_hi"):
+            setattr(plant, name, getattr(self, name).copy())
+        plant.end = k
+        for c, ch in enumerate(plant.chains):
+            ch.x = float(self.x[c, k])
+            ch.v_applied = float(self.v[c, k])
+            ch.max_residual = float(self.residual[c, k])
+        return plant
+
+    def current(self, k0: int, k1: int) -> np.ndarray:
+        """Noise-free drawn current (uA) of the monitored stack at samples
+        k0..k1 - 1, from the differences around each sample's internal
+        step: 0 / dt = 0 for a run of zero duration. Needs samples up to
+        k1 recorded, or the whole run."""
+        sps, dt = self.sim.steps_per_sample, self.sim.dt_internal
+        idx = np.arange(k0, k1) * sps
+        lo = np.maximum(idx - 1, 0)
+        hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
+        span = np.maximum(hi - lo, 1) * dt
+        stack = self.chains[self.mon].spec.stack
+        dv = (self.v_hi[k0:k1] - self.v_lo[k0:k1]) / span
+        dc = (capacitance_of(stack, self.x_hi[k0:k1]) - capacitance_of(stack, self.x_lo[k0:k1])) / span
+        return displacement_current(capacitance_of(stack, self.x[self.mon, k0:k1]), dv,
+                                    self.v[self.mon, k0:k1], dc)
+
+
+def mechanics_key(scenario: Scenario, sim: SimConfig) -> str:
+    """Canonical JSON of everything the mechanics pass reads of a scenario.
+
+    The object enters only through each chain's contact table, so
+    scenarios that differ in name, seed, monitor noise, controller or an
+    object no chain reaches share a key.
+    """
+    return canonical_json({
+        "chains": [encode(spec) for spec in scenario.chains],
+        "contacts": [encode(spec.contact_table(scenario.obj)) for spec in scenario.chains],
+        "monitored_stack": scenario.monitored_stack,
+        "duration": scenario.duration,
+        "slew_max": scenario.amplifier.slew_max,
+        "v_ceiling": scenario.amplifier.v_ceiling,
+        "steps": [sim.dt_internal, sim.dt_sample, sim.tau_mech],
+    })
+
+
+def _cached(cache: dict, key, make: Callable[[], Plant]) -> Plant:
+    plant = cache.get(key)
+    if plant is None:
+        plant = cache[key] = make()
+    return plant
+
+
+def _walk(plant: Plant, commander, t_samples: list[float], noise_i: np.ndarray) -> Optional[int]:
+    """The sample at which the commander asks for a hold, or None.
+
+    The commander sees each sample instant with the previous sample's
+    measured current (None at the first), on the open-loop record, which
+    is stepped ahead one block at a time as the walk needs it.
+    """
+    n = len(t_samples)
+    i_meas = np.empty(0)
+    for k in range(n):
+        if k > plant.end:
+            plant.extend(min(plant.end + MECHANICS_BLOCK, n - 1))
+        if k > len(i_meas):
+            # Samples before the last recorded one have their monitor inputs.
+            done = plant.end if plant.end < n - 1 else n
+            new = plant.current(len(i_meas), done) + noise_i[len(i_meas):done]
+            i_meas = np.concatenate((i_meas, new))
+        if commander(t_samples[k], float(i_meas[k - 1]) if k else None):
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -182,93 +358,60 @@ def run_scenario(
     sim: SimConfig,
     seed: int,
     commander: Optional[Callable[[float, Optional[float]], bool]] = None,
+    cache: Optional[dict] = None,
 ) -> SignalTrace:
     """Simulate a scenario and return its 1 kHz monitor trace.
 
     Deterministic for a fixed seed: the monitor noise comes from one
-    seeded generator consumed in sample order, so identical runs produce
-    identical traces byte-for-byte.
+    seeded generator, so identical runs produce identical traces
+    byte for byte, whether their mechanics were stepped or cached.
 
-    Each sample period is one iteration: the commander's decision at the
-    sample instant, the state standing there, the internal steps up to
-    the next sample, then the monitor sample. The commands are schedules
-    evaluated once per distinct profile, at the sample instants (the
-    v_cmd column) and at the internal steps (what the amplifier follows).
-
-    commander, when given, is consulted once per sample period with
-    (t, previous sample's measured current or None) until it returns
-    True. A hold at sample k overwrites the rest of every schedule with
-    its value at sample k - 1 (at sample 0 for k = 0), limited to the
+    commander, when given, is consulted once per sample with (t,
+    previous sample's measured current or None) until it returns True.
+    A hold at sample k holds every schedule from sample k on at its
+    command at sample k - 1 (at sample 0 for k = 0), limited to the
     amplifier ceiling, and the commander is not consulted again. The
     hold instant and the monitored channel's held voltage are recorded
     as the trace's hold event.
-    """
-    rng = np.random.default_rng(seed)
-    plant = Plant(scenario, sim)
-    chains = plant.chains
-    mon = plant.by_id[scenario.monitored_stack]
 
-    dt = sim.dt_internal
-    sps = sim.steps_per_sample
-    n_samples = round(scenario.duration / sim.dt_sample) + 1
-    n_internal = (n_samples - 1) * sps
-    dt_over_tau = dt / sim.tau_mech
-    dv_max = scenario.amplifier.slew_max * dt
+    cache, when given, is a dict that keeps the recorded mechanics for
+    later calls (see the module docstring). Raises ModelConsistencyError
+    when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
+    """
+    cache = {} if cache is None else cache
+    mech_key = mechanics_key(scenario, sim)
+    open_loop = _cached(cache, mech_key, lambda: Plant(scenario, sim))
+    n_samples = open_loop.n_samples
+    t_samples = [k * sim.dt_sample for k in range(n_samples)]
     ceiling = scenario.amplifier.v_ceiling
     sigma_v = scenario.amplifier.monitor_noise_v
     sigma_i = scenario.amplifier.monitor_noise_i
+    # Generator.normal(loc, scale) is loc + scale * standard_normal, so
+    # this block equals one normal() per monitor per sample, v first.
+    z = np.random.default_rng(seed).standard_normal((n_samples, 2))
+    noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
-    # profile -> (schedule at the sample instants, at the internal steps).
-    # Chains with equal profiles share the lists.
-    t_samples = [k * sim.dt_sample for k in range(n_samples)]
-    schedules = {p: ([p(t) for t in t_samples], [p(n * dt) for n in range(n_internal + 1)])
-                 for p in dict.fromkeys(c.spec.profile for c in chains)}
-    step_cmds = [schedules[c.spec.profile][1] for c in chains]
-    v_cmd = schedules[mon.spec.profile][0]
-
-    # Internal histories of the monitored channel (for the finite
-    # differences at sample instants); per-chain state at the samples.
-    v_hist = [0.0] * (n_internal + 1)
-    c_hist = [capacitance_of(mon.spec.stack, 0.0)] * (n_internal + 1)
-    x_at = [[0.0] * n_samples for _ in chains]
-    xt_at = [[0.0] * n_samples for _ in chains]
-    targets = [0.0] * len(chains)
-    v_meas = np.zeros(n_samples)
-    i_meas = np.zeros(n_samples)
+    mon_profile = open_loop.schedules[open_loop.mon]
+    v_cmd = np.array([mon_profile(t) for t in t_samples])
     hold_events: list[dict[str, float]] = []
-    i_last: Optional[float] = None
+    k_hold = None if commander is None else _walk(open_loop, commander, t_samples, noise_i)
+    plant = open_loop
+    if k_hold is not None:
+        t_prev = t_samples[max(k_hold - 1, 0)]
+        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(open_loop.schedules)}
+        plant = _cached(cache, (mech_key, k_hold), lambda: open_loop.resume(k_hold, held))
+        v_cmd[k_hold:] = held[mon_profile]
+        hold_events.append({"t": t_samples[k_hold], "v_held": held[mon_profile]})
+    plant.extend(n_samples - 1)
 
-    for k in range(n_samples):
-        idx = k * sps
-        if commander is not None and not hold_events and commander(t_samples[k], i_last):
-            for at_samples, at_steps in schedules.values():
-                v_held = min(at_samples[max(k - 1, 0)], ceiling)
-                at_samples[k:] = [v_held] * (n_samples - k)
-                at_steps[idx + 1:] = [v_held] * (n_internal - idx)
-            hold_events.append({"t": t_samples[k], "v_held": v_cmd[k]})
-        for ci, ch in enumerate(chains):
-            x_at[ci][k] = ch.x
-            xt_at[ci][k] = targets[ci]
-        for n in range(idx + 1, min(idx + sps, n_internal) + 1):
-            for ci, ch in enumerate(chains):
-                v_prev = ch.v_applied
-                dv = min(max(step_cmds[ci][n] - v_prev, -dv_max), dv_max)
-                v = min(max(v_prev + dv, 0.0), ceiling)
-                ch.v_applied = v
-                targets[ci] = ch.advance(v, dt_over_tau)
-            v_hist[n] = mon.v_applied
-            c_hist[n] = mon.c0 + mon.c_slope * mon.x
-        # Differences around the sample's internal step: central inside
-        # the run, one-sided at its ends, and 0 / dt = 0 for a run of
-        # zero duration, where lo == hi.
-        lo, hi = max(idx - 1, 0), min(idx + 1, n_internal)
-        span = max(hi - lo, 1) * dt
-        dv = (v_hist[hi] - v_hist[lo]) / span
-        dc = (c_hist[hi] - c_hist[lo]) / span
-        i_true = displacement_current(c_hist[idx], dv, v_hist[idx], dc)
-        v_meas[k] = v_hist[idx] + rng.normal(0.0, sigma_v)
-        i_last = i_true + rng.normal(0.0, sigma_i)
-        i_meas[k] = i_last
+    max_residual = float(plant.residual[:, -1].max())
+    if max_residual > STALL_RESIDUAL_TOL_N:
+        raise ModelConsistencyError(
+            f"scenario {scenario.name}: stall residual {max_residual:.3g} N "
+            f"exceeds {STALL_RESIDUAL_TOL_N} N"
+        )
+    v_meas = plant.v[plant.mon] + noise_v
+    i_meas = plant.current(0, n_samples) + noise_i
 
     # Assemble per-joint and per-stack columns at the sample grid.
     t_arr = np.array(t_samples)
@@ -278,11 +421,10 @@ def run_scenario(
     c_cols: dict[str, np.ndarray] = {}
     first_contact: dict[str, float] = {}
 
-    for ch, x_k, xt_k in zip(chains, x_at, xt_at):
+    for ch, xs, xt in zip(plant.chains, plant.x.copy(), plant.target):
         spec = ch.spec
-        xs = np.asarray(x_k)
         x_cols[spec.tendon_id] = xs
-        c_cols[spec.tendon_id] = ch.c0 + ch.c_slope * xs
+        c_cols[spec.tendon_id] = capacitance_of(spec.stack, xs)
         theta = spec.theta_at(xs)
         for j in spec.joint_group:
             key = f"{spec.layout.name}_{spec.layout.joints[j].name}"
@@ -291,11 +433,9 @@ def run_scenario(
             if j in ch.contact:
                 x_on, theta_on, k_obj, _ = ch.contact[j]
                 fc_cols[key] = contact_force(k_obj, theta_on, theta)
-                engaged = np.maximum(xs, np.asarray(xt_k)) >= x_on - 1e-12
+                engaged = np.maximum(xs, xt) >= x_on - 1e-12
                 if engaged.any():
                     first_contact[key] = float(t_arr[int(np.argmax(engaged))])
-
-    max_residual = max((ch.max_residual for ch in chains), default=0.0)
 
     meta = {
         "scenario": scenario.name,
@@ -309,12 +449,13 @@ def run_scenario(
         "object": scenario.obj.name if scenario.obj else None,
         "noise": {"v": sigma_v, "i": sigma_i},
         "max_equilibrium_residual_n": max_residual,
-        "final_x_target": {ch.spec.tendon_id: float(xt) for ch, xt in zip(chains, targets)},
+        "final_x_target": {ch.spec.tendon_id: float(xt)
+                           for ch, xt in zip(plant.chains, plant.target[:, -1])},
         "events": {"first_contact": first_contact, "hold": hold_events},
         "controller_modes": {"final": "holding" if hold_events else "ramping"},
     }
 
     return SignalTrace(
-        t=t_arr, v_cmd=np.array(v_cmd), v_meas=v_meas, i_meas=i_meas,
+        t=t_arr, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas,
         theta=theta_cols, f_contact=fc_cols, x=x_cols, c=c_cols, meta=meta,
     )

@@ -42,9 +42,10 @@ def cube_trace_nf(cfg_nf):
 @pytest.fixture(scope="session")
 def calibration_traces(cfg):
     """The 10 free + 10 cube-grasp calibration traces, seeds 0-19."""
-    free = [run_scenario(resolve_scenario(cfg, "detect_free"), cfg.sim, seed=s)
+    cache: dict = {}  # each class steps its mechanics once
+    free = [run_scenario(resolve_scenario(cfg, "detect_free"), cfg.sim, seed=s, cache=cache)
             for s in range(10)]
-    grasp = [run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=s)
+    grasp = [run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=s, cache=cache)
              for s in range(10, 20)]
     return free, grasp
 

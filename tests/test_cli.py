@@ -7,6 +7,7 @@ import pytest
 from haselhand.cli import main
 from haselhand.config import config_to_dict, default_config
 from haselhand.errors import TraceSchemaError
+from haselhand.plant import ChainSim
 from haselhand.trace import load_trace
 
 
@@ -282,8 +283,15 @@ class TestBadInputs:
         ("sim.tau_mech", "Infinity", "Infinity"),
         ("amplifier.slew_max", "NaN", "NaN"),
         ("detection.smoothing", "1" + "0" * 5000, "config.json"),
+        ("objects.cube.theta_contact.index.mcp", "-0.5", "objects.cube.theta_contact.index.mcp"),
+        ("objects.cube.theta_contact.thumb.mcp", "7.0", "objects.cube.theta_contact.thumb.mcp"),
+        ("objects.cube.theta_contact.index.knuckle", "0.2",
+         "objects.cube.theta_contact.index.knuckle"),
+        ("objects.cube.theta_contact.pinkie", '{"mcp": 0.2}', "objects.cube.theta_contact.pinkie"),
     ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
-            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int"])
+            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
+            "negative_contact_angle", "contact_angle_past_limit", "contact_unknown_joint",
+            "contact_unknown_finger"])
     def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, text, named):
         def mutate(doc):
             *parents, key = where.split(".")
@@ -332,6 +340,23 @@ class TestBadInputs:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+
+class TestModelConsistency:
+    def test_broken_stall_walk_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = ChainSim.stall_target
+
+        def halfway_walk(chain, a, offset):
+            # Lands halfway to the stall point and records its residual there.
+            x_t = 0.5 * real(chain, a, offset)
+            chain.max_residual = max(chain.max_residual, abs(chain.net(a, x_t) - offset))
+            return x_t
+
+        monkeypatch.setattr(ChainSim, "stall_target", halfway_walk)
+        out = tmp_path / "o"
+        assert run_cli("grasp", "--preset", "pinch_cube", "--out", str(out)) == 3
+        assert "stall residual" in capsys.readouterr().err
+        assert not list(out.rglob("*"))
 
 
 class TestOutputDirOverride:

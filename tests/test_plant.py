@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from haselhand import (
+    default_config,
     equilibrium_contraction,
+    record_baseline,
     resolve_scenario,
+    run_grasp_episode,
     run_scenario,
 )
+from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError
-from haselhand.plant import ChainSim, Plant
-from haselhand.trace import reconstruct_current
+from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant
+from haselhand.trace import json_text, reconstruct_current
 
 
 class TestVoltageProfile:
@@ -225,3 +229,75 @@ class TestStallSolverAgainstBisection:
             values = chain.xs + chain.fs + chain.ls + [chain.x_cap]
             values += [v for row in chain.contact.values() for v in row]
             assert {type(v) for v in values} == {float}
+
+
+def _episode_bytes(report):
+    """What an episode writes: the bytes of every trace column (its CSV is
+    a function of them and their names), the trace meta and the report."""
+    columns = [(name, np.asarray(values, dtype=float).tobytes())
+               for name, values in report.trace.columns()]
+    return columns, json_text(report.trace.meta), json_text(report.to_dict())
+
+
+@pytest.fixture(scope="module")
+def warm_cache():
+    """One mechanics cache for every case below, filled as they run."""
+    return {}
+
+
+def count_advance(monkeypatch) -> list[int]:
+    calls = [0]
+    real = ChainSim.advance
+
+    def counted(chain, *args):
+        calls[0] += 1
+        return real(chain, *args)
+
+    monkeypatch.setattr(ChainSim, "advance", counted)
+    return calls
+
+
+class TestMechanicsCache:
+    @pytest.mark.parametrize("preset", tuple(default_config().presets))
+    def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, warm_cache, preset):
+        # Warm runs find their mechanics cached by earlier cases, seeds
+        # and presets; closed loop also its baseline's and, when the hold
+        # falls on a sample seen before, its resume. Cold runs step all
+        # of it, sharing one cold baseline per config. Noise-free runs
+        # close the loop only on the preset that ships closed loop.
+        for config, seeds in ((cfg, (3, 4)), (cfg_nf, (3,))):
+            scenario = resolve_scenario(config, preset)
+            controllers = ("none", "contact_aware")
+            if config is cfg_nf and scenario.controller != "contact_aware":
+                controllers = ("none",)
+            cold_baseline = None
+            if "contact_aware" in controllers:
+                seed_b = config.detection.baseline_seed
+                cold_baseline = record_baseline(scenario, config.sim, seed_b)
+                warm_baseline = record_baseline(scenario, config.sim, seed_b, warm_cache)
+                assert warm_baseline.to_csv_text() == cold_baseline.to_csv_text()
+                assert json_text(warm_baseline.meta) == json_text(cold_baseline.meta)
+            for seed in seeds:
+                for controller in controllers:
+                    warm = run_grasp_episode(config, preset, seed, controller=controller,
+                                             cache=warm_cache)
+                    cold = run_grasp_episode(config, preset, seed, controller=controller,
+                                             baseline=cold_baseline)
+                    assert _episode_bytes(warm) == _episode_bytes(cold), (seed, controller)
+
+    def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
+        calls = count_advance(monkeypatch)
+        assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
+                         "--out", str(tmp_path)]) == 0
+        steps = round(cfg.sim.duration / cfg.sim.dt_internal)
+        assert calls[0] == 2 * 4 * steps
+
+    def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
+        # Baseline plus episode, 4 chains each; the walk may step the
+        # open-loop record up to one block past the hold.
+        calls = count_advance(monkeypatch)
+        assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        steps = round(cfg.sim.duration / cfg.sim.dt_internal)
+        block = 4 * MECHANICS_BLOCK * cfg.sim.steps_per_sample
+        assert 2 * 4 * steps <= calls[0] <= 2 * 4 * steps + block

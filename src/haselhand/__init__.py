@@ -6,7 +6,6 @@ from .actuator import (
     active_force,
     capacitance_of,
     displacement_current,
-    equilibrium_contraction,
 )
 from .config import (
     AmplifierModel,
@@ -24,7 +23,6 @@ from .config import (
 from .control import (
     ContactAwareController,
     EpisodeReport,
-    StreamingDetector,
     calibrate_threshold,
     detect_grasp,
     record_baseline,
@@ -49,7 +47,7 @@ from .kinematics import (
     fingertip_force,
 )
 from .plant import Plant, run_scenario
-from .trace import SignalTrace, load_trace, reconstruct_current
+from .trace import SignalTrace, load_trace
 from .transmission import (
     TendonPath,
     delivered_tension,

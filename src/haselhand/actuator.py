@@ -17,15 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ModelConsistencyError
-
-# Bisection defaults for the quasi-static force balance.
-FORCE_TOL_N = 1e-6
-MAX_BISECT_ITER = 200
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,10 @@ def active_force(cfg: StackConfig, v: float, x: float) -> float:
 def capacitance_of(cfg: StackConfig, x):
     """Stack capacitance (nF) at contraction x (mm): c0 + c_slope * x.
 
-    x may be a float or an array, and every value must lie in [0, x_free].
+    x may be a float or an array (also empty), and every value must lie
+    in [0, x_free].
     """
-    lo, hi = np.min(x), np.max(x)
+    lo, hi = np.min(x, initial=0.0), np.max(x, initial=0.0)
     if not (0.0 <= lo and hi <= cfg.x_free):
         raise DomainError(f"contraction x={hi if lo >= 0.0 else lo} mm "
                           f"outside [0, x_free={cfg.x_free}]")
@@ -134,49 +131,3 @@ def displacement_current(c: float, dv_dt: float, v: float, dc_dt: float) -> floa
     the motion-dependent component: it vanishes when deformation stops.
     """
     return c * dv_dt + v * dc_dt
-
-
-def equilibrium_contraction(
-    cfg: StackConfig,
-    v: float,
-    load: Callable[[float], float],
-    force_tol: float = FORCE_TOL_N,
-    max_iter: int = MAX_BISECT_ITER,
-) -> float:
-    """Contraction x* (mm) where active force balances a monotone load.
-
-    load(x) must be non-decreasing in x, so the residual
-    active_force(cfg, v, x) - load(x) is non-increasing and bisection
-    brackets the unique root. Returns 0 when the load already exceeds
-    the available force at x = 0, and x_free when the actuator is never
-    fully opposed.
-    """
-    def residual(x: float) -> float:
-        return active_force(cfg, v, x) - load(x)
-
-    r_lo = residual(0.0)
-    if r_lo <= 0.0:
-        return 0.0
-    r_hi = residual(cfg.x_free)
-    if r_hi >= 0.0:
-        return cfg.x_free
-
-    lo, hi = 0.0, cfg.x_free
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        # A monotone residual must stay inside the bracket values.
-        if r_mid > r_lo + force_tol or r_mid < r_hi - force_tol:
-            raise ModelConsistencyError(
-                f"non-monotone residual at x={mid:.6g} mm "
-                f"(r={r_mid:.6g} outside [{r_hi:.6g}, {r_lo:.6g}])"
-            )
-        if abs(r_mid) <= force_tol:
-            return mid
-        if r_mid > 0.0:
-            lo, r_lo = mid, r_mid
-        else:
-            hi, r_hi = mid, r_mid
-    raise ModelConsistencyError(
-        f"force balance did not converge to {force_tol} N in {max_iter} iterations"
-    )

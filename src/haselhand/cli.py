@@ -237,8 +237,8 @@ def cmd_replay(args) -> int:
     det = decode(DetectionConfig, detector_doc, "detector")
     trace = load_trace(args.trace)
 
-    # A detector applies to traces of its own voltage schedule and config.
-    for key in ("profile_hash", "config_hash"):
+    # A detector applies to traces of its own schedule, config and stack.
+    for key in ("profile_hash", "config_hash", "monitored_stack"):
         got, want = trace.meta.get(key), detector_doc.get(key)
         if got and want and got != want:
             raise ConfigError(f"trace {key} {got} does not match detector {key} {want}")

@@ -4,20 +4,19 @@ The drawn current of a stack carries its motion: the v * dC/dt term
 collapses when an object halts the finger, so a grasp shows up as the
 current dropping below a calibrated threshold, and contact shows up as
 the current deviating from a pre-recorded free-motion baseline. Both
-algorithms run on the 1 kHz monitor samples after a short moving
-average; detection additionally debounces over consecutive samples so
-single noise excursions cannot trigger it.
+decisions are searches over one array, the monitor samples after the
+moving average smooth_causal; detection additionally debounces over
+consecutive samples so single noise excursions cannot trigger it.
 
 Contact-aware control is one decision. The baseline is the free-motion
 trace of the same voltage schedule, recorded under the same profile
-hash. ContactAwareController only decides at which sample the plant
+hash. ContactAwareController only names the sample at which the plant
 stops ramping; the plant then holds every channel at its previous
 command (see run_scenario).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -45,30 +44,29 @@ _T_EPS = 1e-9
 
 
 def smooth_causal(values, n: int) -> np.ndarray:
-    """Causal moving average of length n with a truncated warmup."""
+    """Causal moving average of length n with a truncated warmup: the sum
+    of the last min(k + 1, n) values, oldest first, over their count."""
     v = np.asarray(values, dtype=float)
-    if n <= 1 or len(v) == 0:
-        return v.copy()
-    cs = np.concatenate(([0.0], np.cumsum(v)))
-    idx = np.arange(len(v))
-    lo = np.maximum(0, idx + 1 - n)
-    return (cs[idx + 1] - cs[lo]) / (idx + 1 - lo)
+    total = np.zeros(len(v))
+    for lag in range(min(n, len(v)) - 1, -1, -1):
+        total[lag:] += v[:len(v) - lag]
+    return total / np.minimum(np.arange(1, len(v) + 1), n)
 
 
 # ---------------------------------------------------------------------------
 # Threshold calibration and grasp detection
 # ---------------------------------------------------------------------------
 
-def _window_values(trace: SignalTrace, cfg: DetectionConfig) -> np.ndarray:
+def _window_values(trace: SignalTrace, cfg: DetectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and smoothed current inside the evaluation window."""
     lo, hi = cfg.window
     if len(trace) == 0 or trace.t[-1] + _T_EPS < hi:
         raise InsufficientDataError(
             f"trace ends at {trace.t[-1] if len(trace) else 0.0:.3f} s, "
             f"window needs {hi:.3f} s"
         )
-    smoothed = smooth_causal(trace.i_meas, cfg.smoothing)
     mask = (trace.t >= lo - _T_EPS) & (trace.t <= hi + _T_EPS)
-    return smoothed[mask]
+    return trace.t[mask], smooth_causal(trace.i_meas, cfg.smoothing)[mask]
 
 
 def _check_same_profile(traces: list[SignalTrace]) -> None:
@@ -92,74 +90,31 @@ def calibrate_threshold(
     if not free_traces or not grasp_traces:
         raise ConfigError("calibration needs at least one trace of each class")
     _check_same_profile(list(free_traces) + list(grasp_traces))
-    min_free = min(float(_window_values(t, cfg).min()) for t in free_traces)
-    max_grasp = max(float(_window_values(t, cfg).max()) for t in grasp_traces)
+    min_free = min(float(_window_values(t, cfg)[1].min()) for t in free_traces)
+    max_grasp = max(float(_window_values(t, cfg)[1].max()) for t in grasp_traces)
     if min_free <= max_grasp:
         raise CalibrationError(min_free, max_grasp)
     return 0.5 * (min_free + max_grasp)
-
-
-class StreamingDetector:
-    """Sample-by-sample grasp detector, equivalent to detect_grasp.
-
-    Feed monitor samples in order; the verdict latches once the smoothed
-    current has stayed below the threshold for debounce consecutive
-    samples inside the window.
-    """
-
-    def __init__(self, cfg: DetectionConfig):
-        if cfg.i_threshold is None:
-            raise ConfigError("detector has no calibrated i_threshold")
-        self.cfg = cfg
-        self._buf: deque[float] = deque(maxlen=cfg.smoothing)
-        self._run_start: Optional[float] = None
-        self._count = 0
-        self.grasped = False
-        self.decision_time: Optional[float] = None
-        self._last_t: Optional[float] = None
-
-    def feed(self, t: float, i_meas: float) -> None:
-        self._last_t = t
-        self._buf.append(i_meas)
-        if self.grasped:
-            return
-        lo, hi = self.cfg.window
-        if t < lo - _T_EPS or t > hi + _T_EPS:
-            return
-        smoothed = sum(self._buf) / len(self._buf)
-        if smoothed < self.cfg.i_threshold:
-            if self._count == 0:
-                self._run_start = t
-            self._count += 1
-            if self._count >= self.cfg.debounce:
-                self.grasped = True
-                self.decision_time = self._run_start
-        else:
-            self._count = 0
-            self._run_start = None
-
-    def verdict(self) -> tuple[bool, Optional[float]]:
-        hi = self.cfg.window[1]
-        if self._last_t is None or self._last_t + _T_EPS < hi:
-            raise InsufficientDataError(
-                f"stream ended at {self._last_t} s before window end {hi} s"
-            )
-        return self.grasped, self.decision_time
 
 
 def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Optional[float]]:
     """Offline grasp verdict for a recorded trace.
 
     Returns (grasped, decision time). The decision time is the first
-    sample of the debounced sub-threshold run; free motion returns
+    sample of the first run of debounce consecutive window samples whose
+    smoothed current lies below the threshold; free motion returns
     (False, None).
     """
     if cfg.i_threshold is None:
         raise ConfigError("detector has no calibrated i_threshold")
-    det = StreamingDetector(cfg)
-    for k in range(len(trace)):
-        det.feed(float(trace.t[k]), float(trace.i_meas[k]))
-    return det.verdict()
+    t, smoothed = _window_values(trace, cfg)
+    # A run of d sub-threshold samples starts at j where n_below grows by d.
+    n_below = np.concatenate(([0], np.cumsum(smoothed < cfg.i_threshold)))
+    d = cfg.debounce
+    starts = np.flatnonzero(n_below[d:] - n_below[:-d] == d)
+    if len(starts) == 0:
+        return False, None
+    return True, float(t[starts[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +144,25 @@ class ContactAwareController:
     """
 
     def __init__(self, baseline: SignalTrace, det: DetectionConfig):
-        self.dt_sample = baseline.dt_sample
+        self.smoothing = det.smoothing
         self.baseline_smoothed = smooth_causal(baseline.i_meas, det.smoothing)
         resid_std = float(np.std(baseline.i_meas - self.baseline_smoothed))
         self.deviation_threshold = max(det.deviation_mult * resid_std, det.deviation_floor)
-        self.contact_time: Optional[float] = None
-        self._buf: deque[float] = deque(maxlen=det.smoothing)
 
-    def command(self, t: float, i_prev: Optional[float]) -> bool:
-        """True when the plant should hold its commands from sample t on."""
-        if i_prev is None:
-            return False
-        self._buf.append(i_prev)
-        k_prev = round(t / self.dt_sample) - 1
-        if not 0 <= k_prev < len(self.baseline_smoothed):
+    def command(self, i_meas: np.ndarray) -> Optional[int]:
+        """First sample k <= len(i_meas) whose previous sample's smoothed
+        current lies more than the deviation threshold below the smoothed
+        baseline, or None; BaselineExhaustedError past the baseline."""
+        n = min(len(i_meas), len(self.baseline_smoothed))
+        drop = self.baseline_smoothed[:n] - smooth_causal(i_meas[:n], self.smoothing)
+        hits = np.flatnonzero(drop > self.deviation_threshold)
+        if len(hits):
+            return int(hits[0]) + 1
+        if len(i_meas) > n:
             raise BaselineExhaustedError(
                 "ramp ran past the recorded baseline without detecting contact"
             )
-        i_smoothed = sum(self._buf) / len(self._buf)
-        if float(self.baseline_smoothed[k_prev]) - i_smoothed > self.deviation_threshold:
-            self.contact_time = t
-            return True
-        return False
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +254,7 @@ def run_grasp_episode(
     if ctrl is not None:
         verdicts["held"] = bool(holds)
         verdicts["v_held"] = holds[0]["v_held"] if holds else None
-        verdicts["contact_time"] = ctrl.contact_time
+        verdicts["contact_time"] = holds[0]["t"] if holds else None
         verdicts["deviation_threshold"] = ctrl.deviation_threshold
 
     if scenario.obj is not None:

@@ -15,9 +15,8 @@ produces both the low-voltage deadband and the reduced saturation angle.
 
 Because every term is piecewise linear in x, the stall point is found
 exactly by walking the precomputed breakpoint table, which keeps the
-per-step cost low enough for the 10 kHz loop in pure Python. The
-general bisection solver in the actuator module is the slow reference
-implementation; the two are cross-checked in the test suite.
+per-step cost low enough for the 10 kHz loop in pure Python. The test
+suite cross-checks it against a generic bisection on the force balance.
 
 The chain geometry (x -> theta map, stroke cap, contact onsets) comes
 from config.ChainSpec and the contact law from kinematics.contact_force:
@@ -50,12 +49,14 @@ the monitored stack), not the name, the seed, the monitor noise or the
 controller. The cache lives as long as the caller keeps it: detect-batch
 passes one to all its episodes, and a call without one gets its own.
 
-Closed loop, the commander walks the open-loop record sample by sample,
-and the record is stepped MECHANICS_BLOCK samples at a time only as far
-as the walk has come. A hold at sample k sets every schedule to its
-command at sample k - 1 (at sample 0 for k = 0), limited to the
-amplifier ceiling, and resumes the chains from their sample-k state; a
-resumed record is cached under its mechanics key and k.
+Closed loop, the walk steps the open-loop record MECHANICS_BLOCK
+samples at a time and, after each block, hands the commander the
+measured current of every sample recorded so far; it stops when the
+commander names a hold sample or the run ends. A hold at sample k sets
+every schedule to its command at sample k - 1 (at sample 0 for k = 0),
+limited to the amplifier ceiling, and resumes the chains from their
+sample-k state; a resumed record is cached under its mechanics key and
+k.
 """
 
 from __future__ import annotations
@@ -327,26 +328,16 @@ def _cached(cache: dict, key, make: Callable[[], Plant]) -> Plant:
     return plant
 
 
-def _walk(plant: Plant, commander, t_samples: list[float], noise_i: np.ndarray) -> Optional[int]:
-    """The sample at which the commander asks for a hold, or None.
-
-    The commander sees each sample instant with the previous sample's
-    measured current (None at the first), on the open-loop record, which
-    is stepped ahead one block at a time as the walk needs it.
-    """
-    n = len(t_samples)
-    i_meas = np.empty(0)
-    for k in range(n):
-        if k > plant.end:
-            plant.extend(min(plant.end + MECHANICS_BLOCK, n - 1))
-        if k > len(i_meas):
-            # Samples before the last recorded one have their monitor inputs.
-            done = plant.end if plant.end < n - 1 else n
-            new = plant.current(len(i_meas), done) + noise_i[len(i_meas):done]
-            i_meas = np.concatenate((i_meas, new))
-        if commander(t_samples[k], float(i_meas[k - 1]) if k else None):
+def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
+    """The sample at which the commander asks for a hold, or None; it sees
+    the current recorded so far after each block of the open-loop record."""
+    end, last = 0, plant.n_samples - 1
+    while True:
+        end = min(end + MECHANICS_BLOCK, last)
+        plant.extend(end)
+        k = commander(plant.current(0, end) + noise_i[:end])
+        if k is not None or end == last:
             return k
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +348,7 @@ def run_scenario(
     scenario: Scenario,
     sim: SimConfig,
     seed: int,
-    commander: Optional[Callable[[float, Optional[float]], bool]] = None,
+    commander: Optional[Callable[[np.ndarray], Optional[int]]] = None,
     cache: Optional[dict] = None,
 ) -> SignalTrace:
     """Simulate a scenario and return its 1 kHz monitor trace.
@@ -366,13 +357,13 @@ def run_scenario(
     seeded generator, so identical runs produce identical traces
     byte for byte, whether their mechanics were stepped or cached.
 
-    commander, when given, is consulted once per sample with (t,
-    previous sample's measured current or None) until it returns True.
-    A hold at sample k holds every schedule from sample k on at its
-    command at sample k - 1 (at sample 0 for k = 0), limited to the
-    amplifier ceiling, and the commander is not consulted again. The
-    hold instant and the monitored channel's held voltage are recorded
-    as the trace's hold event.
+    commander, when given, is consulted once per MECHANICS_BLOCK samples
+    with the measured current of samples 0..m-1 (m < n_samples) until it
+    returns a sample k <= m instead of None. A hold at sample k holds
+    every schedule from sample k on at its command at sample k - 1 (at
+    sample 0 for k = 0), limited to the amplifier ceiling. The hold
+    instant and the monitored channel's held voltage are recorded as the
+    trace's hold event.
 
     cache, when given, is a dict that keeps the recorded mechanics for
     later calls (see the module docstring). Raises ModelConsistencyError
@@ -394,7 +385,7 @@ def run_scenario(
     mon_profile = open_loop.schedules[open_loop.mon]
     v_cmd = np.array([mon_profile(t) for t in t_samples])
     hold_events: list[dict[str, float]] = []
-    k_hold = None if commander is None else _walk(open_loop, commander, t_samples, noise_i)
+    k_hold = None if commander is None else _walk(open_loop, commander, noise_i)
     plant = open_loop
     if k_hold is not None:
         t_prev = t_samples[max(k_hold - 1, 0)]

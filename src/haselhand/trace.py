@@ -179,23 +179,3 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
 
     fixed = {attr: by_name[name] for attr, name in FIXED_COLUMNS.items()}
     return SignalTrace(**fixed, **groups, meta=meta)
-
-
-def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:
-    """Re-derive the monitored current from the stored c(t) and v(t).
-
-    Central differences on the sampled series; the first and last
-    samples cannot be reconstructed and are returned as NaN. Used as an
-    independent cross-check of the simulator's current synthesis.
-    """
-    c = trace.c[stack]
-    v = trace.v_meas
-    n = len(trace)
-    out = np.full(n, np.nan)
-    if n < 3:
-        return out
-    dt = trace.dt_sample
-    dv = (v[2:] - v[:-2]) / (2 * dt)
-    dc = (c[2:] - c[:-2]) / (2 * dt)
-    out[1:-1] = c[1:-1] * dv + v[1:-1] * dc
-    return out

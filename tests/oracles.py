@@ -1,0 +1,151 @@
+"""Slow reference implementations the package is checked against.
+
+Each oracle computes one thing the package computes faster, in the
+most direct way: the grasp detector sample by sample, the stall point
+by bisection on the force balance, and the monitored current from the
+stored capacitance and voltage columns. None of them is used by the
+package itself.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Callable, Optional
+
+import numpy as np
+
+from haselhand.actuator import StackConfig, active_force
+from haselhand.config import DetectionConfig
+from haselhand.errors import ConfigError, InsufficientDataError, ModelConsistencyError
+from haselhand.trace import SignalTrace
+
+_T_EPS = 1e-9
+
+# Bisection defaults for the quasi-static force balance.
+FORCE_TOL_N = 1e-6
+MAX_BISECT_ITER = 200
+
+
+def window_mean(values) -> float:
+    """Mean of a window summed value by value, oldest first.
+
+    Written as a loop because the builtin sum() of floats is compensated
+    from Python 3.12 on, which is not what a plain running sum gives.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
+class StreamingDetector:
+    """Sample-by-sample grasp detector, the reference for detect_grasp.
+
+    Feed monitor samples in order; the verdict latches once the smoothed
+    current has stayed below the threshold for debounce consecutive
+    samples inside the window.
+    """
+
+    def __init__(self, cfg: DetectionConfig):
+        if cfg.i_threshold is None:
+            raise ConfigError("detector has no calibrated i_threshold")
+        self.cfg = cfg
+        self._buf: deque[float] = deque(maxlen=cfg.smoothing)
+        self._run_start: Optional[float] = None
+        self._count = 0
+        self.grasped = False
+        self.decision_time: Optional[float] = None
+        self._last_t: Optional[float] = None
+
+    def feed(self, t: float, i_meas: float) -> None:
+        self._last_t = t
+        self._buf.append(i_meas)
+        if self.grasped:
+            return
+        lo, hi = self.cfg.window
+        if t < lo - _T_EPS or t > hi + _T_EPS:
+            return
+        if window_mean(self._buf) < self.cfg.i_threshold:
+            if self._count == 0:
+                self._run_start = t
+            self._count += 1
+            if self._count >= self.cfg.debounce:
+                self.grasped = True
+                self.decision_time = self._run_start
+        else:
+            self._count = 0
+            self._run_start = None
+
+    def verdict(self) -> tuple[bool, Optional[float]]:
+        hi = self.cfg.window[1]
+        if self._last_t is None or self._last_t + _T_EPS < hi:
+            raise InsufficientDataError(
+                f"stream ended at {self._last_t} s before window end {hi} s"
+            )
+        return self.grasped, self.decision_time
+
+
+def equilibrium_contraction(
+    cfg: StackConfig,
+    v: float,
+    load: Callable[[float], float],
+    force_tol: float = FORCE_TOL_N,
+    max_iter: int = MAX_BISECT_ITER,
+) -> float:
+    """Contraction x* (mm) where active force balances a monotone load.
+
+    load(x) must be non-decreasing in x, so the residual
+    active_force(cfg, v, x) - load(x) is non-increasing and bisection
+    brackets the unique root. Returns 0 when the load already exceeds
+    the available force at x = 0, and x_free when the actuator is never
+    fully opposed.
+    """
+    def residual(x: float) -> float:
+        return active_force(cfg, v, x) - load(x)
+
+    r_lo = residual(0.0)
+    if r_lo <= 0.0:
+        return 0.0
+    r_hi = residual(cfg.x_free)
+    if r_hi >= 0.0:
+        return cfg.x_free
+
+    lo, hi = 0.0, cfg.x_free
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        # A monotone residual must stay inside the bracket values.
+        if r_mid > r_lo + force_tol or r_mid < r_hi - force_tol:
+            raise ModelConsistencyError(
+                f"non-monotone residual at x={mid:.6g} mm "
+                f"(r={r_mid:.6g} outside [{r_hi:.6g}, {r_lo:.6g}])"
+            )
+        if abs(r_mid) <= force_tol:
+            return mid
+        if r_mid > 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    raise ModelConsistencyError(
+        f"force balance did not converge to {force_tol} N in {max_iter} iterations"
+    )
+
+
+def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:
+    """Re-derive the monitored current from the stored c(t) and v(t).
+
+    Central differences on the sampled series; the first and last
+    samples cannot be reconstructed and are returned as NaN. An
+    independent cross-check of the simulator's current synthesis.
+    """
+    c = trace.c[stack]
+    v = trace.v_meas
+    n = len(trace)
+    out = np.full(n, np.nan)
+    if n < 3:
+        return out
+    dt = trace.dt_sample
+    dv = (v[2:] - v[:-2]) / (2 * dt)
+    dc = (c[2:] - c[:-2]) / (2 * dt)
+    out[1:-1] = c[1:-1] * dv + v[1:-1] * dc
+    return out

@@ -23,7 +23,7 @@ from haselhand import (
 )
 from haselhand.cli import main as cli_main
 from haselhand.config import SimConfig, config_to_dict
-from haselhand.trace import reconstruct_current
+from oracles import reconstruct_current
 
 # Collected from every trace this suite simulates; checked by criterion 8.
 _RESIDUALS: list[tuple[str, float]] = []

@@ -9,9 +9,9 @@ from haselhand import (
     active_force,
     capacitance_of,
     displacement_current,
-    equilibrium_contraction,
 )
 from haselhand.errors import ConfigError
+from oracles import equilibrium_contraction
 
 
 def two_stack(**kw) -> StackConfig:

@@ -212,7 +212,7 @@ class TestReplay:
         assert code == 2
         assert "i_meas(uA)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["profile_hash", "config_hash"])
+    @pytest.mark.parametrize("key", ["profile_hash", "config_hash", "monitored_stack"])
     def test_profile_hash_mismatch_rejected(self, batch_out, tmp_path, capsys, key):
         doc = json.loads((batch_out / "detector.json").read_text())
         doc[key] = "0" * 16

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haselhand import (
     BaselineExhaustedError,
     CalibrationError,
     ContactAwareController,
     InsufficientDataError,
-    StreamingDetector,
     calibrate_threshold,
     detect_grasp,
     record_baseline,
@@ -20,7 +21,9 @@ from haselhand import (
 from haselhand import config as config_module
 from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
+from haselhand.plant import MECHANICS_BLOCK
 from haselhand.trace import SignalTrace, load_trace
+from oracles import StreamingDetector, window_mean
 
 
 def synthetic_trace(i_values, dt=1e-3, profile_hash="p0") -> SignalTrace:
@@ -52,6 +55,15 @@ class TestSmoothing:
     def test_identity_for_length_one(self):
         vals = [3.0, 1.0, 4.0]
         assert list(smooth_causal(vals, 1)) == vals
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_equals_sliding_window_sum_bit_for_bit(self, cfg, n):
+        # Detection, calibration and the controller all read this array,
+        # so it must be the plain oldest-first window mean, not a cumsum
+        # difference that drifts in the last bits.
+        i = run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=3).i_meas
+        expected = [window_mean(i[max(0, k + 1 - n):k + 1].tolist()) for k in range(len(i))]
+        assert smooth_causal(i, n).tobytes() == np.array(expected).tobytes()
 
 
 class TestCalibrateThreshold:
@@ -154,6 +166,36 @@ class TestDetectGrasp:
         grasped, _ = detect_grasp(synthetic_trace(values), cfg)
         assert not grasped
 
+    @given(data=st.data(), smoothing=st.integers(1, 8), debounce=st.integers(1, 15))
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_matches_streaming_oracle(self, data, smoothing, debounce):
+        # Currents from a few levels around the threshold (long runs on
+        # either side, also across either window edge) plus arbitrary
+        # values; windows of any length, also shorter than the debounce,
+        # and traces that end before the window does.
+        n = data.draw(st.integers(1, 60), label="n")
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n + 2), label="hi")
+        level = st.sampled_from([0.0, 0.4, 0.5, 0.6, 1.0])
+        values = data.draw(st.lists(level | st.floats(-5, 5), min_size=n, max_size=n),
+                           label="values")
+        thr = data.draw(st.sampled_from([0.5, 0.55]) | st.floats(0.01, 5), label="thr")
+        cfg = det_cfg(i_threshold=thr, window=(lo * 1e-3, hi * 1e-3),
+                      smoothing=smoothing, debounce=debounce)
+        trace = synthetic_trace(values)
+        oracle = StreamingDetector(cfg)
+        for t, i in zip(trace.t.tolist(), values):
+            oracle.feed(t, i)
+        try:
+            expected = oracle.verdict()
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                detect_grasp(trace, cfg)
+            return
+        got = detect_grasp(trace, cfg)
+        assert got == expected
+        assert type(got[0]) is bool
+
 
 def flat_controller(level=1.0, n=1000, **det) -> ContactAwareController:
     """Controller on a noise-free flat baseline: the threshold is the floor."""
@@ -161,13 +203,19 @@ def flat_controller(level=1.0, n=1000, **det) -> ContactAwareController:
                                   det_cfg(deviation_floor=0.2, **det))
 
 
+def hold_at(k):
+    """Stub commander that holds at sample k as soon as it may name it."""
+    return lambda i_meas: k if len(i_meas) >= k else None
+
+
 def run_with_commander(cfg, decide):
-    """pinch_cube under a stub commander; returns the trace and the call times."""
+    """pinch_cube under a stub commander; returns the trace and the
+    number of samples the commander saw at each call."""
     calls = []
 
-    def commander(t, i_prev):
-        calls.append(t)
-        return decide(t, i_prev)
+    def commander(i_meas):
+        calls.append(len(i_meas))
+        return decide(i_meas)
 
     trace = run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, 0, commander)
     return trace, calls
@@ -177,18 +225,21 @@ class TestContactAwareStep:
     def test_pass_through_below_threshold(self):
         ctrl = flat_controller(1.05)
         assert ctrl.deviation_threshold == 0.2
-        assert not ctrl.command(0.0, None)
-        assert not ctrl.command(0.001, 1.0)
-        assert ctrl.contact_time is None
+        assert ctrl.command(np.empty(0)) is None
+        assert ctrl.command(np.array([1.0])) is None
+        assert ctrl.command(np.full(1000, 0.86)) is None
 
     def test_holds_previous_command_on_deviation(self, cfg):
         ctrl = flat_controller(1.0)
-        assert not ctrl.command(0.499, 1.0)
-        assert ctrl.command(0.5, -0.5)  # smoothed over two samples: 0.25
-        assert ctrl.contact_time == 0.5
+        assert ctrl.command(np.ones(499)) is None
+        # Sample 499 drops to -0.5: smoothed over five samples 0.7, so the
+        # hold is at the next sample, 500.
+        assert ctrl.command(np.append(np.ones(499), -0.5)) == 500
+        assert ctrl.command(np.array([1.0, -0.5])) == 2  # warmup: mean 0.25
         # The plant holds the command of the sample before the decision.
-        trace, _ = run_with_commander(cfg, lambda t, i: t >= 0.5 - 1e-9)
-        k = int(np.argmax(trace.t >= 0.5 - 1e-9))
+        trace, _ = run_with_commander(cfg, hold_at(500))
+        k = 500
+        assert trace.t[k] == pytest.approx(0.5)
         assert trace.v_cmd[k - 1] > 0.0
         assert (trace.v_cmd[k:] == trace.v_cmd[k - 1]).all()
         assert trace.meta["events"]["hold"] == [
@@ -196,18 +247,17 @@ class TestContactAwareStep:
         assert trace.meta["controller_modes"]["final"] == "holding"
 
     def test_immediate_contact_holds_at_zero(self, cfg):
-        assert flat_controller(1.0).command(0.001, 0.0)
-        trace, calls = run_with_commander(cfg, lambda t, i: True)
-        assert calls == [0.0]
+        assert flat_controller(1.0).command(np.array([0.0])) == 1
+        trace, calls = run_with_commander(cfg, lambda i: 0)
+        assert calls == [MECHANICS_BLOCK]
         assert trace.meta["events"]["hold"] == [{"t": 0.0, "v_held": 0.0}]
         assert (trace.v_cmd == 0.0).all()
         assert all((x == 0.0).all() for x in trace.x.values())
 
     def test_holding_never_reverts(self, cfg):
-        trace, calls = run_with_commander(cfg, lambda t, i: t >= 0.4 - 1e-9)
-        # The commander is not consulted again once it asked for the hold.
-        assert calls[-1] == pytest.approx(0.4)
-        assert len(calls) == 401
+        trace, calls = run_with_commander(cfg, hold_at(400))
+        # The commander is not consulted again once it named the hold.
+        assert calls == list(range(MECHANICS_BLOCK, 401, MECHANICS_BLOCK))
         held = trace.v_cmd[trace.t >= 0.4 - 1e-9]
         assert (held == held[0]).all()
         assert len(trace.meta["events"]["hold"]) == 1
@@ -223,7 +273,7 @@ class TestContactAwareStep:
         })
         scenario = resolve_preset(cfg, preset)
         open_loop = run_scenario(scenario, cfg.sim, 0)
-        held = run_scenario(scenario, cfg.sim, 0, lambda t, i: t >= 0.85 - 1e-9)
+        held = run_scenario(scenario, cfg.sim, 0, hold_at(850))
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
         for tid, x in held.x.items():
             assert x[-1] <= open_loop.x[tid][-1]
@@ -232,9 +282,52 @@ class TestContactAwareStep:
 
     def test_exhausted_baseline_raises(self):
         ctrl = flat_controller(1.0, n=10)
-        assert not ctrl.command(0.010, 1.0)
+        assert ctrl.command(np.ones(10)) is None
         with pytest.raises(BaselineExhaustedError):
-            ctrl.command(0.011, 1.0)
+            ctrl.command(np.ones(11))
+        # A drop inside the baseline still holds before it runs out.
+        assert ctrl.command(np.append(np.ones(9), [-5.0, 1.0])) == 10
+
+
+def oracle_hold_sample(i_meas, baseline_i, n, threshold):
+    """First sample k whose previous sample's window mean lies more than
+    threshold below the baseline's, walked sample by sample."""
+    for k in range(1, len(baseline_i) + 1):
+        lo = max(0, k - n)
+        drop = window_mean(baseline_i[lo:k]) - window_mean(i_meas[lo:k])
+        if drop > threshold:
+            return k
+    return None
+
+
+class TestContactAwareSearch:
+    def test_balloon_holds_where_per_sample_oracle_does(self, cfg):
+        cache: dict = {}
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed, cache)
+        ctrl = ContactAwareController(baseline, cfg.detection)
+        base_i = baseline.i_meas.tolist()
+        for seed in range(25):
+            report = run_grasp_episode(cfg, "balloon_hold", seed, baseline=baseline,
+                                       cache=cache)
+            k_hold = round(report.verdicts["contact_time"] / cfg.sim.dt_sample)
+            # Samples before the hold are the open-loop ones the controller saw.
+            expected = oracle_hold_sample(report.trace.i_meas.tolist(), base_i,
+                                          cfg.detection.smoothing, ctrl.deviation_threshold)
+            assert k_hold == expected, seed
+
+    def test_hold_does_not_depend_on_later_samples(self, cfg):
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        ctrl = ContactAwareController(baseline, cfg.detection)
+        i_meas = run_scenario(scenario, cfg.sim, seed=0).i_meas[:-1]
+        k = ctrl.command(i_meas)
+        assert k is not None and 0 < k < len(i_meas)
+        assert ctrl.command(i_meas[:k]) == k
+        for junk in (1e6, -1e6, np.nan):
+            changed = i_meas.copy()
+            changed[k:] = junk
+            assert ctrl.command(changed) == k
 
 
 class TestGraspEpisodes:

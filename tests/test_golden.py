@@ -24,7 +24,7 @@ GOLDEN_FILES = {
     "balloon_hold_seed3.meta.json":
         "9ef18c577cc89ed14b8967bdf4ae72725bf498a31c8dcb40339965de8fa5195a",
     "balloon_hold_seed3.report.json":
-        "b7889ccfbc71255451c3e92c7f8c23a655c7b39a8b0def308318fe414e0b11a5",
+        "0c4ab6f8cabede65c63fe04b14032b56cd09fce2c3370bd497ac3434d427c46d",
     "balloon_hold_seed4.csv":
         "62979c293105187a4fddd149654344ede5182c3a385d1da0acf7e84ba86b5d2d",
     "balloon_hold_seed4.meta.json":
@@ -34,7 +34,7 @@ GOLDEN_FILES = {
     "characterize.meta.json":
         "ad71731d5bd004a34d963fa0444b1ca190625cd77d76a48cc1296c568406751f",
     "detect_batch_summary.json":
-        "2ba7b65d2ccb17f9a46217580cb43304cea5f88fef04056ec279dcf1f6e92929",
+        "8d4cea582e421d381ddda9912416a88eb65ae102b34095028aa48db7e4fbc8f5",
     "detect_cube_seed3.csv":
         "f3c777951e33b778492a5a6c5e0357c25ebcc9a890c0140271f84754919b8aa6",
     "detect_cube_seed3.meta.json":
@@ -48,7 +48,7 @@ GOLDEN_FILES = {
     "detect_free_seed3.report.json":
         "31e2467afe389a67d58a0aca0f7158f59270cc9cafd2dc2c999ce87853047f47",
     "detector.json":
-        "3037f6d14c3fc16b5a538e6639bbb05b5aaa7f64069aea60034348ed1b073cb8",
+        "f14cc90d76b28cc41d1c9bd1d9bc543788b9f6f3f1e4f37778a64d0a5ad27977",
     "fingertip_force.csv":
         "f44264e303c4a46cb69857b73a378e790a50eecb6d5b579de3963894b5843037",
     "free_motion_seed3.csv":
@@ -64,7 +64,7 @@ GOLDEN_FILES = {
     "pinch_cube_seed3.report.json":
         "190251457908536b34ed52292781dab1f394cfdcd008fbf016f7377b5279491a",
     "pinch_cube_seed3.verdict.json":
-        "5e72e6c484fea195fd94a4288c6b0a11239dfae750e074e5f78a577518edf967",
+        "b871c3332e4db6da23dcbfec3b625f6f37ce3c4019e5398307f70855ad77e491",
     "pinch_mushroom_seed3.csv":
         "44170d91666fb3ddef9e2c7f135666644b750a6926af59785eed9075aa133ff3",
     "pinch_mushroom_seed3.meta.json":

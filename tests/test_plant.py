@@ -6,7 +6,6 @@ import pytest
 
 from haselhand import (
     default_config,
-    equilibrium_contraction,
     record_baseline,
     resolve_scenario,
     run_grasp_episode,
@@ -16,7 +15,8 @@ from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant
-from haselhand.trace import json_text, reconstruct_current
+from haselhand.trace import json_text
+from oracles import equilibrium_contraction, reconstruct_current
 
 
 class TestVoltageProfile:
@@ -133,6 +133,19 @@ class TestRunScenario:
         trace = run_scenario(resolve_preset(cfg, preset), cfg.sim, seed=0)
         assert len(trace) == 1
         assert trace.t[0] == 0.0
+
+    def test_zero_duration_walk_asks_commander_once(self, cfg):
+        # One sample: the commander sees no current and may only name 0.
+        preset = ScenarioPreset("zero", ("index",),
+                                profiles={"*": ProfileSpec("hold", 2.0)},
+                                duration=0.0)
+        scenario = resolve_preset(cfg, preset)
+        for k in (None, 0):
+            seen = []
+            trace = run_scenario(scenario, cfg.sim, 0, lambda i, k=k: seen.append(len(i)) or k)
+            assert seen == [0]
+            held = [{"t": 0.0, "v_held": 2.0}] if k == 0 else []
+            assert trace.meta["events"]["hold"] == held
 
     def test_row_count_and_uniform_grid(self, free_trace_nf):
         sim_dt = free_trace_nf.dt_sample

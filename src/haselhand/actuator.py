@@ -16,7 +16,7 @@ With these units the two current terms come out in uA directly
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,18 +33,16 @@ class StackConfig:
     totals for the whole stack, not per pouch.
     """
 
-    n_units: int
+    n_units: int = field(metadata={"ge": 1})
     force_knots: tuple[tuple[float, float], ...]
-    v_ref: float
+    v_ref: float = field(metadata={"gt": 0.0})
     x_free: float = 12.0
-    c0: float = 0.4
-    c_slope: float = 0.1
+    c0: float = field(default=0.4, metadata={"gt": 0.0})
+    c_slope: float = field(default=0.1, metadata={"ge": 0.0})
     v_max: float = 6.0
-    force_exponent: float = 2.0
+    force_exponent: float = field(default=2.0, metadata={"gt": 0.0})
 
     def __post_init__(self):
-        if self.n_units < 1:
-            raise ConfigError("n_units must be >= 1")
         if len(self.force_knots) < 2:
             raise ConfigError("force_knots needs at least two points")
         xs = [x for x, _ in self.force_knots]
@@ -55,18 +53,12 @@ class StackConfig:
             raise ConfigError("force_knots forces must be non-negative")
         if any(b > a for a, b in zip(fs, fs[1:])):
             raise ConfigError("force_knots forces must be non-increasing")
-        if not 0 < self.v_ref <= self.v_max:
-            raise ConfigError("v_ref must satisfy 0 < v_ref <= v_max")
+        if self.v_ref > self.v_max:
+            raise ConfigError("v_ref must be <= v_max")
         if self.x_free < xs[-1]:
             raise ConfigError("x_free must be >= last knot contraction")
         if self.x_free == xs[-1] and fs[-1] != 0.0:
             raise ConfigError("force at x_free must be 0 when the knot table ends there")
-        if self.c0 <= 0:
-            raise ConfigError("c0 must be > 0")
-        if self.c_slope < 0:
-            raise ConfigError("c_slope must be >= 0")
-        if self.force_exponent <= 0:
-            raise ConfigError("force_exponent must be > 0")
 
     @property
     def curve(self) -> tuple[tuple[float, ...], tuple[float, ...]]:

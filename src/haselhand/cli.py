@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -185,8 +184,18 @@ def cmd_detect_batch(args) -> int:
     cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k, cache=cache)
                  for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
-
-    det = replace(cfg.detection, i_threshold=threshold)
+    detector_doc = {
+        "monitored_stack": cfg.detection.monitored_stack,
+        "i_threshold": threshold,
+        "window": list(cfg.detection.window),
+        "smoothing": cfg.detection.smoothing,
+        "debounce": cfg.detection.debounce,
+        "profile_hash": cal_free[0].meta["profile_hash"],
+        "config_hash": free.config_fingerprint,
+    }
+    # The batch is classified by the detector replay reads back, so a
+    # threshold outside its domain is refused here, before any write.
+    det = decode(DetectionConfig, detector_doc, "detector")
 
     counts = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     misclassified = []
@@ -213,15 +222,6 @@ def cmd_detect_batch(args) -> int:
         "seed": args.seed,
     }
     write_atomic(out / "detect_batch_summary.json", json_text(summary))
-    detector_doc = {
-        "monitored_stack": det.monitored_stack,
-        "i_threshold": threshold,
-        "window": list(det.window),
-        "smoothing": det.smoothing,
-        "debounce": det.debounce,
-        "profile_hash": cal_free[0].meta["profile_hash"],
-        "config_hash": free.config_fingerprint,
-    }
     write_atomic(out / "detector.json", json_text(detector_doc))
     print(f"detect-batch: {correct}/{total} correct, threshold {threshold:.3f} uA")
     return EXIT_OK
@@ -237,10 +237,13 @@ def cmd_replay(args) -> int:
     det = decode(DetectionConfig, detector_doc, "detector")
     trace = load_trace(args.trace)
 
-    # A detector applies to traces of its own schedule, config and stack.
+    # A detector applies to traces of its own schedule, config and stack,
+    # so its document must say which they are.
     for key in ("profile_hash", "config_hash", "monitored_stack"):
-        got, want = trace.meta.get(key), detector_doc.get(key)
-        if got and want and got != want:
+        if key not in detector_doc:
+            raise ConfigError(f"detector: missing required key {key!r}")
+        got, want = trace.meta.get(key), detector_doc[key]
+        if got and got != want:
             raise ConfigError(f"trace {key} {got} does not match detector {key} {want}")
 
     grasped, t_dec = detect_grasp(trace, det)

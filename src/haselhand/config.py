@@ -14,6 +14,11 @@ presets.*.profiles). Field metadata may also rename a key ("json").
 A dataclass stored under a dict key takes its name from that key.
 Unknown keys are ignored.
 
+Field metadata also declares each field's domain next to its default:
+"gt", "ge", "lt", "le" bounds and "in" choices. decode checks it where
+the key path is known and prefixes a block's cross-field errors with the
+block's path. A dataclass built in code is not range-checked.
+
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
 everything else (extensor rates, friction split, contact angles) is
@@ -26,6 +31,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -60,46 +66,54 @@ STACK_KNOTS = {
 }
 
 
+V_CEILING_DOMAIN = {"ge": 0.0, "le": 6.0}  # kV: the amplifier's output range
+
+# Internal steps one episode may ask of each chain: 50 times the shipped
+# 2 s at 10 kHz. Run time and the mechanics record grow with it, so a
+# mistyped dt_internal or duration is a config error, not an hours-long run.
+MAX_INTERNAL_STEPS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class AmplifierModel:
     """High-voltage amplifier with slew limit, ceiling and noisy monitors."""
 
-    v_ceiling: float = 5.5      # kV; raised to 6.0 for contact-aware presets
-    slew_max: float = 100.0     # kV/s
-    monitor_noise_v: float = 0.005  # kV std dev on the voltage monitor
-    monitor_noise_i: float = 0.05   # uA std dev on the current monitor
-
-    def __post_init__(self):
-        if self.v_ceiling < 0 or self.v_ceiling > 6.0:
-            raise ConfigError("v_ceiling must be in [0, 6.0] kV")
-        if self.slew_max <= 0:
-            raise ConfigError("slew_max must be > 0")
-        if self.monitor_noise_v < 0 or self.monitor_noise_i < 0:
-            raise ConfigError("monitor noise std devs must be >= 0")
+    v_ceiling: float = field(default=5.5, metadata=V_CEILING_DOMAIN)  # 6.0 for contact-aware
+    slew_max: float = field(default=100.0, metadata={"gt": 0.0})     # kV/s
+    monitor_noise_v: float = field(default=0.005, metadata={"ge": 0.0})  # kV std dev
+    monitor_noise_i: float = field(default=0.05, metadata={"ge": 0.0})   # uA std dev
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt_internal: float = 1e-4   # integration step, s
-    dt_sample: float = 1e-3     # monitor sampling period, s (1 kHz)
-    tau_mech: float = 0.08      # mechanical relaxation time constant, s
-    duration: float = 2.0       # default episode length, s
+    dt_internal: float = field(default=1e-4, metadata={"gt": 0.0})  # integration step, s
+    dt_sample: float = field(default=1e-3, metadata={"gt": 0.0})    # monitor period, s (1 kHz)
+    tau_mech: float = field(default=0.08, metadata={"gt": 0.0})     # mechanical relaxation, s
+    duration: float = field(default=2.0, metadata={"ge": 0.0})      # default episode length, s
 
     def __post_init__(self):
-        if self.dt_internal <= 0 or self.dt_sample <= 0:
-            raise ConfigError("time steps must be > 0")
         if self.dt_internal > self.dt_sample:
             raise ConfigError("dt_internal must be <= dt_sample")
         ratio = self.dt_sample / self.dt_internal
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("dt_sample must be an integer multiple of dt_internal")
-        if self.tau_mech <= 0:
-            raise ConfigError("tau_mech must be > 0")
-        if self.duration < 0:
-            raise ConfigError("duration must be >= 0")
-        n = self.duration / self.dt_sample
+        # Each internal step moves x by the fraction dt_internal / tau_mech
+        # of its gap to the stall target; past 1 it would overshoot.
+        if self.tau_mech < self.dt_internal:
+            raise ConfigError(f"tau_mech {self.tau_mech} s must be >= "
+                              f"dt_internal {self.dt_internal} s")
+        self.check_duration(self.duration)
+
+    def check_duration(self, duration: float, where: str = "duration") -> None:
+        """The rule for every episode length (s): whole sample periods,
+        within the step budget. where names the length in the message."""
+        n = duration / self.dt_sample
         if abs(n - round(n)) > 1e-9:
-            raise ConfigError("dt_sample must divide duration")
+            raise ConfigError(f"{where} {duration} s is not a multiple of "
+                              f"dt_sample {self.dt_sample} s")
+        if duration / self.dt_internal > MAX_INTERNAL_STEPS:
+            raise ConfigError(f"{where} {duration} s asks for more than {MAX_INTERNAL_STEPS} "
+                              f"internal steps of {self.dt_internal} s per chain")
 
     @property
     def steps_per_sample(self) -> int:
@@ -111,41 +125,30 @@ class DetectionConfig:
     """Current-threshold grasp detection parameters."""
 
     monitored_stack: str = "index_mcp"
-    i_threshold: Optional[float] = None    # uA; set by calibration
+    i_threshold: Optional[float] = field(default=None, metadata={"gt": 0.0})  # uA; calibrated
     window: tuple[float, float] = (0.88, 0.99)  # evaluation window, s
-    smoothing: int = 5                     # moving-average length, samples
-    debounce: int = 10                     # consecutive sub-threshold samples
-    deviation_mult: float = 3.0            # contact-aware: multiples of baseline residual std
-    deviation_floor: float = 0.05          # uA; lower bound on the deviation threshold
+    smoothing: int = field(default=5, metadata={"ge": 1})   # moving-average length, samples
+    debounce: int = field(default=10, metadata={"ge": 1})   # consecutive sub-threshold samples
+    # contact-aware: multiples of baseline residual std; floor (uA) of the deviation threshold
+    deviation_mult: float = field(default=3.0, metadata={"gt": 0.0})
+    deviation_floor: float = field(default=0.05, metadata={"ge": 0.0})
     baseline_seed: int = 10000019          # seed used when auto-recording baselines
 
     def __post_init__(self):
-        if self.i_threshold is not None and self.i_threshold <= 0:
-            raise ConfigError("i_threshold must be > 0")
         lo, hi = self.window
         if not 0 <= lo < hi:
             raise ConfigError("window must satisfy 0 <= start < end")
-        if self.smoothing < 1:
-            raise ConfigError("smoothing must be >= 1")
-        if self.debounce < 1:
-            raise ConfigError("debounce must be >= 1")
-        if self.deviation_mult <= 0 or self.deviation_floor < 0:
-            raise ConfigError("deviation parameters must be positive")
 
 
 @dataclass(frozen=True)
 class ProfileSpec:
     """Declarative voltage profile: ramp | hold | ramp_hold."""
 
-    kind: str = "ramp_hold"
-    target_kv: float = 5.5
+    kind: str = field(default="ramp_hold", metadata={"in": ("ramp", "hold", "ramp_hold")})
+    target_kv: float = field(default=5.5, metadata={"ge": 0.0})
     ramp_s: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("ramp", "hold", "ramp_hold"):
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if self.target_kv < 0:
-            raise ConfigError("target_kv must be >= 0")
         if self.kind != "hold" and self.ramp_s <= 0:
             raise ConfigError("ramp duration must be > 0")
 
@@ -163,21 +166,17 @@ class ScenarioPreset:
     obj: Optional[str] = field(default=None, metadata={"json": "object"})
     profiles: dict[str, ProfileSpec] = field(
         default_factory=lambda: {"*": ProfileSpec()}, metadata={"required": True})
-    duration: Optional[float] = None       # falls back to sim.duration
-    controller: str = "none"               # none | detect | contact_aware
-    amp_ceiling: Optional[float] = None    # overrides amplifier.v_ceiling
-    repetitions: int = 1
+    duration: Optional[float] = field(default=None, metadata={"ge": 0.0})  # else sim.duration
+    controller: str = field(default="none", metadata={"in": ("none", "detect", "contact_aware")})
+    amp_ceiling: Optional[float] = field(default=None, metadata=V_CEILING_DOMAIN)  # overrides
+    repetitions: int = field(default=1, metadata={"ge": 1})
     seed_base: int = 0
 
     def __post_init__(self):
         if not self.fingers:
-            raise ConfigError(f"preset {self.name}: needs at least one finger")
-        if self.controller not in ("none", "detect", "contact_aware"):
-            raise ConfigError(f"preset {self.name}: unknown controller {self.controller!r}")
+            raise ConfigError("needs at least one finger")
         if "*" not in self.profiles:
-            raise ConfigError(f"preset {self.name}: profiles needs a '*' default entry")
-        if self.repetitions < 1:
-            raise ConfigError(f"preset {self.name}: repetitions must be >= 1")
+            raise ConfigError("profiles needs a '*' default entry")
 
 
 @dataclass(frozen=True)
@@ -194,14 +193,20 @@ class HandConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
+        """Cross-references between blocks; each error names its key path."""
         for fname, layout in self.fingers.items():
             if fname != layout.name:
-                raise ConfigError(f"finger key {fname!r} != layout name {layout.name!r}")
+                raise ConfigError(f"fingers.{fname}: layout name {layout.name!r} != key")
             for tid in layout.tendon_ids:
                 if tid not in self.stacks:
-                    raise ConfigError(f"finger {fname}: unknown stack {tid!r}")
+                    raise ConfigError(f"fingers.{fname}.tendons: unknown stack {tid!r}")
                 if tid not in self.tendons:
-                    raise ConfigError(f"finger {fname}: unknown tendon path {tid!r}")
+                    raise ConfigError(f"fingers.{fname}.tendons: unknown tendon path {tid!r}")
+        for tid, path in self.tendons.items():  # the slack must leave some tendon stroke
+            stroke = path.pulley_ratio * self.stacks[tid].x_free if tid in self.stacks else None
+            if stroke is not None and path.slack >= stroke:
+                raise ConfigError(f"tendons.{tid}.slack: {path.slack} mm must be < pulley_ratio "
+                                  f"* stacks.{tid}.x_free = {stroke} mm")
         for oname, obj in self.objects.items():
             for fname, angles in obj.theta_contact.items():
                 where = f"objects.{oname}.theta_contact.{fname}"
@@ -216,16 +221,19 @@ class HandConfig:
                                           f"outside [0, theta_max={limits[jname]}]")
         if self.detection.monitored_stack not in self.stacks:
             raise ConfigError(
-                f"detection.monitored_stack {self.detection.monitored_stack!r} is not a stack"
+                f"detection.monitored_stack: {self.detection.monitored_stack!r} is not a stack"
             )
         for pname, preset in self.presets.items():
+            where = f"presets.{pname}"
             if pname != preset.name:
-                raise ConfigError(f"preset key {pname!r} != preset name {preset.name!r}")
+                raise ConfigError(f"{where}: preset name {preset.name!r} != key")
             for fname in preset.fingers:
                 if fname not in self.fingers:
-                    raise ConfigError(f"preset {pname}: unknown finger {fname!r}")
+                    raise ConfigError(f"{where}.fingers: unknown finger {fname!r}")
             if preset.obj is not None and preset.obj not in self.objects:
-                raise ConfigError(f"preset {pname}: unknown object {preset.obj!r}")
+                raise ConfigError(f"{where}.object: unknown object {preset.obj!r}")
+            if preset.duration is not None:
+                self.sim.check_duration(preset.duration, f"{where}.duration")
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +351,21 @@ def _path(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
+# Domain keys of field metadata: the test a value must pass, and its text.
+_DOMAIN = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
+           "le": (operator.le, "<="), "in": (lambda value, choices: value in choices, "one of")}
+
+
 @functools.cache
-def _schema(cls) -> tuple[tuple[str, str, Any, bool], ...]:
-    """(field name, JSON key, resolved type, required) per field of a
-    dataclass, computed once per class."""
+def _schema(cls) -> tuple[tuple[str, str, Any, bool, tuple], ...]:
+    """(field name, JSON key, resolved type, required, domain) per field of
+    a dataclass, computed once per class. domain holds a (test, text,
+    bound) triple for each domain key in the field's metadata."""
     types = typing.get_type_hints(cls)
     return tuple(
         (f.name, f.metadata.get("json", f.name), types[f.name],
-         f.metadata.get("required", f.default is MISSING and f.default_factory is MISSING))
+         f.metadata.get("required", f.default is MISSING and f.default_factory is MISSING),
+         tuple((*_DOMAIN[k], f.metadata[k]) for k in _DOMAIN if k in f.metadata))
         for f in fields(cls)
     )
 
@@ -366,7 +381,7 @@ def encode(value: Any, keyed: bool = False) -> Any:
     if isinstance(value, dict):
         return {k: encode(v, keyed=True) for k, v in value.items()}
     return {key: encode(getattr(value, name))
-            for name, key, _, _ in _schema(type(value)) if not (keyed and name == "name")}
+            for name, key, _, _, _ in _schema(type(value)) if not (keyed and name == "name")}
 
 
 def _object(doc: Any, where: str) -> dict:
@@ -380,19 +395,31 @@ def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
     """Build dataclass cls from a JSON object, the inverse of encode.
 
     Absent keys take the field default; a field without one, or marked
-    required in its metadata, must be present. where is the key path
-    used in error messages; name fills a name field from a dict key.
+    required in its metadata, must be present. A present value must lie
+    in its field's declared domain. where is the key path used in error
+    messages, and it prefixes the errors of cls's own cross-field checks;
+    name fills a name field from a dict key.
     """
     doc = _object(doc, where)
     kwargs = {}
-    for fname, key, tp, required in _schema(cls):
+    for fname, key, tp, required, domain in _schema(cls):
         if fname == "name" and name is not None:
             kwargs["name"] = name
         elif key in doc:
-            kwargs[fname] = _decode_value(tp, doc[key], _path(where, key))
+            path = _path(where, key)
+            value = kwargs[fname] = _decode_value(tp, doc[key], path)
+            if value is not None:
+                for test, text, bound in domain:
+                    if not test(value, bound):
+                        raise ConfigError(f"{path}: {value!r} must be {text} {bound!r}")
         elif required:
             raise ConfigError(f"{where or 'config'}: missing required key {key!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if not where:
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any:
@@ -613,6 +640,7 @@ def resolve_preset(
                                     cfg.tendons[tid], profile))
 
     duration = preset.duration if preset.duration is not None else cfg.sim.duration
+    cfg.sim.check_duration(duration, f"preset {preset_name}: duration")
     ctrl = controller if controller is not None else preset.controller
 
     # The monitor reads the detection stack; a preset that does not drive

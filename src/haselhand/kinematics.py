@@ -16,6 +16,7 @@ config.ChainSpec, which holds the joint group, tendon path and stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,17 +30,9 @@ RIGID_MIN_STIFFNESS = 1e4  # N/rad; below this an object is not "rigid"
 @dataclass(frozen=True)
 class JointSpec:
     name: str
-    r_eff: float        # effective rolling radius, mm
-    theta_max: float    # flexion limit, rad
-    phalanx_len: float  # link length used as the contact moment arm, mm
-
-    def __post_init__(self):
-        if self.r_eff <= 0:
-            raise ConfigError(f"joint {self.name}: r_eff must be > 0")
-        if not 0 < self.theta_max <= 1.5707963267948966 + 1e-12:
-            raise ConfigError(f"joint {self.name}: theta_max must be in (0, pi/2]")
-        if self.phalanx_len <= 0:
-            raise ConfigError(f"joint {self.name}: phalanx_len must be > 0")
+    r_eff: float = field(metadata={"gt": 0.0})        # effective rolling radius, mm
+    theta_max: float = field(metadata={"gt": 0.0, "le": math.pi / 2 + 1e-12})  # flexion limit, rad
+    phalanx_len: float = field(metadata={"gt": 0.0})  # contact moment arm, mm
 
 
 @dataclass(frozen=True)
@@ -58,18 +51,16 @@ class FingerLayout:
 
     def __post_init__(self):
         if not self.joints:
-            raise ConfigError(f"finger {self.name}: needs at least one joint")
+            raise ConfigError("needs at least one joint")
         if self.coupled_pair is not None:
             a, b = self.coupled_pair
             n = len(self.joints)
             if not (0 <= a < n and 0 <= b < n and a != b):
-                raise ConfigError(f"finger {self.name}: invalid coupled_pair {self.coupled_pair}")
+                raise ConfigError(f"invalid coupled_pair {self.coupled_pair}")
         groups = self.tendon_joint_groups()
         if self.tendon_ids and len(self.tendon_ids) != len(groups):
             raise ConfigError(
-                f"finger {self.name}: {len(self.tendon_ids)} tendon ids for "
-                f"{len(groups)} tendon-driven groups"
-            )
+                f"{len(self.tendon_ids)} tendon ids for {len(groups)} tendon-driven groups")
 
     def tendon_joint_groups(self) -> tuple[tuple[int, ...], ...]:
         """Joint indices driven by each tendon, in joint order."""
@@ -102,23 +93,17 @@ class ObjectModel:
     """
 
     name: str
-    kind: str                   # rigid | compliant | fragile
-    k_obj: float                # contact stiffness, N/rad
+    kind: str = field(metadata={"in": ("rigid", "compliant", "fragile")})
+    k_obj: float = field(metadata={"gt": 0.0})          # contact stiffness, N/rad
     theta_contact: dict[str, dict[str, float]]
-    f_crush: Optional[float] = None
+    f_crush: Optional[float] = field(default=None, metadata={"gt": 0.0})   # N
     mass_g: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("rigid", "compliant", "fragile"):
-            raise ConfigError(f"object {self.name}: unknown kind {self.kind!r}")
-        if self.k_obj <= 0:
-            raise ConfigError(f"object {self.name}: k_obj must be > 0")
         if self.kind == "rigid" and self.k_obj < RIGID_MIN_STIFFNESS:
-            raise ConfigError(
-                f"object {self.name}: rigid objects need k_obj >= {RIGID_MIN_STIFFNESS}"
-            )
-        if self.kind == "fragile" and not (self.f_crush and self.f_crush > 0):
-            raise ConfigError(f"object {self.name}: fragile objects need f_crush > 0")
+            raise ConfigError(f"rigid objects need k_obj >= {RIGID_MIN_STIFFNESS}")
+        if self.kind == "fragile" and self.f_crush is None:
+            raise ConfigError("fragile objects need f_crush")
 
     def contact_angle(self, finger: str, joint_name: str) -> Optional[float]:
         return self.theta_contact.get(finger, {}).get(joint_name)

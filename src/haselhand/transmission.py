@@ -9,35 +9,22 @@ an elastic cord in series with the extensor tendon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TendonPath:
-    pulley_ratio: float = 2.0
-    eta_fwd: float = 0.55       # transmission efficiency, calibration value
-    f_breakaway: float = 3.0    # static friction at the actuator (N), calibration value
-    slack: float = 0.0          # tendon slack consumed before motion (mm)
-    k_ext: float = 0.0          # extensor elastic rate (N per mm of excursion)
-    f_ext0: float = 0.0         # extensor pretension (N)
-
-    def __post_init__(self):
-        if self.pulley_ratio <= 0:
-            raise ConfigError("pulley_ratio must be > 0")
-        if not 0 < self.eta_fwd <= 1:
-            raise ConfigError("eta_fwd must be in (0, 1]")
-        if self.f_breakaway < 0:
-            raise ConfigError("f_breakaway must be >= 0")
-        if self.slack < 0:
-            raise ConfigError("slack must be >= 0")
-        if self.k_ext < 0:
-            raise ConfigError("k_ext must be >= 0")
-        if self.f_ext0 < 0:
-            raise ConfigError("f_ext0 must be >= 0")
+    pulley_ratio: float = field(default=2.0, metadata={"gt": 0.0})
+    # Transmission efficiency and static friction at the actuator (N): calibration values.
+    eta_fwd: float = field(default=0.55, metadata={"gt": 0.0, "le": 1.0})
+    f_breakaway: float = field(default=3.0, metadata={"ge": 0.0})
+    slack: float = field(default=0.0, metadata={"ge": 0.0})   # consumed before motion, mm
+    k_ext: float = field(default=0.0, metadata={"ge": 0.0})   # extensor rate, N/mm of excursion
+    f_ext0: float = field(default=0.0, metadata={"ge": 0.0})  # extensor pretension, N
 
 
 def excursion_of(path: TendonPath, x):

@@ -225,6 +225,19 @@ class TestReplay:
         assert f"{key} {'0' * 16}" in capsys.readouterr().err
         assert not list((tmp_path / "o").rglob("*"))
 
+    @pytest.mark.parametrize("key", ["profile_hash", "config_hash", "monitored_stack"])
+    def test_detector_without_key_rejected(self, batch_out, tmp_path, capsys, key):
+        doc = json.loads((batch_out / "detector.json").read_text())
+        del doc[key]
+        bad_detector = tmp_path / "detector.json"
+        bad_detector.write_text(json.dumps(doc))
+        code = run_cli("replay", "--trace", str(batch_out / "detect_cube_seed100000.csv"),
+                       "--detector", str(bad_detector),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"detector: missing required key '{key}'" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*"))
+
 
 def thumb_only_detection(doc):
     for name in ("detect_free", "detect_cube"):
@@ -288,10 +301,18 @@ class TestBadInputs:
         ("objects.cube.theta_contact.index.knuckle", "0.2",
          "objects.cube.theta_contact.index.knuckle"),
         ("objects.cube.theta_contact.pinkie", '{"mcp": 0.2}', "objects.cube.theta_contact.pinkie"),
+        ("presets.pinch_cube.duration", "-1.0", "presets.pinch_cube.duration: -1.0 must be >="),
+        ("presets.pinch_cube.duration", "1.0005", "presets.pinch_cube.duration 1.0005 s"),
+        ("presets.pinch_cube.amp_ceiling", "6.5", "presets.pinch_cube.amp_ceiling: 6.5"),
+        ("sim.tau_mech", "1e-5", "sim: tau_mech 1e-05 s must be >= dt_internal"),
+        ("tendons.index_mcp.slack", "1e6", "tendons.index_mcp.slack: 1000000.0 mm must be <"),
+        ("stacks.index_mcp.c0", "-1", "stacks.index_mcp.c0: -1.0 must be > 0.0"),
     ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
             "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
             "negative_contact_angle", "contact_angle_past_limit", "contact_unknown_joint",
-            "contact_unknown_finger"])
+            "contact_unknown_finger", "negative_preset_duration", "preset_duration_off_grid",
+            "preset_ceiling_above_amplifier", "tau_below_internal_step",
+            "slack_longer_than_stroke", "negative_c0"])
     def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, text, named):
         def mutate(doc):
             *parents, key = where.split(".")

@@ -1,7 +1,9 @@
 import copy
 import math
 import re
-from dataclasses import replace
+import sys
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,16 @@ from hypothesis import strategies as st
 
 from haselhand import config_hash, default_config, load_config, save_config
 from haselhand.config import (
+    MAX_INTERNAL_STEPS,
     DetectionConfig,
+    HandConfig,
     ProfileSpec,
     ScenarioPreset,
     SimConfig,
     config_from_dict,
     config_to_dict,
+    decode,
+    resolve_preset,
     resolve_scenario,
 )
 from haselhand.errors import ConfigError
@@ -78,11 +84,14 @@ def valid_config(draw):
         x_free=draw(_floats(cfg.stacks[tid].force_knots[-1][0], exclude_min=True)),
         c0=draw(_floats(0.0, exclude_min=True)), c_slope=draw(_floats(0.0)),
         force_exponent=draw(_floats(0.0, exclude_min=True)))
+    stacks = {**cfg.stacks, tid: stack}
     pid = draw(st.sampled_from(sorted(cfg.tendons)))
+    ratio = draw(_floats(0.0, exclude_min=True))
+    # The slack must leave some of the stroke pulley_ratio * x_free.
+    stroke = min(ratio * stacks[pid].x_free, sys.float_info.max)
     path = TendonPath(
-        pulley_ratio=draw(_floats(0.0, exclude_min=True)),
-        eta_fwd=draw(_floats(0.0, 1.0, exclude_min=True)),
-        f_breakaway=draw(_floats(0.0)), slack=draw(_floats(0.0)),
+        pulley_ratio=ratio, eta_fwd=draw(_floats(0.0, 1.0, exclude_min=True)),
+        f_breakaway=draw(_floats(0.0)), slack=draw(_floats(0.0, stroke, exclude_max=True)),
         k_ext=draw(_floats(0.0)), f_ext0=draw(_floats(0.0)))
     lo = draw(_floats(0.0, 1e6))
     detection = DetectionConfig(
@@ -92,7 +101,7 @@ def valid_config(draw):
         smoothing=draw(st.integers(1, 10 ** 9)), debounce=draw(st.integers(1, 10 ** 9)),
         deviation_mult=draw(_floats(0.0, exclude_min=True)), deviation_floor=draw(_floats(0.0)),
         baseline_seed=draw(st.integers(-2 ** 63, 2 ** 63)))
-    return replace(cfg, stacks={**cfg.stacks, tid: stack}, tendons={**cfg.tendons, pid: path},
+    return replace(cfg, stacks=stacks, tendons={**cfg.tendons, pid: path},
                    detection=detection)
 
 
@@ -153,11 +162,16 @@ class TestSimConfig:
     def test_steps_per_sample(self):
         assert SimConfig().steps_per_sample == 10
 
+    def test_relaxation_of_one_internal_step_accepted(self):
+        # dt_internal / tau_mech = 1 lands each step on its stall target.
+        assert SimConfig(tau_mech=1e-4).tau_mech == SimConfig().dt_internal
+
 
 class TestPresetValidation:
     def test_controller_name_checked(self):
-        with pytest.raises(ConfigError):
-            ScenarioPreset("x", ("index",), controller="pid")
+        doc = {"fingers": ["index"], "profiles": {"*": {}}, "controller": "pid"}
+        with pytest.raises(ConfigError, match="presets.x.controller: 'pid' must be one of"):
+            decode(ScenarioPreset, doc, "presets.x", name="x")
 
     def test_wildcard_profile_required(self):
         with pytest.raises(ConfigError):
@@ -185,12 +199,20 @@ DEFAULT_DOC = config_to_dict(default_config())
 NUMERIC_LEAVES = list(_numeric_leaves(DEFAULT_DOC))
 
 
+def _keys(where):
+    return re.findall(r"[^.\[\]]+", where)
+
+
+def _leaf(doc, keys):
+    for key in keys:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc
+
+
 def _with_leaf(doc, where, value):
     doc = copy.deepcopy(doc)
-    *parents, last = re.findall(r"[^.\[\]]+", where)
-    node = doc
-    for key in parents:
-        node = node[int(key)] if isinstance(node, list) else node[key]
+    *parents, last = _keys(where)
+    node = _leaf(doc, parents)
     node[int(last) if isinstance(node, list) else last] = value
     return doc
 
@@ -205,7 +227,99 @@ def corrupted_leaf(draw):
     return where, draw(bad)
 
 
+DOMAIN_KEYS = ("gt", "ge", "lt", "le", "in")
+
+
+def _declared_domains(cls, doc, where=""):
+    """(key path, field type, domain) of every field that declares a domain,
+    at the first instance of each dataclass that doc holds."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        key = f.metadata.get("json", f.name)
+        path, tp = f"{where}.{key}".lstrip("."), hints[f.name]
+        if typing.get_origin(tp) is typing.Union:  # Optional[X]
+            tp = typing.get_args(tp)[0]
+        domain = {k: f.metadata[k] for k in DOMAIN_KEYS if k in f.metadata}
+        if domain:
+            yield path, tp, domain
+        value, args = doc.get(key), typing.get_args(tp)
+        if is_dataclass(tp):
+            yield from _declared_domains(tp, value, path)
+        elif typing.get_origin(tp) is dict and is_dataclass(args[1]):
+            first = next(iter(value))
+            yield from _declared_domains(args[1], value[first], f"{path}.{first}")
+        elif args and args[-1] is Ellipsis and is_dataclass(args[0]):
+            yield from _declared_domains(args[0], value[0], f"{path}[0]")
+
+
+DECLARED = list(_declared_domains(HandConfig, DEFAULT_DOC))
+
+
+def _past(tp, bound, direction):
+    """The next value of type tp beyond bound in direction (+1 or -1)."""
+    return bound + direction if tp is int else math.nextafter(bound, direction * math.inf)
+
+
+def _boundary_cases():
+    """(key path, value, accepted) at and just past every declared bound."""
+    for where, tp, domain in DECLARED:
+        for key, bound in domain.items():
+            if key == "in":
+                yield where, "none_of_" + "_".join(bound), False
+                continue
+            below = key in ("gt", "ge")  # the domain lies above the bound
+            yield where, bound, key in ("ge", "le")
+            yield where, _past(tp, bound, -1 if below else 1), False
+
+
+BOUNDARY_CASES = list(_boundary_cases())
+
+
 class TestNumericBoundary:
+    def test_every_domain_owning_block_is_reached(self):
+        blocks = {re.sub(r"\.[^.]+$", "", where) for where, _, _ in DECLARED}
+        assert blocks == {
+            "amplifier", "sim", "detection", "stacks.thumb_mcp", "tendons.thumb_mcp",
+            "fingers.thumb.joints[0]", "objects.cube", "presets.free_motion",
+            "presets.free_motion.profiles.*"}
+
+    @pytest.mark.parametrize("where, value, accepted", BOUNDARY_CASES,
+                             ids=[f"{w}={v!r}" for w, v, _ in BOUNDARY_CASES])
+    def test_declared_bound(self, where, value, accepted):
+        doc = _with_leaf(DEFAULT_DOC, where, value)
+        if accepted:
+            assert _leaf(config_to_dict(config_from_dict(doc)), _keys(where)) == value
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"{where}: {value!r} must be")):
+                config_from_dict(doc)
+
+    # Each breaks a rule between fields, which the block's own type checks;
+    # the decoder prefixes its message with the block's key path.
+    @pytest.mark.parametrize("where, value, message", [
+        ("sim.dt_internal", 3e-4, "sim: dt_sample must be an integer multiple of dt_internal"),
+        ("sim.duration", 2.0005, "sim: duration 2.0005 s is not a multiple of dt_sample"),
+        ("sim.tau_mech", 5e-5, "sim: tau_mech 5e-05 s must be >= dt_internal"),
+        ("presets.pinch_cube.duration", 1.0005,
+         "presets.pinch_cube.duration 1.0005 s is not a multiple of dt_sample"),
+        ("detection.window", [0.99, 0.88], "detection: window must satisfy"),
+        ("stacks.index_mcp.force_knots", [[0.0, 25.3], [0.0, 2.0]],
+         "stacks.index_mcp: force_knots must be strictly increasing"),
+        ("stacks.index_mcp.v_ref", 6.5, "stacks.index_mcp: v_ref must be <= v_max"),
+        ("objects.cube.k_obj", 100.0, "objects.cube: rigid objects need k_obj"),
+        ("objects.paper_balloon.f_crush", None, "objects.paper_balloon: fragile objects need"),
+        ("fingers.index.coupled_pair", [0, 5], "fingers.index: invalid coupled_pair"),
+        ("presets.balloon_hold.profiles", {"index_mcp": {}},
+         "presets.balloon_hold: profiles needs a '*' default entry"),
+        ("tendons.index_mcp.slack", 24.0, "tendons.index_mcp.slack: 24.0 mm must be <"),
+        ("detection.monitored_stack", "elbow", "detection.monitored_stack: 'elbow'"),
+    ], ids=["sample_divisibility", "sim_duration", "tau_below_step", "preset_duration",
+            "window_order", "knots_not_monotone", "v_ref_above_v_max", "soft_rigid",
+            "fragile_without_f_crush", "bad_coupled_pair", "no_wildcard_profile",
+            "slack_eats_stroke", "unknown_monitored_stack"])
+    def test_cross_field_violation_names_block(self, where, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(_with_leaf(DEFAULT_DOC, where, value))
+
     @given(corrupted_leaf())
     @settings(max_examples=200, deadline=None)
     def test_value_the_model_cannot_mean_is_rejected(self, case):
@@ -217,3 +331,30 @@ class TestNumericBoundary:
         doc = _with_leaf(DEFAULT_DOC, "stacks.index_mcp.c0", 1)
         assert config_from_dict(doc).stacks["index_mcp"].c0 == 1.0
         assert isinstance(config_from_dict(doc).stacks["index_mcp"].c0, float)
+
+
+class TestStepBudget:
+    """Decoded only: a document over the budget must never reach the plant."""
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("sim.dt_internal", 1e-9, "sim: duration 2.0 s asks for more than 1000000"),
+        # One sample period past the budget of the shipped 0.1 ms step.
+        ("presets.pinch_cube.duration", 100.001,
+         "presets.pinch_cube.duration 100.001 s asks for more than 1000000"),
+    ], ids=["tiny_internal_step", "long_preset"])
+    def test_over_budget_rejected(self, where, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(_with_leaf(DEFAULT_DOC, where, value))
+
+    def test_ad_hoc_preset_checked_at_resolve(self):
+        # characterize builds its 2 s presets in code, past the decoder.
+        cfg = config_from_dict(_with_leaf(_with_leaf(DEFAULT_DOC, "sim.dt_internal", 1e-9),
+                                          "sim.duration", 0.0))
+        preset = ScenarioPreset("adhoc", ("index",), duration=2.0)
+        with pytest.raises(ConfigError, match="preset adhoc: duration 2.0 s asks for more"):
+            resolve_preset(cfg, preset)
+
+    def test_budget_itself_accepted(self):
+        at_budget = MAX_INTERNAL_STEPS * DEFAULT_DOC["sim"]["dt_internal"]
+        doc = _with_leaf(DEFAULT_DOC, "presets.pinch_cube.duration", at_budget)
+        assert config_from_dict(doc).presets["pinch_cube"].duration == at_budget

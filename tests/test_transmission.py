@@ -16,6 +16,7 @@ from haselhand import (
     reflected_load,
     resolve_scenario,
 )
+from haselhand.config import decode
 from haselhand.errors import ConfigError
 from haselhand.plant import ChainSim
 
@@ -139,12 +140,14 @@ class TestDeliveredTension:
 
 
 class TestValidation:
+    """Domains are checked where a document is decoded, so these decode one."""
+
     def test_bad_efficiency(self):
-        with pytest.raises(ConfigError):
-            path(eta_fwd=0.0)
-        with pytest.raises(ConfigError):
-            path(eta_fwd=1.2)
+        with pytest.raises(ConfigError, match="tendon.eta_fwd: 0.0 must be > 0.0"):
+            decode(TendonPath, {"eta_fwd": 0.0}, "tendon")
+        with pytest.raises(ConfigError, match="tendon.eta_fwd: 1.2 must be <= 1.0"):
+            decode(TendonPath, {"eta_fwd": 1.2}, "tendon")
 
     def test_bad_ratio(self):
-        with pytest.raises(ConfigError):
-            path(pulley_ratio=-2.0)
+        with pytest.raises(ConfigError, match="tendon.pulley_ratio: -2.0 must be > 0.0"):
+            decode(TendonPath, {"pulley_ratio": -2.0}, "tendon")

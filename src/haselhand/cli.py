@@ -238,12 +238,15 @@ def cmd_replay(args) -> int:
     trace = load_trace(args.trace)
 
     # A detector applies to traces of its own schedule, config and stack,
-    # so its document must say which they are.
+    # so its document and the trace's metadata must both say which they are.
+    meta_path = Path(args.trace).with_suffix(".meta.json")
+    if not meta_path.exists():
+        raise ConfigError(f"trace {args.trace}: missing its metadata file {meta_path.name}")
     for key in ("profile_hash", "config_hash", "monitored_stack"):
         if key not in detector_doc:
             raise ConfigError(f"detector: missing required key {key!r}")
         got, want = trace.meta.get(key), detector_doc[key]
-        if got and got != want:
+        if got != want:
             raise ConfigError(f"trace {key} {got} does not match detector {key} {want}")
 
     grasped, t_dec = detect_grasp(trace, det)

@@ -152,11 +152,14 @@ class ProfileSpec:
         if self.kind != "hold" and self.ramp_s <= 0:
             raise ConfigError("ramp duration must be > 0")
 
-    def __call__(self, t: float) -> float:
-        """Commanded voltage (kV) at time t (s)."""
+    def __call__(self, t):
+        """Commanded voltage (kV) at time t (s): a float for a float, an
+        array for an array of times."""
         if self.kind == "hold":
-            return self.target_kv
-        return self.target_kv * min(t, self.ramp_s) / self.ramp_s
+            v = np.full(np.shape(t), self.target_kv)
+        else:
+            v = self.target_kv * np.minimum(t, self.ramp_s) / self.ramp_s
+        return v if np.ndim(v) else float(v)
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,11 @@ class HandConfig:
             for fname in preset.fingers:
                 if fname not in self.fingers:
                     raise ConfigError(f"{where}.fingers: unknown finger {fname!r}")
+            driven = {tid for fname in preset.fingers for tid in self.fingers[fname].tendon_ids}
+            for tid in preset.profiles:
+                if tid != "*" and tid not in driven:
+                    raise ConfigError(f"{where}.profiles.{tid}: the preset drives no stack "
+                                      f"{tid!r} (it drives {', '.join(sorted(driven))})")
             if preset.obj is not None and preset.obj not in self.objects:
                 raise ConfigError(f"{where}.object: unknown object {preset.obj!r}")
             if preset.duration is not None:

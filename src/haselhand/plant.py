@@ -14,9 +14,28 @@ Holding x whenever the net force is inside the breakaway band is what
 produces both the low-voltage deadband and the reduced saturation angle.
 
 Because every term is piecewise linear in x, the stall point is found
-exactly by walking the precomputed breakpoint table, which keeps the
-per-step cost low enough for the 10 kHz loop in pure Python. The test
-suite cross-checks it against a generic bisection on the force balance.
+exactly by walking the precomputed breakpoint table. The test suite
+cross-checks it against a generic bisection on the force balance.
+
+A chain steps in verified runs (ChainSim.run), with the arithmetic of
+one scalar step at a time (ChainSim.advance, which the test suite
+checks the runs against bit for bit, through a scalar oracle):
+
+- The stall target depends on the applied voltage and the sign of the
+  push alone, so a run's targets come from one array walk of the table.
+  Only the recurrence x += (target - x) * dt / tau_mech, with its clamps
+  to [0, x_cap], runs in Python.
+- A run assumes the mode of its first step throughout: held, pushed up
+  (net > f_breakaway) or pushed down (net < -f_breakaway). Net force at
+  every pre-step x, on arrays, then checks that assumption, and only the
+  verified prefix is kept. The step that breaks a run goes through
+  advance, and the next run starts after it.
+- Rest needs no recurrence at all. At x = 0 the net force is
+  a * f(0) - l(0) for voltage scale a. While it is at most f_breakaway,
+  either stiction holds x, or the push is down and the walk's first
+  residual, net + f_breakaway, is <= 0 already, so the target is 0.0
+  with no residual recorded. Either way x stays 0 with target 0.0, and
+  one array comparison covers the whole run.
 
 The chain geometry (x -> theta map, stroke cap, contact onsets) comes
 from config.ChainSpec and the contact law from kinematics.contact_force:
@@ -26,8 +45,9 @@ them on whole arrays.
 run_scenario makes two passes over a scenario.
 
 - The mechanics pass, Plant.extend, is the only code that steps chains.
-  It steps each chain under its voltage schedule (slew-limited, capped
-  at the amplifier ceiling) and records, at every sample instant, each
+  It computes each voltage schedule's applied voltage (slew-limited,
+  capped at the amplifier ceiling) once, steps every chain under it in
+  runs, and records, at every sample instant, each
   chain's contraction, applied voltage, stall target and running
   maximum stall residual, and the monitored chain's contraction and
   voltage one internal step before and after the instant. What a chain
@@ -46,8 +66,9 @@ each recorded Plant in a cache dict under mechanics_key: the canonical
 JSON of what the mechanics read (the chains, their contact tables, the
 duration, the amplifier's slew limit and ceiling, the time steps and
 the monitored stack), not the name, the seed, the monitor noise or the
-controller. The cache lives as long as the caller keeps it: detect-batch
-passes one to all its episodes, and a call without one gets its own.
+controller; the key itself is computed once per scenario object. The
+cache lives as long as the caller keeps it: detect-batch passes one to
+all its episodes, and a call without one gets its own.
 
 Closed loop, the walk steps the open-loop record MECHANICS_BLOCK
 samples at a time and, after each block, hands the commander the
@@ -61,8 +82,7 @@ k.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -83,6 +103,9 @@ from .transmission import excursion_of, extensor_tension, reflected_load
 
 # Samples by which a commander's walk steps the open-loop record ahead.
 MECHANICS_BLOCK = 50
+# Internal steps a chain's first run speculates over, and the most any run does.
+RUN_WINDOW = 256
+RUN_WINDOW_MAX = 16384
 # Acceptance criterion 8: the largest stall residual a run may report.
 STALL_RESIDUAL_TOL_N = 1e-6
 
@@ -96,9 +119,9 @@ class ChainSim:
 
     Tables are built once per scenario: contraction breakpoints with the
     reference force and the reflected load at each, as Python floats for
-    the step loop. Contact onsets of the driven joints (the chain spec's
-    contact table) appear as breakpoints, so the load table already
-    contains the object.
+    the stall walk, and per segment as the array net reads. Contact
+    onsets of the driven joints (the chain spec's contact table) appear
+    as breakpoints, so the load table already contains the object.
     """
 
     def __init__(self, spec: ChainSpec, obj):
@@ -113,15 +136,27 @@ class ChainSim:
         # the slack, the force knots and the contact onsets.
         inner = [spec.x_at(0.0), *(kx for kx, _ in spec.stack.force_knots),
                  *(x_on for x_on, _, _, _ in self.contact.values())]
-        self.xs = sorted({0.0, self.x_cap, *(x for x in inner if 0.0 < x < self.x_cap)})
-        self.fs = [reference_force(spec.stack, x) for x in self.xs]
-        self.ls = self._load_at(np.array(self.xs)).tolist()
+        xs = sorted({0.0, self.x_cap, *(x for x in inner if 0.0 < x < self.x_cap)})
+        self.tabulate(xs, [reference_force(spec.stack, x) for x in xs],
+                      self._load_at(np.array(xs)).tolist())
         self.x = 0.0
         self.v_applied = 0.0
         self.max_residual = 0.0
-        # One-entry memo: the tables are static, so a repeated voltage
-        # scale (hold phases) reuses its stall point.
-        self._memo: tuple[float, float, float] | None = None
+        self.window = RUN_WINDOW  # steps run speculates over next
+
+    def tabulate(self, xs: list[float], fs: list[float], ls: list[float]) -> None:
+        """Set the breakpoint table: increasing contractions xs from 0 to
+        x_cap, with the reference force (non-increasing) and the reflected
+        load (non-decreasing) at each."""
+        self.xs, self.fs, self.ls = xs, fs, ls
+        self.x_cap = xs[-1]
+        # Per segment, for net: its start x, width, and the force and
+        # load at its start with their rises across it; a last row, for
+        # x at x_cap, keeps both at their end values.
+        xa, fa, la = np.array(xs), np.array(fs), np.array(ls)
+        self._inner = xa[1:]
+        self._segments = np.array([xa, np.append(np.diff(xa), 1.0), fa, np.append(np.diff(fa), 0.0),
+                                   la, np.append(np.diff(la), 0.0)])
 
     def _load_at(self, x):
         """Reflected actuator load (N) at contraction x (float or array),
@@ -134,58 +169,67 @@ class ChainSim:
             tension = tension + contact_force(k_obj, theta_on, theta) * phalanx / spec.radius
         return reflected_load(spec.path, tension)
 
-    def net(self, a: float, x: float) -> float:
-        """Active force minus load at contraction x for voltage scale a."""
-        xs, fs, ls = self.xs, self.fs, self.ls
-        if x <= xs[0]:
-            return a * fs[0] - ls[0]
-        if x >= xs[-1]:
-            return a * fs[-1] - ls[-1]
-        j = bisect_right(xs, x) - 1
-        w = (x - xs[j]) / (xs[j + 1] - xs[j])
-        f = fs[j] + (fs[j + 1] - fs[j]) * w
-        load = ls[j] + (ls[j + 1] - ls[j]) * w
-        return a * f - load
+    def net(self, a, x) -> np.ndarray:
+        """Active force minus load at contraction x (0 <= x <= x_cap) for
+        voltage scale a; either may be an array, the other broadcasts."""
+        x0, dx, f0, df, l0, dl = self._segments.take(np.searchsorted(self._inner, x, "right"), 1)
+        w = (x - x0) / dx
+        return a * (f0 + df * w) - (l0 + dl * w)
 
-    def stall_target(self, a: float, offset: float) -> float:
-        """Exact root of net(a, x) = offset on the breakpoint table.
+    def stall_walk(self, a: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
+        """Exact roots of net(a, x) = offset on the breakpoint table, one
+        per voltage scale in a, and the residual |net - offset| at each.
 
         net is non-increasing in x, so the first breakpoint where the
-        residual goes negative brackets the root; within a segment the
-        residual is linear and solved directly. Clamps to [0, x_cap]
-        when the root lies outside.
+        residual a * f - l - offset is <= 0 brackets the root; within a
+        segment the residual is linear and solved directly. A root before
+        the first breakpoint gives 0 and none at all x_cap, each with
+        residual 0: only a root found inside the table counts.
         """
+        starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+        if len(starts) < len(a):
+            # Equal scales in a row (a held voltage) share one walk.
+            target, residual = self.stall_walk(a[starts], offset)
+            repeats = np.diff(np.r_[starts, len(a)])
+            return np.repeat(target, repeats), np.repeat(residual, repeats)
         xs, fs, ls = self.xs, self.fs, self.ls
-        r_prev = a * fs[0] - ls[0] - offset
-        if r_prev <= 0.0:
-            return 0.0
+        r = a * fs[0] - ls[0] - offset
+        target = np.where(r <= 0.0, 0.0, self.x_cap)
+        found = np.zeros(len(a), dtype=bool)
+        rows = np.flatnonzero(r > 0.0)
+        a_open, r_prev = a[rows], r[rows]
         for j in range(1, len(xs)):
-            r = a * fs[j] - ls[j] - offset
-            if r <= 0.0:
-                x_t = xs[j - 1] + (xs[j] - xs[j - 1]) * r_prev / (r_prev - r)
-                res = abs(self.net(a, x_t) - offset)
-                if res > self.max_residual:
-                    self.max_residual = res
-                return x_t
+            if not len(rows):
+                break
+            r = a_open * fs[j] - ls[j] - offset
+            hit = r <= 0.0
+            if hit.any():
+                rp = r_prev[hit]
+                target[rows[hit]] = xs[j - 1] + (xs[j] - xs[j - 1]) * rp / (rp - r[hit])
+                found[rows[hit]] = True
+                rows, a_open, r = rows[~hit], a_open[~hit], r[~hit]
             r_prev = r
-        return self.x_cap
+        residual = np.zeros(len(a))
+        residual[found] = np.abs(self.net(a[found], target[found]) - offset)
+        return target, residual
+
+    def stall_target(self, a: float, offset: float) -> float:
+        """stall_walk for one voltage scale; records its residual."""
+        target, residual = self.stall_walk(np.array([a]), offset)
+        self.max_residual = max(self.max_residual, float(residual[0]))
+        return float(target[0])
 
     def advance(self, v_applied: float, dt_over_tau: float) -> float:
-        """One internal step: move x toward the friction-aware stall point."""
+        """One internal step: move x toward the friction-aware stall point.
+        Returns the stall target, or x where stiction holds it."""
         a = v_applied / self.v_ref
         a = a * a if self.exponent == 2.0 else a ** self.exponent
         x = self.x
-        net = self.net(a, x)
+        net = float(self.net(a, x))
         fb = self.f_breakaway
         if -fb <= net <= fb:
             return x
-        offset = fb if net > fb else -fb
-        memo = self._memo
-        if memo is not None and memo[0] == a and memo[1] == offset:
-            target = memo[2]
-        else:
-            target = self.stall_target(a, offset)
-            self._memo = (a, offset, target)
+        target = self.stall_target(a, fb if net > fb else -fb)
         x += (target - x) * dt_over_tau
         if x < 0.0:
             x = 0.0
@@ -193,6 +237,65 @@ class ChainSim:
             x = self.x_cap
         self.x = x
         return target
+
+    def run(self, v: np.ndarray, dt_over_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Take one internal step per applied voltage in v, as advance
+        would, and return each step's x, stall target and running maximum
+        stall residual.
+
+        The steps go in runs of one mode, the mode of the run's first
+        step: held (x stays), pushed up (+f_breakaway) or pushed down
+        (-f_breakaway). A held run costs one array comparison. A pushed
+        run takes its targets from stall_walk, which depends on the
+        voltage alone, so only the recurrence x += (target - x) * r runs
+        in Python; net at every pre-step x then verifies the mode, and
+        the verified prefix is kept. The first step that breaks the run
+        goes through advance, and a run of RUN_WINDOW steps starts after
+        it; a run that holds to its end is followed by one twice as long,
+        up to RUN_WINDOW_MAX.
+        """
+        a = v / self.v_ref
+        a = a * a if self.exponent == 2.0 else np.array([s ** self.exponent for s in a.tolist()])
+        n, fb, cap, r = len(a), self.f_breakaway, self.x_cap, dt_over_tau
+        xs, targets, residuals = np.empty(n), np.empty(n), np.empty(n)
+        j = 0
+        while j < n:
+            x, aw = self.x, a[j:j + self.window]
+            net = self.net(aw, x)
+            if -fb <= net[0] <= fb or (x == 0.0 and net[0] < -fb):
+                # Held: by stiction, or at rest with the load holding x at
+                # 0, where the stall target is 0.0 = x and no root counts.
+                ok = net <= fb if x == 0.0 else np.abs(net) <= fb
+                xw = tw = np.full(len(aw), x)
+                rw = np.full(len(aw), self.max_residual)
+            else:
+                up = net[0] > fb
+                tw, rw = self.stall_walk(aw, fb if up else -fb)
+                moved = []
+                for t in tw.tolist():
+                    x += (t - x) * r
+                    if x < 0.0:
+                        x = 0.0
+                    elif x > cap:
+                        x = cap
+                    moved.append(x)
+                xw = np.fromiter(moved, float, len(moved))
+                net = self.net(aw, np.concatenate(([self.x], xw[:-1])))
+                ok = net > fb if up else net < -fb
+                rw = np.maximum.accumulate(np.maximum(rw, self.max_residual))
+            # At least the first step verifies: its mode chose the run's.
+            kept = len(ok) if ok.all() else int(ok.argmin())
+            xs[j:j + kept], targets[j:j + kept], residuals[j:j + kept] = (
+                xw[:kept], tw[:kept], rw[:kept])
+            self.x, self.max_residual = float(xw[kept - 1]), float(rw[kept - 1])
+            j += kept
+            if kept == len(ok):
+                self.window = min(2 * self.window, RUN_WINDOW_MAX)
+            else:
+                targets[j] = self.advance(float(v[j]), r)
+                xs[j], residuals[j] = self.x, self.max_residual
+                j, self.window = j + 1, RUN_WINDOW
+        return xs, targets, residuals
 
 
 class Plant:
@@ -222,55 +325,60 @@ class Plant:
         """Step every chain from sample end to sample k_end and record it.
 
         Each internal step moves a chain's applied voltage toward its
-        schedule, by at most the slew limit and within [0, ceiling],
-        then advances the chain.
+        schedule, by at most the slew limit and within [0, ceiling]. The
+        voltage does not depend on the motion, so it is computed once per
+        schedule and start voltage, for all steps, and shared by the
+        chains that have both. ChainSim.run then steps each chain in
+        verified runs: held runs by one array comparison, pushed runs by
+        the x recurrence alone, each checked against the net force at
+        every step, and a step that breaks a run by ChainSim.advance.
         """
         k0, sps = self.end, self.sim.steps_per_sample
         if k_end <= k0:
             return
         dt = self.sim.dt_internal
-        dt_over_tau = dt / self.sim.tau_mech
-        dv_max = self.scenario.amplifier.slew_max * dt
-        ceiling = self.scenario.amplifier.v_ceiling
-        # Commands at internal steps k0 * sps .. k_end * sps; chains with
-        # equal schedules share the list.
-        steps = range(k0 * sps, k_end * sps + 1)
-        cmds = {p: [p(n * dt) for n in steps] for p in dict.fromkeys(self.schedules)}
+        t = np.arange(k0 * sps + 1, k_end * sps + 1) * dt
         recorded = slice(k0 + 1, k_end + 1)
+        volts: dict[tuple[ProfileSpec, float], np.ndarray] = {}
         for c, ch in enumerate(self.chains):
-            cmd = cmds[self.schedules[c]]
-            advance = ch.advance
-            v = ch.v_applied
-            xs, vs = [ch.x] * len(cmd), [v] * len(cmd)
-            targets, residuals = [], []
-            for k in range(k_end - k0):
-                for j in range(k * sps + 1, (k + 1) * sps + 1):
-                    dv = cmd[j] - v
-                    if dv < -dv_max:
-                        dv = -dv_max
-                    elif dv > dv_max:
-                        dv = dv_max
-                    v += dv
-                    if v < 0.0:
-                        v = 0.0
-                    elif v > ceiling:
-                        v = ceiling
-                    target = advance(v, dt_over_tau)
-                    xs[j] = ch.x
-                    vs[j] = v
-                targets.append(target)
-                residuals.append(ch.max_residual)
-            ch.v_applied = v
-            self.x[c, recorded] = xs[sps::sps]
-            self.v[c, recorded] = vs[sps::sps]
-            self.target[c, recorded] = targets
-            self.residual[c, recorded] = residuals
+            key = (self.schedules[c], ch.v_applied)
+            if key not in volts:
+                volts[key] = self._slew(self.schedules[c](t), ch.v_applied)
+            v = volts[key]
+            x_start, v_start = ch.x, ch.v_applied
+            x, target, residual = ch.run(v, dt / self.sim.tau_mech)
+            ch.v_applied = float(v[-1])
+            self.x[c, recorded] = x[sps - 1::sps]
+            self.v[c, recorded] = v[sps - 1::sps]
+            self.target[c, recorded] = target[sps - 1::sps]
+            self.residual[c, recorded] = residual[sps - 1::sps]
             if c == self.mon:
+                xs, vs = np.concatenate(([x_start], x)), np.concatenate(([v_start], v))
                 self.x_lo[recorded], self.v_lo[recorded] = xs[sps - 1:-1:sps], vs[sps - 1:-1:sps]
                 self.x_hi[k0:k_end], self.v_hi[k0:k_end] = xs[1::sps], vs[1::sps]
         self.end = k_end
         if k_end == self.n_samples - 1:
             self.x_hi[k_end], self.v_hi[k_end] = self.x[self.mon, k_end], self.v[self.mon, k_end]
+
+    def _slew(self, cmd: np.ndarray, v: float) -> np.ndarray:
+        """Applied voltage after each step toward the commands cmd from v:
+        at most the slew limit per step, within [0, ceiling]."""
+        dv_max = self.scenario.amplifier.slew_max * self.sim.dt_internal
+        ceiling = self.scenario.amplifier.v_ceiling
+        out = []
+        for c in cmd.tolist():
+            dv = c - v
+            if dv < -dv_max:
+                dv = -dv_max
+            elif dv > dv_max:
+                dv = dv_max
+            v += dv
+            if v < 0.0:
+                v = 0.0
+            elif v > ceiling:
+                v = ceiling
+            out.append(v)
+        return np.array(out)
 
     def resume(self, k: int, held: dict[ProfileSpec, float]) -> "Plant":
         """This record up to sample k, then every chain under a constant
@@ -321,11 +429,11 @@ def mechanics_key(scenario: Scenario, sim: SimConfig) -> str:
     })
 
 
-def _cached(cache: dict, key, make: Callable[[], Plant]) -> Plant:
-    plant = cache.get(key)
-    if plant is None:
-        plant = cache[key] = make()
-    return plant
+def _cached(cache: dict, key, make: Callable[[], Any]) -> Any:
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make()
+    return value
 
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
@@ -370,7 +478,10 @@ def run_scenario(
     when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
     """
     cache = {} if cache is None else cache
-    mech_key = mechanics_key(scenario, sim)
+    # The key is computed once per scenario and sim object while the cache
+    # lives; the entry keeps both objects, so their ids stay theirs.
+    mech_key = _cached(cache, ("mechanics_key", id(scenario), id(sim)),
+                       lambda: (scenario, sim, mechanics_key(scenario, sim)))[2]
     open_loop = _cached(cache, mech_key, lambda: Plant(scenario, sim))
     n_samples = open_loop.n_samples
     t_samples = [k * sim.dt_sample for k in range(n_samples)]
@@ -383,7 +494,8 @@ def run_scenario(
     noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
     mon_profile = open_loop.schedules[open_loop.mon]
-    v_cmd = np.array([mon_profile(t) for t in t_samples])
+    t_arr = np.array(t_samples)
+    v_cmd = mon_profile(t_arr)
     hold_events: list[dict[str, float]] = []
     k_hold = None if commander is None else _walk(open_loop, commander, noise_i)
     plant = open_loop
@@ -405,7 +517,6 @@ def run_scenario(
     i_meas = plant.current(0, n_samples) + noise_i
 
     # Assemble per-joint and per-stack columns at the sample grid.
-    t_arr = np.array(t_samples)
     theta_cols: dict[str, np.ndarray] = {}
     fc_cols: dict[str, np.ndarray] = {}
     x_cols: dict[str, np.ndarray] = {}

@@ -1,14 +1,15 @@
 """Slow reference implementations the package is checked against.
 
 Each oracle computes one thing the package computes faster, in the
-most direct way: the grasp detector sample by sample, the stall point
-by bisection on the force balance, and the monitored current from the
-stored capacitance and voltage columns. None of them is used by the
-package itself.
+most direct way: the grasp detector sample by sample, the chain step
+one Python call at a time, the stall point by bisection on the force
+balance, and the monitored current from the stored capacitance and
+voltage columns. None of them is used by the package itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Callable, Optional
 
@@ -83,6 +84,86 @@ class StreamingDetector:
                 f"stream ended at {self._last_t} s before window end {hi} s"
             )
         return self.grasped, self.decision_time
+
+
+class ScalarChain:
+    """A chain stepped one internal step per call, with scalar arithmetic
+    on the breakpoint table: the reference for ChainSim.run.
+
+    It starts from the tables, parameters and state of a ChainSim.
+    """
+
+    def __init__(self, chain):
+        self.xs, self.fs, self.ls = list(chain.xs), list(chain.fs), list(chain.ls)
+        self.v_ref = chain.v_ref
+        self.exponent = chain.exponent
+        self.f_breakaway = chain.f_breakaway
+        self.x_cap = chain.x_cap
+        self.x = chain.x
+        self.max_residual = chain.max_residual
+        # One-entry memo: the tables are static, so a repeated voltage
+        # scale (hold phases) reuses its stall point.
+        self._memo: tuple[float, float, float] | None = None
+
+    def net(self, a: float, x: float) -> float:
+        """Active force minus load at contraction x for voltage scale a."""
+        xs, fs, ls = self.xs, self.fs, self.ls
+        if x <= xs[0]:
+            return a * fs[0] - ls[0]
+        if x >= xs[-1]:
+            return a * fs[-1] - ls[-1]
+        j = bisect_right(xs, x) - 1
+        w = (x - xs[j]) / (xs[j + 1] - xs[j])
+        f = fs[j] + (fs[j + 1] - fs[j]) * w
+        load = ls[j] + (ls[j + 1] - ls[j]) * w
+        return a * f - load
+
+    def stall_target(self, a: float, offset: float) -> float:
+        """Exact root of net(a, x) = offset on the breakpoint table.
+
+        net is non-increasing in x, so the first breakpoint where the
+        residual goes negative brackets the root; within a segment the
+        residual is linear and solved directly. Clamps to [0, x_cap]
+        when the root lies outside.
+        """
+        xs, fs, ls = self.xs, self.fs, self.ls
+        r_prev = a * fs[0] - ls[0] - offset
+        if r_prev <= 0.0:
+            return 0.0
+        for j in range(1, len(xs)):
+            r = a * fs[j] - ls[j] - offset
+            if r <= 0.0:
+                x_t = xs[j - 1] + (xs[j] - xs[j - 1]) * r_prev / (r_prev - r)
+                res = abs(self.net(a, x_t) - offset)
+                if res > self.max_residual:
+                    self.max_residual = res
+                return x_t
+            r_prev = r
+        return self.x_cap
+
+    def advance(self, v_applied: float, dt_over_tau: float) -> float:
+        """One internal step: move x toward the friction-aware stall point."""
+        a = v_applied / self.v_ref
+        a = a * a if self.exponent == 2.0 else a ** self.exponent
+        x = self.x
+        net = self.net(a, x)
+        fb = self.f_breakaway
+        if -fb <= net <= fb:
+            return x
+        offset = fb if net > fb else -fb
+        memo = self._memo
+        if memo is not None and memo[0] == a and memo[1] == offset:
+            target = memo[2]
+        else:
+            target = self.stall_target(a, offset)
+            self._memo = (a, offset, target)
+        x += (target - x) * dt_over_tau
+        if x < 0.0:
+            x = 0.0
+        elif x > self.x_cap:
+            x = self.x_cap
+        self.x = x
+        return target
 
 
 def equilibrium_contraction(

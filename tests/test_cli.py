@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from haselhand.cli import main
@@ -22,6 +23,11 @@ def write_config(tmp_path: Path, mutate=None) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc, indent=2))
     return path
+
+
+def copy_meta(trace: Path, to: Path) -> None:
+    """Copy the metadata file of trace to sit next to the trace file to."""
+    to.with_suffix(".meta.json").write_bytes(trace.with_suffix(".meta.json").read_bytes())
 
 
 class TestCharacterize:
@@ -192,25 +198,40 @@ class TestReplay:
             outs.append((out / "detect_cube_seed100000.verdict.json").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_truncated_trace_is_insufficient(self, batch_out, tmp_path):
+    def test_truncated_trace_is_insufficient(self, batch_out, tmp_path, capsys):
         src = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
         cut = tmp_path / "cut.csv"
         cut.write_text("\n".join(src[:500]) + "\n")
+        copy_meta(batch_out / "detect_cube_seed100000.csv", cut)
         code = run_cli("replay", "--trace", str(cut),
                        "--detector", str(batch_out / "detector.json"),
                        "--out", str(tmp_path / "o"))
         assert code == 2
+        assert "window needs" in capsys.readouterr().err
 
     def test_schema_mismatch_names_column(self, batch_out, tmp_path, capsys):
         src = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
         header = src[0].replace("i_meas(uA)", "current(uA)")
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join([header] + src[1:]) + "\n")
+        copy_meta(batch_out / "detect_cube_seed100000.csv", bad)
         code = run_cli("replay", "--trace", str(bad),
                        "--detector", str(batch_out / "detector.json"),
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "i_meas(uA)" in capsys.readouterr().err
+
+    def test_trace_without_metadata_rejected(self, batch_out, tmp_path, capsys):
+        # Without its metadata a trace cannot show its schedule, config
+        # or stack, so the detector's checks could not run.
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes((batch_out / "detect_cube_seed100000.csv").read_bytes())
+        code = run_cli("replay", "--trace", str(bare),
+                       "--detector", str(batch_out / "detector.json"),
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "missing its metadata file bare.meta.json" in capsys.readouterr().err
+        assert not list((tmp_path / "o").rglob("*"))
 
     @pytest.mark.parametrize("key", ["profile_hash", "config_hash", "monitored_stack"])
     def test_profile_hash_mismatch_rejected(self, batch_out, tmp_path, capsys, key):
@@ -307,12 +328,14 @@ class TestBadInputs:
         ("sim.tau_mech", "1e-5", "sim: tau_mech 1e-05 s must be >= dt_internal"),
         ("tendons.index_mcp.slack", "1e6", "tendons.index_mcp.slack: 1000000.0 mm must be <"),
         ("stacks.index_mcp.c0", "-1", "stacks.index_mcp.c0: -1.0 must be > 0.0"),
+        ("presets.pinch_cube.profiles.index_mpc", '{"kind": "hold", "target_kv": 2.0}',
+         "presets.pinch_cube.profiles.index_mpc: the preset drives no stack 'index_mpc'"),
     ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
             "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
             "negative_contact_angle", "contact_angle_past_limit", "contact_unknown_joint",
             "contact_unknown_finger", "negative_preset_duration", "preset_duration_off_grid",
             "preset_ceiling_above_amplifier", "tau_below_internal_step",
-            "slack_longer_than_stroke", "negative_c0"])
+            "slack_longer_than_stroke", "negative_c0", "profile_of_undriven_stack"])
     def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, text, named):
         def mutate(doc):
             *parents, key = where.split(".")
@@ -365,15 +388,14 @@ class TestBadInputs:
 
 class TestModelConsistency:
     def test_broken_stall_walk_exits_3(self, tmp_path, capsys, monkeypatch):
-        real = ChainSim.stall_target
+        real = ChainSim.stall_walk
 
         def halfway_walk(chain, a, offset):
-            # Lands halfway to the stall point and records its residual there.
-            x_t = 0.5 * real(chain, a, offset)
-            chain.max_residual = max(chain.max_residual, abs(chain.net(a, x_t) - offset))
-            return x_t
+            # Lands halfway to each stall point, with the residual there.
+            target = 0.5 * real(chain, a, offset)[0]
+            return target, np.abs(chain.net(a, target) - offset)
 
-        monkeypatch.setattr(ChainSim, "stall_target", halfway_walk)
+        monkeypatch.setattr(ChainSim, "stall_walk", halfway_walk)
         out = tmp_path / "o"
         assert run_cli("grasp", "--preset", "pinch_cube", "--out", str(out)) == 3
         assert "stall residual" in capsys.readouterr().err

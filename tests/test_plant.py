@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haselhand import (
     default_config,
@@ -11,12 +13,13 @@ from haselhand import (
     run_grasp_episode,
     run_scenario,
 )
+from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant
 from haselhand.trace import json_text
-from oracles import equilibrium_contraction, reconstruct_current
+from oracles import ScalarChain, equilibrium_contraction, reconstruct_current
 
 
 class TestVoltageProfile:
@@ -235,13 +238,127 @@ class TestStallSolverAgainstBisection:
                 assert x_fast == pytest.approx(x_ref, abs=1e-5)
 
     def test_tables_hold_python_floats(self, cfg):
-        # The 10 kHz step loop does scalar arithmetic on these tables,
-        # where numpy scalars would slow every step.
+        # The x recurrence runs in Python against x_cap, and the stall
+        # walk multiplies by the table's columns one by one; numpy
+        # scalars there would slow every step.
         scenario = resolve_scenario(cfg, "pinch_cube")
         for chain in Plant(scenario, cfg.sim).chains:
             values = chain.xs + chain.fs + chain.ls + [chain.x_cap]
             values += [v for row in chain.contact.values() for v in row]
             assert {type(v) for v in values} == {float}
+
+
+def index_mcp_chain() -> ChainSim:
+    """The default index MCP chain, free of any object, at rest."""
+    spec = next(c for c in resolve_scenario(default_config(), "free_motion").chains
+                if c.tendon_id == "index_mcp")
+    return ChainSim(spec, None)
+
+
+def run_against_oracle(chain: ChainSim, v: np.ndarray, dt_over_tau: float) -> None:
+    """ChainSim.run and the scalar oracle from the same state agree bit
+    for bit on every step's x, stall target and running residual."""
+    oracle = ScalarChain(chain)
+    x, target, residual = chain.run(v, dt_over_tau)
+    ref = [(oracle.advance(vj, dt_over_tau), oracle.x, oracle.max_residual) for vj in v.tolist()]
+    ref_target, ref_x, ref_residual = (np.array(col) for col in zip(*ref))
+    assert x.tobytes() == ref_x.tobytes()
+    assert target.tobytes() == ref_target.tobytes()
+    assert residual.tobytes() == ref_residual.tobytes()
+    assert (chain.x, chain.max_residual) == (oracle.x, oracle.max_residual)
+
+
+def count_scalar_steps(monkeypatch) -> list[float]:
+    """The applied voltage of every step ChainSim.advance takes from now on."""
+    steps = []
+    real = ChainSim.advance
+
+    def counted(chain, v_applied, dt_over_tau):
+        steps.append(v_applied)
+        return real(chain, v_applied, dt_over_tau)
+
+    monkeypatch.setattr(ChainSim, "advance", counted)
+    return steps
+
+
+@st.composite
+def voltage_pieces(draw, v_top: float) -> np.ndarray:
+    """Applied voltages (kV): ramps, holds, slew-limited climbs and drops
+    below onset, one after another."""
+    v, out = draw(st.floats(0.0, v_top)), []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("ramp", "hold", "slew", "drop")))
+        n = draw(st.integers(1, 600))
+        if kind == "ramp":
+            piece = np.linspace(v, draw(st.floats(0.0, v_top)), n + 1)[1:].tolist()
+        elif kind == "hold":
+            piece = [v] * n
+        elif kind == "slew":
+            level, step, piece = draw(st.floats(0.0, v_top)), draw(st.floats(1e-4, 0.05)), []
+            for _ in range(n):
+                v = min(v + step, level) if level > v else max(v - step, level)
+                piece.append(v)
+        else:
+            piece = [draw(st.floats(0.0, 0.3 * v_top))] * n
+        out += piece
+        v = out[-1]
+    return np.array(out)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A chain with a drawn breakpoint table, parameters and start state,
+    a voltage sequence and a relaxation fraction."""
+    chain = index_mcp_chain()
+    n = draw(st.integers(2, 6))
+    xs = np.cumsum([0.0] + draw(st.lists(st.floats(0.05, 4.0), min_size=n - 1, max_size=n - 1)))
+    fs = draw(st.floats(1.0, 40.0)) - np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.0, 8.0), min_size=n - 1, max_size=n - 1)))
+    ls = draw(st.floats(0.0, 10.0)) + np.cumsum(
+        [0.0] + draw(st.lists(st.floats(0.0, 8.0), min_size=n - 1, max_size=n - 1)))
+    chain.tabulate(xs.tolist(), np.maximum(fs, 0.0).tolist(), ls.tolist())
+    chain.f_breakaway = draw(st.floats(0.0, 2.0))
+    chain.exponent = draw(st.sampled_from((2.0, 1.5)))
+    chain.x = draw(st.sampled_from((0.0, draw(st.floats(0.05, 0.95)) * chain.x_cap)))
+    chain.window = draw(st.sampled_from((1, 7, 256)))
+    v = draw(voltage_pieces(1.1 * chain.v_ref))
+    return chain, v, draw(st.sampled_from((1.0, 0.5, 1 / 800)))
+
+
+class TestRunKernel:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_run_matches_scalar_oracle(self, case):
+        chain, v, dt_over_tau = case
+        run_against_oracle(chain, v, dt_over_tau)
+
+    # Edges random tables rarely reach. Flat: net is 0 on all of [1, 2],
+    # and the first breakpoint with r <= 0 names the root 1.0. Overshoot:
+    # from 0.0464 a full step to the stroke cap 2.9 rounds past it.
+    @pytest.mark.parametrize("xs, fs, ls, x0, dt_over_tau", [
+        ([0.0, 1.0, 2.0], [2.0, 1.0, 1.0], [0.0, 1.0, 1.0], 0.0, 1 / 800),
+        ([0.0, 2.9], [10.0, 10.0], [0.0, 1.0], 0.0464, 1.0),
+    ], ids=["flat_net_segment", "overshoot_at_stroke_cap"])
+    def test_exact_edges_match_scalar_oracle(self, monkeypatch, xs, fs, ls, x0, dt_over_tau):
+        assert 0.0464 + (2.9 - 0.0464) * 1.0 > 2.9
+        chain = index_mcp_chain()
+        chain.tabulate(xs, fs, ls)
+        chain.f_breakaway, chain.x = 0.0, x0
+        scalar_steps = count_scalar_steps(monkeypatch)
+        run_against_oracle(chain, np.full(3, chain.v_ref), dt_over_tau)
+        assert scalar_steps == []  # one run, pushed up without friction
+
+    def test_push_reversal_takes_the_scalar_step(self, monkeypatch):
+        # Pushed up at mid-stroke, then the voltage drops to 0: the first
+        # step at 0 V is pushed down, which breaks the run there.
+        chain = index_mcp_chain()
+        oracle = ScalarChain(chain)
+        fb = chain.f_breakaway
+        chain.x = 0.5 * oracle.stall_target(1.0, fb)
+        assert oracle.net(1.0, chain.x) > fb and oracle.net(0.0, chain.x) < -fb
+        scalar_steps = count_scalar_steps(monkeypatch)
+        run_against_oracle(chain, np.array([chain.v_ref] * 100 + [0.0] * 100), 1 / 800)
+        assert scalar_steps == [0.0]
 
 
 def _episode_bytes(report):
@@ -258,16 +375,17 @@ def warm_cache():
     return {}
 
 
-def count_advance(monkeypatch) -> list[int]:
-    calls = [0]
-    real = ChainSim.advance
+def count_steps(monkeypatch) -> list[int]:
+    """Internal steps the chain kernel is asked to take, from now on."""
+    steps = [0]
+    real = ChainSim.run
 
-    def counted(chain, *args):
-        calls[0] += 1
-        return real(chain, *args)
+    def counted(chain, v, dt_over_tau):
+        steps[0] += len(v)
+        return real(chain, v, dt_over_tau)
 
-    monkeypatch.setattr(ChainSim, "advance", counted)
-    return calls
+    monkeypatch.setattr(ChainSim, "run", counted)
+    return steps
 
 
 class TestMechanicsCache:
@@ -299,16 +417,27 @@ class TestMechanicsCache:
                     assert _episode_bytes(warm) == _episode_bytes(cold), (seed, controller)
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
-        calls = count_advance(monkeypatch)
+        calls = count_steps(monkeypatch)
         assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
         assert calls[0] == 2 * 4 * steps
 
+    def test_detect_batch_keys_each_scenario_once(self, monkeypatch, tmp_path):
+        # 11 episodes of two scenario objects: the mechanics key is
+        # computed once per object, not per episode.
+        keys = []
+        real = plant_module.mechanics_key
+        monkeypatch.setattr(plant_module, "mechanics_key",
+                            lambda scenario, sim: keys.append(scenario.name) or real(scenario, sim))
+        assert cli_main(["detect-batch", "--free", "2", "--grasp", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert sorted(keys) == ["detect_cube", "detect_free"]
+
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
         # Baseline plus episode, 4 chains each; the walk may step the
         # open-loop record up to one block past the hold.
-        calls = count_advance(monkeypatch)
+        calls = count_steps(monkeypatch)
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)

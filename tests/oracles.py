@@ -3,15 +3,16 @@
 Each oracle computes one thing the package computes faster, in the
 most direct way: the grasp detector sample by sample, the chain step
 one Python call at a time, the stall point by bisection on the force
-balance, and the monitored current from the stored capacitance and
-voltage columns. None of them is used by the package itself.
+balance, the monitored current from the stored capacitance and
+voltage columns, and the CSV document one repr per cell. None of them
+is used by the package itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -230,3 +231,16 @@ def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:
     dc = (c[2:] - c[:-2]) / (2 * dt)
     out[1:-1] = c[1:-1] * dv + v[1:-1] * dc
     return out
+
+
+def csv_text(columns: list[tuple[str, Any]]) -> str:
+    """CSV document of (header name, values) columns of equal length.
+
+    Values are written as repr of the float, so equal inputs give equal
+    bytes.
+    """
+    arrays = [values for _, values in columns]
+    lines = [",".join(name for name, _ in columns)]
+    for k in range(len(arrays[0])):
+        lines.append(",".join(repr(float(a[k])) for a in arrays))
+    return "\n".join(lines) + "\n"

@@ -221,6 +221,24 @@ class TestReplay:
         assert code == 2
         assert "i_meas(uA)" in capsys.readouterr().err
 
+    def test_duplicate_column_rejected(self, batch_out, tmp_path, capsys):
+        # A second i_meas(uA) column would otherwise replace the first,
+        # and the detector would read the appended values.
+        src = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
+        bad = tmp_path / "dup.csv"
+        bad.write_text("\n".join([src[0] + ",i_meas(uA)"]
+                                 + [row + ",999.0" for row in src[1:]]) + "\n")
+        copy_meta(batch_out / "detect_cube_seed100000.csv", bad)
+        with pytest.raises(TraceSchemaError, match="twice") as exc:
+            load_trace(bad)
+        assert exc.value.column == "i_meas(uA)"
+        out = tmp_path / "o"
+        code = run_cli("replay", "--trace", str(bad),
+                       "--detector", str(batch_out / "detector.json"), "--out", str(out))
+        assert code == 2
+        assert "column 'i_meas(uA)' twice" in capsys.readouterr().err
+        assert not list(out.rglob("*"))
+
     def test_trace_without_metadata_rejected(self, batch_out, tmp_path, capsys):
         # Without its metadata a trace cannot show its schedule, config
         # or stack, so the detector's checks could not run.

@@ -84,6 +84,10 @@ def _onset_voltage(cfg: HandConfig, tendon_id: str) -> Optional[float]:
 
 def cmd_characterize(args) -> int:
     cfg = _load(args)
+    missing = [finger for finger in ("index", "thumb") if finger not in cfg.fingers]
+    if missing:
+        raise ConfigError(f"characterize sweeps the index and thumb fingers; "
+                          f"the config has no {' and no '.join(missing)}")
     out = _outdir(args)
     meta: dict[str, Any] = {
         "config_hash": config_hash(cfg),
@@ -319,10 +323,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ModelConsistencyError as exc:
         print(f"model-consistency error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ConfigError, DomainError, InsufficientDataError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, DomainError, InsufficientDataError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HaselHandError as exc:

@@ -653,8 +653,6 @@ def resolve_preset(
 
     # The monitor reads the detection stack; a preset that does not drive
     # it is monitored on its first chain, which only an open-loop run may use.
-    if not chains:
-        raise ConfigError(f"preset {preset_name}: its fingers drive no stack")
     monitored = cfg.detection.monitored_stack
     if all(c.tendon_id != monitored for c in chains):
         if ctrl != "none":

@@ -58,7 +58,7 @@ class FingerLayout:
             if not (0 <= a < n and 0 <= b < n and a != b):
                 raise ConfigError(f"invalid coupled_pair {self.coupled_pair}")
         groups = self.tendon_joint_groups()
-        if self.tendon_ids and len(self.tendon_ids) != len(groups):
+        if len(self.tendon_ids) != len(groups):
             raise ConfigError(
                 f"{len(self.tendon_ids)} tendon ids for {len(groups)} tendon-driven groups")
 

@@ -17,9 +17,8 @@ Because every term is piecewise linear in x, the stall point is found
 exactly by walking the precomputed breakpoint table. The test suite
 cross-checks it against a generic bisection on the force balance.
 
-A chain steps in verified runs (ChainSim.run), with the arithmetic of
-one scalar step at a time (ChainSim.advance, which the test suite
-checks the runs against bit for bit, through a scalar oracle):
+A chain steps in verified runs (ChainSim.run), its one stepping kernel,
+which the test suite checks bit for bit against a scalar oracle:
 
 - The stall target depends on the applied voltage and the sign of the
   push alone, so a run's targets come from one array walk of the table.
@@ -28,8 +27,7 @@ checks the runs against bit for bit, through a scalar oracle):
 - A run assumes the mode of its first step throughout: held, pushed up
   (net > f_breakaway) or pushed down (net < -f_breakaway). Net force at
   every pre-step x, on arrays, then checks that assumption, and only the
-  verified prefix is kept. The step that breaks a run goes through
-  advance, and the next run starts after it.
+  verified prefix is kept. The step that breaks a run starts the next.
 - Rest needs no recurrence at all. At x = 0 the net force is
   a * f(0) - l(0) for voltage scale a. While it is at most f_breakaway,
   either stiction holds x, or the push is down and the walk's first
@@ -46,20 +44,20 @@ run_scenario makes two passes over a scenario.
 
 - The mechanics pass, Plant.extend, is the only code that steps chains.
   It computes each voltage schedule's applied voltage (slew-limited,
-  capped at the amplifier ceiling) once, steps every chain under it in
-  runs, and records, at every sample instant, each
-  chain's contraction, applied voltage, stall target and running
-  maximum stall residual, and the monitored chain's contraction and
-  voltage one internal step before and after the instant. What a chain
-  holds at a sample is also where a hold resumes it from.
+  capped at the amplifier ceiling) once and steps every chain under it
+  in runs. It records, at every sample instant, each chain's contraction,
+  applied voltage, stall target and running maximum stall residual,
+  and, at every internal step, the monitored chain's contraction and
+  voltage. What a chain holds at a sample is also where a hold resumes
+  it from.
 - The monitor pass, Plant.current, runs once per seed on those arrays.
   The drawn current of the monitored stack (chosen in
-  config.resolve_preset) comes from the step-level finite differences
-  of capacitance and applied voltage around each sample instant:
-  central inside the run, one-sided at its ends. Gaussian monitor noise
-  is drawn from a seeded generator in one block whose values are those
-  of one draw per monitor per sample, in sample order, so runs are
-  reproducible byte for byte.
+  config.resolve_preset) comes from the finite differences of
+  capacitance and applied voltage over the internal steps either side
+  of each sample instant: central inside the run, one-sided at its
+  ends. Gaussian monitor noise is drawn from a seeded generator in one
+  block whose values are those of one draw per monitor per sample, in
+  sample order, so runs are reproducible byte for byte.
 
 Open loop, the mechanics do not depend on the seed. run_scenario keeps
 each recorded Plant in a cache dict under mechanics_key: the canonical
@@ -220,28 +218,12 @@ class ChainSim:
         return float(target[0])
 
     def advance(self, v_applied: float, dt_over_tau: float) -> float:
-        """One internal step: move x toward the friction-aware stall point.
-        Returns the stall target, or x where stiction holds it."""
-        a = v_applied / self.v_ref
-        a = a * a if self.exponent == 2.0 else a ** self.exponent
-        x = self.x
-        net = float(self.net(a, x))
-        fb = self.f_breakaway
-        if -fb <= net <= fb:
-            return x
-        target = self.stall_target(a, fb if net > fb else -fb)
-        x += (target - x) * dt_over_tau
-        if x < 0.0:
-            x = 0.0
-        elif x > self.x_cap:
-            x = self.x_cap
-        self.x = x
-        return target
+        """One internal step as a run of one; returns its stall target."""
+        return float(self.run(np.array([v_applied]), dt_over_tau)[1][0])
 
     def run(self, v: np.ndarray, dt_over_tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Take one internal step per applied voltage in v, as advance
-        would, and return each step's x, stall target and running maximum
-        stall residual.
+        """Take one internal step per applied voltage in v and return each
+        step's x, stall target and running maximum stall residual.
 
         The steps go in runs of one mode, the mode of the run's first
         step: held (x stays), pushed up (+f_breakaway) or pushed down
@@ -250,9 +232,8 @@ class ChainSim:
         voltage alone, so only the recurrence x += (target - x) * r runs
         in Python; net at every pre-step x then verifies the mode, and
         the verified prefix is kept. The first step that breaks the run
-        goes through advance, and a run of RUN_WINDOW steps starts after
-        it; a run that holds to its end is followed by one twice as long,
-        up to RUN_WINDOW_MAX.
+        starts the next one, of RUN_WINDOW steps; a run that holds to its
+        end is followed by one twice as long, up to RUN_WINDOW_MAX.
         """
         a = v / self.v_ref
         a = a * a if self.exponent == 2.0 else np.array([s ** self.exponent for s in a.tolist()])
@@ -289,12 +270,7 @@ class ChainSim:
                 xw[:kept], tw[:kept], rw[:kept])
             self.x, self.max_residual = float(xw[kept - 1]), float(rw[kept - 1])
             j += kept
-            if kept == len(ok):
-                self.window = min(2 * self.window, RUN_WINDOW_MAX)
-            else:
-                targets[j] = self.advance(float(v[j]), r)
-                xs[j], residuals[j] = self.x, self.max_residual
-                j, self.window = j + 1, RUN_WINDOW
+            self.window = RUN_WINDOW if kept < len(ok) else min(2 * self.window, RUN_WINDOW_MAX)
         return xs, targets, residuals
 
 
@@ -304,9 +280,9 @@ class Plant:
     Column k of x, v, target and residual holds each chain's contraction
     (mm), applied voltage (kV), stall target (mm) and running maximum
     stall residual (N) after internal step k * steps_per_sample.
-    x_lo/v_lo and x_hi/v_hi hold the monitored chain's contraction and
-    voltage one internal step before and after that step, clamped to
-    the run. Samples 0..end are recorded; extend steps further.
+    x_mon and v_mon hold the monitored chain's contraction and voltage
+    after every internal step, index 0 being the start. Samples 0..end
+    are recorded; extend steps further.
     """
 
     def __init__(self, scenario: Scenario, sim: SimConfig):
@@ -319,7 +295,7 @@ class Plant:
         self.end = 0
         shape = (len(self.chains), self.n_samples)
         self.x, self.v, self.target, self.residual = (np.zeros(shape) for _ in range(4))
-        self.x_lo, self.v_lo, self.x_hi, self.v_hi = (np.zeros(self.n_samples) for _ in range(4))
+        self.x_mon, self.v_mon = np.zeros((2, (self.n_samples - 1) * sim.steps_per_sample + 1))
 
     def extend(self, k_end: int) -> None:
         """Step every chain from sample end to sample k_end and record it.
@@ -331,7 +307,7 @@ class Plant:
         chains that have both. ChainSim.run then steps each chain in
         verified runs: held runs by one array comparison, pushed runs by
         the x recurrence alone, each checked against the net force at
-        every step, and a step that breaks a run by ChainSim.advance.
+        every step. The monitored chain is recorded at every step.
         """
         k0, sps = self.end, self.sim.steps_per_sample
         if k_end <= k0:
@@ -345,7 +321,6 @@ class Plant:
             if key not in volts:
                 volts[key] = self._slew(self.schedules[c](t), ch.v_applied)
             v = volts[key]
-            x_start, v_start = ch.x, ch.v_applied
             x, target, residual = ch.run(v, dt / self.sim.tau_mech)
             ch.v_applied = float(v[-1])
             self.x[c, recorded] = x[sps - 1::sps]
@@ -353,12 +328,9 @@ class Plant:
             self.target[c, recorded] = target[sps - 1::sps]
             self.residual[c, recorded] = residual[sps - 1::sps]
             if c == self.mon:
-                xs, vs = np.concatenate(([x_start], x)), np.concatenate(([v_start], v))
-                self.x_lo[recorded], self.v_lo[recorded] = xs[sps - 1:-1:sps], vs[sps - 1:-1:sps]
-                self.x_hi[k0:k_end], self.v_hi[k0:k_end] = xs[1::sps], vs[1::sps]
+                self.x_mon[k0 * sps + 1:k_end * sps + 1] = x
+                self.v_mon[k0 * sps + 1:k_end * sps + 1] = v
         self.end = k_end
-        if k_end == self.n_samples - 1:
-            self.x_hi[k_end], self.v_hi[k_end] = self.x[self.mon, k_end], self.v[self.mon, k_end]
 
     def _slew(self, cmd: np.ndarray, v: float) -> np.ndarray:
         """Applied voltage after each step toward the commands cmd from v:
@@ -385,7 +357,7 @@ class Plant:
         schedule from there: held maps each schedule to its held command."""
         plant = Plant(self.scenario, self.sim)
         plant.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
-        for name in ("x", "v", "target", "residual", "x_lo", "v_lo", "x_hi", "v_hi"):
+        for name in ("x", "v", "target", "residual", "x_mon", "v_mon"):
             setattr(plant, name, getattr(self, name).copy())
         plant.end = k
         for c, ch in enumerate(plant.chains):
@@ -405,8 +377,8 @@ class Plant:
         hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
         span = np.maximum(hi - lo, 1) * dt
         stack = self.chains[self.mon].spec.stack
-        dv = (self.v_hi[k0:k1] - self.v_lo[k0:k1]) / span
-        dc = (capacitance_of(stack, self.x_hi[k0:k1]) - capacitance_of(stack, self.x_lo[k0:k1])) / span
+        dv = (self.v_mon[hi] - self.v_mon[lo]) / span
+        dc = (capacitance_of(stack, self.x_mon[hi]) - capacitance_of(stack, self.x_mon[lo])) / span
         return displacement_current(capacitance_of(stack, self.x[self.mon, k0:k1]), dv,
                                     self.v[self.mon, k0:k1], dc)
 

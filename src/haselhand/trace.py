@@ -183,6 +183,12 @@ def load_trace(csv_path: str | Path) -> SignalTrace:
             data[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise TraceSchemaError(f"row {r + 1} has a non-numeric value: {exc}") from None
+    # The package writes finite values only: any other cell marks a damaged file.
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        r, j = bad[0]
+        raise TraceSchemaError(f"row {r + 1} has a non-finite value in column "
+                               f"{names[j]!r}: {float(data[r, j])}", column=names[j])
 
     by_name = {name: data[:, j] for j, name in enumerate(names)}
     groups: dict[str, dict[str, np.ndarray]] = {group: {} for group in KEYED_COLUMNS}

@@ -288,6 +288,18 @@ def index_without_tendons(doc):
     doc["presets"]["pinch_cube"]["fingers"] = ["index"]
 
 
+def without_fingers(*names):
+    """Remove fingers, their contact angles and the presets that use them."""
+    def mutate(doc):
+        for name in names:
+            del doc["fingers"][name]
+            for obj in doc["objects"].values():
+                obj["theta_contact"].pop(name, None)
+        doc["presets"] = {key: preset for key, preset in doc["presets"].items()
+                          if not set(names) & set(preset["fingers"])}
+    return mutate
+
+
 def index_listed_twice(doc):
     doc["presets"]["pinch_cube"]["fingers"] = ["index", "index"]
 
@@ -372,7 +384,7 @@ class TestBadInputs:
         (("detect-batch", "--free", "1", "--grasp", "1"), thumb_only_detection,
          "preset detect_free: controller 'detect' needs detection.monitored_stack 'index_mcp'"),
         (("grasp", "--preset", "pinch_cube"), index_without_tendons,
-         "preset pinch_cube: its fingers drive no stack"),
+         "fingers.index: 0 tendon ids for 2 tendon-driven groups"),
         (("grasp", "--preset", "pinch_cube"), index_listed_twice,
          "preset pinch_cube: stack 'index_mcp' is driven twice"),
         (("grasp", "--preset", "pinch_cube"), middle_on_index_tendons,
@@ -386,6 +398,61 @@ class TestBadInputs:
         code = run_cli(*argv, "--config", str(cfg_path), "--out", str(out))
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("mutate, named", [
+        (index_without_tendons, "fingers.index: 0 tendon ids for 2 tendon-driven groups"),
+        (without_fingers("thumb"), "the config has no thumb"),
+        (without_fingers("index"), "the config has no index"),
+        (without_fingers("index", "thumb"), "the config has no index and no thumb"),
+    ], ids=["finger_without_tendons", "no_thumb", "no_index", "neither"])
+    def test_characterize_without_its_fingers_exits_2(self, tmp_path, capsys, mutate, named):
+        # A config without the index or thumb finger is valid for the
+        # presets it keeps; only the characterize sweeps name both.
+        cfg_path = write_config(tmp_path, mutate)
+        out = tmp_path / "o"
+        assert run_cli("characterize", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--trace", "--detector"])
+    def test_missing_input_file_exits_2(self, batch_out, tmp_path, capsys, flag):
+        files = {"--trace": str(batch_out / "detect_cube_seed100000.csv"),
+                 "--detector": str(batch_out / "detector.json"),
+                 "--config": str(write_config(tmp_path)),
+                 flag: str(tmp_path / "absent.json")}
+        out = tmp_path / "o"
+        verb = ("replay", "--trace", files["--trace"], "--detector", files["--detector"])
+        if flag == "--config":
+            verb = ("grasp", "--preset", "pinch_cube", "--config", files["--config"])
+        assert run_cli(*verb, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "absent.json" in err
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("column, cell", [("i_meas(uA)", "nan"), ("x_index_mcp(mm)", "inf")],
+                             ids=["nan_current", "inf_contraction"])
+    def test_non_finite_trace_cell_names_row_and_column(self, batch_out, tmp_path, capsys,
+                                                        column, cell):
+        # The package writes finite values only, so such a cell marks a
+        # damaged file, not a trace to give a verdict on.
+        rows = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
+        j = rows[0].split(",").index(column)
+        cells = rows[3].split(",")
+        cells[j] = cell
+        rows[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        copy_meta(batch_out / "detect_cube_seed100000.csv", bad)
+        with pytest.raises(TraceSchemaError) as exc:
+            load_trace(bad)
+        assert exc.value.column == column
+        out = tmp_path / "o"
+        code = run_cli("replay", "--trace", str(bad),
+                       "--detector", str(batch_out / "detector.json"), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"row 3 has a non-finite value in column '{column}': {cell}" in err
         assert not list(out.rglob("*"))
 
     def test_non_numeric_trace_cell_names_row(self, batch_out, tmp_path, capsys):

@@ -268,17 +268,25 @@ def run_against_oracle(chain: ChainSim, v: np.ndarray, dt_over_tau: float) -> No
     assert (chain.x, chain.max_residual) == (oracle.x, oracle.max_residual)
 
 
-def count_scalar_steps(monkeypatch) -> list[float]:
-    """The applied voltage of every step ChainSim.advance takes from now on."""
-    steps = []
-    real = ChainSim.advance
+def record_pushed_runs(monkeypatch) -> list[tuple[float, int]]:
+    """Each pushed run ChainSim.run takes from now on, as its direction
+    (+1.0 up, -1.0 down: the sign of its stall walk's offset, signed
+    zero included) and the steps its walk spans; held runs walk nothing.
+    A walk's own call for its distinct scales is not a run."""
+    runs, depth = [], [0]
+    real = ChainSim.stall_walk
 
-    def counted(chain, v_applied, dt_over_tau):
-        steps.append(v_applied)
-        return real(chain, v_applied, dt_over_tau)
+    def recorded(chain, a, offset):
+        if depth[0] == 0:
+            runs.append((math.copysign(1.0, offset), len(a)))
+        depth[0] += 1
+        try:
+            return real(chain, a, offset)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(ChainSim, "advance", counted)
-    return steps
+    monkeypatch.setattr(ChainSim, "stall_walk", recorded)
+    return runs
 
 
 @st.composite
@@ -344,21 +352,22 @@ class TestRunKernel:
         chain = index_mcp_chain()
         chain.tabulate(xs, fs, ls)
         chain.f_breakaway, chain.x = 0.0, x0
-        scalar_steps = count_scalar_steps(monkeypatch)
+        runs = record_pushed_runs(monkeypatch)
         run_against_oracle(chain, np.full(3, chain.v_ref), dt_over_tau)
-        assert scalar_steps == []  # one run, pushed up without friction
+        assert runs == [(1.0, 3)]  # one run, pushed up without friction
 
-    def test_push_reversal_takes_the_scalar_step(self, monkeypatch):
+    def test_push_reversal_starts_a_new_run(self, monkeypatch):
         # Pushed up at mid-stroke, then the voltage drops to 0: the first
-        # step at 0 V is pushed down, which breaks the run there.
+        # step at 0 V is pushed down, which breaks the run there and
+        # starts a pushed-down run that holds to the end.
         chain = index_mcp_chain()
         oracle = ScalarChain(chain)
         fb = chain.f_breakaway
         chain.x = 0.5 * oracle.stall_target(1.0, fb)
         assert oracle.net(1.0, chain.x) > fb and oracle.net(0.0, chain.x) < -fb
-        scalar_steps = count_scalar_steps(monkeypatch)
+        runs = record_pushed_runs(monkeypatch)
         run_against_oracle(chain, np.array([chain.v_ref] * 100 + [0.0] * 100), 1 / 800)
-        assert scalar_steps == [0.0]
+        assert runs == [(1.0, 200), (-1.0, 100)]
 
 
 def _episode_bytes(report):

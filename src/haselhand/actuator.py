@@ -33,7 +33,6 @@ class StackConfig:
     totals for the whole stack, not per pouch.
     """
 
-    n_units: int = field(metadata={"ge": 1})
     force_knots: tuple[tuple[float, float], ...]
     v_ref: float = field(metadata={"gt": 0.0})
     x_free: float = 12.0

@@ -6,10 +6,10 @@ Verbs:
     detect-batch  calibrate a threshold and classify a seeded batch
     replay        rerun grasp detection offline on a recorded trace
 
-Every command is deterministic given (config, seed) and writes
-plot-ready CSV/JSON only; all outputs carry the config hash. Exit
-codes: 0 success, 2 configuration error, 3 model-consistency error,
-4 calibration failure. HASELHAND_OUT overrides the output directory.
+Every command is deterministic given its inputs and writes plot-ready
+CSV/JSON only; all outputs carry the config hash. Exit codes: 0 success,
+2 configuration error, 3 model-consistency error, 4 calibration failure.
+HASELHAND_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def cmd_characterize(args) -> int:
             duration=2.0,
         )
         scenario = resolve_preset(cfg, preset)
-        trace = run_scenario(scenario, cfg.sim, seed=args.seed)
+        # The sweeps read v_cmd and theta, which no seed moves.
+        trace = run_scenario(scenario, cfg.sim, seed=0)
 
         joints = [j.name for j in layout.joints]
         columns = [("v_cmd(kV)", trace.v_cmd)]
@@ -280,34 +281,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="experiment config JSON (default: built-in)")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    # Each verb takes only the options its cmd_* function reads, and --out.
+    def verb(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("characterize", help="voltage sweeps: joint angles and fingertip force")
-    common(p)
-    p.set_defaults(func=cmd_characterize)
+    config = {"help": "experiment config JSON (default: built-in)"}
+    seed = {"type": int, "default": 0, "help": "base RNG seed"}
 
-    p = sub.add_parser("grasp", help="run one scenario preset")
-    common(p)
+    p = verb("characterize", cmd_characterize, "voltage sweeps: joint angles and fingertip force")
+    p.add_argument("--config", **config)
+
+    p = verb("grasp", cmd_grasp, "run one scenario preset")
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", **seed)
     p.add_argument("--preset", required=True, help="preset name from the config")
     p.add_argument("--no-object", action="store_true", help="run the preset without its object")
     p.add_argument("--no-controller", action="store_true",
                    help="disable the preset's controller")
-    p.set_defaults(func=cmd_grasp)
 
-    p = sub.add_parser("detect-batch", help="calibrate and classify a seeded batch")
-    common(p)
+    p = verb("detect-batch", cmd_detect_batch, "calibrate and classify a seeded batch")
+    p.add_argument("--config", **config)
+    p.add_argument("--seed", **seed)
     p.add_argument("--free", type=int, default=25, help="number of free-motion episodes")
     p.add_argument("--grasp", type=int, default=25, help="number of grasp episodes")
-    p.set_defaults(func=cmd_detect_batch)
 
-    p = sub.add_parser("replay", help="offline grasp detection on a recorded trace")
-    common(p)
+    p = verb("replay", cmd_replay, "offline grasp detection on a recorded trace")
     p.add_argument("--trace", required=True, help="trace CSV to replay")
     p.add_argument("--detector", required=True, help="detector JSON from detect-batch")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 

@@ -172,8 +172,6 @@ class ScenarioPreset:
     duration: Optional[float] = field(default=None, metadata={"ge": 0.0})  # else sim.duration
     controller: str = field(default="none", metadata={"in": ("none", "detect", "contact_aware")})
     amp_ceiling: Optional[float] = field(default=None, metadata=V_CEILING_DOMAIN)  # overrides
-    repetitions: int = field(default=1, metadata={"ge": 1})
-    seed_base: int = 0
 
     def __post_init__(self):
         if not self.fingers:
@@ -250,7 +248,6 @@ class HandConfig:
 
 def _stack(n_units: int) -> StackConfig:
     return StackConfig(
-        n_units=n_units,
         force_knots=STACK_KNOTS[n_units],
         v_ref=5.5,
         c0=0.2 * n_units,
@@ -302,27 +299,17 @@ def default_config() -> HandConfig:
                 out[f] = {"mcp": mcp, "pip": pip, "dip": dip}
         return out
 
+    # The paper's masses, unsimulated: cube 49 g, mushroom 18, toy 107, bottle 26, balloon 2.
     objects = {
-        "cube": ObjectModel(
-            "cube", "rigid", 1e4,
-            _contacts(0.10, 0.15, 0.18, 0.18, 0.18), mass_g=49.0,
-        ),
-        "mushroom": ObjectModel(
-            "mushroom", "rigid", 1e4,
-            _contacts(0.10, 0.18, 0.30, 0.30, 0.30), mass_g=18.0,
-        ),
+        "cube": ObjectModel("cube", "rigid", 1e4, _contacts(0.10, 0.15, 0.18, 0.18, 0.18)),
+        "mushroom": ObjectModel("mushroom", "rigid", 1e4, _contacts(0.10, 0.18, 0.30, 0.30, 0.30)),
         "stuffed_toy": ObjectModel(
-            "stuffed_toy", "compliant", 60.0,
-            _contacts(0.10, 0.15, 0.25, 0.25, 0.25), mass_g=107.0,
-        ),
+            "stuffed_toy", "compliant", 60.0, _contacts(0.10, 0.15, 0.25, 0.25, 0.25)),
         "pet_bottle": ObjectModel(
-            "pet_bottle", "compliant", 300.0,
-            _contacts(0.10, 0.18, 0.22, 0.22, 0.22), mass_g=26.0,
-        ),
+            "pet_bottle", "compliant", 300.0, _contacts(0.10, 0.18, 0.22, 0.22, 0.22)),
         "paper_balloon": ObjectModel(
-            "paper_balloon", "fragile", 150.0,
-            _contacts(0.10, 0.15, 0.15, 0.15, 0.15), f_crush=0.5, mass_g=2.0,
-        ),
+            "paper_balloon", "fragile", 150.0, _contacts(0.10, 0.15, 0.15, 0.15, 0.15),
+            f_crush=0.5),
     }
 
     # Presets without profiles run the default ProfileSpec, the 5.5 kV ramp.
@@ -596,8 +583,8 @@ def resolve_scenario(
 ) -> Scenario:
     """Turn a named preset into a runnable scenario.
 
-    All cross references (fingers, objects, stacks, profile targets vs
-    the amplifier ceiling) are checked here, before any simulation.
+    HandConfig has checked the preset's fingers and object; resolve_preset
+    checks its chains and their profile targets before any simulation.
     """
     if preset_name not in cfg.presets:
         raise ConfigError(
@@ -614,12 +601,7 @@ def resolve_preset(
     drop_object: bool = False,
     controller: Optional[str] = None,
 ) -> Scenario:
-    """Resolve a preset object (named or ad hoc) against a configuration."""
-    for fname in preset.fingers:
-        if fname not in cfg.fingers:
-            raise ConfigError(f"preset {preset.name}: unknown finger {fname!r}")
-    if preset.obj is not None and preset.obj not in cfg.objects:
-        raise ConfigError(f"preset {preset.name}: unknown object {preset.obj!r}")
+    """Resolve a preset against cfg; an ad hoc preset must use fingers and an object cfg has."""
     obj = None if (drop_object or preset.obj is None) else cfg.objects[preset.obj]
     preset_name = preset.name
 

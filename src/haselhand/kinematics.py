@@ -88,8 +88,7 @@ class ObjectModel:
     """Lumped contact model of a graspable object.
 
     theta_contact maps finger name -> {joint name -> contact angle};
-    joints without an entry never touch the object. mass_g is metadata
-    only, gravity loading is not simulated.
+    joints without an entry never touch the object.
     """
 
     name: str
@@ -97,7 +96,6 @@ class ObjectModel:
     k_obj: float = field(metadata={"gt": 0.0})          # contact stiffness, N/rad
     theta_contact: dict[str, dict[str, float]]
     f_crush: Optional[float] = field(default=None, metadata={"gt": 0.0})   # N
-    mass_g: Optional[float] = None
 
     def __post_init__(self):
         if self.kind == "rigid" and self.k_obj < RIGID_MIN_STIFFNESS:

@@ -94,7 +94,7 @@ from .config import (
     encode,
     profile_hash,
 )
-from .errors import ModelConsistencyError
+from .errors import DomainError, ModelConsistencyError
 from .kinematics import contact_force
 from .trace import SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
@@ -264,8 +264,11 @@ class ChainSim:
                 net = self.net(aw, np.concatenate(([self.x], xw[:-1])))
                 ok = net > fb if up else net < -fb
                 rw = np.maximum.accumulate(np.maximum(rw, self.max_residual))
-            # At least the first step verifies: its mode chose the run's.
+            # The first step chose the run's mode, so it verifies unless its net is NaN.
             kept = len(ok) if ok.all() else int(ok.argmin())
+            if not kept:
+                raise DomainError(f"chain {self.spec.tendon_id}: net force {net[0]} N "
+                                  f"at x = {self.x} mm is not finite")
             xs[j:j + kept], targets[j:j + kept], residuals[j:j + kept] = (
                 xw[:kept], tw[:kept], rw[:kept])
             self.x, self.max_residual = float(xw[kept - 1]), float(rw[kept - 1])
@@ -366,21 +369,21 @@ class Plant:
             ch.max_residual = float(self.residual[c, k])
         return plant
 
-    def current(self, k0: int, k1: int) -> np.ndarray:
+    def current(self, k1: int) -> np.ndarray:
         """Noise-free drawn current (uA) of the monitored stack at samples
-        k0..k1 - 1, from the differences around each sample's internal
+        0..k1 - 1, from the differences around each sample's internal
         step: 0 / dt = 0 for a run of zero duration. Needs samples up to
         k1 recorded, or the whole run."""
         sps, dt = self.sim.steps_per_sample, self.sim.dt_internal
-        idx = np.arange(k0, k1) * sps
+        idx = np.arange(k1) * sps
         lo = np.maximum(idx - 1, 0)
         hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
         span = np.maximum(hi - lo, 1) * dt
         stack = self.chains[self.mon].spec.stack
         dv = (self.v_mon[hi] - self.v_mon[lo]) / span
         dc = (capacitance_of(stack, self.x_mon[hi]) - capacitance_of(stack, self.x_mon[lo])) / span
-        return displacement_current(capacitance_of(stack, self.x[self.mon, k0:k1]), dv,
-                                    self.v[self.mon, k0:k1], dc)
+        return displacement_current(capacitance_of(stack, self.x[self.mon, :k1]), dv,
+                                    self.v[self.mon, :k1], dc)
 
 
 def mechanics_key(scenario: Scenario, sim: SimConfig) -> str:
@@ -415,7 +418,7 @@ def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
     while True:
         end = min(end + MECHANICS_BLOCK, last)
         plant.extend(end)
-        k = commander(plant.current(0, end) + noise_i[:end])
+        k = commander(plant.current(end) + noise_i[:end])
         if k is not None or end == last:
             return k
 
@@ -447,7 +450,8 @@ def run_scenario(
 
     cache, when given, is a dict that keeps the recorded mechanics for
     later calls (see the module docstring). Raises ModelConsistencyError
-    when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
+    when the run's stall residual exceeds STALL_RESIDUAL_TOL_N, and
+    DomainError when a net force or a returned column is not finite.
     """
     cache = {} if cache is None else cache
     # The key is computed once per scenario and sim object while the cache
@@ -456,7 +460,7 @@ def run_scenario(
                        lambda: (scenario, sim, mechanics_key(scenario, sim)))[2]
     open_loop = _cached(cache, mech_key, lambda: Plant(scenario, sim))
     n_samples = open_loop.n_samples
-    t_samples = [k * sim.dt_sample for k in range(n_samples)]
+    t_arr = np.arange(n_samples) * sim.dt_sample
     ceiling = scenario.amplifier.v_ceiling
     sigma_v = scenario.amplifier.monitor_noise_v
     sigma_i = scenario.amplifier.monitor_noise_i
@@ -466,17 +470,16 @@ def run_scenario(
     noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
     mon_profile = open_loop.schedules[open_loop.mon]
-    t_arr = np.array(t_samples)
     v_cmd = mon_profile(t_arr)
     hold_events: list[dict[str, float]] = []
     k_hold = None if commander is None else _walk(open_loop, commander, noise_i)
     plant = open_loop
     if k_hold is not None:
-        t_prev = t_samples[max(k_hold - 1, 0)]
+        t_prev = float(t_arr[max(k_hold - 1, 0)])
         held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(open_loop.schedules)}
         plant = _cached(cache, (mech_key, k_hold), lambda: open_loop.resume(k_hold, held))
         v_cmd[k_hold:] = held[mon_profile]
-        hold_events.append({"t": t_samples[k_hold], "v_held": held[mon_profile]})
+        hold_events.append({"t": float(t_arr[k_hold]), "v_held": held[mon_profile]})
     plant.extend(n_samples - 1)
 
     max_residual = float(plant.residual[:, -1].max())
@@ -486,7 +489,7 @@ def run_scenario(
             f"exceeds {STALL_RESIDUAL_TOL_N} N"
         )
     v_meas = plant.v[plant.mon] + noise_v
-    i_meas = plant.current(0, n_samples) + noise_i
+    i_meas = plant.current(n_samples) + noise_i
 
     # Assemble per-joint and per-stack columns at the sample grid.
     theta_cols: dict[str, np.ndarray] = {}
@@ -529,7 +532,14 @@ def run_scenario(
         "controller_modes": {"final": "holding" if hold_events else "ramping"},
     }
 
-    return SignalTrace(
+    trace = SignalTrace(
         t=t_arr, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas,
         theta=theta_cols, f_contact=fc_cols, x=x_cols, c=c_cols, meta=meta,
     )
+    columns = trace.columns()
+    finite = np.isfinite([values for _, values in columns])  # as load_trace demands
+    if not finite.all():
+        c, k = np.argwhere(~finite)[0]
+        raise DomainError(f"scenario {scenario.name}: non-finite value {columns[c][1][k]} "
+                          f"in column {columns[c][0]!r} at sample {k}")
+    return trace

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,27 @@ from haselhand import (
     resolve_scenario,
     run_scenario,
 )
+
+
+# Seconds a test that uses time_limit may run: an in-process grasp takes
+# well under 0.1 s, so only a run that never ends reaches it.
+TIME_LIMIT_S = 5.0
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with a TimeoutError, rather than hang, if it is still
+    running after TIME_LIMIT_S."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def noise_free(cfg: HandConfig) -> HandConfig:

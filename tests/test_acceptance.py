@@ -48,7 +48,7 @@ def _eq1_rms_ratio(trace, stack: str) -> float:
 
 
 def test_criterion_1_force_curve_fidelity():
-    cfg = StackConfig(n_units=2, force_knots=((0.0, 25.3), (6.0, 2.0)),
+    cfg = StackConfig(force_knots=((0.0, 25.3), (6.0, 2.0)),
                       v_ref=5.5, x_free=12.0, c0=0.4, c_slope=0.1, v_max=6.0)
     exact = (active_force(cfg, 5.5, 0.0) == 25.3 and
              active_force(cfg, 5.5, 6.0) == 2.0)

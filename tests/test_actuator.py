@@ -15,7 +15,7 @@ from oracles import equilibrium_contraction
 
 
 def two_stack(**kw) -> StackConfig:
-    args = dict(n_units=2, force_knots=((0.0, 25.3), (6.0, 2.0)), v_ref=5.5,
+    args = dict(force_knots=((0.0, 25.3), (6.0, 2.0)), v_ref=5.5,
                 x_free=12.0, c0=0.4, c_slope=0.1, v_max=6.0)
     args.update(kw)
     return StackConfig(**args)

@@ -278,6 +278,21 @@ class TestReplay:
         assert not list((tmp_path / "o").rglob("*"))
 
 
+NAN_NET_AT_REST = "chain index_mcp: net force nan N at x = 0.0 mm is not finite"
+INF_CURRENT = "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)'"
+
+
+def set_key(where, value):
+    """A mutate that sets the value at dotted key path where."""
+    *parents, key = where.split(".")
+
+    def mutate(doc):
+        for part in parents:
+            doc = doc[part]
+        doc[key] = value
+    return mutate
+
+
 def thumb_only_detection(doc):
     for name in ("detect_free", "detect_cube"):
         doc["presets"][name]["fingers"] = ["thumb"]
@@ -339,7 +354,7 @@ class TestBadInputs:
     # as the constants json.dumps would give them.
     @pytest.mark.parametrize("where, text, named", [
         ("detection.smoothing", "5.9", "detection.smoothing"),
-        ("stacks.index_mcp.n_units", "2.7", "stacks.index_mcp.n_units"),
+        ("detection.baseline_seed", "2.7", "detection.baseline_seed"),
         ("detection.debounce", "true", "detection.debounce"),
         ("stacks.index_mcp.c0", "true", "stacks.index_mcp.c0"),
         ("stacks.index_mcp.c0", "NaN", "NaN"),
@@ -360,25 +375,64 @@ class TestBadInputs:
         ("stacks.index_mcp.c0", "-1", "stacks.index_mcp.c0: -1.0 must be > 0.0"),
         ("presets.pinch_cube.profiles.index_mpc", '{"kind": "hold", "target_kv": 2.0}',
          "presets.pinch_cube.profiles.index_mpc: the preset drives no stack 'index_mpc'"),
-    ], ids=["fractional_int", "fractional_n_units", "bool_int", "bool_float",
+    ], ids=["fractional_int", "fractional_baseline_seed", "bool_int", "bool_float",
             "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
             "negative_contact_angle", "contact_angle_past_limit", "contact_unknown_joint",
             "contact_unknown_finger", "negative_preset_duration", "preset_duration_off_grid",
             "preset_ceiling_above_amplifier", "tau_below_internal_step",
             "slack_longer_than_stroke", "negative_c0", "profile_of_undriven_stack"])
     def test_number_the_model_cannot_mean_exits_2(self, tmp_path, capsys, where, text, named):
-        def mutate(doc):
-            *parents, key = where.split(".")
-            for part in parents:
-                doc = doc[part]
-            doc[key] = "@value@"
-        cfg_path = write_config(tmp_path, mutate)
+        cfg_path = write_config(tmp_path, set_key(where, "@value@"))
         cfg_path.write_text(cfg_path.read_text().replace('"@value@"', text))
         code = run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert named in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    # Each value lies inside its declared domain, yet gives the run an
+    # infinite load (a NaN net force at rest) or an infinite current.
+    @pytest.mark.parametrize("where, value, named", [
+        ("tendons.index_mcp.eta_fwd", 1e-308, NAN_NET_AT_REST),
+        ("tendons.index_mcp.f_ext0", 1e308, NAN_NET_AT_REST),
+        ("tendons.index_mcp.k_ext", 1e308, NAN_NET_AT_REST),
+        ("tendons.index_mcp.pulley_ratio", 1e308, NAN_NET_AT_REST),
+        ("stacks.index_mcp.c0", 1e308,
+         "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0"),
+        ("stacks.index_mcp.c_slope", 1e308, INF_CURRENT),
+        ("amplifier.monitor_noise_i", 1e308, INF_CURRENT),
+    ], ids=["tiny_eta_fwd", "huge_f_ext0", "huge_k_ext", "huge_pulley_ratio",
+            "huge_c0", "huge_c_slope", "huge_current_noise"])
+    def test_in_domain_value_without_a_finite_run_exits_2(self, tmp_path, capsys, time_limit,
+                                                          where, value, named):
+        cfg_path = write_config(tmp_path, set_key(where, value))
+        out = tmp_path / "o"
+        assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not list(out.rglob("*"))
+
+    def test_batch_with_infinite_current_exits_2(self, tmp_path, capsys, time_limit):
+        # Calibration would otherwise compare inf with inf and exit 4.
+        cfg_path = write_config(tmp_path, set_key("stacks.index_mcp.c0", 1e308))
+        out = tmp_path / "o"
+        assert run_cli("detect-batch", "--free", "1", "--grasp", "1", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert ("scenario detect_free: non-finite value inf in column 'i_meas(uA)' at sample 0"
+                in capsys.readouterr().err)
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ("characterize", "--seed", "1"),
+        ("replay", "--trace", "t.csv", "--detector", "d.json", "--config", "x"),
+        ("replay", "--trace", "t.csv", "--detector", "d.json", "--seed", "1"),
+    ], ids=["characterize_seed", "replay_config", "replay_seed"])
+    def test_option_the_verb_does_not_read_is_refused(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, mutate, named", [
         (("detect-batch", "--free", "1", "--grasp", "1"), thumb_only_detection,

@@ -1,14 +1,17 @@
+import ast
 import copy
 import math
 import re
 import sys
 import typing
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haselhand
 from haselhand import config_hash, default_config, load_config, save_config
 from haselhand.config import (
     MAX_INTERNAL_STEPS,
@@ -79,7 +82,7 @@ def valid_config(draw):
     tid = draw(st.sampled_from(sorted(cfg.stacks)))
     v_max = draw(_floats(1e-3, 6.0))
     stack = replace(
-        cfg.stacks[tid], n_units=draw(st.integers(1, 10 ** 6)), v_max=v_max,
+        cfg.stacks[tid], v_max=v_max,
         v_ref=draw(_floats(1e-3, v_max)),
         x_free=draw(_floats(cfg.stacks[tid].force_knots[-1][0], exclude_min=True)),
         c0=draw(_floats(0.0, exclude_min=True)), c_slope=draw(_floats(0.0)),
@@ -148,6 +151,30 @@ class TestCrossReferences:
         loaded = config_from_dict(doc)
         with pytest.raises(ConfigError, match="ceiling"):
             resolve_scenario(loaded, "pinch_cube")
+
+
+def _dataclasses_in(tp, found: list) -> list:
+    """found, extended by tp and every dataclass reachable from its field types."""
+    if is_dataclass(tp):
+        if tp not in found:
+            found.append(tp)
+            for field_type in typing.get_type_hints(tp).values():
+                _dataclasses_in(field_type, found)
+    else:
+        for arg in typing.get_args(tp):
+            _dataclasses_in(arg, found)
+    return found
+
+
+def test_every_field_is_read():
+    # A field no code reads changes no output, yet a user can set it and
+    # it moves the config hash.
+    read = {node.attr for path in Path(haselhand.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.__name__}.{f.name}" for cls in _dataclasses_in(HandConfig, [])
+              for f in fields(cls) if f.name not in read]
+    assert unread == []
 
 
 class TestSimConfig:

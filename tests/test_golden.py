@@ -22,67 +22,67 @@ GOLDEN_FILES = {
     "balloon_hold_seed3.csv":
         "05dc1a38f3c40ace10508dce88d9c6203dabee24512bc763ead1505b21be701d",
     "balloon_hold_seed3.meta.json":
-        "9ef18c577cc89ed14b8967bdf4ae72725bf498a31c8dcb40339965de8fa5195a",
+        "fe095a01fb9263a592d353fb0e031da08825968e0b906b0009bebe4227ac6fa5",
     "balloon_hold_seed3.report.json":
-        "0c4ab6f8cabede65c63fe04b14032b56cd09fce2c3370bd497ac3434d427c46d",
+        "176232d6bdeda4f31166b8f4c8b7a8239ff582dfa3c5860a00a07d938bfb252c",
     "balloon_hold_seed4.csv":
         "62979c293105187a4fddd149654344ede5182c3a385d1da0acf7e84ba86b5d2d",
     "balloon_hold_seed4.meta.json":
-        "62f27216156f82aaf069bcd348757ee7c8045993e4256d4d67f051eec396f16a",
+        "09eafcaef4ec80e39f84c6b741e366cb5c2254800aaff329c79446f892675f04",
     "balloon_hold_seed4.report.json":
-        "f36717ffb345155c2f9c88a8a2d7d7da1e30ff33b2f7dec0d749e82d2752365b",
+        "c38f3cc83eb217d6388265040a89df1471464f21e02e49ed7da67c8f0a85be21",
     "characterize.meta.json":
-        "ad71731d5bd004a34d963fa0444b1ca190625cd77d76a48cc1296c568406751f",
+        "219225a02342ebe518d859d3f3cbe770a8a2acf38b02459d9160ed9c2d4efe85",
     "detect_batch_summary.json":
-        "8d4cea582e421d381ddda9912416a88eb65ae102b34095028aa48db7e4fbc8f5",
+        "6b2f509e6f5050c58f340c770ebf63c08cd6b95f822ba774149f89432d305587",
     "detect_cube_seed3.csv":
         "f3c777951e33b778492a5a6c5e0357c25ebcc9a890c0140271f84754919b8aa6",
     "detect_cube_seed3.meta.json":
-        "3ef25b20ea9036cfcbf06a3ebad96d46d1d661412cd6fc654d9cf8b70cbacb25",
+        "cca50556660bee9e3238c5c75cba3ad4804a4c6ea2ff91297dedfc576dd3204c",
     "detect_cube_seed3.report.json":
-        "e4f10c6ace949eb06d1be8e4943809d0ebaca5660f3c1d20cc249a2605118195",
+        "af5cf6d8668736b72d0c489e0aa6237664ee3f6331ee219a8f8b17ca11435738",
     "detect_free_seed3.csv":
         "2297174e18808b66fb920e6bc6e4afe359d67cc6892f8813b0eaa964e1fa3bf7",
     "detect_free_seed3.meta.json":
-        "4a6513c1dfa0ea7b9d0ae7d79baeca56bd07b2d0f65caab81b5c5578f03b3823",
+        "1855f9fc0f1d59be800b753d5026799c13eeaf06b77a92922287d8a908b75823",
     "detect_free_seed3.report.json":
-        "31e2467afe389a67d58a0aca0f7158f59270cc9cafd2dc2c999ce87853047f47",
+        "c72f224c2f338b5607ad358e4e45dbd434c112544a9e342c649a0def2e6215b0",
     "detector.json":
-        "f14cc90d76b28cc41d1c9bd1d9bc543788b9f6f3f1e4f37778a64d0a5ad27977",
+        "2ed4c8751db1e0c25acc5134d0e9412d6b27250cfceeccea31bf4733cc3a0ef8",
     "fingertip_force.csv":
         "f44264e303c4a46cb69857b73a378e790a50eecb6d5b579de3963894b5843037",
     "free_motion_seed3.csv":
         "2297174e18808b66fb920e6bc6e4afe359d67cc6892f8813b0eaa964e1fa3bf7",
     "free_motion_seed3.meta.json":
-        "205b375fa579709a95951b41c8c7dc139ab8f52ee2927600f860074c723cc9c3",
+        "c92a9b2ffd645c8827fdcc743eee6d89c753f052b596b5fd2e8edc1bab8de31e",
     "free_motion_seed3.report.json":
-        "7c7430d13f4a74d2f70fe7c4e47e7b47f518439b7f9f5bf92c9ced345fd10c0e",
+        "a1021ed27bec747d7cac96f2a4a82f0964de4db3ca9bbdb944ab6fc7856838fc",
     "pinch_cube_seed3.csv":
         "f3c777951e33b778492a5a6c5e0357c25ebcc9a890c0140271f84754919b8aa6",
     "pinch_cube_seed3.meta.json":
-        "8fd5478dfc2f5260b3899ce4f579e10826efb36a5b60fcba2f45304fddb49811",
+        "9d963f018ef4afd10b894f8db9bb02363fce77e6f9a038ed2d46a9cc8f40167f",
     "pinch_cube_seed3.report.json":
-        "190251457908536b34ed52292781dab1f394cfdcd008fbf016f7377b5279491a",
+        "e1321839343c8ca62f2c76255e5a6f0d575a2d60fe099678a5bc0d0309a00ee0",
     "pinch_cube_seed3.verdict.json":
-        "b871c3332e4db6da23dcbfec3b625f6f37ce3c4019e5398307f70855ad77e491",
+        "524d08fd514a78caf9a61a95a030620ad010cc2f8e17db25e78f462b84555739",
     "pinch_mushroom_seed3.csv":
         "44170d91666fb3ddef9e2c7f135666644b750a6926af59785eed9075aa133ff3",
     "pinch_mushroom_seed3.meta.json":
-        "b0d13a50c5b79c58ea54133b9f381b1b74affb708532b43af5367958e6dc90e9",
+        "1cf41a9ced31805511e26fc51c44ab4c7cd8e062cf80607a78e4174bcb128326",
     "pinch_mushroom_seed3.report.json":
-        "453b2a90c2605f183d4a3610aa3e78db3cc489b1f3a74bd6fbea95623b36e431",
+        "09123930164b2a2555bfc82eab46fe162debd1d75092e4dedb1921751df4dea2",
     "power_grasp_bottle_seed3.csv":
         "f09536b592c2240938ccd7846c13f5f1493f2c370437022a08b296dfad49979f",
     "power_grasp_bottle_seed3.meta.json":
-        "650befed5a52378bf60d1bb4df4618365ab934461d879e470cef80792952ee86",
+        "f0a9c2d7d31618421a59c7bb9d5854936c64054598567a9924cd8c5ce9241ef9",
     "power_grasp_bottle_seed3.report.json":
-        "edddeb3ad239bce8b84b38b75996edf3f0472d6c9e2770aa158ab3008cf501ef",
+        "6839fd8cdb044ec4dc750c546b735514bce1aa8f994c057895b2d23b603f910b",
     "tripod_toy_seed3.csv":
         "b7a21f4fdec4d670a9c206e6170d1fc4c3cc185c3e685c5917bb5d96c927aeb3",
     "tripod_toy_seed3.meta.json":
-        "ae33b57b179e439c1afb2f740b9646caff79e72eddc6174dcbab934310fc5b71",
+        "090788fc48bedb311bc7c00333e9643fa80d893a98e0872b869034fbc0ae8d8e",
     "tripod_toy_seed3.report.json":
-        "a8035537ede4d6b2f48abcf53492f5e7c2be9acef29280683b161b740d7740bf",
+        "0413839d85fbe9e4374caf4ca4d28858797665dd72434e91b6031257704a4e89",
     "voltage_angle_index.csv":
         "9815081d992d99f576336ef278c62a8e9404555ddd2f828e5f37338f420fd43e",
     "voltage_angle_thumb.csv":
@@ -90,8 +90,8 @@ GOLDEN_FILES = {
 }
 
 GOLDEN_CONFIG_HASHES = {
-    "default": "2cf72d7ea50e7586",
-    "perfbench/base_config.json": "2cf72d7ea50e7586",
+    "default": "d69d38271d6d5ab5",
+    "perfbench/base_config.json": "d69d38271d6d5ab5",
 }
 
 

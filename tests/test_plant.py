@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from haselhand import (
 from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
-from haselhand.errors import ConfigError
+from haselhand.errors import ConfigError, DomainError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant
 from haselhand.trace import json_text
 from oracles import ScalarChain, equilibrium_contraction, reconstruct_current
@@ -368,6 +369,17 @@ class TestRunKernel:
         runs = record_pushed_runs(monkeypatch)
         run_against_oracle(chain, np.array([chain.v_ref] * 100 + [0.0] * 100), 1 / 800)
         assert runs == [(1.0, 200), (-1.0, 100)]
+
+    @pytest.mark.parametrize("ls", [[0.0, math.inf], [math.inf, math.inf]],
+                             ids=["inf_at_cap", "inf_at_rest"])
+    def test_non_finite_load_raises(self, time_limit, ls):
+        # inf * 0 or inf - inf makes net NaN, which fits no run mode: the
+        # kernel must say so rather than take runs of no steps forever.
+        chain = index_mcp_chain()
+        chain.tabulate([0.0, 2.9], [10.0, 10.0], ls)
+        with pytest.raises(DomainError, match=re.escape(
+                "chain index_mcp: net force nan N at x = 0.0 mm is not finite")):
+            chain.run(np.full(3, chain.v_ref), 1 / 800)
 
 
 def _episode_bytes(report):

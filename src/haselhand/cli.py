@@ -60,10 +60,9 @@ def _load(args) -> HandConfig:
 
 
 def _outdir(args) -> Path:
-    out = os.environ.get("HASELHAND_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory. It is not created here: write_atomic creates
+    it with the first file, so a refused run leaves no directory behind."""
+    return Path(os.environ.get("HASELHAND_OUT") or args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,17 @@ them on whole arrays.
 run_scenario makes two passes over a scenario.
 
 - The mechanics pass, Plant.extend, is the only code that steps chains.
-  It computes each voltage schedule's applied voltage (slew-limited,
-  capped at the amplifier ceiling) once and steps every chain under it
-  in runs. It records, at every sample instant, each chain's contraction,
-  applied voltage, stall target and running maximum stall residual,
-  and, at every internal step, the monitored chain's contraction and
-  voltage. What a chain holds at a sample is also where a hold resumes
-  it from.
+  Chains with the same breakpoint table, breakaway force, v_ref, force
+  exponent and schedule, compared by bit pattern, start alike and move
+  alike, so Plant steps one ChainSim kernel per distinct (table,
+  schedule) and copies its motion to each chain it serves. Each
+  schedule's applied voltage (slew-limited, capped at the amplifier
+  ceiling) is computed once, in runs checked on arrays like the
+  kernel's, and every kernel under it steps in runs. The pass records,
+  at every sample instant, each chain's contraction, applied voltage,
+  stall target and running maximum stall residual, and, at every
+  internal step, the monitored chain's contraction and voltage. What a
+  chain holds at a sample is also where a hold resumes it from.
 - The monitor pass, Plant.current, runs once per seed on those arrays.
   The drawn current of the monitored stack (chosen in
   config.resolve_preset) comes from the finite differences of
@@ -73,9 +77,10 @@ samples at a time and, after each block, hands the commander the
 measured current of every sample recorded so far; it stops when the
 commander names a hold sample or the run ends. A hold at sample k sets
 every schedule to its command at sample k - 1 (at sample 0 for k = 0),
-limited to the amplifier ceiling, and resumes the chains from their
-sample-k state; a resumed record is cached under its mechanics key and
-k.
+limited to the amplifier ceiling, and resumes the kernels from their
+sample-k state: chains that shared a kernel are in one state there and
+hold one command, so they keep sharing it. A resumed record is cached
+under its mechanics key and k.
 """
 
 from __future__ import annotations
@@ -236,7 +241,15 @@ class ChainSim:
         end is followed by one twice as long, up to RUN_WINDOW_MAX.
         """
         a = v / self.v_ref
-        a = a * a if self.exponent == 2.0 else np.array([s ** self.exponent for s in a.tolist()])
+        if self.exponent == 2.0:
+            a = a * a
+        else:
+            try:
+                a = np.array([s ** self.exponent for s in a.tolist()])
+            except OverflowError:
+                # s ** exponent rises with s, so the largest scale overflows.
+                raise DomainError(f"chain {self.spec.tendon_id}: voltage scale {a.max()} "
+                                  f"to the force exponent {self.exponent} overflows") from None
         n, fb, cap, r = len(a), self.f_breakaway, self.x_cap, dt_over_tau
         xs, targets, residuals = np.empty(n), np.empty(n), np.empty(n)
         j = 0
@@ -277,8 +290,68 @@ class ChainSim:
         return xs, targets, residuals
 
 
+def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """a below lo set to lo, else above hi set to hi: the two comparisons
+    of the scalar step, in its order, so signed zeros and NaNs pass alike."""
+    return np.where(a < lo, lo, np.where(a > hi, hi, a))
+
+
+def _slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarray:
+    """Applied voltage after each step toward the commands cmd from v: a
+    step moves v by c - v, limited to [-dv_max, dv_max], and keeps the
+    result within [0, ceiling].
+
+    The steps go in runs, as in ChainSim.run. A run assumes the mode of
+    its first step throughout: tracking, where v becomes the command
+    (clipped), or slewing, where v moves by dv_max up or down each step
+    (np.add.accumulate adds left to right, as the steps do; clipped).
+    One array evaluation of the step on the candidate's previous values
+    checks the candidate, by bit pattern. Where it first fails, the
+    step's own value is the right one, because its previous value was
+    verified; so a run keeps its verified prefix and that value, at
+    least one step, and the next run starts after them.
+    """
+    out = np.empty(len(cmd))
+    j, window = 0, RUN_WINDOW
+    while j < len(cmd):
+        c = cmd[j:j + window]
+        d = float(c[0]) - v
+        # run: the start v, then the candidate.
+        if d > dv_max or d < -dv_max:
+            run = np.full(len(c) + 1, dv_max if d > dv_max else -dv_max)
+            run[0] = v
+            np.add.accumulate(run, out=run)
+        else:
+            run = np.empty(len(c) + 1)
+            run[0], run[1:] = v, c
+        run[1:] = _clamp(run[1:], 0.0, ceiling)
+        prev, candidate = run[:-1], run[1:]
+        stepped = _clamp(prev + _clamp(c - prev, -dv_max, dv_max), 0.0, ceiling)
+        wrong = stepped.view(np.int64) != candidate.view(np.int64)
+        kept = int(wrong.argmax()) + 1 if wrong.any() else len(c)
+        out[j:j + kept] = stepped[:kept]
+        v = float(stepped[kept - 1])
+        j += kept
+        window = RUN_WINDOW if kept < len(c) else min(2 * window, RUN_WINDOW_MAX)
+    return out
+
+
+def _kernel_key(chain: ChainSim, schedule: ProfileSpec) -> tuple[str, bytes]:
+    """Everything a chain's motion under a schedule depends on, its floats
+    as bit patterns: -0.0 and 0.0 differ, and a NaN matches its own bits."""
+    floats = [*chain.xs, *chain.fs, *chain.ls, chain.f_breakaway, chain.v_ref, chain.exponent,
+              schedule.target_kv, schedule.ramp_s]
+    return schedule.kind, np.array(floats).tobytes()
+
+
 class Plant:
     """A scenario's chain tables and their motion, recorded at the samples.
+
+    Chains with equal breakpoint tables, breakaway force, v_ref, force
+    exponent and schedule (compared by bit pattern) move alike, so each
+    such class is one kernel, a ChainSim that extend steps once for all
+    of its chains: rows[i] lists the chains of kernels[i], which runs
+    schedules[i]. chains keeps every chain's own spec and contact table.
 
     Column k of x, v, target and residual holds each chain's contraction
     (mm), applied voltage (kV), stall target (mm) and running maximum
@@ -292,7 +365,12 @@ class Plant:
         self.scenario = scenario
         self.sim = sim
         self.chains = [ChainSim(spec, scenario.obj) for spec in scenario.chains]
-        self.schedules = [spec.profile for spec in scenario.chains]
+        rows: dict[tuple[str, bytes], list[int]] = {}
+        for c, (ch, spec) in enumerate(zip(self.chains, scenario.chains)):
+            rows.setdefault(_kernel_key(ch, spec.profile), []).append(c)
+        self.rows = list(rows.values())
+        self.kernels = [self.chains[r[0]] for r in self.rows]
+        self.schedules = [scenario.chains[r[0]].profile for r in self.rows]
         self.mon = [spec.tendon_id for spec in scenario.chains].index(scenario.monitored_stack)
         self.n_samples = round(scenario.duration / sim.dt_sample) + 1
         self.end = 0
@@ -301,72 +379,59 @@ class Plant:
         self.x_mon, self.v_mon = np.zeros((2, (self.n_samples - 1) * sim.steps_per_sample + 1))
 
     def extend(self, k_end: int) -> None:
-        """Step every chain from sample end to sample k_end and record it.
+        """Step every kernel from sample end to sample k_end and record it
+        for each of its chains.
 
-        Each internal step moves a chain's applied voltage toward its
+        Each internal step moves a kernel's applied voltage toward its
         schedule, by at most the slew limit and within [0, ceiling]. The
-        voltage does not depend on the motion, so it is computed once per
-        schedule and start voltage, for all steps, and shared by the
-        chains that have both. ChainSim.run then steps each chain in
-        verified runs: held runs by one array comparison, pushed runs by
-        the x recurrence alone, each checked against the net force at
-        every step. The monitored chain is recorded at every step.
+        voltage does not depend on the motion, so _slew computes it once
+        per schedule and start voltage, for all steps, in verified runs,
+        and kernels that have both share it. ChainSim.run then steps each
+        kernel in verified runs: held runs by one array comparison,
+        pushed runs by the x recurrence alone, each checked against the
+        net force at every step. Every step of the monitored chain's
+        kernel is recorded.
         """
         k0, sps = self.end, self.sim.steps_per_sample
         if k_end <= k0:
             return
         dt = self.sim.dt_internal
+        dv_max = self.scenario.amplifier.slew_max * dt
+        ceiling = self.scenario.amplifier.v_ceiling
         t = np.arange(k0 * sps + 1, k_end * sps + 1) * dt
         recorded = slice(k0 + 1, k_end + 1)
         volts: dict[tuple[ProfileSpec, float], np.ndarray] = {}
-        for c, ch in enumerate(self.chains):
-            key = (self.schedules[c], ch.v_applied)
+        for kernel, rows, schedule in zip(self.kernels, self.rows, self.schedules):
+            key = (schedule, kernel.v_applied)
             if key not in volts:
-                volts[key] = self._slew(self.schedules[c](t), ch.v_applied)
+                volts[key] = _slew(schedule(t), kernel.v_applied, dv_max, ceiling)
             v = volts[key]
-            x, target, residual = ch.run(v, dt / self.sim.tau_mech)
-            ch.v_applied = float(v[-1])
-            self.x[c, recorded] = x[sps - 1::sps]
-            self.v[c, recorded] = v[sps - 1::sps]
-            self.target[c, recorded] = target[sps - 1::sps]
-            self.residual[c, recorded] = residual[sps - 1::sps]
-            if c == self.mon:
+            x, target, residual = kernel.run(v, dt / self.sim.tau_mech)
+            kernel.v_applied = float(v[-1])
+            self.x[rows, recorded] = x[sps - 1::sps]
+            self.v[rows, recorded] = v[sps - 1::sps]
+            self.target[rows, recorded] = target[sps - 1::sps]
+            self.residual[rows, recorded] = residual[sps - 1::sps]
+            if self.mon in rows:
                 self.x_mon[k0 * sps + 1:k_end * sps + 1] = x
                 self.v_mon[k0 * sps + 1:k_end * sps + 1] = v
         self.end = k_end
 
-    def _slew(self, cmd: np.ndarray, v: float) -> np.ndarray:
-        """Applied voltage after each step toward the commands cmd from v:
-        at most the slew limit per step, within [0, ceiling]."""
-        dv_max = self.scenario.amplifier.slew_max * self.sim.dt_internal
-        ceiling = self.scenario.amplifier.v_ceiling
-        out = []
-        for c in cmd.tolist():
-            dv = c - v
-            if dv < -dv_max:
-                dv = -dv_max
-            elif dv > dv_max:
-                dv = dv_max
-            v += dv
-            if v < 0.0:
-                v = 0.0
-            elif v > ceiling:
-                v = ceiling
-            out.append(v)
-        return np.array(out)
-
     def resume(self, k: int, held: dict[ProfileSpec, float]) -> "Plant":
         """This record up to sample k, then every chain under a constant
-        schedule from there: held maps each schedule to its held command."""
+        schedule from there: held maps each schedule to its held command.
+
+        The kernels stay those of the open-loop record: the chains of a
+        kernel are in one state at sample k and hold one command."""
         plant = Plant(self.scenario, self.sim)
         plant.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
         for name in ("x", "v", "target", "residual", "x_mon", "v_mon"):
             setattr(plant, name, getattr(self, name).copy())
         plant.end = k
-        for c, ch in enumerate(plant.chains):
-            ch.x = float(self.x[c, k])
-            ch.v_applied = float(self.v[c, k])
-            ch.max_residual = float(self.residual[c, k])
+        for kernel, (c, *_) in zip(plant.kernels, plant.rows):
+            kernel.x = float(self.x[c, k])
+            kernel.v_applied = float(self.v[c, k])
+            kernel.max_residual = float(self.residual[c, k])
         return plant
 
     def current(self, k1: int) -> np.ndarray:
@@ -469,7 +534,7 @@ def run_scenario(
     z = np.random.default_rng(seed).standard_normal((n_samples, 2))
     noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
-    mon_profile = open_loop.schedules[open_loop.mon]
+    mon_profile = scenario.chains[open_loop.mon].profile
     v_cmd = mon_profile(t_arr)
     hold_events: list[dict[str, float]] = []
     k_hold = None if commander is None else _walk(open_loop, commander, noise_i)

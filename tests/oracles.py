@@ -2,9 +2,10 @@
 
 Each oracle computes one thing the package computes faster, in the
 most direct way: the grasp detector sample by sample, the chain step
-one Python call at a time, the stall point by bisection on the force
-balance, the monitored current from the stored capacitance and
-voltage columns, and the CSV document one repr per cell. None of them
+one Python call at a time, the slew-limited amplifier voltage one step
+at a time, the stall point by bisection on the force balance, the
+monitored current from the stored capacitance and voltage columns, and
+the CSV document one repr per cell. None of them
 is used by the package itself.
 """
 
@@ -166,6 +167,25 @@ class ScalarChain:
         self.x = x
         return target
 
+
+def slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarray:
+    """Applied voltage after each step toward the commands cmd from v, one
+    step at a time: the reference for plant._slew. A step moves v by
+    c - v, limited to [-dv_max, dv_max], and keeps it within [0, ceiling]."""
+    out = []
+    for c in cmd.tolist():
+        dv = c - v
+        if dv < -dv_max:
+            dv = -dv_max
+        elif dv > dv_max:
+            dv = dv_max
+        v += dv
+        if v < 0.0:
+            v = 0.0
+        elif v > ceiling:
+            v = ceiling
+        out.append(v)
+    return np.array(out)
 
 def equilibrium_contraction(
     cfg: StackConfig,

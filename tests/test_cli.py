@@ -391,23 +391,29 @@ class TestBadInputs:
         assert not list(tmp_path.rglob("*.csv"))
 
     # Each value lies inside its declared domain, yet gives the run an
-    # infinite load (a NaN net force at rest) or an infinite current.
-    @pytest.mark.parametrize("where, value, named", [
-        ("tendons.index_mcp.eta_fwd", 1e-308, NAN_NET_AT_REST),
-        ("tendons.index_mcp.f_ext0", 1e308, NAN_NET_AT_REST),
-        ("tendons.index_mcp.k_ext", 1e308, NAN_NET_AT_REST),
-        ("tendons.index_mcp.pulley_ratio", 1e308, NAN_NET_AT_REST),
+    # infinite load (a NaN net force at rest), an infinite current or, on
+    # balloon_hold, which ramps above v_ref, a force scale past the
+    # largest float.
+    @pytest.mark.parametrize("where, value, named, preset", [
+        ("tendons.index_mcp.eta_fwd", 1e-308, NAN_NET_AT_REST, "pinch_cube"),
+        ("tendons.index_mcp.f_ext0", 1e308, NAN_NET_AT_REST, "pinch_cube"),
+        ("tendons.index_mcp.k_ext", 1e308, NAN_NET_AT_REST, "pinch_cube"),
+        ("tendons.index_mcp.pulley_ratio", 1e308, NAN_NET_AT_REST, "pinch_cube"),
         ("stacks.index_mcp.c0", 1e308,
-         "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0"),
-        ("stacks.index_mcp.c_slope", 1e308, INF_CURRENT),
-        ("amplifier.monitor_noise_i", 1e308, INF_CURRENT),
+         "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0",
+         "pinch_cube"),
+        ("stacks.index_mcp.c_slope", 1e308, INF_CURRENT, "pinch_cube"),
+        ("amplifier.monitor_noise_i", 1e308, INF_CURRENT, "pinch_cube"),
+        ("stacks.index_mcp.force_exponent", 1e308,
+         "chain index_mcp: voltage scale 1.0909090909090908 to the force exponent 1e+308 "
+         "overflows", "balloon_hold"),
     ], ids=["tiny_eta_fwd", "huge_f_ext0", "huge_k_ext", "huge_pulley_ratio",
-            "huge_c0", "huge_c_slope", "huge_current_noise"])
+            "huge_c0", "huge_c_slope", "huge_current_noise", "huge_force_exponent"])
     def test_in_domain_value_without_a_finite_run_exits_2(self, tmp_path, capsys, time_limit,
-                                                          where, value, named):
+                                                          where, value, named, preset):
         cfg_path = write_config(tmp_path, set_key(where, value))
         out = tmp_path / "o"
-        assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+        assert run_cli("grasp", "--preset", preset, "--config", str(cfg_path),
                        "--out", str(out)) == 2
         assert named in capsys.readouterr().err
         assert not list(out.rglob("*"))
@@ -421,6 +427,16 @@ class TestBadInputs:
         assert ("scenario detect_free: non-finite value inf in column 'i_meas(uA)' at sample 0"
                 in capsys.readouterr().err)
         assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ("grasp", "--preset", "no_such_grasp"),
+        ("detect-batch", "--free", "0", "--grasp", "1"),
+        ("replay", "--trace", "absent.csv", "--detector", "absent.json"),
+    ], ids=["grasp", "detect_batch", "replay"])
+    def test_refused_run_leaves_no_output_directory(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("characterize", "--seed", "1"),

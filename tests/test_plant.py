@@ -1,10 +1,11 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haselhand import (
@@ -18,9 +19,9 @@ from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
 from haselhand.errors import ConfigError, DomainError
-from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant
+from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
 from haselhand.trace import json_text
-from oracles import ScalarChain, equilibrium_contraction, reconstruct_current
+from oracles import ScalarChain, equilibrium_contraction, reconstruct_current, slew
 
 
 class TestVoltageProfile:
@@ -382,6 +383,60 @@ class TestRunKernel:
             chain.run(np.full(3, chain.v_ref), 1 / 800)
 
 
+@st.composite
+def slew_cases(draw):
+    """Commands (kV) in ramps, holds, steps and noise, reaching below 0 and
+    above the ceiling, with a start voltage in [0, ceiling], a slew limit
+    per step from none at all to more than any jump, and a ceiling."""
+    ceiling = draw(st.sampled_from((0.0, 6.0)) | st.floats(0.0, 10.0))
+    level = st.sampled_from((0.0, -0.0, ceiling)) | st.floats(-1.0, ceiling + 1.0)
+    v = draw(st.sampled_from((0.0, -0.0, ceiling)) | st.floats(0.0, ceiling))
+    dv_max = draw(st.sampled_from((0.0, 5e-324, 1e-4, 100.0)) | st.floats(1e-9, 1.0))
+    n = draw(st.integers(1, 500))
+    cmd: list[float] = []
+    while len(cmd) < n:
+        kind = draw(st.sampled_from(("ramp", "hold", "step", "noise")))
+        size = draw(st.integers(1, n - len(cmd)))
+        last = cmd[-1] if cmd else v
+        if kind == "ramp":
+            cmd += np.linspace(last, draw(level), size + 1)[1:].tolist()
+        elif kind == "hold":
+            cmd += [last] * size
+        elif kind == "step":
+            cmd += [draw(level)] * size
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            cmd += (draw(level) + draw(st.floats(0.0, 1.0)) * rng.standard_normal(size)).tolist()
+    return np.array(cmd), v, dv_max, ceiling
+
+
+class TestSlew:
+    # The example: without a slew limit, -0.0 from 0.0 is a tracking step
+    # to 0.0 + -0.0 = 0.0, and a signed zero, once wrong, would stay so.
+    @given(slew_cases())
+    @example((np.array([-0.0, -1.0, 1.0]), 0.0, 0.0, 6.0))
+    @settings(max_examples=300, deadline=None)
+    def test_slew_matches_loop_oracle(self, case):
+        cmd, v, dv_max, ceiling = case
+        assert _slew(cmd, v, dv_max, ceiling).tobytes() == slew(cmd, v, dv_max, ceiling).tobytes()
+
+    def test_command_above_the_ceiling_holds_in_doubling_runs(self, monkeypatch):
+        # Held at the ceiling, each slewing run's candidate is the ceiling
+        # throughout, so runs double as in ChainSim.run: 256 + 512 + 1024
+        # + 2048 + 1160 steps, three clamps each.
+        clamps = [0]
+        real = plant_module._clamp
+
+        def counted(a, lo, hi):
+            clamps[0] += 1
+            return real(a, lo, hi)
+
+        monkeypatch.setattr(plant_module, "_clamp", counted)
+        v = _slew(np.full(5000, 9.0), 6.0, 0.01, 6.0)
+        assert (v == 6.0).all()
+        assert clamps[0] == 3 * 5
+
+
 def _episode_bytes(report):
     """What an episode writes: the bytes of every trace column (its CSV is
     a function of them and their names), the trace meta and the report."""
@@ -407,6 +462,66 @@ def count_steps(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ChainSim, "run", counted)
     return steps
+
+
+def run_alone(chain, schedule):
+    """A kernel key no other chain has: every chain is stepped alone."""
+    return id(chain)
+
+
+TWIN_FINGERS = {name: layout.tendon_ids for name, layout in default_config().fingers.items()}
+
+
+@st.composite
+def twin_presets(draw):
+    """A preset whose chains repeat one another: the index finger and one to
+    three of its twins (the same stacks and routing), with or without the
+    thumb and an object. Each stack runs one of two schedules, the same
+    for a stack's twins, except that one twin stack may take the other."""
+    twins = ("index", *draw(st.lists(st.sampled_from(("middle", "ring", "pinky")),
+                                     min_size=1, max_size=3, unique=True)))
+    fingers = ("thumb", *twins) if draw(st.booleans()) else twins
+    schedules = [ProfileSpec("ramp_hold", draw(st.floats(4.0, 5.5)), draw(st.floats(0.3, 0.9)))
+                 for _ in range(2)]
+    roles = [draw(st.sampled_from(schedules)) for _ in TWIN_FINGERS["index"]]
+    profiles = {"*": schedules[0]}
+    for finger in twins:
+        profiles.update(zip(TWIN_FINGERS[finger], roles))
+    if draw(st.booleans()):
+        stack = draw(st.sampled_from([s for f in twins[1:] for s in TWIN_FINGERS[f]]))
+        profiles[stack] = schedules[profiles[stack] is schedules[0]]
+    if "thumb" in fingers:
+        profiles.update((stack, draw(st.sampled_from(schedules)))
+                        for stack in TWIN_FINGERS["thumb"])
+    obj = draw(st.sampled_from((None, "cube", "stuffed_toy", "paper_balloon")))
+    return ScenarioPreset("twins", fingers, obj=obj, profiles=profiles, duration=1.0)
+
+
+class TestSharedKernels:
+    """Chains alike in table and schedule share one kernel; each chain's
+    trace columns, the meta and the report are those of chains stepped
+    alone, open loop and closed (where resume keeps the kernels)."""
+
+    @given(twin_presets(), st.sampled_from(("none", "contact_aware")), st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_twin_chains_match_chains_run_alone(self, cfg, preset, controller, seed):
+        config = replace(cfg, presets={**cfg.presets, preset.name: preset})
+        scenario = resolve_scenario(config, preset.name)
+        assert len(Plant(scenario, cfg.sim).kernels) < len(scenario.chains)
+        shared = run_grasp_episode(config, preset.name, seed, controller=controller)
+        with mock.patch.object(plant_module, "_kernel_key", run_alone):
+            alone = run_grasp_episode(config, preset.name, seed, controller=controller)
+        assert _episode_bytes(shared) == _episode_bytes(alone)
+
+    @pytest.mark.parametrize("preset, kernels", [("power_grasp_bottle", 4), ("tripod_toy", 4)])
+    def test_shipped_hold_resumes_shared_kernels(self, cfg, preset, kernels):
+        # 10 and 6 chains; closed loop, both presets hold before the end.
+        assert len(Plant(resolve_scenario(cfg, preset), cfg.sim).kernels) == kernels
+        shared = run_grasp_episode(cfg, preset, 3, controller="contact_aware")
+        assert shared.trace.meta["events"]["hold"]
+        with mock.patch.object(plant_module, "_kernel_key", run_alone):
+            alone = run_grasp_episode(cfg, preset, 3, controller="contact_aware")
+        assert _episode_bytes(shared) == _episode_bytes(alone)
 
 
 class TestMechanicsCache:
@@ -438,11 +553,14 @@ class TestMechanicsCache:
                     assert _episode_bytes(warm) == _episode_bytes(cold), (seed, controller)
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
+        # Each class is stepped once, one kernel per distinct chain: 3 for
+        # detect_free, whose thumb_ip and index_pip_dip chains are alike
+        # without the object, and 4 for detect_cube.
         calls = count_steps(monkeypatch)
         assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
-        assert calls[0] == 2 * 4 * steps
+        assert calls[0] == (3 + 4) * steps
 
     def test_detect_batch_keys_each_scenario_once(self, monkeypatch, tmp_path):
         # 11 episodes of two scenario objects: the mechanics key is
@@ -456,11 +574,12 @@ class TestMechanicsCache:
         assert sorted(keys) == ["detect_cube", "detect_free"]
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
-        # Baseline plus episode, 4 chains each; the walk may step the
-        # open-loop record up to one block past the hold.
+        # Baseline (free motion: 3 kernels) plus episode (4 kernels); the
+        # walk may step the episode's open-loop record up to one block
+        # past the hold.
         calls = count_steps(monkeypatch)
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
         block = 4 * MECHANICS_BLOCK * cfg.sim.steps_per_sample
-        assert 2 * 4 * steps <= calls[0] <= 2 * 4 * steps + block
+        assert (3 + 4) * steps <= calls[0] <= (3 + 4) * steps + block

@@ -45,7 +45,7 @@ from .errors import (
     ModelConsistencyError,
 )
 from .kinematics import fingertip_force
-from .plant import run_scenario
+from .plant import Plant, run_scenario
 from .trace import column_name, csv_text, json_text, load_trace, read_json, write_atomic
 from .transmission import delivered_tension, extensor_tension, reflected_load
 
@@ -108,18 +108,15 @@ def cmd_characterize(args) -> int:
         # The sweeps read v_cmd and theta, which no seed moves.
         trace = run_scenario(scenario, cfg.sim, seed=0)
 
-        joints = [j.name for j in layout.joints]
+        # The trace holds this finger's joints only, keyed "<finger>_<joint>".
         columns = [("v_cmd(kV)", trace.v_cmd)]
-        columns += [(column_name("theta", f"{finger}_{j}"), trace.theta[f"{finger}_{j}"])
-                    for j in joints]
+        columns += [(column_name("theta", key), theta) for key, theta in trace.theta.items()]
         write_atomic(out / f"voltage_angle_{finger}.csv", csv_text(columns))
 
         for tid in layout.tendon_ids:
             meta["onset_voltage_kv"][tid] = _onset_voltage(cfg, tid)
-        for j in joints:
-            meta["saturation_deg"][f"{finger}_{j}"] = float(
-                np.degrees(trace.theta[f"{finger}_{j}"][-1])
-            )
+        for key, theta in trace.theta.items():
+            meta["saturation_deg"][key] = float(np.degrees(theta[-1]))
 
     # Static fingertip-force sweep: finger blocked straight on the load
     # cell, so the stack stalls at zero contraction and the delivered
@@ -181,12 +178,12 @@ def cmd_detect_batch(args) -> int:
 
     free = resolve_scenario(cfg, "detect_free")
     cube = resolve_scenario(cfg, "detect_cube")
-    # Every episode of a class has the same mechanics: step them once.
-    cache: dict = {}
-    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k, cache=cache)
+    # Every episode of a class has the same mechanics: one record steps them once.
+    plants = {"free": Plant(free, cfg.sim), "grasp": Plant(cube, cfg.sim)}
+    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k, plant=plants["free"])
                 for k in range(N_CALIBRATION)]
-    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k, cache=cache)
-                 for k in range(N_CALIBRATION)]
+    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k,
+                              plant=plants["grasp"]) for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
     detector_doc = {
         "monitored_stack": cfg.detection.monitored_stack,
@@ -206,7 +203,7 @@ def cmd_detect_batch(args) -> int:
     for cls, scenario, n, seed0 in (("free", free, args.free, args.seed),
                                     ("grasp", cube, args.grasp, args.seed + GRASP_SEED_OFFSET)):
         for seed in range(seed0, seed0 + n):
-            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed, cache=cache), det)
+            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed, plant=plants[cls]), det)
             expected = cls == "grasp"
             counts[("t" if grasped == expected else "f") + ("p" if grasped else "n")] += 1
             if grasped != expected:

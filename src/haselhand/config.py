@@ -195,6 +195,17 @@ class HandConfig:
 
     def __post_init__(self):
         """Cross-references between blocks; each error names its key path."""
+        # Stack ids and finger and joint names key trace columns, whose
+        # header is one comma-separated line.
+        names = [(f"stacks.{tid}", tid) for tid in self.stacks]
+        for fname, layout in self.fingers.items():
+            names.append((f"fingers.{fname}", fname))
+            names += [(f"fingers.{fname}.joints[{i}].name", j.name)
+                      for i, j in enumerate(layout.joints)]
+        for where, name in names:
+            if {",", "\r", "\n"} & set(name):
+                raise ConfigError(f"{where}: {name!r} names trace columns, "
+                                  f"so it may not contain a comma, CR or LF")
         for fname, layout in self.fingers.items():
             if fname != layout.name:
                 raise ConfigError(f"fingers.{fname}: layout name {layout.name!r} != key")
@@ -519,6 +530,11 @@ class ChainSpec:
     def radius(self) -> float:
         """Rolling radius (mm) of the group: the sum over a coupled pair."""
         return self.layout.group_radius(self.joint_group)
+
+    @property
+    def joint_keys(self) -> tuple[str, ...]:
+        """The trace key "<finger>_<joint>" of each driven joint, in group order."""
+        return tuple(f"{self.finger}_{self.layout.joints[j].name}" for j in self.joint_group)
 
     @property
     def theta_cap(self) -> float:

@@ -121,16 +121,15 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-def record_baseline(scenario: Scenario, sim: SimConfig, seed: int,
-                    cache: Optional[dict] = None) -> SignalTrace:
+def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrace:
     """Record the free-motion trace of a scenario's voltage schedule.
 
     The scenario runs open loop without its object. The baseline is an
     ordinary trace: its meta carries the profile hash it was recorded
     under, and it is saved with SignalTrace.save and read back with
-    load_trace. cache is run_scenario's mechanics cache.
+    load_trace.
     """
-    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed, cache=cache)
+    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed)
 
 
 class ContactAwareController:
@@ -198,8 +197,6 @@ def run_grasp_episode(
     drop_object: bool = False,
     controller: Optional[str] = None,
     baseline: Optional[SignalTrace] = None,
-    detection: Optional[DetectionConfig] = None,
-    cache: Optional[dict] = None,
 ) -> EpisodeReport:
     """Run one grasp episode and assemble its report.
 
@@ -207,18 +204,16 @@ def run_grasp_episode(
     loop, "detect" classifies the finished trace against the calibrated
     threshold, "contact_aware" closes the loop on the baseline deviation
     (recording a baseline on the fly if none is supplied). A supplied
-    baseline must carry the scenario's profile hash in its meta. cache
-    is run_scenario's mechanics cache, shared by the baseline and the
-    episode.
+    baseline must carry the scenario's profile hash in its meta.
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
-    det = detection if detection is not None else cfg.detection
+    det = cfg.detection
 
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
         if baseline is None:
-            baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed, cache)
+            baseline = record_baseline(scenario, cfg.sim, det.baseline_seed)
         expected = profile_hash(scenario.profiles, scenario.duration, cfg.sim.dt_sample)
         recorded = baseline.meta.get("profile_hash")
         if recorded != expected:
@@ -228,17 +223,15 @@ def run_grasp_episode(
             )
         ctrl = ContactAwareController(baseline, det)
 
-    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None,
-                         cache=cache)
+    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None)
 
-    holds = trace.meta["events"]["hold"]
-    events: list[dict[str, Any]] = []
-    for key, t_c in sorted(trace.meta["events"]["first_contact"].items()):
-        events.append({"type": "contact", "joint": key, "t": t_c})
-    for h in holds:
-        events.append({"type": "hold", "t": h["t"], "v_held": h["v_held"]})
+    touched, holds = trace.meta["events"]["first_contact"], trace.meta["events"]["hold"]
+    events: list[dict[str, Any]] = [{"type": "contact", "joint": key, "t": t_c}
+                                    for key, t_c in sorted(touched.items())]
+    events += [{"type": "hold", "t": h["t"], "v_held": h["v_held"]} for h in holds]
 
-    contacted = sorted({key.rsplit("_", 1)[0] for key in trace.meta["events"]["first_contact"]})
+    contacted = sorted({c.finger for c in scenario.chains
+                        if any(key in touched for key in c.joint_keys)})
     verdicts: dict[str, Any] = {
         "stable": scenario.obj is not None and all(c.finger in contacted for c in scenario.chains),
         "fingers_contacted": contacted,

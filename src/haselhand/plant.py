@@ -63,14 +63,10 @@ run_scenario makes two passes over a scenario.
   block whose values are those of one draw per monitor per sample, in
   sample order, so runs are reproducible byte for byte.
 
-Open loop, the mechanics do not depend on the seed. run_scenario keeps
-each recorded Plant in a cache dict under mechanics_key: the canonical
-JSON of what the mechanics read (the chains, their contact tables, the
-duration, the amplifier's slew limit and ceiling, the time steps and
-the monitored stack), not the name, the seed, the monitor noise or the
-controller; the key itself is computed once per scenario object. The
-cache lives as long as the caller keeps it: detect-batch passes one to
-all its episodes, and a call without one gets its own.
+Open loop, the mechanics do not depend on the seed, so run_scenario
+takes the caller's Plant of a scenario as its open-loop record and
+steps it only where no earlier run has. detect-batch passes one per
+class to every episode of that class; a call without one builds its own.
 
 Closed loop, the walk steps the open-loop record MECHANICS_BLOCK
 samples at a time and, after each block, hands the commander the
@@ -78,14 +74,13 @@ measured current of every sample recorded so far; it stops when the
 commander names a hold sample or the run ends. A hold at sample k sets
 every schedule to its command at sample k - 1 (at sample 0 for k = 0),
 limited to the amplifier ceiling, and resumes the kernels from their
-sample-k state: chains that shared a kernel are in one state there and
-hold one command, so they keep sharing it. A resumed record is cached
-under its mechanics key and k.
+sample-k state in a new record: chains that shared a kernel are in one
+state there and hold one command, so they keep sharing it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,8 +90,6 @@ from .config import (
     ProfileSpec,
     Scenario,
     SimConfig,
-    canonical_json,
-    encode,
     profile_hash,
 )
 from .errors import DomainError, ModelConsistencyError
@@ -451,31 +444,6 @@ class Plant:
                                     self.v[self.mon, :k1], dc)
 
 
-def mechanics_key(scenario: Scenario, sim: SimConfig) -> str:
-    """Canonical JSON of everything the mechanics pass reads of a scenario.
-
-    The object enters only through each chain's contact table, so
-    scenarios that differ in name, seed, monitor noise, controller or an
-    object no chain reaches share a key.
-    """
-    return canonical_json({
-        "chains": [encode(spec) for spec in scenario.chains],
-        "contacts": [encode(spec.contact_table(scenario.obj)) for spec in scenario.chains],
-        "monitored_stack": scenario.monitored_stack,
-        "duration": scenario.duration,
-        "slew_max": scenario.amplifier.slew_max,
-        "v_ceiling": scenario.amplifier.v_ceiling,
-        "steps": [sim.dt_internal, sim.dt_sample, sim.tau_mech],
-    })
-
-
-def _cached(cache: dict, key, make: Callable[[], Any]) -> Any:
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = make()
-    return value
-
-
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
     """The sample at which the commander asks for a hold, or None; it sees
     the current recorded so far after each block of the open-loop record."""
@@ -497,13 +465,13 @@ def run_scenario(
     sim: SimConfig,
     seed: int,
     commander: Optional[Callable[[np.ndarray], Optional[int]]] = None,
-    cache: Optional[dict] = None,
+    plant: Optional[Plant] = None,
 ) -> SignalTrace:
     """Simulate a scenario and return its 1 kHz monitor trace.
 
     Deterministic for a fixed seed: the monitor noise comes from one
     seeded generator, so identical runs produce identical traces
-    byte for byte, whether their mechanics were stepped or cached.
+    byte for byte, whether their open-loop record is fresh or shared.
 
     commander, when given, is consulted once per MECHANICS_BLOCK samples
     with the measured current of samples 0..m-1 (m < n_samples) until it
@@ -513,18 +481,18 @@ def run_scenario(
     instant and the monitored channel's held voltage are recorded as the
     trace's hold event.
 
-    cache, when given, is a dict that keeps the recorded mechanics for
-    later calls (see the module docstring). Raises ModelConsistencyError
-    when the run's stall residual exceeds STALL_RESIDUAL_TOL_N, and
-    DomainError when a net force or a returned column is not finite.
+    plant, when given, is the caller's open-loop record of these very
+    scenario and sim objects (else ValueError), shared with its other
+    runs. Raises ModelConsistencyError when the run's stall residual
+    exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net force or a
+    returned column is not finite.
     """
-    cache = {} if cache is None else cache
-    # The key is computed once per scenario and sim object while the cache
-    # lives; the entry keeps both objects, so their ids stay theirs.
-    mech_key = _cached(cache, ("mechanics_key", id(scenario), id(sim)),
-                       lambda: (scenario, sim, mechanics_key(scenario, sim)))[2]
-    open_loop = _cached(cache, mech_key, lambda: Plant(scenario, sim))
-    n_samples = open_loop.n_samples
+    plant = Plant(scenario, sim) if plant is None else plant
+    # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
+    if plant.scenario is not scenario or plant.sim is not sim:
+        raise ValueError(f"scenario {scenario.name}: the plant was built from "
+                         f"another scenario or sim object")
+    n_samples = plant.n_samples
     t_arr = np.arange(n_samples) * sim.dt_sample
     ceiling = scenario.amplifier.v_ceiling
     sigma_v = scenario.amplifier.monitor_noise_v
@@ -534,15 +502,14 @@ def run_scenario(
     z = np.random.default_rng(seed).standard_normal((n_samples, 2))
     noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
-    mon_profile = scenario.chains[open_loop.mon].profile
+    mon_profile = scenario.chains[plant.mon].profile
     v_cmd = mon_profile(t_arr)
     hold_events: list[dict[str, float]] = []
-    k_hold = None if commander is None else _walk(open_loop, commander, noise_i)
-    plant = open_loop
+    k_hold = None if commander is None else _walk(plant, commander, noise_i)
     if k_hold is not None:
         t_prev = float(t_arr[max(k_hold - 1, 0)])
-        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(open_loop.schedules)}
-        plant = _cached(cache, (mech_key, k_hold), lambda: open_loop.resume(k_hold, held))
+        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(plant.schedules)}
+        plant = plant.resume(k_hold, held)  # a new record: the shared one stays open loop
         v_cmd[k_hold:] = held[mon_profile]
         hold_events.append({"t": float(t_arr[k_hold]), "v_held": held[mon_profile]})
     plant.extend(n_samples - 1)
@@ -568,8 +535,7 @@ def run_scenario(
         x_cols[spec.tendon_id] = xs
         c_cols[spec.tendon_id] = capacitance_of(spec.stack, xs)
         theta = spec.theta_at(xs)
-        for j in spec.joint_group:
-            key = f"{spec.layout.name}_{spec.layout.joints[j].name}"
+        for j, key in zip(spec.joint_group, spec.joint_keys):
             theta_cols[key] = theta
             fc_cols[key] = np.zeros_like(theta)
             if j in ch.contact:

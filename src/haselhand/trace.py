@@ -129,13 +129,6 @@ class SignalTrace:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def dt_sample(self) -> float:
-        """Sample period (s): from the meta, else from the uniform time grid."""
-        if "dt_sample" in self.meta:
-            return float(self.meta["dt_sample"])
-        return float(self.t[1] - self.t[0])
-
     def columns(self) -> list[tuple[str, np.ndarray]]:
         cols = [(name, getattr(self, attr)) for attr, name in FIXED_COLUMNS.items()]
         for group in KEYED_COLUMNS:

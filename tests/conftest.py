@@ -7,6 +7,7 @@ import pytest
 
 from haselhand import (
     HandConfig,
+    Plant,
     default_config,
     resolve_scenario,
     run_scenario,
@@ -64,12 +65,13 @@ def cube_trace_nf(cfg_nf):
 @pytest.fixture(scope="session")
 def calibration_traces(cfg):
     """The 10 free + 10 cube-grasp calibration traces, seeds 0-19."""
-    cache: dict = {}  # each class steps its mechanics once
-    free = [run_scenario(resolve_scenario(cfg, "detect_free"), cfg.sim, seed=s, cache=cache)
-            for s in range(10)]
-    grasp = [run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=s, cache=cache)
-             for s in range(10, 20)]
-    return free, grasp
+    def runs(preset, seeds):
+        # One Plant per class: its mechanics are stepped once.
+        scenario = resolve_scenario(cfg, preset)
+        plant = Plant(scenario, cfg.sim)
+        return [run_scenario(scenario, cfg.sim, seed=s, plant=plant) for s in seeds]
+
+    return runs("detect_free", range(10)), runs("detect_cube", range(10, 20))
 
 
 @pytest.fixture(scope="session")

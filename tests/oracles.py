@@ -246,7 +246,7 @@ def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:
     out = np.full(n, np.nan)
     if n < 3:
         return out
-    dt = trace.dt_sample
+    dt = trace.meta["dt_sample"]
     dv = (v[2:] - v[:-2]) / (2 * dt)
     dc = (c[2:] - c[:-2]) / (2 * dt)
     out[1:-1] = c[1:-1] * dv + v[1:-1] * dc

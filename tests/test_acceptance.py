@@ -152,15 +152,13 @@ def test_criterion_6_contact_aware_safety(cfg):
     from haselhand import record_baseline
 
     t0 = time.time()
-    cache: dict = {}  # one mechanics cache for the baseline and all 50 episodes
     baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
-                               cfg.detection.baseline_seed, cache)
+                               cfg.detection.baseline_seed)
     f_crush = cfg.objects["paper_balloon"].f_crush
 
     held_all, safe_all, max_on = True, True, 0.0
     for seed in range(25):
-        rep = run_grasp_episode(cfg, "balloon_hold", seed=seed, baseline=baseline,
-                                cache=cache)
+        rep = run_grasp_episode(cfg, "balloon_hold", seed=seed, baseline=baseline)
         _track(rep.trace)
         held_all &= rep.verdicts["held"]
         safe_all &= rep.verdicts["max_contact_force"] < f_crush
@@ -168,8 +166,7 @@ def test_criterion_6_contact_aware_safety(cfg):
 
     exceed_all, min_off = True, float("inf")
     for seed in range(25):
-        rep = run_grasp_episode(cfg, "balloon_hold", seed=seed, controller="none",
-                                cache=cache)
+        rep = run_grasp_episode(cfg, "balloon_hold", seed=seed, controller="none")
         _track(rep.trace)
         exceed_all &= rep.verdicts["max_contact_force"] > f_crush
         min_off = min(min_off, rep.verdicts["max_contact_force"])

@@ -25,6 +25,43 @@ def write_config(tmp_path: Path, mutate=None) -> Path:
     return path
 
 
+def rename_joint(finger, old, new):
+    """A mutate that renames a joint of finger, with its contact angles."""
+    def mutate(doc):
+        for joint in doc["fingers"][finger]["joints"]:
+            if joint["name"] == old:
+                joint["name"] = new
+        for obj in doc["objects"].values():
+            angles = obj["theta_contact"].get(finger, {})
+            if old in angles:
+                angles[new] = angles.pop(old)
+    return mutate
+
+
+def rename_finger(old, new):
+    """A mutate that renames a finger, with its contact angles and presets."""
+    def mutate(doc):
+        doc["fingers"][new] = doc["fingers"].pop(old)
+        for obj in doc["objects"].values():
+            if old in obj["theta_contact"]:
+                obj["theta_contact"][new] = obj["theta_contact"].pop(old)
+        for preset in doc["presets"].values():
+            preset["fingers"] = [new if f == old else f for f in preset["fingers"]]
+    return mutate
+
+
+def rename_stack(old, new):
+    """A mutate that renames a stack and its tendon path wherever they are named."""
+    def mutate(doc):
+        for block in ("stacks", "tendons"):
+            doc[block][new] = doc[block].pop(old)
+        for layout in doc["fingers"].values():
+            layout["tendons"] = [new if t == old else t for t in layout["tendons"]]
+        if doc["detection"]["monitored_stack"] == old:
+            doc["detection"]["monitored_stack"] = new
+    return mutate
+
+
 def copy_meta(trace: Path, to: Path) -> None:
     """Copy the metadata file of trace to sit next to the trace file to."""
     to.with_suffix(".meta.json").write_bytes(trace.with_suffix(".meta.json").read_bytes())
@@ -112,6 +149,16 @@ class TestGrasp:
         assert code == 2
         err = capsys.readouterr().err
         assert "pinch_cube" in err and "power_grasp_bottle" in err
+
+    def test_joint_name_with_an_underscore_reports_its_finger(self, tmp_path):
+        # The trace key index_mcp_1 must not read as finger index_mcp.
+        cfg_path = write_config(tmp_path, rename_joint("index", "mcp", "mcp_1"))
+        out = tmp_path / "out"
+        assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        report = json.loads((out / "pinch_cube_seed0.report.json").read_text())
+        assert report["verdicts"]["fingers_contacted"] == ["index", "thumb"]
+        assert report["verdicts"]["stable"] is True
 
     def test_trace_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -483,6 +530,23 @@ class TestBadInputs:
         out = tmp_path / "o"
         assert run_cli("characterize", "--config", str(cfg_path), "--out", str(out)) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mutate, where", [
+        (rename_joint("index", "mcp", "m,cp"), "fingers.index.joints[0].name"),
+        (rename_joint("index", "mcp", "mcp\n"), "fingers.index.joints[0].name"),
+        (rename_joint("index", "mcp", "mcp\r"), "fingers.index.joints[0].name"),
+        (rename_finger("index", "in,dex"), "fingers.in,dex"),
+        (rename_stack("index_mcp", "index_mcp\n"), "stacks.index_mcp\n"),
+    ], ids=["joint_comma", "joint_lf", "joint_cr", "finger_comma", "stack_lf"])
+    def test_name_that_breaks_the_trace_header_exits_2(self, tmp_path, capsys, mutate, where):
+        # Names key the trace's columns; a comma or line break in one would
+        # write a header that replay cannot read back.
+        cfg_path = write_config(tmp_path, mutate)
+        out = tmp_path / "o"
+        assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert f"config error: {where}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--config", "--trace", "--detector"])

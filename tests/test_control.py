@@ -302,14 +302,12 @@ def oracle_hold_sample(i_meas, baseline_i, n, threshold):
 
 class TestContactAwareSearch:
     def test_balloon_holds_where_per_sample_oracle_does(self, cfg):
-        cache: dict = {}
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed, cache)
+        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
         ctrl = ContactAwareController(baseline, cfg.detection)
         base_i = baseline.i_meas.tolist()
         for seed in range(25):
-            report = run_grasp_episode(cfg, "balloon_hold", seed, baseline=baseline,
-                                       cache=cache)
+            report = run_grasp_episode(cfg, "balloon_hold", seed, baseline=baseline)
             k_hold = round(report.verdicts["contact_time"] / cfg.sim.dt_sample)
             # Samples before the hold are the open-loop ones the controller saw.
             expected = oracle_hold_sample(report.trace.i_meas.tolist(), base_i,
@@ -356,7 +354,7 @@ class TestGraspEpisodes:
 
     def test_absurd_threshold_reports_crush_honestly(self, cfg):
         det = replace(cfg.detection, deviation_floor=1e9)
-        report = run_grasp_episode(cfg, "balloon_hold", seed=0, detection=det)
+        report = run_grasp_episode(replace(cfg, detection=det), "balloon_hold", seed=0)
         # Oracle: the crush verdict must agree with the trace forces.
         max_fc = max(float(a.max()) for a in report.trace.f_contact.values())
         assert not report.verdicts["held"]
@@ -364,15 +362,15 @@ class TestGraspEpisodes:
         assert report.verdicts["crushed"]
 
     def test_cube_episode_verdict_matches_offline_replay(self, cfg, calibrated_detection):
-        report = run_grasp_episode(cfg, "detect_cube", seed=0,
-                                   detection=calibrated_detection)
+        report = run_grasp_episode(replace(cfg, detection=calibrated_detection),
+                                   "detect_cube", seed=0)
         assert report.verdicts["grasped"]
         offline = detect_grasp(report.trace, calibrated_detection)
         assert offline == (report.verdicts["grasped"], report.verdicts["decision_time"])
 
     def test_free_episode_not_grasped(self, cfg, calibrated_detection):
-        report = run_grasp_episode(cfg, "detect_free", seed=0,
-                                   detection=calibrated_detection)
+        report = run_grasp_episode(replace(cfg, detection=calibrated_detection),
+                                   "detect_free", seed=0)
         assert not report.verdicts["grasped"]
         assert not report.verdicts["stable"]
 
@@ -391,8 +389,8 @@ class TestGraspEpisodes:
         truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
         with pytest.raises(BaselineExhaustedError):
-            run_grasp_episode(cfg, "balloon_hold", seed=0, baseline=truncated,
-                              detection=det)
+            run_grasp_episode(replace(cfg, detection=det), "balloon_hold", seed=0,
+                              baseline=truncated)
 
     def test_mismatched_baseline_profile_rejected(self, cfg):
         baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,

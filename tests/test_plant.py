@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haselhand import (
+    ContactAwareController,
     default_config,
     record_baseline,
     resolve_scenario,
@@ -153,7 +154,7 @@ class TestRunScenario:
             assert trace.meta["events"]["hold"] == held
 
     def test_row_count_and_uniform_grid(self, free_trace_nf):
-        sim_dt = free_trace_nf.dt_sample
+        sim_dt = free_trace_nf.meta["dt_sample"]
         duration = free_trace_nf.meta["duration"]
         assert len(free_trace_nf) == round(duration / sim_dt) + 1
         assert np.allclose(np.diff(free_trace_nf.t), sim_dt)
@@ -445,12 +446,6 @@ def _episode_bytes(report):
     return columns, json_text(report.trace.meta), json_text(report.to_dict())
 
 
-@pytest.fixture(scope="module")
-def warm_cache():
-    """One mechanics cache for every case below, filled as they run."""
-    return {}
-
-
 def count_steps(monkeypatch) -> list[int]:
     """Internal steps the chain kernel is asked to take, from now on."""
     steps = [0]
@@ -525,32 +520,40 @@ class TestSharedKernels:
 
 
 class TestMechanicsCache:
+    """A caller keeps the open-loop mechanics of a scenario by passing one
+    Plant to each of its runs (run_scenario's plant): a warm record."""
+
     @pytest.mark.parametrize("preset", tuple(default_config().presets))
-    def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, warm_cache, preset):
-        # Warm runs find their mechanics cached by earlier cases, seeds
-        # and presets; closed loop also its baseline's and, when the hold
-        # falls on a sample seen before, its resume. Cold runs step all
-        # of it, sharing one cold baseline per config. Noise-free runs
+    def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, preset):
+        # Runs that share one Plant find it stepped by the runs before them:
+        # the first closed-loop run steps it part way, the open-loop run
+        # after it to the end. Cold runs build their own. Noise-free runs
         # close the loop only on the preset that ships closed loop.
         for config, seeds in ((cfg, (3, 4)), (cfg_nf, (3,))):
             scenario = resolve_scenario(config, preset)
-            controllers = ("none", "contact_aware")
-            if config is cfg_nf and scenario.controller != "contact_aware":
-                controllers = ("none",)
-            cold_baseline = None
-            if "contact_aware" in controllers:
-                seed_b = config.detection.baseline_seed
-                cold_baseline = record_baseline(scenario, config.sim, seed_b)
-                warm_baseline = record_baseline(scenario, config.sim, seed_b, warm_cache)
-                assert warm_baseline.to_csv_text() == cold_baseline.to_csv_text()
-                assert json_text(warm_baseline.meta) == json_text(cold_baseline.meta)
+            commanders = [None]
+            if config is cfg or scenario.controller == "contact_aware":
+                baseline = record_baseline(scenario, config.sim, config.detection.baseline_seed)
+                commanders.insert(0, ContactAwareController(baseline, config.detection).command)
+            shared = Plant(scenario, config.sim)
             for seed in seeds:
-                for controller in controllers:
-                    warm = run_grasp_episode(config, preset, seed, controller=controller,
-                                             cache=warm_cache)
-                    cold = run_grasp_episode(config, preset, seed, controller=controller,
-                                             baseline=cold_baseline)
-                    assert _episode_bytes(warm) == _episode_bytes(cold), (seed, controller)
+                for commander in commanders:
+                    warm = run_scenario(scenario, config.sim, seed, commander, plant=shared)
+                    cold = run_scenario(scenario, config.sim, seed, commander)
+                    assert warm.to_csv_text() == cold.to_csv_text(), (seed, commander)
+                    assert json_text(warm.meta) == json_text(cold.meta), (seed, commander)
+            assert shared.end == shared.n_samples - 1
+
+    def test_plant_of_another_scenario_or_sim_is_refused(self, cfg):
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        plant = Plant(scenario, cfg.sim)
+        # An equal scenario or sim is not enough: == takes -0.0 for 0.0.
+        twin, sim = resolve_scenario(cfg, "pinch_cube"), replace(cfg.sim)
+        assert twin == scenario and sim == cfg.sim
+        for other, other_sim in ((twin, cfg.sim), (scenario, sim)):
+            with pytest.raises(ValueError, match="another scenario or sim object"):
+                run_scenario(other, other_sim, 0, plant=plant)
+        assert plant.end == 0
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
         # Each class is stepped once, one kernel per distinct chain: 3 for
@@ -561,17 +564,6 @@ class TestMechanicsCache:
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
         assert calls[0] == (3 + 4) * steps
-
-    def test_detect_batch_keys_each_scenario_once(self, monkeypatch, tmp_path):
-        # 11 episodes of two scenario objects: the mechanics key is
-        # computed once per object, not per episode.
-        keys = []
-        real = plant_module.mechanics_key
-        monkeypatch.setattr(plant_module, "mechanics_key",
-                            lambda scenario, sim: keys.append(scenario.name) or real(scenario, sim))
-        assert cli_main(["detect-batch", "--free", "2", "--grasp", "1",
-                         "--out", str(tmp_path)]) == 0
-        assert sorted(keys) == ["detect_cube", "detect_free"]
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
         # Baseline (free motion: 3 kernels) plus episode (4 kernels); the

@@ -315,7 +315,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow or NaN is refused by name where a result is checked
+        # for finite values, so numpy's warning would only precede that line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION

@@ -180,6 +180,11 @@ class ScenarioPreset:
             raise ConfigError("profiles needs a '*' default entry")
 
 
+def joint_key(finger: str, joint: str) -> str:
+    """The trace key "<finger>_<joint>" of a joint's theta and contact-force columns."""
+    return f"{finger}_{joint}"
+
+
 @dataclass(frozen=True)
 class HandConfig:
     """The whole experiment configuration document."""
@@ -206,6 +211,15 @@ class HandConfig:
             if {",", "\r", "\n"} & set(name):
                 raise ConfigError(f"{where}: {name!r} names trace columns, "
                                   f"so it may not contain a comma, CR or LF")
+        # Every joint is driven, and two with one key would share its columns.
+        keyed: dict[str, str] = {}
+        for fname, layout in self.fingers.items():
+            for i, joint in enumerate(layout.joints):
+                where, key = f"fingers.{fname}.joints[{i}].name", joint_key(fname, joint.name)
+                if key in keyed:
+                    raise ConfigError(f"{where}: trace key {key!r} is already "
+                                      f"the key of {keyed[key]}")
+                keyed[key] = where
         for fname, layout in self.fingers.items():
             if fname != layout.name:
                 raise ConfigError(f"fingers.{fname}: layout name {layout.name!r} != key")
@@ -534,7 +548,7 @@ class ChainSpec:
     @property
     def joint_keys(self) -> tuple[str, ...]:
         """The trace key "<finger>_<joint>" of each driven joint, in group order."""
-        return tuple(f"{self.finger}_{self.layout.joints[j].name}" for j in self.joint_group)
+        return tuple(joint_key(self.finger, self.layout.joints[j].name) for j in self.joint_group)
 
     @property
     def theta_cap(self) -> float:

@@ -14,6 +14,10 @@ arrays, a block of rows at a time, and calls repr once per distinct
 That pays because coupled joint angles, zero contact forces and rest
 and hold runs repeat most values.
 
+The decoder parses every cell in one np.loadtxt pass, bit for bit the
+float() of each cell; a row-by-row float() scan runs only when that pass
+fails, and names the damaged row.
+
 Every file the package writes goes through write_atomic, and every JSON
 document it reads goes through read_json.
 """
@@ -157,25 +161,49 @@ def _parse_header(header: str) -> list[str]:
     return names
 
 
+def _scan_rows(rows: list[str], n_columns: int) -> np.ndarray:
+    """The rows' cells, one float() per cell; a row without n_columns
+    numbers is a TraceSchemaError naming it (counted from 1)."""
+    data = np.zeros((len(rows), n_columns))
+    for r, line in enumerate(rows):
+        parts = line.split(",")
+        if len(parts) != n_columns:
+            raise TraceSchemaError(
+                f"row {r + 1} has {len(parts)} values for {n_columns} columns"
+            )
+        try:
+            data[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise TraceSchemaError(f"row {r + 1} has a non-numeric value: {exc}") from None
+    return data
+
+
 def load_trace(csv_path: str | Path) -> SignalTrace:
-    """Read a trace CSV (and its .meta.json companion if present)."""
+    """Read a trace CSV (and its .meta.json companion if present).
+
+    Blank lines are skipped. The data rows are parsed in one np.loadtxt
+    pass (comments=None, so a '#' cell is an error, not a comment), which
+    reads the bits of one float() per cell. If it raises, or gives a shape
+    other than (rows, columns), _scan_rows parses the rows again, one
+    float() per cell: it accepts what float() accepts (an underscore
+    between digits) and raises the TraceSchemaError naming the first
+    damaged row. Every cell must be finite.
+    """
     csv_path = Path(csv_path)
     text = csv_path.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceSchemaError("trace file is empty")
     names = _parse_header(lines[0])
-    data = np.zeros((len(lines) - 1, len(names)))
-    for r, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise TraceSchemaError(
-                f"row {r + 1} has {len(parts)} values for {len(names)} columns"
-            )
+    rows, data = lines[1:], None
+    if rows:  # loadtxt warns on a header-only file
         try:
-            data[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise TraceSchemaError(f"row {r + 1} has a non-numeric value: {exc}") from None
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    # A trace whose every row is one value short loads as (rows, n - 1).
+    if data is None or data.shape != (len(rows), len(names)):
+        data = _scan_rows(rows, len(names))
     # The package writes finite values only: any other cell marks a damaged file.
     bad = np.argwhere(~np.isfinite(data))
     if len(bad):

@@ -62,6 +62,21 @@ def rename_stack(old, new):
     return mutate
 
 
+def compose(*mutates):
+    """A mutate that applies each of mutates in turn."""
+    def mutate(doc):
+        for each in mutates:
+            each(doc)
+    return mutate
+
+
+def index_dip_renamed_pip(doc):
+    """Two index joints named pip: the dip joint renamed, its contact angles dropped."""
+    doc["fingers"]["index"]["joints"][2]["name"] = "pip"
+    for obj in doc["objects"].values():
+        obj["theta_contact"]["index"].pop("dip", None)
+
+
 def copy_meta(trace: Path, to: Path) -> None:
     """Copy the metadata file of trace to sit next to the trace file to."""
     to.with_suffix(".meta.json").write_bytes(trace.with_suffix(".meta.json").read_bytes())
@@ -456,6 +471,9 @@ class TestBadInputs:
          "overflows", "balloon_hold"),
     ], ids=["tiny_eta_fwd", "huge_f_ext0", "huge_k_ext", "huge_pulley_ratio",
             "huge_c0", "huge_c_slope", "huge_current_noise", "huge_force_exponent"])
+    # The refusal is the only thing printed: numpy's overflow and invalid
+    # warnings on the way to it are silenced.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_in_domain_value_without_a_finite_run_exits_2(self, tmp_path, capsys, time_limit,
                                                           where, value, named, preset):
         cfg_path = write_config(tmp_path, set_key(where, value))
@@ -465,6 +483,7 @@ class TestBadInputs:
         assert named in capsys.readouterr().err
         assert not list(out.rglob("*"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_with_infinite_current_exits_2(self, tmp_path, capsys, time_limit):
         # Calibration would otherwise compare inf with inf and exit 4.
         cfg_path = write_config(tmp_path, set_key("stacks.index_mcp.c0", 1e308))
@@ -538,10 +557,15 @@ class TestBadInputs:
         (rename_joint("index", "mcp", "mcp\r"), "fingers.index.joints[0].name"),
         (rename_finger("index", "in,dex"), "fingers.in,dex"),
         (rename_stack("index_mcp", "index_mcp\n"), "stacks.index_mcp\n"),
-    ], ids=["joint_comma", "joint_lf", "joint_cr", "finger_comma", "stack_lf"])
+        (index_dip_renamed_pip, "fingers.index.joints[2].name"),
+        (compose(rename_joint("index", "mcp", "mcp_1"), rename_joint("middle", "mcp", "1"),
+                 rename_finger("middle", "index_mcp")), "fingers.index_mcp.joints[0].name"),
+    ], ids=["joint_comma", "joint_lf", "joint_cr", "finger_comma", "stack_lf",
+            "joint_name_twice", "finger_joint_key_collision"])
     def test_name_that_breaks_the_trace_header_exits_2(self, tmp_path, capsys, mutate, where):
         # Names key the trace's columns; a comma or line break in one would
-        # write a header that replay cannot read back.
+        # write a header that replay cannot read back, and two joints with
+        # one "<finger>_<joint>" key would write one column for both.
         cfg_path = write_config(tmp_path, mutate)
         out = tmp_path / "o"
         assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
@@ -587,6 +611,32 @@ class TestBadInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert f"row 3 has a non-finite value in column '{column}': {cell}" in err
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("damaged, change", [([3], -1), ([3], 1), (None, -1)],
+                             ids=["one_short_row", "one_long_row", "every_row_short"])
+    def test_row_with_wrong_field_count_names_row(self, batch_out, tmp_path, capsys,
+                                                  damaged, change):
+        # A trace whose every row is one value short is a table of
+        # consistent shape, one column too narrow for its header.
+        rows = (batch_out / "detect_cube_seed100000.csv").read_text().splitlines()
+        n = len(rows[0].split(","))
+        damaged = damaged or range(1, len(rows))
+        for k in damaged:
+            cells = rows[k].split(",")
+            rows[k] = ",".join(cells[:-1] if change < 0 else cells + ["0.0"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        copy_meta(batch_out / "detect_cube_seed100000.csv", bad)
+        message = f"row {damaged[0]} has {n + change} values for {n} columns"
+        with pytest.raises(TraceSchemaError) as exc:
+            load_trace(bad)
+        assert str(exc.value) == message
+        out = tmp_path / "o"
+        code = run_cli("replay", "--trace", str(bad),
+                       "--detector", str(batch_out / "detector.json"), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not list(out.rglob("*"))
 
     def test_non_numeric_trace_cell_names_row(self, batch_out, tmp_path, capsys):

@@ -1,11 +1,16 @@
-"""The block encoder writes the bytes of one repr per cell."""
+"""The block encoder writes the bytes of one repr per cell, and the
+loadtxt decoder reads the bits and errors of one float() per cell."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haselhand.trace import CSV_BLOCK_ROWS, csv_text
+import haselhand.trace
+from haselhand.errors import TraceSchemaError
+from haselhand.trace import CSV_BLOCK_ROWS, FIXED_COLUMNS, _scan_rows, csv_text, load_trace
 from oracles import csv_text as csv_text_oracle
 
 
@@ -73,3 +78,79 @@ class TestCsvText:
     def test_unequal_columns_name_the_column(self, second):
         with pytest.raises(ValueError, match="column 'b' has"):
             csv_text([("a", [1.0, 2.0]), ("b", second)])
+
+
+HEADER = ",".join(FIXED_COLUMNS.values())
+
+
+def decoded(path):
+    """load_trace's four columns as bit patterns, or its error message."""
+    try:
+        trace = load_trace(path)
+    except TraceSchemaError as exc:
+        return str(exc)
+    return [getattr(trace, attr).view(np.int64).tolist() for attr in FIXED_COLUMNS]
+
+
+def scanned(path):
+    """decoded(path) with np.loadtxt failing, so every row goes through _scan_rows."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        return decoded(path)
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decode")
+
+
+# Cell texts near float()'s grammar: numbers with signs, exponents, spaces
+# and underscores, its non-finite words, and text it refuses.
+cell_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "+.5", "5.", "1e5", "1E-5", "1e500", "-1e500", "nan", "-NaN",
+                     "inf", "-Infinity", "1_0", "1__0", "_1", "1d5", "0x10", "", " ", "#",
+                     "1 2", '"1"', "\u0663", "\xa01.0\xa0", "1.0\x00", "1\x0c", "abc"]),
+    st.text(alphabet="0123456789.eE+-_ #\t", max_size=6),
+)
+
+
+class TestLoadTrace:
+    def test_loadtxt_reads_the_bits_of_one_float_per_cell(self, tmp_path):
+        # 40,000 repr strings of random magnitudes and signs, the first
+        # rows set to the finite values whose text is easy to get wrong.
+        rng = np.random.default_rng(4242)
+        values = 10.0 ** rng.uniform(-300, 300, size=(10_000, 4))
+        values *= rng.choice([-1.0, 1.0], size=values.shape)
+        finite = [v for v in SPECIAL if np.isfinite(v)]
+        values[:len(finite)] = np.array(finite)[:, None]
+        rows = [",".join(map(repr, row)) for row in values.tolist()]
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join([HEADER] + rows) + "\n")
+        with mock.patch.object(haselhand.trace, "_scan_rows", side_effect=AssertionError):
+            trace = load_trace(path)
+        data = np.stack([getattr(trace, attr) for attr in FIXED_COLUMNS], axis=1)
+        assert data.view(np.int64).tolist() == _scan_rows(rows, 4).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: "\n" + text,
+        lambda text: text.replace("\n", "\n \t\n", 1),
+        lambda text: text.replace(",10.0,", ", 10.0 ,"),
+        lambda text: text.replace(",10.0,", ",1_0,"),
+        lambda text: text.replace("\n", "\r\n"),
+    ], ids=["leading_blank_line", "whitespace_only_line", "spaces_around_a_cell",
+            "underscore_in_a_cell", "crlf_line_ends"])
+    def test_file_outside_loadtxt_grammar_reads_as_before(self, tmp_path, damage):
+        clean = f"{HEADER}\n0.0,10.0,-0.0,5e-324\n1.5,2.5,3.5,4.5\n"
+        paths = [tmp_path / "clean.csv", tmp_path / "damaged.csv"]
+        paths[0].write_text(clean)
+        paths[1].write_bytes(damage(clean).encode())
+        assert decoded(paths[1]) == decoded(paths[0]) == scanned(paths[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(cell_texts, min_size=3, max_size=5), min_size=1, max_size=3))
+    @example([["1", "2", "3"], ["4", "5", "6"]])  # every row one value short
+    @example([["1", "2", "3", "4"]] * 2 + [[" ", "", "#", "x"]])
+    def test_accepts_and_refuses_what_a_float_per_cell_does(self, trace_dir, table):
+        path = trace_dir / "t.csv"
+        path.write_text("\n".join([HEADER] + [",".join(row) for row in table]) + "\n")
+        assert decoded(path) == scanned(path)

@@ -62,19 +62,19 @@ def rename_stack(old, new):
     return mutate
 
 
-def compose(*mutates):
-    """A mutate that applies each of mutates in turn."""
-    def mutate(doc):
-        for each in mutates:
-            each(doc)
-    return mutate
-
-
 def index_dip_renamed_pip(doc):
     """Two index joints named pip: the dip joint renamed, its contact angles dropped."""
     doc["fingers"]["index"]["joints"][2]["name"] = "pip"
     for obj in doc["objects"].values():
         obj["theta_contact"]["index"].pop("dip", None)
+
+
+def index_mcp_key_collision(doc):
+    """Finger index with joint mcp_1 and finger index_mcp (the renamed
+    middle) with joint 1: both key their columns index_mcp_1."""
+    rename_joint("index", "mcp", "mcp_1")(doc)
+    rename_joint("middle", "mcp", "1")(doc)
+    rename_finger("middle", "index_mcp")(doc)
 
 
 def copy_meta(trace: Path, to: Path) -> None:
@@ -558,8 +558,7 @@ class TestBadInputs:
         (rename_finger("index", "in,dex"), "fingers.in,dex"),
         (rename_stack("index_mcp", "index_mcp\n"), "stacks.index_mcp\n"),
         (index_dip_renamed_pip, "fingers.index.joints[2].name"),
-        (compose(rename_joint("index", "mcp", "mcp_1"), rename_joint("middle", "mcp", "1"),
-                 rename_finger("middle", "index_mcp")), "fingers.index_mcp.joints[0].name"),
+        (index_mcp_key_collision, "fingers.index_mcp.joints[0].name"),
     ], ids=["joint_comma", "joint_lf", "joint_cr", "finger_comma", "stack_lf",
             "joint_name_twice", "finger_joint_key_collision"])
     def test_name_that_breaks_the_trace_header_exits_2(self, tmp_path, capsys, mutate, where):

@@ -108,7 +108,7 @@ def trace_dir(tmp_path_factory):
 cell_texts = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["0", "-0", "+.5", "5.", "1e5", "1E-5", "1e500", "-1e500", "nan", "-NaN",
-                     "inf", "-Infinity", "1_0", "1__0", "_1", "1d5", "0x10", "", " ", "#",
+                     "inf", "-Infinity", "1_0", "1__0", "_1", "1d5", "0x10", "", " ", "#", "1#2",
                      "1 2", '"1"', "\u0663", "\xa01.0\xa0", "1.0\x00", "1\x0c", "abc"]),
     st.text(alphabet="0123456789.eE+-_ #\t", max_size=6),
 )
@@ -150,6 +150,7 @@ class TestLoadTrace:
     @given(st.lists(st.lists(cell_texts, min_size=3, max_size=5), min_size=1, max_size=3))
     @example([["1", "2", "3"], ["4", "5", "6"]])  # every row one value short
     @example([["1", "2", "3", "4"]] * 2 + [[" ", "", "#", "x"]])
+    @example([["1", "2", "3", "4 # a comment to loadtxt by default"]])
     def test_accepts_and_refuses_what_a_float_per_cell_does(self, trace_dir, table):
         path = trace_dir / "t.csv"
         path.write_text("\n".join([HEADER] + [",".join(row) for row in table]) + "\n")

@@ -37,10 +37,10 @@ which the test suite checks bit for bit against a scalar oracle:
 
 The chain geometry (x -> theta map, stroke cap, contact onsets) comes
 from config.ChainSpec and the contact law from kinematics.contact_force:
-ChainSim's load table and run_scenario's theta/f_contact columns call
+ChainSim's load table and Plant.seed_free's theta/f_contact columns call
 them on whole arrays.
 
-run_scenario makes two passes over a scenario.
+run_scenario works in three stages over a scenario.
 
 - The mechanics pass, Plant.extend, is the only code that steps chains.
   Chains with the same breakpoint table, breakaway force, v_ref, force
@@ -54,19 +54,31 @@ run_scenario makes two passes over a scenario.
   stall target and running maximum stall residual, and, at every
   internal step, the monitored chain's contraction and voltage. What a
   chain holds at a sample is also where a hold resumes it from.
-- The monitor pass, Plant.current, runs once per seed on those arrays.
-  The drawn current of the monitored stack (chosen in
-  config.resolve_preset) comes from the finite differences of
-  capacitance and applied voltage over the internal steps either side
-  of each sample instant: central inside the run, one-sided at its
-  ends. Gaussian monitor noise is drawn from a seeded generator in one
-  block whose values are those of one draw per monitor per sample, in
-  sample order, so runs are reproducible byte for byte.
+- The assembly, Plant.seed_free, builds once per recorded run whatever
+  the trace takes from the record alone: the theta, f_contact, x and c
+  columns, the commanded voltage, the drawn current of the monitored
+  stack (chosen in config.resolve_preset) without noise, the first
+  contact events, the final stall targets, and the stall-residual and
+  finiteness checks of those. The current comes from Plant.current, the
+  finite differences of capacitance and applied voltage over the
+  internal steps either side of each sample instant: central inside the
+  run, one-sided at its ends. It steps the record to its end first, so
+  a record has one assembly. Its arrays are read-only, so the traces
+  that share them cannot change one another. A failed check is never
+  kept, so it fails every run on the record.
+- The per-seed pass in run_scenario draws the Gaussian monitor noise
+  from a seeded generator in one block whose values are those of one
+  draw per monitor per sample, in sample order, so runs are
+  reproducible byte for byte. It adds the noise to the monitored
+  chain's applied voltage and to the noise-free current, giving v_meas
+  and i_meas, and checks only those two for finiteness: a huge monitor
+  noise can overflow them.
 
 Open loop, the mechanics do not depend on the seed, so run_scenario
-takes the caller's Plant of a scenario as its open-loop record and
-steps it only where no earlier run has. detect-batch passes one per
-class to every episode of that class; a call without one builds its own.
+takes the caller's Plant of a scenario as its open-loop record, steps
+it only where no earlier run has and reuses its assembly. detect-batch
+passes one per class to every episode of that class, so each episode
+pays only for its noise; a call without one builds its own.
 
 Closed loop, the walk steps the open-loop record MECHANICS_BLOCK
 samples at a time and, after each block, hands the commander the
@@ -75,12 +87,13 @@ commander names a hold sample or the run ends. A hold at sample k sets
 every schedule to its command at sample k - 1 (at sample 0 for k = 0),
 limited to the amplifier ceiling, and resumes the kernels from their
 sample-k state in a new record: chains that shared a kernel are in one
-state there and hold one command, so they keep sharing it.
+state there and hold one command, so they keep sharing it. A
+closed-loop run assembles its trace on that resumed record.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -94,7 +107,7 @@ from .config import (
 )
 from .errors import DomainError, ModelConsistencyError
 from .kinematics import contact_force
-from .trace import SignalTrace
+from .trace import FIXED_COLUMNS, KEYED_COLUMNS, SignalTrace, keyed_columns
 from .transmission import excursion_of, extensor_tension, reflected_load
 
 # Samples by which a commander's walk steps the open-loop record ahead.
@@ -337,6 +350,39 @@ def _kernel_key(chain: ChainSim, schedule: ProfileSpec) -> tuple[str, bytes]:
     return schedule.kind, np.array(floats).tobytes()
 
 
+# (header name, value, sample) of a trace's first non-finite value.
+NonFinite = Optional[tuple[str, float, int]]
+
+
+def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> NonFinite:
+    """The first non-finite value of columns, column by column in order."""
+    finite = np.isfinite([values for _, values in columns])
+    if finite.all():
+        return None
+    c, k = np.argwhere(~finite)[0]
+    return columns[c][0], columns[c][1][k], k
+
+
+class SeedFree(NamedTuple):
+    """What a run's trace takes from its record alone, whatever the seed.
+
+    keyed holds the trace's keyed column groups (KEYED_COLUMNS) and
+    i_free the noise-free current of the monitored stack. head and tail
+    are the first non-finite value of the seed-free columns before and
+    after the per-seed v_meas and i_meas in trace order, or None.
+    """
+    t: np.ndarray
+    v_cmd: np.ndarray
+    i_free: np.ndarray
+    keyed: dict[str, dict[str, np.ndarray]]
+    head: NonFinite
+    tail: NonFinite
+    first_contact: dict[str, float]
+    final_x_target: dict[str, float]
+    max_residual: float
+    profile_hash: str
+
+
 class Plant:
     """A scenario's chain tables and their motion, recorded at the samples.
 
@@ -370,6 +416,8 @@ class Plant:
         shape = (len(self.chains), self.n_samples)
         self.x, self.v, self.target, self.residual = (np.zeros(shape) for _ in range(4))
         self.x_mon, self.v_mon = np.zeros((2, (self.n_samples - 1) * sim.steps_per_sample + 1))
+        self.hold: Optional[tuple[int, float]] = None
+        self._seed_free: Optional[SeedFree] = None
 
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it
@@ -410,14 +458,20 @@ class Plant:
                 self.v_mon[k0 * sps + 1:k_end * sps + 1] = v
         self.end = k_end
 
-    def resume(self, k: int, held: dict[ProfileSpec, float]) -> "Plant":
-        """This record up to sample k, then every chain under a constant
-        schedule from there: held maps each schedule to its held command.
+    def resume(self, k: int) -> "Plant":
+        """This record up to sample k, then every schedule held from there
+        at its command at sample k - 1 (at sample 0 for k = 0), limited to
+        the amplifier ceiling. hold records k and the monitored chain's
+        held voltage.
 
         The kernels stay those of the open-loop record: the chains of a
         kernel are in one state at sample k and hold one command."""
+        t_prev = max(k - 1, 0) * self.sim.dt_sample
+        ceiling = self.scenario.amplifier.v_ceiling
+        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(self.schedules)}
         plant = Plant(self.scenario, self.sim)
         plant.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
+        plant.hold = (k, held[self.scenario.chains[self.mon].profile])
         for name in ("x", "v", "target", "residual", "x_mon", "v_mon"):
             setattr(plant, name, getattr(self, name).copy())
         plant.end = k
@@ -442,6 +496,61 @@ class Plant:
         dc = (capacitance_of(stack, self.x_mon[hi]) - capacitance_of(stack, self.x_mon[lo])) / span
         return displacement_current(capacitance_of(stack, self.x[self.mon, :k1]), dv,
                                     self.v[self.mon, :k1], dc)
+
+    def seed_free(self) -> SeedFree:
+        """The seed-free part of the trace of the whole run. The first call
+        steps the record to its end and builds it; later calls return it.
+
+        Its arrays are read-only, so the traces that share them cannot
+        change one another. Raises ModelConsistencyError, on every call,
+        when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
+        """
+        if self._seed_free is not None:
+            return self._seed_free
+        scenario, sim, n = self.scenario, self.sim, self.n_samples
+        self.extend(n - 1)
+        max_residual = float(self.residual[:, -1].max())
+        if max_residual > STALL_RESIDUAL_TOL_N:
+            raise ModelConsistencyError(
+                f"scenario {scenario.name}: stall residual {max_residual:.3g} N "
+                f"exceeds {STALL_RESIDUAL_TOL_N} N"
+            )
+        t = np.arange(n) * sim.dt_sample
+        v_cmd = scenario.chains[self.mon].profile(t)
+        if self.hold is not None:
+            v_cmd[self.hold[0]:] = self.hold[1]
+        keyed: dict[str, dict[str, np.ndarray]] = {group: {} for group in KEYED_COLUMNS}
+        first_contact: dict[str, float] = {}
+        x = self.x.copy()
+        x.flags.writeable = False
+        for ch, xs, xt in zip(self.chains, x, self.target):
+            spec = ch.spec
+            keyed["x"][spec.tendon_id] = xs
+            keyed["c"][spec.tendon_id] = capacitance_of(spec.stack, xs)
+            theta = spec.theta_at(xs)
+            for j, key in zip(spec.joint_group, spec.joint_keys):
+                keyed["theta"][key] = theta
+                keyed["f_contact"][key] = np.zeros_like(theta)
+                if j in ch.contact:
+                    x_on, theta_on, k_obj, _ = ch.contact[j]
+                    keyed["f_contact"][key] = contact_force(k_obj, theta_on, theta)
+                    engaged = np.maximum(xs, xt) >= x_on - 1e-12
+                    if engaged.any():
+                        first_contact[key] = float(t[int(np.argmax(engaged))])
+        i_free = self.current(n)
+        for a in (t, v_cmd, i_free, *(a for cols in keyed.values() for a in cols.values())):
+            a.flags.writeable = False
+        self._seed_free = SeedFree(
+            t=t, v_cmd=v_cmd, i_free=i_free, keyed=keyed,
+            head=_nonfinite([(FIXED_COLUMNS["t"], t), (FIXED_COLUMNS["v_cmd"], v_cmd)]),
+            tail=_nonfinite(keyed_columns(keyed)),
+            first_contact=first_contact,
+            final_x_target={ch.spec.tendon_id: float(xt)
+                            for ch, xt in zip(self.chains, self.target[:, -1])},
+            max_residual=max_residual,
+            profile_hash=profile_hash(scenario.profiles, scenario.duration, sim.dt_sample),
+        )
+        return self._seed_free
 
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
@@ -483,94 +592,57 @@ def run_scenario(
 
     plant, when given, is the caller's open-loop record of these very
     scenario and sim objects (else ValueError), shared with its other
-    runs. Raises ModelConsistencyError when the run's stall residual
-    exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net force or a
-    returned column is not finite.
+    runs. Every column but v_meas and i_meas comes from the record's
+    Plant.seed_free, so the traces of one record share those arrays,
+    read-only. Raises ModelConsistencyError when the run's stall
+    residual exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net
+    force or a returned column is not finite.
     """
     plant = Plant(scenario, sim) if plant is None else plant
     # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
     if plant.scenario is not scenario or plant.sim is not sim:
         raise ValueError(f"scenario {scenario.name}: the plant was built from "
                          f"another scenario or sim object")
-    n_samples = plant.n_samples
-    t_arr = np.arange(n_samples) * sim.dt_sample
-    ceiling = scenario.amplifier.v_ceiling
     sigma_v = scenario.amplifier.monitor_noise_v
     sigma_i = scenario.amplifier.monitor_noise_i
     # Generator.normal(loc, scale) is loc + scale * standard_normal, so
     # this block equals one normal() per monitor per sample, v first.
-    z = np.random.default_rng(seed).standard_normal((n_samples, 2))
+    z = np.random.default_rng(seed).standard_normal((plant.n_samples, 2))
     noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
 
-    mon_profile = scenario.chains[plant.mon].profile
-    v_cmd = mon_profile(t_arr)
-    hold_events: list[dict[str, float]] = []
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
     if k_hold is not None:
-        t_prev = float(t_arr[max(k_hold - 1, 0)])
-        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(plant.schedules)}
-        plant = plant.resume(k_hold, held)  # a new record: the shared one stays open loop
-        v_cmd[k_hold:] = held[mon_profile]
-        hold_events.append({"t": float(t_arr[k_hold]), "v_held": held[mon_profile]})
-    plant.extend(n_samples - 1)
+        plant = plant.resume(k_hold)  # a new record: the shared one stays open loop
+    rec = plant.seed_free()
 
-    max_residual = float(plant.residual[:, -1].max())
-    if max_residual > STALL_RESIDUAL_TOL_N:
-        raise ModelConsistencyError(
-            f"scenario {scenario.name}: stall residual {max_residual:.3g} N "
-            f"exceeds {STALL_RESIDUAL_TOL_N} N"
-        )
+    # Only the noise depends on the seed, and a huge sigma can overflow it.
     v_meas = plant.v[plant.mon] + noise_v
-    i_meas = plant.current(n_samples) + noise_i
+    i_meas = rec.i_free + noise_i
+    bad = rec.head or _nonfinite([(FIXED_COLUMNS["v_meas"], v_meas),
+                                  (FIXED_COLUMNS["i_meas"], i_meas)]) or rec.tail
+    if bad:
+        name, value, k = bad
+        raise DomainError(f"scenario {scenario.name}: non-finite value {value} "
+                          f"in column {name!r} at sample {k}")
 
-    # Assemble per-joint and per-stack columns at the sample grid.
-    theta_cols: dict[str, np.ndarray] = {}
-    fc_cols: dict[str, np.ndarray] = {}
-    x_cols: dict[str, np.ndarray] = {}
-    c_cols: dict[str, np.ndarray] = {}
-    first_contact: dict[str, float] = {}
-
-    for ch, xs, xt in zip(plant.chains, plant.x.copy(), plant.target):
-        spec = ch.spec
-        x_cols[spec.tendon_id] = xs
-        c_cols[spec.tendon_id] = capacitance_of(spec.stack, xs)
-        theta = spec.theta_at(xs)
-        for j, key in zip(spec.joint_group, spec.joint_keys):
-            theta_cols[key] = theta
-            fc_cols[key] = np.zeros_like(theta)
-            if j in ch.contact:
-                x_on, theta_on, k_obj, _ = ch.contact[j]
-                fc_cols[key] = contact_force(k_obj, theta_on, theta)
-                engaged = np.maximum(xs, xt) >= x_on - 1e-12
-                if engaged.any():
-                    first_contact[key] = float(t_arr[int(np.argmax(engaged))])
-
+    hold_events = [] if plant.hold is None else [
+        {"t": float(rec.t[plant.hold[0]]), "v_held": plant.hold[1]}]
     meta = {
         "scenario": scenario.name,
         "seed": int(seed),
         "config_hash": scenario.config_fingerprint,
-        "profile_hash": profile_hash(scenario.profiles, scenario.duration, sim.dt_sample),
+        "profile_hash": rec.profile_hash,
         "dt_sample": sim.dt_sample,
         "dt_internal": sim.dt_internal,
         "duration": scenario.duration,
         "monitored_stack": scenario.monitored_stack,
         "object": scenario.obj.name if scenario.obj else None,
         "noise": {"v": sigma_v, "i": sigma_i},
-        "max_equilibrium_residual_n": max_residual,
-        "final_x_target": {ch.spec.tendon_id: float(xt)
-                           for ch, xt in zip(plant.chains, plant.target[:, -1])},
-        "events": {"first_contact": first_contact, "hold": hold_events},
+        "max_equilibrium_residual_n": rec.max_residual,
+        "final_x_target": dict(rec.final_x_target),
+        "events": {"first_contact": dict(rec.first_contact), "hold": hold_events},
         "controller_modes": {"final": "holding" if hold_events else "ramping"},
     }
-
-    trace = SignalTrace(
-        t=t_arr, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas,
-        theta=theta_cols, f_contact=fc_cols, x=x_cols, c=c_cols, meta=meta,
-    )
-    columns = trace.columns()
-    finite = np.isfinite([values for _, values in columns])  # as load_trace demands
-    if not finite.all():
-        c, k = np.argwhere(~finite)[0]
-        raise DomainError(f"scenario {scenario.name}: non-finite value {columns[c][1][k]} "
-                          f"in column {columns[c][0]!r} at sample {k}")
-    return trace
+    # Each trace has dicts of its own; the arrays in them are shared, read-only.
+    return SignalTrace(t=rec.t, v_cmd=rec.v_cmd, v_meas=v_meas, i_meas=i_meas, meta=meta,
+                       **{group: dict(cols) for group, cols in rec.keyed.items()})

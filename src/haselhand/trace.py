@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -49,9 +49,14 @@ CSV_BLOCK_ROWS = 64
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write text to path through a temporary file and a rename."""
+    """Write text to path through a temporary file and a rename.
+
+    The temporary file is created as open() creates a file, with mode
+    0666 less the process umask, and O_EXCL keeps it our own.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{uuid.uuid4().hex}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -118,6 +123,13 @@ def column_name(group: str, key: str) -> str:
     return f"{prefix}_{key}({unit})"
 
 
+def keyed_columns(groups: dict[str, dict[str, Any]]) -> list[tuple[str, Any]]:
+    """(header name, values) of keyed column groups in file order: the
+    groups as in KEYED_COLUMNS, each sorted by key."""
+    return [(column_name(group, key), groups[group][key])
+            for group in KEYED_COLUMNS for key in sorted(groups[group])]
+
+
 @dataclass
 class SignalTrace:
     t: np.ndarray
@@ -135,10 +147,7 @@ class SignalTrace:
 
     def columns(self) -> list[tuple[str, np.ndarray]]:
         cols = [(name, getattr(self, attr)) for attr, name in FIXED_COLUMNS.items()]
-        for group in KEYED_COLUMNS:
-            arrays = getattr(self, group)
-            cols += [(column_name(group, key), arrays[key]) for key in sorted(arrays)]
-        return cols
+        return cols + keyed_columns({group: getattr(self, group) for group in KEYED_COLUMNS})
 
     def to_csv_text(self) -> str:
         return csv_text(self.columns())

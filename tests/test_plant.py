@@ -19,9 +19,9 @@ from haselhand import (
 from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
-from haselhand.errors import ConfigError, DomainError
+from haselhand.errors import ConfigError, DomainError, ModelConsistencyError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
-from haselhand.trace import json_text
+from haselhand.trace import FIXED_COLUMNS, json_text
 from oracles import ScalarChain, equilibrium_contraction, reconstruct_current, slew
 
 
@@ -564,6 +564,65 @@ class TestMechanicsCache:
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
         assert calls[0] == (3 + 4) * steps
+
+    def test_detect_batch_assembles_each_class_once(self, monkeypatch, tmp_path):
+        # The seed-free columns, noise-free current among them, are built
+        # once per class however many episodes share its record.
+        real, whole_runs = Plant.current, []
+
+        def counted(plant, k1):
+            whole_runs.append(k1 == plant.n_samples)
+            return real(plant, k1)
+
+        monkeypatch.setattr(Plant, "current", counted)
+        built = []
+        for n in ("2", "5"):
+            whole_runs.clear()
+            assert cli_main(["detect-batch", "--free", n, "--grasp", n,
+                             "--out", str(tmp_path / n)]) == 0
+            built.append(sum(whole_runs))
+        assert built == [2, 2]
+
+    def test_traces_of_one_plant_share_read_only_columns(self, cfg):
+        scenario = resolve_scenario(cfg, "detect_cube")
+        plant = Plant(scenario, cfg.sim)
+        first, second = (run_scenario(scenario, cfg.sim, seed, plant=plant) for seed in (1, 2))
+        text = second.to_csv_text()
+        shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
+                  if a is b]
+        per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
+        assert [name for name, _ in shared] == [name for name, _ in first.columns()
+                                                if name not in per_seed]
+        for name, values in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        # The column dicts are each trace's own.
+        first.x["index_mcp"] = np.zeros(len(first))
+        del first.theta["index_mcp"]
+        assert second.to_csv_text() == text
+
+    @pytest.mark.parametrize("failure", ["residual", "finiteness"])
+    def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure):
+        # A check that fails on a record is never kept as passed: a
+        # second run on the same Plant raises the same error.
+        config, error = cfg, ModelConsistencyError
+        if failure == "residual":
+            monkeypatch.setattr(plant_module, "STALL_RESIDUAL_TOL_N", -1.0)
+        else:  # test_cli's huge_c0: the noise-free current overflows
+            stack = replace(cfg.stacks["index_mcp"], c0=1e308)
+            config, error = replace(cfg, stacks={**cfg.stacks, "index_mcp": stack}), DomainError
+        scenario = resolve_scenario(config, "pinch_cube")
+        plant = Plant(scenario, config.sim)
+        messages = []
+        for seed in (0, 0, 1):
+            with pytest.raises(error) as exc, np.errstate(over="ignore", invalid="ignore"):
+                run_scenario(scenario, config.sim, seed, plant=plant)
+            messages.append(str(exc.value))
+        assert len(set(messages)) == 1
+        assert plant.end == plant.n_samples - 1
+        if failure == "finiteness":
+            assert messages[0] == ("scenario pinch_cube: non-finite value inf "
+                                   "in column 'i_meas(uA)' at sample 0")
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
         # Baseline (free motion: 3 kernels) plus episode (4 kernels); the

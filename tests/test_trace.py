@@ -1,6 +1,8 @@
 """The block encoder writes the bytes of one repr per cell, and the
 loadtxt decoder reads the bits and errors of one float() per cell."""
 
+import os
+import stat
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import haselhand.trace
 from haselhand.errors import TraceSchemaError
-from haselhand.trace import CSV_BLOCK_ROWS, FIXED_COLUMNS, _scan_rows, csv_text, load_trace
+from haselhand.trace import (CSV_BLOCK_ROWS, FIXED_COLUMNS, _scan_rows, csv_text, load_trace,
+                             write_atomic)
 from oracles import csv_text as csv_text_oracle
 
 
@@ -155,3 +158,19 @@ class TestLoadTrace:
         path = trace_dir / "t.csv"
         path.write_text("\n".join([HEADER] + [",".join(row) for row in table]) + "\n")
         assert decoded(path) == scanned(path)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_written_file_mode_follows_umask(tmp_path, umask, mode):
+    # The mode a plain open() would give, not mkstemp's 0600; same bytes.
+    path, text = tmp_path / "out" / "a.csv", "t(s),v_cmd(kV)\n0.0,-0.0\n"
+    saved = os.umask(umask)
+    try:
+        write_atomic(path, text)
+        write_atomic(path, text)  # replacing an existing file too
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == text.encode()
+    assert os.listdir(path.parent) == ["a.csv"]

@@ -325,7 +325,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ModelConsistencyError as exc:
         print(f"model-consistency error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ConfigError, DomainError, InsufficientDataError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, InsufficientDataError, OSError) as exc:
+        # OSError: an input path missing or a directory, an --out that is a file.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HaselHandError as exc:

@@ -9,10 +9,10 @@ moving average smooth_causal; detection additionally debounces over
 consecutive samples so single noise excursions cannot trigger it.
 
 Contact-aware control is one decision. The baseline is the free-motion
-trace of the same voltage schedule, recorded under the same profile
-hash. ContactAwareController only names the sample at which the plant
-stops ramping; the plant then holds every channel at its previous
-command (see run_scenario).
+trace of the same voltage schedule, which each episode records itself.
+ContactAwareController only names the sample at which the plant stops
+ramping; the plant then holds every channel at its previous command
+(see run_scenario).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import (
     HandConfig,
     Scenario,
     SimConfig,
-    profile_hash,
+    profile_hash,  # noqa: F401 -- unused, kept: perfbench's config.hash span wraps it
     resolve_scenario,
 )
 from .errors import (
@@ -196,15 +196,13 @@ def run_grasp_episode(
     *,
     drop_object: bool = False,
     controller: Optional[str] = None,
-    baseline: Optional[SignalTrace] = None,
 ) -> EpisodeReport:
     """Run one grasp episode and assemble its report.
 
     The preset decides the controller: "none" runs the schedule open
     loop, "detect" classifies the finished trace against the calibrated
     threshold, "contact_aware" closes the loop on the baseline deviation
-    (recording a baseline on the fly if none is supplied). A supplied
-    baseline must carry the scenario's profile hash in its meta.
+    (recording its baseline first, with the detection baseline seed).
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
@@ -212,16 +210,7 @@ def run_grasp_episode(
 
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
-        if baseline is None:
-            baseline = record_baseline(scenario, cfg.sim, det.baseline_seed)
-        expected = profile_hash(scenario.profiles, scenario.duration, cfg.sim.dt_sample)
-        recorded = baseline.meta.get("profile_hash")
-        if recorded != expected:
-            raise ConfigError(
-                f"baseline profile hash {recorded} does not match "
-                f"scenario profile hash {expected}"
-            )
-        ctrl = ContactAwareController(baseline, det)
+        ctrl = ContactAwareController(record_baseline(scenario, cfg.sim, det.baseline_seed), det)
 
     trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None)
 

@@ -80,15 +80,16 @@ it only where no earlier run has and reuses its assembly. detect-batch
 passes one per class to every episode of that class, so each episode
 pays only for its noise; a call without one builds its own.
 
-Closed loop, the walk steps the open-loop record MECHANICS_BLOCK
-samples at a time and, after each block, hands the commander the
-measured current of every sample recorded so far; it stops when the
-commander names a hold sample or the run ends. A hold at sample k sets
-every schedule to its command at sample k - 1 (at sample 0 for k = 0),
-limited to the amplifier ceiling, and resumes the kernels from their
-sample-k state in a new record: chains that shared a kernel are in one
-state there and hold one command, so they keep sharing it. A
-closed-loop run assembles its trace on that resumed record.
+Closed loop, a run steps a record of its own (a shared Plant serves
+open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
+block hands the commander the measured current of every sample recorded
+so far, each sample's computed once; it stops when the commander names
+a hold sample or the run ends. A hold at sample k holds that record in
+place (Plant.hold_at): every schedule is set to its command at sample
+k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling, and
+the kernels resume from their sample-k state: chains that shared a
+kernel are in one state there and hold one command, so they keep
+sharing it. The run steps on from sample k and assembles its trace.
 """
 
 from __future__ import annotations
@@ -458,10 +459,11 @@ class Plant:
                 self.v_mon[k0 * sps + 1:k_end * sps + 1] = v
         self.end = k_end
 
-    def resume(self, k: int) -> "Plant":
-        """This record up to sample k, then every schedule held from there
-        at its command at sample k - 1 (at sample 0 for k = 0), limited to
-        the amplifier ceiling. hold records k and the monitored chain's
+    def hold_at(self, k: int) -> None:
+        """Hold this record from sample k on: every schedule at its command
+        at sample k - 1 (at sample 0 for k = 0), limited to the amplifier
+        ceiling, with each kernel back in its sample-k state, so extend
+        steps on from sample k. hold records k and the monitored chain's
         held voltage.
 
         The kernels stay those of the open-loop record: the chains of a
@@ -469,33 +471,28 @@ class Plant:
         t_prev = max(k - 1, 0) * self.sim.dt_sample
         ceiling = self.scenario.amplifier.v_ceiling
         held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(self.schedules)}
-        plant = Plant(self.scenario, self.sim)
-        plant.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
-        plant.hold = (k, held[self.scenario.chains[self.mon].profile])
-        for name in ("x", "v", "target", "residual", "x_mon", "v_mon"):
-            setattr(plant, name, getattr(self, name).copy())
-        plant.end = k
-        for kernel, (c, *_) in zip(plant.kernels, plant.rows):
-            kernel.x = float(self.x[c, k])
-            kernel.v_applied = float(self.v[c, k])
-            kernel.max_residual = float(self.residual[c, k])
-        return plant
+        self.hold = (k, held[self.scenario.chains[self.mon].profile])
+        self.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
+        self.end = k
+        for kernel, (c, *_) in zip(self.kernels, self.rows):
+            kernel.x, kernel.v_applied, kernel.max_residual = (
+                float(self.x[c, k]), float(self.v[c, k]), float(self.residual[c, k]))
 
-    def current(self, k1: int) -> np.ndarray:
+    def current(self, k0: int, k1: int) -> np.ndarray:
         """Noise-free drawn current (uA) of the monitored stack at samples
-        0..k1 - 1, from the differences around each sample's internal
+        k0..k1 - 1, from the differences around each sample's internal
         step: 0 / dt = 0 for a run of zero duration. Needs samples up to
         k1 recorded, or the whole run."""
         sps, dt = self.sim.steps_per_sample, self.sim.dt_internal
-        idx = np.arange(k1) * sps
+        idx = np.arange(k0, k1) * sps
         lo = np.maximum(idx - 1, 0)
         hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
         span = np.maximum(hi - lo, 1) * dt
         stack = self.chains[self.mon].spec.stack
         dv = (self.v_mon[hi] - self.v_mon[lo]) / span
         dc = (capacitance_of(stack, self.x_mon[hi]) - capacitance_of(stack, self.x_mon[lo])) / span
-        return displacement_current(capacitance_of(stack, self.x[self.mon, :k1]), dv,
-                                    self.v[self.mon, :k1], dc)
+        return displacement_current(capacitance_of(stack, self.x[self.mon, k0:k1]), dv,
+                                    self.v[self.mon, k0:k1], dc)
 
     def seed_free(self) -> SeedFree:
         """The seed-free part of the trace of the whole run. The first call
@@ -537,7 +534,7 @@ class Plant:
                     engaged = np.maximum(xs, xt) >= x_on - 1e-12
                     if engaged.any():
                         first_contact[key] = float(t[int(np.argmax(engaged))])
-        i_free = self.current(n)
+        i_free = self.current(0, n)
         for a in (t, v_cmd, i_free, *(a for cols in keyed.values() for a in cols.values())):
             a.flags.writeable = False
         self._seed_free = SeedFree(
@@ -555,12 +552,15 @@ class Plant:
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
     """The sample at which the commander asks for a hold, or None; it sees
-    the current recorded so far after each block of the open-loop record."""
-    end, last = 0, plant.n_samples - 1
+    the measured current recorded so far after each block of the record,
+    each sample's computed once."""
+    last = plant.n_samples - 1
+    i_meas, end = np.empty(last), 0
     while True:
-        end = min(end + MECHANICS_BLOCK, last)
+        start, end = end, min(end + MECHANICS_BLOCK, last)
         plant.extend(end)
-        k = commander(plant.current(end) + noise_i[:end])
+        i_meas[start:end] = plant.current(start, end) + noise_i[start:end]
+        k = commander(i_meas[:end])
         if k is not None or end == last:
             return k
 
@@ -591,13 +591,17 @@ def run_scenario(
     trace's hold event.
 
     plant, when given, is the caller's open-loop record of these very
-    scenario and sim objects (else ValueError), shared with its other
-    runs. Every column but v_meas and i_meas comes from the record's
-    Plant.seed_free, so the traces of one record share those arrays,
-    read-only. Raises ModelConsistencyError when the run's stall
+    scenario and sim objects, shared with its other runs; one with a
+    commander (a closed-loop run holds a record of its own) or of other
+    objects is a ValueError. Every column but v_meas and i_meas comes
+    from the record's Plant.seed_free, so the traces of one record share
+    those arrays, read-only. Raises ModelConsistencyError when the run's stall
     residual exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net
     force or a returned column is not finite.
     """
+    if plant is not None and commander is not None:
+        raise ValueError(f"scenario {scenario.name}: a closed-loop run holds a record "
+                         f"of its own, so it takes no shared plant")
     plant = Plant(scenario, sim) if plant is None else plant
     # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
     if plant.scenario is not scenario or plant.sim is not sim:
@@ -612,7 +616,7 @@ def run_scenario(
 
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
     if k_hold is not None:
-        plant = plant.resume(k_hold)  # a new record: the shared one stays open loop
+        plant.hold_at(k_hold)
     rec = plant.seed_free()
 
     # Only the noise depends on the seed, and a huge sigma can overflow it.

@@ -587,6 +587,31 @@ class TestBadInputs:
         assert err.startswith("config error:") and "absent.json" in err
         assert not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("flag", ["--config", "--trace", "--detector", "--out"])
+    def test_path_of_the_wrong_kind_exits_2(self, batch_out, tmp_path, capsys, flag):
+        # A directory given as an input file, or a file given as the output
+        # directory, is refused in one line, with nothing written.
+        files = {"--trace": str(batch_out / "detect_cube_seed100000.csv"),
+                 "--detector": str(batch_out / "detector.json"),
+                 "--config": str(write_config(tmp_path)),
+                 "--out": str(tmp_path / "o")}
+        wrong = tmp_path / "wrong"
+        if flag == "--out":
+            wrong.write_text("a file")
+        else:
+            wrong.mkdir()
+        files[flag] = str(wrong)
+        verb = ("replay", "--trace", files["--trace"], "--detector", files["--detector"])
+        if flag == "--config":
+            verb = ("grasp", "--preset", "pinch_cube", "--config", files["--config"])
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(*verb, "--out", files["--out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        if flag == "--out":
+            assert wrong.read_text() == "a file"
+
     @pytest.mark.parametrize("column, cell", [("i_meas(uA)", "nan"), ("x_index_mcp(mm)", "inf")],
                              ids=["nan_current", "inf_contraction"])
     def test_non_finite_trace_cell_names_row_and_column(self, batch_out, tmp_path, capsys,

@@ -307,7 +307,7 @@ class TestContactAwareSearch:
         ctrl = ContactAwareController(baseline, cfg.detection)
         base_i = baseline.i_meas.tolist()
         for seed in range(25):
-            report = run_grasp_episode(cfg, "balloon_hold", seed, baseline=baseline)
+            report = run_grasp_episode(cfg, "balloon_hold", seed)
             k_hold = round(report.verdicts["contact_time"] / cfg.sim.dt_sample)
             # Samples before the hold are the open-loop ones the controller saw.
             expected = oracle_hold_sample(report.trace.i_meas.tolist(), base_i,
@@ -383,21 +383,17 @@ class TestGraspEpisodes:
         assert len(calls) == 1
 
     def test_truncated_baseline_exhausts(self, cfg):
-        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
-                                   cfg.detection.baseline_seed)
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
         cut = len(baseline.t) // 4
         truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
+        ctrl = ContactAwareController(truncated, det)
+        # Without the check, the ramp would run on past the baseline uncontrolled.
+        i_meas = run_scenario(scenario, cfg.sim, seed=0).i_meas
+        assert ctrl.command(i_meas[:cut]) is None
         with pytest.raises(BaselineExhaustedError):
-            run_grasp_episode(replace(cfg, detection=det), "balloon_hold", seed=0,
-                              baseline=truncated)
-
-    def test_mismatched_baseline_profile_rejected(self, cfg):
-        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
-                                   cfg.detection.baseline_seed)
-        wrong = replace(baseline, meta={**baseline.meta, "profile_hash": "deadbeef"})
-        with pytest.raises(ConfigError):
-            run_grasp_episode(cfg, "balloon_hold", seed=0, baseline=wrong)
+            ctrl.command(i_meas[:cut + 1])
 
     def test_baseline_round_trip(self, cfg, tmp_path):
         baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haselhand import (
-    ContactAwareController,
-    default_config,
-    record_baseline,
-    resolve_scenario,
-    run_grasp_episode,
-    run_scenario,
-)
+from haselhand import default_config, resolve_scenario, run_grasp_episode, run_scenario
 from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
@@ -495,7 +488,7 @@ def twin_presets(draw):
 class TestSharedKernels:
     """Chains alike in table and schedule share one kernel; each chain's
     trace columns, the meta and the report are those of chains stepped
-    alone, open loop and closed (where resume keeps the kernels)."""
+    alone, open loop and closed (where a hold keeps the kernels)."""
 
     @given(twin_presets(), st.sampled_from(("none", "contact_aware")), st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
@@ -525,24 +518,26 @@ class TestMechanicsCache:
 
     @pytest.mark.parametrize("preset", tuple(default_config().presets))
     def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, preset):
-        # Runs that share one Plant find it stepped by the runs before them:
-        # the first closed-loop run steps it part way, the open-loop run
-        # after it to the end. Cold runs build their own. Noise-free runs
-        # close the loop only on the preset that ships closed loop.
+        # Runs that share one Plant find it stepped and assembled by the
+        # runs before them. Cold runs build their own.
         for config, seeds in ((cfg, (3, 4)), (cfg_nf, (3,))):
             scenario = resolve_scenario(config, preset)
-            commanders = [None]
-            if config is cfg or scenario.controller == "contact_aware":
-                baseline = record_baseline(scenario, config.sim, config.detection.baseline_seed)
-                commanders.insert(0, ContactAwareController(baseline, config.detection).command)
             shared = Plant(scenario, config.sim)
             for seed in seeds:
-                for commander in commanders:
-                    warm = run_scenario(scenario, config.sim, seed, commander, plant=shared)
-                    cold = run_scenario(scenario, config.sim, seed, commander)
-                    assert warm.to_csv_text() == cold.to_csv_text(), (seed, commander)
-                    assert json_text(warm.meta) == json_text(cold.meta), (seed, commander)
+                warm = run_scenario(scenario, config.sim, seed, plant=shared)
+                cold = run_scenario(scenario, config.sim, seed)
+                assert warm.to_csv_text() == cold.to_csv_text(), seed
+                assert json_text(warm.meta) == json_text(cold.meta), seed
             assert shared.end == shared.n_samples - 1
+
+    def test_closed_loop_run_refuses_a_shared_plant(self, cfg):
+        # A closed-loop run holds its own record in place, so it is refused
+        # a shared one before anything is stepped or asked.
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        plant, calls = Plant(scenario, cfg.sim), []
+        with pytest.raises(ValueError, match="closed-loop run"):
+            run_scenario(scenario, cfg.sim, 3, lambda i: calls.append(len(i)), plant=plant)
+        assert plant.end == 0 and calls == []
 
     def test_plant_of_another_scenario_or_sim_is_refused(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
@@ -570,9 +565,9 @@ class TestMechanicsCache:
         # once per class however many episodes share its record.
         real, whole_runs = Plant.current, []
 
-        def counted(plant, k1):
-            whole_runs.append(k1 == plant.n_samples)
-            return real(plant, k1)
+        def counted(plant, k0, k1):
+            whole_runs.append((k0, k1) == (0, plant.n_samples))
+            return real(plant, k0, k1)
 
         monkeypatch.setattr(Plant, "current", counted)
         built = []
@@ -623,6 +618,22 @@ class TestMechanicsCache:
         if failure == "finiteness":
             assert messages[0] == ("scenario pinch_cube: non-finite value inf "
                                    "in column 'i_meas(uA)' at sample 0")
+
+    def test_controlled_grasp_computes_each_current_once(self, monkeypatch, tmp_path):
+        # The walk computes each sample's current once, up to the end of
+        # the block of the hold (near sample 886: 900 samples). The
+        # baseline and the held record each assemble their whole run of
+        # 2,001 samples once.
+        real, samples = Plant.current, []
+
+        def counted(plant, k0, k1):
+            samples.append(k1 - k0)
+            return real(plant, k0, k1)
+
+        monkeypatch.setattr(Plant, "current", counted)
+        assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert sum(samples) == 900 + 2 * 2001
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
         # Baseline (free motion: 3 kernels) plus episode (4 kernels); the

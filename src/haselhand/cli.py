@@ -269,6 +269,14 @@ def cmd_replay(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """An integer option that numpy's seeded generators accept: >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} must be >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haselhand",
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     config = {"help": "experiment config JSON (default: built-in)"}
-    seed = {"type": int, "default": 0, "help": "base RNG seed"}
+    seed = {"type": non_negative_int, "default": 0, "help": "base RNG seed"}
 
     p = verb("characterize", cmd_characterize, "voltage sweeps: joint angles and fingertip force")
     p.add_argument("--config", **config)

@@ -132,7 +132,7 @@ class DetectionConfig:
     # contact-aware: multiples of baseline residual std; floor (uA) of the deviation threshold
     deviation_mult: float = field(default=3.0, metadata={"gt": 0.0})
     deviation_floor: float = field(default=0.05, metadata={"ge": 0.0})
-    baseline_seed: int = 10000019          # seed used when auto-recording baselines
+    baseline_seed: int = field(default=10000019, metadata={"ge": 0})  # seeds auto-recorded baselines
 
     def __post_init__(self):
         lo, hi = self.window

@@ -261,12 +261,8 @@ def _force_bound(scenario, trace: SignalTrace) -> float:
     contact table, like the trace's f_contact columns.
     """
     bound = 0.0
-    final_targets = trace.meta.get("final_x_target", {})
     for chain in scenario.chains:
-        xt = final_targets.get(chain.tendon_id)
-        if xt is None:
-            continue
-        theta = chain.theta_at(xt)
+        theta = chain.theta_at(trace.meta["final_x_target"][chain.tendon_id])
         for _, theta_on, k_obj, _ in chain.contact_table(scenario.obj).values():
             bound = max(bound, float(contact_force(k_obj, theta_on, theta)))
     return bound

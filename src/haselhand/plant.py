@@ -46,14 +46,14 @@ run_scenario works in three stages over a scenario.
   Chains with the same breakpoint table, breakaway force, v_ref, force
   exponent and schedule, compared by bit pattern, start alike and move
   alike, so Plant steps one ChainSim kernel per distinct (table,
-  schedule) and copies its motion to each chain it serves. Each
-  schedule's applied voltage (slew-limited, capped at the amplifier
-  ceiling) is computed once, in runs checked on arrays like the
-  kernel's, and every kernel under it steps in runs. The pass records,
-  at every sample instant, each chain's contraction, applied voltage,
+  schedule) and records its motion once, for every chain it serves.
+  Plant computes each distinct schedule's applied voltage (slew-limited,
+  capped at the amplifier ceiling) once, when it is built, in runs
+  checked on arrays like the kernel's; each kernel steps in runs on it.
+  The pass records, at every sample instant, each kernel's contraction,
   stall target and running maximum stall residual, and, at every
-  internal step, the monitored chain's contraction and voltage. What a
-  chain holds at a sample is also where a hold resumes it from.
+  internal step, the monitored chain's contraction. What a kernel holds
+  at a sample is also where a hold resumes it from.
 - The assembly, Plant.seed_free, builds once per recorded run whatever
   the trace takes from the record alone: the theta, f_contact, x and c
   columns, the commanded voltage, the drawn current of the monitored
@@ -85,11 +85,12 @@ open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
 block hands the commander the measured current of every sample recorded
 so far, each sample's computed once; it stops when the commander names
 a hold sample or the run ends. A hold at sample k holds that record in
-place (Plant.hold_at): every schedule is set to its command at sample
-k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling, and
-the kernels resume from their sample-k state: chains that shared a
-kernel are in one state there and hold one command, so they keep
-sharing it. The run steps on from sample k and assembles its trace.
+place (Plant.hold_at): every schedule's voltage after sample k slews
+toward its command at sample k - 1 (at sample 0 for k = 0), limited to
+the amplifier ceiling, and the kernels resume from their sample-k
+state: chains that shared a kernel are in one state there and hold one
+command, so they keep sharing it. The run steps on from sample k and
+assembles its trace.
 """
 
 from __future__ import annotations
@@ -150,7 +151,6 @@ class ChainSim:
         self.tabulate(xs, [reference_force(spec.stack, x) for x in xs],
                       self._load_at(np.array(xs)).tolist())
         self.x = 0.0
-        self.v_applied = 0.0
         self.max_residual = 0.0
         self.window = RUN_WINDOW  # steps run speculates over next
 
@@ -329,8 +329,9 @@ def _slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarra
             run[0] = v
             np.add.accumulate(run, out=run)
         else:
+            # The step gives 0.0 for a command of -0.0, so c + 0.0 does too.
             run = np.empty(len(c) + 1)
-            run[0], run[1:] = v, c
+            run[0], run[1:] = v, c + 0.0
         run[1:] = _clamp(run[1:], 0.0, ceiling)
         prev, candidate = run[:-1], run[1:]
         stepped = _clamp(prev + _clamp(c - prev, -dv_max, dv_max), 0.0, ceiling)
@@ -390,93 +391,85 @@ class Plant:
     Chains with equal breakpoint tables, breakaway force, v_ref, force
     exponent and schedule (compared by bit pattern) move alike, so each
     such class is one kernel, a ChainSim that extend steps once for all
-    of its chains: rows[i] lists the chains of kernels[i], which runs
-    schedules[i]. chains keeps every chain's own spec and contact table.
+    of its chains: chain c runs kernels[kernel_of[c]] under
+    schedules[kernel_of[c]]. chains keeps every chain's own spec and
+    contact table.
 
-    Column k of x, v, target and residual holds each chain's contraction
-    (mm), applied voltage (kV), stall target (mm) and running maximum
-    stall residual (N) after internal step k * steps_per_sample.
-    x_mon and v_mon hold the monitored chain's contraction and voltage
-    after every internal step, index 0 being the start. Samples 0..end
-    are recorded; extend steps further.
+    volts maps each distinct schedule to its applied voltage (kV) after
+    every internal step, index 0 being the start, under the amplifier's
+    limits (kV per internal step, ceiling); v_mon is the monitored
+    chain's. Row i, column k of x, target and residual holds kernel i's
+    contraction (mm), stall target (mm) and running maximum stall
+    residual (N) after internal step k * steps_per_sample; x_mon holds
+    the monitored chain's contraction after every internal step. Samples
+    0..end are recorded; extend steps further.
     """
 
     def __init__(self, scenario: Scenario, sim: SimConfig):
         self.scenario = scenario
         self.sim = sim
         self.chains = [ChainSim(spec, scenario.obj) for spec in scenario.chains]
-        rows: dict[tuple[str, bytes], list[int]] = {}
-        for c, (ch, spec) in enumerate(zip(self.chains, scenario.chains)):
-            rows.setdefault(_kernel_key(ch, spec.profile), []).append(c)
-        self.rows = list(rows.values())
-        self.kernels = [self.chains[r[0]] for r in self.rows]
-        self.schedules = [scenario.chains[r[0]].profile for r in self.rows]
+        keys = [_kernel_key(ch, spec.profile) for ch, spec in zip(self.chains, scenario.chains)]
+        ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        self.kernel_of = [ids[key] for key in keys]
+        firsts = [keys.index(key) for key in ids]
+        self.kernels = [self.chains[c] for c in firsts]
+        self.schedules = [scenario.chains[c].profile for c in firsts]
         self.mon = [spec.tendon_id for spec in scenario.chains].index(scenario.monitored_stack)
         self.n_samples = round(scenario.duration / sim.dt_sample) + 1
         self.end = 0
-        shape = (len(self.chains), self.n_samples)
-        self.x, self.v, self.target, self.residual = (np.zeros(shape) for _ in range(4))
-        self.x_mon, self.v_mon = np.zeros((2, (self.n_samples - 1) * sim.steps_per_sample + 1))
+        steps = (self.n_samples - 1) * sim.steps_per_sample
+        t = np.arange(1, steps + 1) * sim.dt_internal
+        self.limits = (scenario.amplifier.slew_max * sim.dt_internal, scenario.amplifier.v_ceiling)
+        self.volts = {p: np.concatenate(([0.0], _slew(p(t), 0.0, *self.limits)))
+                      for p in dict.fromkeys(self.schedules)}
+        self.v_mon = self.volts[self.schedules[self.kernel_of[self.mon]]]
+        self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
+        self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
         self._seed_free: Optional[SeedFree] = None
 
     def extend(self, k_end: int) -> None:
-        """Step every kernel from sample end to sample k_end and record it
-        for each of its chains.
+        """Step every kernel from sample end to sample k_end and record it.
 
-        Each internal step moves a kernel's applied voltage toward its
-        schedule, by at most the slew limit and within [0, ceiling]. The
-        voltage does not depend on the motion, so _slew computes it once
-        per schedule and start voltage, for all steps, in verified runs,
-        and kernels that have both share it. ChainSim.run then steps each
-        kernel in verified runs: held runs by one array comparison,
-        pushed runs by the x recurrence alone, each checked against the
-        net force at every step. Every step of the monitored chain's
-        kernel is recorded.
+        ChainSim.run steps each kernel on a slice of its schedule's
+        applied voltage in verified runs: held runs by one array
+        comparison, pushed runs by the x recurrence alone, each checked
+        against the net force at every step. Every step of the monitored
+        chain's kernel is recorded.
         """
         k0, sps = self.end, self.sim.steps_per_sample
         if k_end <= k0:
             return
-        dt = self.sim.dt_internal
-        dv_max = self.scenario.amplifier.slew_max * dt
-        ceiling = self.scenario.amplifier.v_ceiling
-        t = np.arange(k0 * sps + 1, k_end * sps + 1) * dt
-        recorded = slice(k0 + 1, k_end + 1)
-        volts: dict[tuple[ProfileSpec, float], np.ndarray] = {}
-        for kernel, rows, schedule in zip(self.kernels, self.rows, self.schedules):
-            key = (schedule, kernel.v_applied)
-            if key not in volts:
-                volts[key] = _slew(schedule(t), kernel.v_applied, dv_max, ceiling)
-            v = volts[key]
-            x, target, residual = kernel.run(v, dt / self.sim.tau_mech)
-            kernel.v_applied = float(v[-1])
-            self.x[rows, recorded] = x[sps - 1::sps]
-            self.v[rows, recorded] = v[sps - 1::sps]
-            self.target[rows, recorded] = target[sps - 1::sps]
-            self.residual[rows, recorded] = residual[sps - 1::sps]
-            if self.mon in rows:
-                self.x_mon[k0 * sps + 1:k_end * sps + 1] = x
-                self.v_mon[k0 * sps + 1:k_end * sps + 1] = v
+        steps, recorded = slice(k0 * sps + 1, k_end * sps + 1), slice(k0 + 1, k_end + 1)
+        for i, (kernel, schedule) in enumerate(zip(self.kernels, self.schedules)):
+            run = kernel.run(self.volts[schedule][steps], self.sim.dt_internal / self.sim.tau_mech)
+            for record, values in zip((self.x, self.target, self.residual), run):
+                record[i, recorded] = values[sps - 1::sps]
+            if i == self.kernel_of[self.mon]:
+                self.x_mon[steps] = run[0]
         self.end = k_end
 
     def hold_at(self, k: int) -> None:
-        """Hold this record from sample k on: every schedule at its command
-        at sample k - 1 (at sample 0 for k = 0), limited to the amplifier
-        ceiling, with each kernel back in its sample-k state, so extend
-        steps on from sample k. hold records k and the monitored chain's
-        held voltage.
+        """Hold this record from sample k on: each schedule's voltage after
+        sample k becomes, in place, the slew toward its command at sample
+        k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling,
+        and each kernel goes back to its sample-k state, so extend steps
+        on from sample k. hold records k and the monitored chain's held
+        command. A record is held once.
 
         The kernels stay those of the open-loop record: the chains of a
         kernel are in one state at sample k and hold one command."""
+        j = k * self.sim.steps_per_sample
         t_prev = max(k - 1, 0) * self.sim.dt_sample
-        ceiling = self.scenario.amplifier.v_ceiling
-        held = {p: min(p(t_prev), ceiling) for p in dict.fromkeys(self.schedules)}
+        dv_max, ceiling = self.limits
+        held = {p: min(p(t_prev), ceiling) for p in self.volts}
+        for p, v in self.volts.items():
+            v[j + 1:] = _slew(np.full(len(v) - j - 1, held[p]), float(v[j]), dv_max, ceiling)
         self.hold = (k, held[self.scenario.chains[self.mon].profile])
-        self.schedules = [ProfileSpec("hold", held[p]) for p in self.schedules]
         self.end = k
-        for kernel, (c, *_) in zip(self.kernels, self.rows):
-            kernel.x, kernel.v_applied, kernel.max_residual = (
-                float(self.x[c, k]), float(self.v[c, k]), float(self.residual[c, k]))
+        for i, kernel in enumerate(self.kernels):
+            kernel.x, kernel.max_residual = float(self.x[i, k]), float(self.residual[i, k])
 
     def current(self, k0: int, k1: int) -> np.ndarray:
         """Noise-free drawn current (uA) of the monitored stack at samples
@@ -489,10 +482,10 @@ class Plant:
         hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
         span = np.maximum(hi - lo, 1) * dt
         stack = self.chains[self.mon].spec.stack
-        dv = (self.v_mon[hi] - self.v_mon[lo]) / span
-        dc = (capacitance_of(stack, self.x_mon[hi]) - capacitance_of(stack, self.x_mon[lo])) / span
-        return displacement_current(capacitance_of(stack, self.x[self.mon, k0:k1]), dv,
-                                    self.v[self.mon, k0:k1], dc)
+        x, v = self.x_mon, self.v_mon
+        dv = (v[hi] - v[lo]) / span
+        dc = (capacitance_of(stack, x[hi]) - capacitance_of(stack, x[lo])) / span
+        return displacement_current(capacitance_of(stack, x[idx]), dv, v[idx], dc)
 
     def seed_free(self) -> SeedFree:
         """The seed-free part of the trace of the whole run. The first call
@@ -520,8 +513,8 @@ class Plant:
         first_contact: dict[str, float] = {}
         x = self.x.copy()
         x.flags.writeable = False
-        for ch, xs, xt in zip(self.chains, x, self.target):
-            spec = ch.spec
+        for ch, i in zip(self.chains, self.kernel_of):
+            spec, xs, xt = ch.spec, x[i], self.target[i]
             keyed["x"][spec.tendon_id] = xs
             keyed["c"][spec.tendon_id] = capacitance_of(spec.stack, xs)
             theta = spec.theta_at(xs)
@@ -542,8 +535,8 @@ class Plant:
             head=_nonfinite([(FIXED_COLUMNS["t"], t), (FIXED_COLUMNS["v_cmd"], v_cmd)]),
             tail=_nonfinite(keyed_columns(keyed)),
             first_contact=first_contact,
-            final_x_target={ch.spec.tendon_id: float(xt)
-                            for ch, xt in zip(self.chains, self.target[:, -1])},
+            final_x_target={ch.spec.tendon_id: float(self.target[i, -1])
+                            for ch, i in zip(self.chains, self.kernel_of)},
             max_residual=max_residual,
             profile_hash=profile_hash(scenario.profiles, scenario.duration, sim.dt_sample),
         )
@@ -620,7 +613,7 @@ def run_scenario(
     rec = plant.seed_free()
 
     # Only the noise depends on the seed, and a huge sigma can overflow it.
-    v_meas = plant.v[plant.mon] + noise_v
+    v_meas = plant.v_mon[::sim.steps_per_sample] + noise_v
     i_meas = rec.i_free + noise_i
     bad = rec.head or _nonfinite([(FIXED_COLUMNS["v_meas"], v_meas),
                                   (FIXED_COLUMNS["i_meas"], i_meas)]) or rec.tail

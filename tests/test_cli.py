@@ -417,6 +417,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("where, text, named", [
         ("detection.smoothing", "5.9", "detection.smoothing"),
         ("detection.baseline_seed", "2.7", "detection.baseline_seed"),
+        ("detection.baseline_seed", "-1", "detection.baseline_seed: -1 must be >= 0"),
         ("detection.debounce", "true", "detection.debounce"),
         ("stacks.index_mcp.c0", "true", "stacks.index_mcp.c0"),
         ("stacks.index_mcp.c0", "NaN", "NaN"),
@@ -437,8 +438,8 @@ class TestBadInputs:
         ("stacks.index_mcp.c0", "-1", "stacks.index_mcp.c0: -1.0 must be > 0.0"),
         ("presets.pinch_cube.profiles.index_mpc", '{"kind": "hold", "target_kv": 2.0}',
          "presets.pinch_cube.profiles.index_mpc: the preset drives no stack 'index_mpc'"),
-    ], ids=["fractional_int", "fractional_baseline_seed", "bool_int", "bool_float",
-            "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
+    ], ids=["fractional_int", "fractional_baseline_seed", "negative_baseline_seed", "bool_int",
+            "bool_float", "nan_c0", "nan_k_ext", "infinite_tau", "nan_slew", "huge_int",
             "negative_contact_angle", "contact_angle_past_limit", "contact_unknown_joint",
             "contact_unknown_finger", "negative_preset_duration", "preset_duration_off_grid",
             "preset_ceiling_above_amplifier", "tau_below_internal_step",
@@ -503,6 +504,19 @@ class TestBadInputs:
         out = tmp_path / "o"
         assert run_cli(*argv, "--out", str(out)) == 2
         assert not out.exists()
+
+    # numpy's seeded generators take no negative seed: refused before any work.
+    @pytest.mark.parametrize("argv", [
+        ("grasp", "--preset", "pinch_cube", "--seed", "-1"),
+        ("detect-batch", "--seed=-5"),
+    ], ids=["grasp", "detect_batch"])
+    def test_negative_seed_is_refused(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        seed = argv[-1].removeprefix("--seed=")
+        assert capsys.readouterr().err.endswith(f"error: argument --seed: {seed} must be >= 0\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ("characterize", "--seed", "1"),

@@ -19,11 +19,12 @@ from haselhand import (
     smooth_causal,
 )
 from haselhand import config as config_module
+from haselhand import plant as plant_module
 from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
-from haselhand.plant import MECHANICS_BLOCK
+from haselhand.plant import MECHANICS_BLOCK, Plant
 from haselhand.trace import SignalTrace, load_trace
-from oracles import StreamingDetector, window_mean
+from oracles import StreamingDetector, slew, window_mean
 
 
 def synthetic_trace(i_values, dt=1e-3, profile_hash="p0") -> SignalTrace:
@@ -221,6 +222,14 @@ def run_with_commander(cfg, decide):
     return trace, calls
 
 
+# Three distinct schedules; thumb_mcp is still below its onset at 0.85 s.
+MIXED_SCHEDULES = ScenarioPreset("mixed", ("thumb", "index"), profiles={
+    "*": ProfileSpec("ramp_hold", 5.5, 1.0),
+    "thumb_mcp": ProfileSpec("ramp_hold", 5.5, 1.4),
+    "thumb_ip": ProfileSpec("hold", 4.0),
+})
+
+
 class TestContactAwareStep:
     def test_pass_through_below_threshold(self):
         ctrl = flat_controller(1.05)
@@ -263,15 +272,9 @@ class TestContactAwareStep:
         assert len(trace.meta["events"]["hold"]) == 1
 
     def test_hold_stops_every_schedule(self, cfg):
-        # Three distinct schedules: the hold at 0.85 s must rewrite each
-        # of them, not only the monitored one. thumb_mcp is still below
-        # its onset at the hold; open loop it goes on to 1.17 mm.
-        preset = ScenarioPreset("mixed", ("thumb", "index"), profiles={
-            "*": ProfileSpec("ramp_hold", 5.5, 1.0),
-            "thumb_mcp": ProfileSpec("ramp_hold", 5.5, 1.4),
-            "thumb_ip": ProfileSpec("hold", 4.0),
-        })
-        scenario = resolve_preset(cfg, preset)
+        # The hold at 0.85 s must rewrite each schedule, not only the
+        # monitored one. Open loop, thumb_mcp goes on to 1.17 mm.
+        scenario = resolve_preset(cfg, MIXED_SCHEDULES)
         open_loop = run_scenario(scenario, cfg.sim, 0)
         held = run_scenario(scenario, cfg.sim, 0, hold_at(850))
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
@@ -279,6 +282,29 @@ class TestContactAwareStep:
             assert x[-1] <= open_loop.x[tid][-1]
         assert open_loop.x["thumb_mcp"][-1] == pytest.approx(1.17, abs=0.01)
         assert held.x["thumb_mcp"][-1] == 0.0
+
+    def test_hold_slews_each_schedule_from_the_hold_step(self, cfg, monkeypatch):
+        # Up to step 8,500 (sample 850) each schedule's applied voltage is
+        # the open-loop one; after it, the slew toward the held command.
+        plants = []
+
+        class Recorded(Plant):
+            def __init__(self, *args):
+                super().__init__(*args)
+                plants.append(self)
+
+        monkeypatch.setattr(plant_module, "Plant", Recorded)
+        scenario = resolve_preset(cfg, MIXED_SCHEDULES)
+        run_scenario(scenario, cfg.sim, 0, hold_at(850))
+        (held,) = plants
+        open_loop = Plant(scenario, cfg.sim).volts
+        j, amp = 850 * cfg.sim.steps_per_sample, scenario.amplifier
+        assert len(held.volts) == 3
+        for p, v in held.volts.items():
+            assert v[:j + 1].tobytes() == open_loop[p][:j + 1].tobytes()
+            cmd = np.full(len(v) - j - 1, min(p(849 * cfg.sim.dt_sample), amp.v_ceiling))
+            tail = slew(cmd, float(v[j]), amp.slew_max * cfg.sim.dt_internal, amp.v_ceiling)
+            assert v[j + 1:].tobytes() == tail.tobytes()
 
     def test_exhausted_baseline_raises(self):
         ctrl = flat_controller(1.0, n=10)

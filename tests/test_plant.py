@@ -371,10 +371,11 @@ class TestRunKernel:
         # inf * 0 or inf - inf makes net NaN, which fits no run mode: the
         # kernel must say so rather than take runs of no steps forever.
         chain = index_mcp_chain()
-        chain.tabulate([0.0, 2.9], [10.0, 10.0], ls)
-        with pytest.raises(DomainError, match=re.escape(
-                "chain index_mcp: net force nan N at x = 0.0 mm is not finite")):
-            chain.run(np.full(3, chain.v_ref), 1 / 800)
+        with np.errstate(invalid="ignore"):
+            chain.tabulate([0.0, 2.9], [10.0, 10.0], ls)
+            with pytest.raises(DomainError, match=re.escape(
+                    "chain index_mcp: net force nan N at x = 0.0 mm is not finite")):
+                chain.run(np.full(3, chain.v_ref), 1 / 800)
 
 
 @st.composite
@@ -404,6 +405,19 @@ def slew_cases(draw):
     return np.array(cmd), v, dv_max, ceiling
 
 
+def count_clamps(monkeypatch) -> list[int]:
+    """_clamp calls from now on: three per run of _slew."""
+    clamps = [0]
+    real = plant_module._clamp
+
+    def counted(a, lo, hi):
+        clamps[0] += 1
+        return real(a, lo, hi)
+
+    monkeypatch.setattr(plant_module, "_clamp", counted)
+    return clamps
+
+
 class TestSlew:
     # The example: without a slew limit, -0.0 from 0.0 is a tracking step
     # to 0.0 + -0.0 = 0.0, and a signed zero, once wrong, would stay so.
@@ -418,17 +432,19 @@ class TestSlew:
         # Held at the ceiling, each slewing run's candidate is the ceiling
         # throughout, so runs double as in ChainSim.run: 256 + 512 + 1024
         # + 2048 + 1160 steps, three clamps each.
-        clamps = [0]
-        real = plant_module._clamp
-
-        def counted(a, lo, hi):
-            clamps[0] += 1
-            return real(a, lo, hi)
-
-        monkeypatch.setattr(plant_module, "_clamp", counted)
+        clamps = count_clamps(monkeypatch)
         v = _slew(np.full(5000, 9.0), 6.0, 0.01, 6.0)
         assert (v == 6.0).all()
         assert clamps[0] == 3 * 5
+
+    def test_command_of_negative_zero_tracks_in_doubling_runs(self, monkeypatch):
+        # A step toward -0.0 gives 0.0, and so does the tracking candidate,
+        # so runs double: 256 + 512 + ... + 8192 + 3872 steps, three clamps
+        # each. A candidate of -0.0 would fail at every step.
+        clamps = count_clamps(monkeypatch)
+        v = _slew(np.full(20000, -0.0), 0.0, 0.01, 6.0)
+        assert v.tobytes() == np.zeros(20000).tobytes()
+        assert clamps[0] == 3 * 7
 
 
 def _episode_bytes(report):
@@ -634,6 +650,21 @@ class TestMechanicsCache:
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
         assert sum(samples) == 900 + 2 * 2001
+
+    def test_controlled_grasp_slews_each_schedule_once_per_record(self, monkeypatch, tmp_path):
+        # balloon_hold runs one schedule: its applied voltage is computed
+        # once for the baseline record, once for the episode record, and
+        # once more from the hold on.
+        real, calls = plant_module._slew, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(plant_module, "_slew", counted)
+        assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert calls[0] == 3
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
         # Baseline (free motion: 3 kernels) plus episode (4 kernels); the

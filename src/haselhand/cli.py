@@ -176,8 +176,9 @@ def cmd_detect_batch(args) -> int:
     if args.free < 1 or args.grasp < 1:
         raise ConfigError("detect-batch needs at least one episode of each class")
 
-    free = resolve_scenario(cfg, "detect_free")
-    cube = resolve_scenario(cfg, "detect_cube")
+    # Detection reads the monitored current only: only its chain is stepped.
+    free = resolve_scenario(cfg, "detect_free").monitored()
+    cube = resolve_scenario(cfg, "detect_cube").monitored()
     # Every episode of a class has the same mechanics: one record steps them once.
     plants = {"free": Plant(free, cfg.sim), "grasp": Plant(cube, cfg.sim)}
     cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k, plant=plants["free"])

@@ -603,6 +603,13 @@ class Scenario:
     profiles: dict[str, ProfileSpec]
     config_fingerprint: str
 
+    def monitored(self) -> Scenario:
+        """This scenario with its monitored chain alone. Each chain moves on
+        its own, so that chain's columns and the monitored current are the
+        full scenario's; the name, profiles and hashes stay."""
+        return replace(self, chains=tuple(c for c in self.chains
+                                          if c.tendon_id == self.monitored_stack))
+
 
 def resolve_scenario(
     cfg: HandConfig,

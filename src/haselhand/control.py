@@ -9,7 +9,8 @@ moving average smooth_causal; detection additionally debounces over
 consecutive samples so single noise excursions cannot trigger it.
 
 Contact-aware control is one decision. The baseline is the free-motion
-trace of the same voltage schedule, which each episode records itself.
+trace of the monitored chain under the same voltage schedule, which each
+episode records itself.
 ContactAwareController only names the sample at which the plant stops
 ramping; the plant then holds every channel at its previous command
 (see run_scenario).
@@ -122,14 +123,16 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # ---------------------------------------------------------------------------
 
 def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrace:
-    """Record the free-motion trace of a scenario's voltage schedule.
+    """Record the free-motion trace of a scenario's monitored chain.
 
-    The scenario runs open loop without its object. The baseline is an
-    ordinary trace: its meta carries the profile hash it was recorded
-    under, and it is saved with SignalTrace.save and read back with
-    load_trace.
+    The monitored chain runs its schedule open loop without the object,
+    alone: the controller reads its current only, and each chain moves
+    on its own. So the trace holds the monitored stack's keyed columns
+    only. The baseline is an ordinary trace: its meta carries the profile
+    hash it was recorded under, and it is saved with SignalTrace.save and
+    read back with load_trace.
     """
-    return run_scenario(replace(scenario, obj=None, controller="none"), sim, seed)
+    return run_scenario(replace(scenario.monitored(), obj=None, controller="none"), sim, seed)
 
 
 class ContactAwareController:

@@ -77,8 +77,10 @@ run_scenario works in three stages over a scenario.
 Open loop, the mechanics do not depend on the seed, so run_scenario
 takes the caller's Plant of a scenario as its open-loop record, steps
 it only where no earlier run has and reuses its assembly. detect-batch
-passes one per class to every episode of that class, so each episode
-pays only for its noise; a call without one builds its own.
+reads the monitored current only, so it builds one Plant per class of
+the class's monitored chain alone (Scenario.monitored) and passes it to
+every episode of that class, so each episode pays only for its noise; a
+call without one builds its own.
 
 Closed loop, a run steps a record of its own (a shared Plant serves
 open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
@@ -107,7 +109,7 @@ from .config import (
     SimConfig,
     profile_hash,
 )
-from .errors import DomainError, ModelConsistencyError
+from .errors import ConfigError, DomainError, ModelConsistencyError
 from .kinematics import contact_force
 from .trace import FIXED_COLUMNS, KEYED_COLUMNS, SignalTrace, keyed_columns
 from .transmission import excursion_of, extensor_tension, reflected_load
@@ -117,6 +119,8 @@ MECHANICS_BLOCK = 50
 # Internal steps a chain's first run speculates over, and the most any run does.
 RUN_WINDOW = 256
 RUN_WINDOW_MAX = 16384
+# Evaluations of the step a run of _slew may take before it is cut.
+SLEW_SWEEPS = 8
 # Acceptance criterion 8: the largest stall residual a run may report.
 STALL_RESIDUAL_TOL_N = 1e-6
 
@@ -315,7 +319,12 @@ def _slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarra
     One array evaluation of the step on the candidate's previous values
     checks the candidate, by bit pattern. Where it first fails, the
     step's own value is the right one, because its previous value was
-    verified; so a run keeps its verified prefix and that value, at
+    verified. Before a run is cut, the candidate is replaced by the
+    evaluated steps and checked again, up to SLEW_SWEEPS evaluations in
+    all: each verifies at least one more step, and a mode that alternates
+    every few steps (a ramp at the slew limit) closes in a few, since a
+    tracking step does not depend on the value before it. A run keeps
+    the verified prefix of its last evaluation and that step's value, at
     least one step, and the next run starts after them.
     """
     out = np.empty(len(cmd))
@@ -334,8 +343,12 @@ def _slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarra
             run[0], run[1:] = v, c + 0.0
         run[1:] = _clamp(run[1:], 0.0, ceiling)
         prev, candidate = run[:-1], run[1:]
-        stepped = _clamp(prev + _clamp(c - prev, -dv_max, dv_max), 0.0, ceiling)
-        wrong = stepped.view(np.int64) != candidate.view(np.int64)
+        for _ in range(SLEW_SWEEPS):
+            stepped = _clamp(prev + _clamp(c - prev, -dv_max, dv_max), 0.0, ceiling)
+            wrong = stepped.view(np.int64) != candidate.view(np.int64)
+            if not wrong.any():
+                break
+            candidate[:] = stepped
         kept = int(wrong.argmax()) + 1 if wrong.any() else len(c)
         out[j:j + kept] = stepped[:kept]
         v = float(stepped[kept - 1])
@@ -590,8 +603,11 @@ def run_scenario(
     from the record's Plant.seed_free, so the traces of one record share
     those arrays, read-only. Raises ModelConsistencyError when the run's stall
     residual exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net
-    force or a returned column is not finite.
+    force or a returned column is not finite, and ConfigError, before
+    any work, for a negative seed, which the generator cannot take.
     """
+    if seed < 0:
+        raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
     if plant is not None and commander is not None:
         raise ValueError(f"scenario {scenario.name}: a closed-loop run holds a record "
                          f"of its own, so it takes no shared plant")

@@ -408,6 +408,10 @@ class TestGraspEpisodes:
         run_grasp_episode(cfg, "balloon_hold", seed=0)
         assert len(calls) == 1
 
+    def test_negative_seed_is_refused(self, cfg):
+        with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
+            run_grasp_episode(cfg, "pinch_cube", -1)
+
     def test_truncated_baseline_exhausts(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
         baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haselhand import default_config, resolve_scenario, run_grasp_episode, run_scenario
+from haselhand import (
+    default_config,
+    load_trace,
+    record_baseline,
+    resolve_scenario,
+    run_grasp_episode,
+    run_scenario,
+)
 from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
 from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
@@ -155,6 +162,14 @@ class TestRunScenario:
     def test_unknown_preset_rejected_before_simulation(self, cfg):
         with pytest.raises(ConfigError, match="unknown preset"):
             resolve_scenario(cfg, "no_such_grasp")
+
+    def test_negative_seed_is_refused_before_a_plant_is_built(self, cfg):
+        # numpy's seeded generators take no negative seed.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        with mock.patch.object(plant_module, "Plant") as built:
+            with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
+                run_scenario(scenario, cfg.sim, seed=-1)
+        built.assert_not_called()
 
 
 class TestTraceInvariants:
@@ -446,6 +461,27 @@ class TestSlew:
         assert v.tobytes() == np.zeros(20000).tobytes()
         assert clamps[0] == 3 * 7
 
+    def test_ramp_at_the_slew_limit_closes_in_few_runs(self, monkeypatch):
+        # A 6 kV / 1 s ramp slewed at 6 kV/s alternates between tracking and
+        # slewing every few steps. Cut at its first wrong step, each run kept
+        # 2-5 of them: 484 runs over the 20,000 steps. Re-evaluated on its
+        # own steps, a run closes in 12 runs (38 evaluations here).
+        calls, real = [], plant_module._clamp
+
+        def counted(a, lo, hi):
+            calls.append(lo)
+            return real(a, lo, hi)
+
+        monkeypatch.setattr(plant_module, "_clamp", counted)
+        cmd = ProfileSpec("ramp_hold", 6.0, 1.0)(np.arange(1, 20001) * 1e-4)
+        dv_max = 6.0 * 1e-4
+        v = _slew(cmd, 0.0, dv_max, 6.0)
+        assert v.tobytes() == slew(cmd, 0.0, dv_max, 6.0).tobytes()
+        # One clamp builds a run's candidate, two evaluate the step.
+        evaluations = calls.count(-dv_max)
+        runs = len(calls) - 2 * evaluations
+        assert runs <= 20 and evaluations <= 60
+
 
 def _episode_bytes(report):
     """What an episode writes: the bytes of every trace column (its CSV is
@@ -567,14 +603,13 @@ class TestMechanicsCache:
         assert plant.end == 0
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
-        # Each class is stepped once, one kernel per distinct chain: 3 for
-        # detect_free, whose thumb_ip and index_pip_dip chains are alike
-        # without the object, and 4 for detect_cube.
+        # Each class is stepped once, and only its monitored chain: one
+        # kernel for detect_free and one for detect_cube.
         calls = count_steps(monkeypatch)
         assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
-        assert calls[0] == (3 + 4) * steps
+        assert calls[0] == (1 + 1) * steps
 
     def test_detect_batch_assembles_each_class_once(self, monkeypatch, tmp_path):
         # The seed-free columns, noise-free current among them, are built
@@ -667,12 +702,48 @@ class TestMechanicsCache:
         assert calls[0] == 3
 
     def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
-        # Baseline (free motion: 3 kernels) plus episode (4 kernels); the
-        # walk may step the episode's open-loop record up to one block
-        # past the hold.
+        # Baseline (the monitored chain alone: 1 kernel) plus episode (4
+        # kernels); the walk may step the episode's open-loop record up to
+        # one block past the hold.
         calls = count_steps(monkeypatch)
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
         block = 4 * MECHANICS_BLOCK * cfg.sim.steps_per_sample
-        assert (3 + 4) * steps <= calls[0] <= (3 + 4) * steps + block
+        assert (1 + 4) * steps <= calls[0] <= (1 + 4) * steps + block
+
+
+class TestMonitoredChain:
+    """Each chain moves on its own, so a scenario narrowed to its monitored
+    chain (Scenario.monitored) gives the full scenario's monitored current
+    and that chain's columns, bit for bit: detect-batch and the baseline
+    step it alone."""
+
+    MONITORED = ("t", "v_cmd", "v_meas", "i_meas")
+
+    @pytest.mark.parametrize("preset", tuple(default_config().presets))
+    def test_monitored_chain_alone_gives_the_same_bits(self, cfg, preset):
+        for drop_object in (False, True):
+            full = resolve_scenario(cfg, preset, drop_object=drop_object)
+            alone, stack = full.monitored(), full.monitored_stack
+            assert [c.tendon_id for c in alone.chains] == [stack]
+            plants = Plant(full, cfg.sim), Plant(alone, cfg.sim)
+            for seed in (0, 3, 4242):
+                want, got = (run_scenario(p.scenario, cfg.sim, seed, plant=p) for p in plants)
+                for name in self.MONITORED:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                for group in ("x", "c"):
+                    assert getattr(got, group)[stack].tobytes() == \
+                        getattr(want, group)[stack].tobytes(), group
+                for key in ("profile_hash", "scenario", "monitored_stack"):
+                    assert got.meta[key] == want.meta[key], key
+
+    def test_baseline_holds_the_monitored_chain_only(self, cfg, tmp_path):
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        (chain,) = scenario.monitored().chains
+        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        assert set(baseline.x) == set(baseline.c) == {scenario.monitored_stack}
+        assert set(baseline.theta) == set(baseline.f_contact) == set(chain.joint_keys)
+        loaded = load_trace(baseline.save(tmp_path / "baseline.csv"))
+        assert loaded.to_csv_text() == baseline.to_csv_text()
+        assert json_text(loaded.meta) == json_text(baseline.meta)

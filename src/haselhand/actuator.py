@@ -15,9 +15,10 @@ With these units the two current terms come out in uA directly
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,18 +89,51 @@ def reference_force(cfg: StackConfig, x: float) -> float:
     return _interp_curve(xs, fs, x)
 
 
-def active_force(cfg: StackConfig, v: float, x: float) -> float:
-    """Active contraction force (N) at voltage v (kV) and contraction x (mm).
+def voltage_scale(v, v_ref: float, exponent: float, who: str):
+    """Force scale (v / v_ref) ** exponent at voltage v (kV), a float or an
+    array: a product for exponent 2, else one Python float power per
+    voltage. A scale that is not finite is a DomainError naming who."""
+    s = np.asarray(v, dtype=float) / v_ref
+    try:
+        a = s * s if exponent == 2.0 else np.array([e ** exponent for e in np.ravel(s).tolist()])
+    except OverflowError:
+        a = np.inf
+    if not np.isfinite(a).all():
+        raise DomainError(f"{who}: voltage scale {s.max()} to the force exponent {exponent} "
+                          f"overflows")
+    return a if np.ndim(v) else a.item()
+
+
+def voltage_for_force(cfg: StackConfig, force: float, who: str) -> Optional[float]:
+    """Voltage (kV) at which the force at zero contraction is force, by the
+    law's inverse power; None if the curve has no force there."""
+    f0 = reference_force(cfg, 0.0)
+    if f0 <= 0:
+        return None
+    try:
+        v = cfg.v_ref * (force / f0) ** (1.0 / cfg.force_exponent)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"{who}: force ratio {force / f0} to the inverse force exponent "
+                          f"{1.0 / cfg.force_exponent} overflows")
+    return v
+
+
+def active_force(cfg: StackConfig, v, x: float, who: str = "stack"):
+    """Active contraction force (N) at voltage v (kV), a float or an array,
+    and contraction x (mm).
 
     The tabulated curve gives the force at v_ref; other voltages scale
-    it by (v / v_ref) ** force_exponent (Maxwell-stress scaling with the
-    default exponent of 2).
+    it by voltage_scale (Maxwell-stress scaling with the default exponent
+    of 2), whose DomainError names who.
     """
     if not 0.0 <= x <= cfg.x_free:
         raise DomainError(f"contraction x={x} mm outside [0, x_free={cfg.x_free}]")
-    if not 0.0 <= v <= cfg.v_max:
-        raise DomainError(f"voltage v={v} kV outside [0, v_max={cfg.v_max}]")
-    return reference_force(cfg, x) * (v / cfg.v_ref) ** cfg.force_exponent
+    lo, hi = np.min(v, initial=0.0), np.max(v, initial=0.0)
+    if not (0.0 <= lo and hi <= cfg.v_max):
+        raise DomainError(f"voltage v={hi if lo >= 0.0 else lo} kV outside [0, v_max={cfg.v_max}]")
+    return reference_force(cfg, x) * voltage_scale(v, cfg.v_ref, cfg.force_exponent, who)
 
 
 def capacitance_of(cfg: StackConfig, x):

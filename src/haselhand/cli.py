@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .actuator import active_force
+from .actuator import active_force, voltage_for_force
 from .config import (
     DetectionConfig,
     HandConfig,
@@ -71,14 +71,9 @@ def _outdir(args) -> Path:
 
 def _onset_voltage(cfg: HandConfig, tendon_id: str) -> Optional[float]:
     """Commanded voltage below which stiction keeps the chain at rest."""
-    stack = cfg.stacks[tendon_id]
     path = cfg.tendons[tendon_id]
-    f0 = active_force(stack, stack.v_ref, 0.0)
-    if f0 <= 0:
-        return None
     need = path.f_breakaway + reflected_load(path, extensor_tension(path, 0.0))
-    frac = need / f0
-    return stack.v_ref * frac ** (1.0 / stack.force_exponent)
+    return voltage_for_force(cfg.stacks[tendon_id], need, f"stack {tendon_id}")
 
 
 def cmd_characterize(args) -> int:
@@ -92,16 +87,23 @@ def cmd_characterize(args) -> int:
         "config_hash": config_hash(cfg),
         "onset_voltage_kv": {},
         "saturation_deg": {},
+        "fingertip_n": {},
     }
+    sweep_top = min(5.5, cfg.amplifier.v_ceiling)
+    volts = np.array([round(0.01 * k, 10) for k in range(int(round(sweep_top / 0.01)) + 1)])
+    tips = [("v(kV)", volts)]
+    # Every file's text is made before the first is written, so a refused
+    # run writes nothing.
+    files: dict[str, str] = {}
 
     for finger in ("index", "thumb"):
         layout = cfg.fingers[finger]
-        mcp_stack = cfg.stacks[layout.tendon_ids[0]]
-        target = min(mcp_stack.v_ref, cfg.amplifier.v_ceiling)
+        mcp = layout.tendon_ids[0]
+        stack, path = cfg.stacks[mcp], cfg.tendons[mcp]
         preset = ScenarioPreset(
             name=f"characterize_{finger}",
             fingers=(finger,),
-            profiles={"*": ProfileSpec(target_kv=target)},
+            profiles={"*": ProfileSpec(target_kv=min(stack.v_ref, cfg.amplifier.v_ceiling))},
             duration=2.0,
         )
         scenario = resolve_preset(cfg, preset)
@@ -111,31 +113,25 @@ def cmd_characterize(args) -> int:
         # The trace holds this finger's joints only, keyed "<finger>_<joint>".
         columns = [("v_cmd(kV)", trace.v_cmd)]
         columns += [(column_name("theta", key), theta) for key, theta in trace.theta.items()]
-        write_atomic(out / f"voltage_angle_{finger}.csv", csv_text(columns))
+        files[f"voltage_angle_{finger}.csv"] = csv_text(columns)
 
         for tid in layout.tendon_ids:
             meta["onset_voltage_kv"][tid] = _onset_voltage(cfg, tid)
         for key, theta in trace.theta.items():
             meta["saturation_deg"][key] = float(np.degrees(theta[-1]))
 
-    # Static fingertip-force sweep: finger blocked straight on the load
-    # cell, so the stack stalls at zero contraction and the delivered
-    # tension works against the extensor pretension about the MCP.
-    sweep_top = min(5.5, cfg.amplifier.v_ceiling)
-    volts = [round(0.01 * k, 10) for k in range(int(round(sweep_top / 0.01)) + 1)]
-    tips: dict[str, list[float]] = {"index": [], "thumb": []}
-    for v in volts:
-        for finger in ("index", "thumb"):
-            layout = cfg.fingers[finger]
-            tid = layout.tendon_ids[0]
-            stack, path = cfg.stacks[tid], cfg.tendons[tid]
-            tension = delivered_tension(path, active_force(stack, v, 0.0))
-            tips[finger].append(fingertip_force(layout, tension, extensor_tension=path.f_ext0))
-    columns = [("v(kV)", volts), ("f_index(N)", tips["index"]), ("f_thumb(N)", tips["thumb"])]
-    write_atomic(out / "fingertip_force.csv", csv_text(columns))
-    meta["fingertip_n"] = {finger: forces[-1] for finger, forces in tips.items()}
+        # Static fingertip-force sweep: finger blocked straight on the load
+        # cell, so the stack stalls at zero contraction and the delivered
+        # tension works against the extensor pretension about the MCP.
+        tension = delivered_tension(path, active_force(stack, volts, 0.0, f"stack {mcp}"))
+        force = fingertip_force(layout, tension, extensor_tension=path.f_ext0)
+        tips.append((f"f_{finger}(N)", force))
+        meta["fingertip_n"][finger] = float(force[-1])
 
-    write_atomic(out / "characterize.meta.json", json_text(meta))
+    files["fingertip_force.csv"] = csv_text(tips)
+    files["characterize.meta.json"] = json_text(meta)
+    for name, text in files.items():
+        write_atomic(out / name, text)
     print(f"characterize: wrote {out}/voltage_angle_*.csv, fingertip_force.csv")
     return EXIT_OK
 

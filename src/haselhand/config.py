@@ -142,9 +142,9 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """Declarative voltage profile: ramp | hold | ramp_hold."""
+    """Declarative voltage profile: hold | ramp_hold."""
 
-    kind: str = field(default="ramp_hold", metadata={"in": ("ramp", "hold", "ramp_hold")})
+    kind: str = field(default="ramp_hold", metadata={"in": ("hold", "ramp_hold")})
     target_kv: float = field(default=5.5, metadata={"ge": 0.0})
     ramp_s: float = 1.0
 

@@ -119,19 +119,19 @@ def contact_force(k_obj: float, theta_on: float, theta):
 
 def fingertip_force(
     layout: FingerLayout,
-    tension: float,
+    tension,
     extensor_tension: float = 0.0,
-) -> float:
+):
     """Static fingertip normal force (N) in the fully extended test posture.
 
     Moment balance about the base (MCP) joint with the finger pressing
-    straight down on a load cell:
+    straight down on a load cell, for a tension that is a float or an array:
 
         F_tip = (tension * r_eff_mcp - extensor_tension * r_eff_mcp)
                 / total finger length,  clamped at 0.
     """
-    if tension < 0:
-        raise DomainError(f"tendon tension {tension} N must be >= 0")
+    if np.any(tension < 0):
+        raise DomainError(f"tendon tension {np.min(tension)} N must be >= 0")
     r_mcp = layout.joints[0].r_eff
     moment = (tension - extensor_tension) * r_mcp
-    return max(0.0, moment / layout.total_length())
+    return np.maximum(0.0, moment / layout.total_length())

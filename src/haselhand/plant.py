@@ -101,7 +101,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .actuator import capacitance_of, displacement_current, reference_force
+from .actuator import capacitance_of, displacement_current, reference_force, voltage_scale
 from .config import (
     ChainSpec,
     ProfileSpec,
@@ -251,16 +251,7 @@ class ChainSim:
         starts the next one, of RUN_WINDOW steps; a run that holds to its
         end is followed by one twice as long, up to RUN_WINDOW_MAX.
         """
-        a = v / self.v_ref
-        if self.exponent == 2.0:
-            a = a * a
-        else:
-            try:
-                a = np.array([s ** self.exponent for s in a.tolist()])
-            except OverflowError:
-                # s ** exponent rises with s, so the largest scale overflows.
-                raise DomainError(f"chain {self.spec.tendon_id}: voltage scale {a.max()} "
-                                  f"to the force exponent {self.exponent} overflows") from None
+        a = voltage_scale(v, self.v_ref, self.exponent, f"chain {self.spec.tendon_id}")
         n, fb, cap, r = len(a), self.f_breakaway, self.x_cap, dt_over_tau
         xs, targets, residuals = np.empty(n), np.empty(n), np.empty(n)
         j = 0
@@ -575,6 +566,9 @@ def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
 # Scenario runner
 # ---------------------------------------------------------------------------
 
+# An overflow or NaN is refused by name where a value is checked, so
+# numpy's warning would only precede the DomainError.
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
     scenario: Scenario,
     sim: SimConfig,

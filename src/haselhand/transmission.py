@@ -54,13 +54,13 @@ def extensor_tension(path: TendonPath, excursion: float) -> float:
     return path.f_ext0 + path.k_ext * excursion
 
 
-def delivered_tension(path: TendonPath, actuator_force: float) -> float:
+def delivered_tension(path: TendonPath, actuator_force):
     """Tendon tension (N) delivered when the output is blocked (isometric).
 
-    Static friction eats f_breakaway of the actuator force before any
-    tension builds; the pulley then divides what remains.
+    Static friction eats f_breakaway of the actuator force (a float or an
+    array) before any tension builds; the pulley then divides what remains.
     """
-    if actuator_force < 0:
-        raise DomainError(f"actuator force {actuator_force} N must be >= 0")
-    usable = max(0.0, actuator_force - path.f_breakaway)
+    if np.any(actuator_force < 0):
+        raise DomainError(f"actuator force {np.min(actuator_force)} N must be >= 0")
+    usable = np.maximum(0.0, actuator_force - path.f_breakaway)
     return path.eta_fwd * usable / path.pulley_ratio

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from haselhand import (
     capacitance_of,
     displacement_current,
 )
+from haselhand.actuator import voltage_for_force, voltage_scale
 from haselhand.errors import ConfigError
 from oracles import equilibrium_contraction
 
@@ -68,6 +70,27 @@ class TestActiveForce:
     @settings(max_examples=200)
     def test_never_negative(self, v, x):
         assert active_force(two_stack(), v, x) >= 0.0
+
+
+class TestVoltageScale:
+    # The one force law gives an array the bits it gives each float: a
+    # product for exponent 2, else Python's float power.
+    @given(vs=st.lists(st.floats(0.0, 6.0), max_size=30), exponent=st.sampled_from((2.0, 1.5)))
+    @settings(max_examples=100)
+    def test_array_matches_floats_bit_for_bit(self, vs, exponent):
+        scales = voltage_scale(np.array(vs), 5.5, exponent, "stack")
+        want = [(v / 5.5) * (v / 5.5) if exponent == 2.0 else (v / 5.5) ** exponent for v in vs]
+        assert scales.tolist() == want
+        assert [voltage_scale(v, 5.5, exponent, "stack") for v in vs] == want
+        forces = active_force(two_stack(force_exponent=exponent), np.array(vs), 3.0)
+        assert forces.tolist() == [active_force(two_stack(force_exponent=exponent), v, 3.0)
+                                   for v in vs]
+
+    def test_inverse_gives_the_voltage_of_a_force(self):
+        cfg = two_stack()
+        assert voltage_for_force(cfg, 25.3 * 0.25, "stack") == pytest.approx(2.75, rel=1e-15)
+        assert voltage_for_force(two_stack(force_knots=((0.0, 0.0), (6.0, 0.0))), 1.0,
+                                 "stack") is None
 
 
 class TestCapacitance:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from haselhand import cli as cli_module
 from haselhand.cli import main
 from haselhand.config import config_to_dict, default_config
 from haselhand.errors import TraceSchemaError
@@ -120,6 +121,34 @@ class TestCharacterize:
         angle_rows = (out / "voltage_angle_index.csv").read_text().splitlines()[1:]
         for row in angle_rows:
             assert all(float(x) == 0.0 for x in row.split(","))
+
+    def test_fingertip_sweep_calls_the_force_law_once_per_finger(self, tmp_path, monkeypatch):
+        calls = []
+        law = cli_module.active_force
+        monkeypatch.setattr(cli_module, "active_force",
+                            lambda *args, **kw: calls.append(args[1]) or law(*args, **kw))
+        assert run_cli("characterize", "--out", str(tmp_path / "o")) == 0
+        assert [len(v) for v in calls] == [551, 551]
+
+    # In-domain stacks whose force law overflows: in the fingertip sweep
+    # (the first and third) or in the onset voltage's inverse (the second).
+    @pytest.mark.parametrize("stack, named", [
+        ({"v_ref": 0.5, "force_exponent": 400},
+         "stack index_mcp: voltage scale 11.0 to the force exponent 400.0 overflows"),
+        ({"force_knots": [[0, 10], [6, 1]], "force_exponent": 1e-4},
+         "stack index_mcp: force ratio 2.1036363636363635 to the inverse force exponent "
+         "10000.0 overflows"),
+        ({"v_ref": 1e-300},
+         "stack index_mcp: voltage scale 5.5e+300 to the force exponent 2.0 overflows"),
+    ], ids=["steep_exponent", "flat_exponent", "tiny_v_ref"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_force_law_exits_2_with_nothing_written(self, tmp_path, capsys,
+                                                                stack, named):
+        cfg_path = write_config(tmp_path, lambda d: d["stacks"]["index_mcp"].update(stack))
+        out = tmp_path / "o"
+        assert run_cli("characterize", "--config", str(cfg_path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not list(out.rglob("*"))
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -411,6 +440,17 @@ class TestBadInputs:
                        "--detector", str(bad), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    # "ramp" ran the same schedule as "ramp_hold" under a kernel key and a
+    # profile hash of its own, so a detector refused the identical schedule.
+    def test_ramp_profile_kind_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, set_key("presets.pinch_cube.profiles.*.kind", "ramp"))
+        out = tmp_path / "o"
+        assert run_cli("grasp", "--preset", "pinch_cube", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert ("presets.pinch_cube.profiles.*.kind: 'ramp' must be one of ('hold', 'ramp_hold')"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     # Each value is JSON text: an integer beyond Python's int-to-string
     # limit cannot be written by json.dumps, and NaN/Infinity are written
     # as the constants json.dumps would give them.
@@ -470,8 +510,12 @@ class TestBadInputs:
         ("stacks.index_mcp.force_exponent", 1e308,
          "chain index_mcp: voltage scale 1.0909090909090908 to the force exponent 1e+308 "
          "overflows", "balloon_hold"),
+        ("stacks.index_mcp.v_ref", 1e-300,
+         "chain index_mcp: voltage scale 5.5e+300 to the force exponent 2.0 overflows",
+         "pinch_cube"),
     ], ids=["tiny_eta_fwd", "huge_f_ext0", "huge_k_ext", "huge_pulley_ratio",
-            "huge_c0", "huge_c_slope", "huge_current_noise", "huge_force_exponent"])
+            "huge_c0", "huge_c_slope", "huge_current_noise", "huge_force_exponent",
+            "tiny_v_ref"])
     # The refusal is the only thing printed: numpy's overflow and invalid
     # warnings on the way to it are silenced.
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,7 +18,8 @@ from haselhand import (
 )
 from haselhand import plant as plant_module
 from haselhand.cli import main as cli_main
-from haselhand.config import ProfileSpec, ScenarioPreset, SimConfig, resolve_preset
+from haselhand.config import (ProfileSpec, ScenarioPreset, SimConfig, config_from_dict,
+                              config_to_dict, resolve_preset)
 from haselhand.errors import ConfigError, DomainError, ModelConsistencyError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
 from haselhand.trace import FIXED_COLUMNS, json_text
@@ -170,6 +171,17 @@ class TestRunScenario:
             with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
                 run_scenario(scenario, cfg.sim, seed=-1)
         built.assert_not_called()
+
+    # A library caller gets the refusal alone, as a CLI user does: numpy's
+    # overflow warning on the way to it is silenced.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_refused_without_a_warning(self):
+        doc = config_to_dict(default_config())
+        doc["stacks"]["index_mcp"]["c0"] = 1e308
+        cfg = config_from_dict(doc)
+        with pytest.raises(DomainError, match=re.escape(
+                "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0")):
+            run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, seed=0)
 
 
 class TestTraceInvariants:

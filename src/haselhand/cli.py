@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -32,10 +33,11 @@ from .config import (
     decode,
     default_config,
     load_config,
+    profile_hash,
     resolve_preset,
     resolve_scenario,
 )
-from .control import calibrate_threshold, detect_grasp, run_grasp_episode
+from .control import calibrate_threshold, detect_grasp, detection_horizon, run_grasp_episode
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -172,15 +174,27 @@ def cmd_detect_batch(args) -> int:
     if args.free < 1 or args.grasp < 1:
         raise ConfigError("detect-batch needs at least one episode of each class")
 
-    # Detection reads the monitored current only: only its chain is stepped.
-    free = resolve_scenario(cfg, "detect_free").monitored()
-    cube = resolve_scenario(cfg, "detect_cube").monitored()
+    # Detection reads the monitored current only, through its window: only
+    # that chain is stepped, and only that far.
+    scenarios, hashes = {}, {}
+    for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube")):
+        full = resolve_scenario(cfg, preset).monitored()
+        # A class's traces are prefixes of its full episodes and carry their
+        # hash: calibrate_threshold compares it and detector.json records it.
+        hashes[cls] = profile_hash(full.profiles, full.duration, cfg.sim.dt_sample)
+        scenarios[cls] = replace(full, duration=detection_horizon(
+            full.duration, cfg.sim.dt_sample, cfg.detection))
     # Every episode of a class has the same mechanics: one record steps them once.
-    plants = {"free": Plant(free, cfg.sim), "grasp": Plant(cube, cfg.sim)}
-    cal_free = [run_scenario(free, cfg.sim, args.seed + CAL_SEED_OFFSET + k, plant=plants["free"])
-                for k in range(N_CALIBRATION)]
-    cal_grasp = [run_scenario(cube, cfg.sim, args.seed + CAL_SEED_OFFSET + 500 + k,
-                              plant=plants["grasp"]) for k in range(N_CALIBRATION)]
+    plants = {cls: Plant(scenario, cfg.sim) for cls, scenario in scenarios.items()}
+
+    def episode(cls, seed):
+        trace = run_scenario(scenarios[cls], cfg.sim, seed, plant=plants[cls])
+        trace.meta["profile_hash"] = hashes[cls]
+        return trace
+
+    cal_free = [episode("free", args.seed + CAL_SEED_OFFSET + k) for k in range(N_CALIBRATION)]
+    cal_grasp = [episode("grasp", args.seed + CAL_SEED_OFFSET + 500 + k)
+                 for k in range(N_CALIBRATION)]
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
     detector_doc = {
         "monitored_stack": cfg.detection.monitored_stack,
@@ -188,8 +202,8 @@ def cmd_detect_batch(args) -> int:
         "window": list(cfg.detection.window),
         "smoothing": cfg.detection.smoothing,
         "debounce": cfg.detection.debounce,
-        "profile_hash": cal_free[0].meta["profile_hash"],
-        "config_hash": free.config_fingerprint,
+        "profile_hash": hashes["free"],
+        "config_hash": scenarios["free"].config_fingerprint,
     }
     # The batch is classified by the detector replay reads back, so a
     # threshold outside its domain is refused here, before any write.
@@ -197,10 +211,10 @@ def cmd_detect_batch(args) -> int:
 
     counts = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}
     misclassified = []
-    for cls, scenario, n, seed0 in (("free", free, args.free, args.seed),
-                                    ("grasp", cube, args.grasp, args.seed + GRASP_SEED_OFFSET)):
+    for cls, n, seed0 in (("free", args.free, args.seed),
+                          ("grasp", args.grasp, args.seed + GRASP_SEED_OFFSET)):
         for seed in range(seed0, seed0 + n):
-            grasped, _ = detect_grasp(run_scenario(scenario, cfg.sim, seed, plant=plants[cls]), det)
+            grasped, _ = detect_grasp(episode(cls, seed), det)
             expected = cls == "grasp"
             counts[("t" if grasped == expected else "f") + ("p" if grasped else "n")] += 1
             if grasped != expected:
@@ -209,7 +223,7 @@ def cmd_detect_batch(args) -> int:
     total = args.free + args.grasp
     correct = counts["tp"] + counts["tn"]
     summary = {
-        "config_hash": free.config_fingerprint,
+        "config_hash": scenarios["free"].config_fingerprint,
         "threshold_ua": threshold,
         "n_free": args.free,
         "n_grasp": args.grasp,

@@ -58,15 +58,35 @@ def smooth_causal(values, n: int) -> np.ndarray:
 # Threshold calibration and grasp detection
 # ---------------------------------------------------------------------------
 
+def _in_window(t: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
+    """Which of the sample times t lie inside the evaluation window."""
+    lo, hi = cfg.window
+    return (t >= lo - _T_EPS) & (t <= hi + _T_EPS)
+
+
+def detection_horizon(duration: float, dt_sample: float, cfg: DetectionConfig) -> float:
+    """Length (s) of the shortest episode whose verdict a detector reads as
+    it reads one of duration's: every sample through the window's last,
+    plus the next, whose internal step that last sample's central-difference
+    current takes. The smoothing is causal, so no later sample counts. It
+    is duration itself when the window holds none of the episode's samples
+    or ends at its last sample or after it."""
+    last = round(duration / dt_sample)
+    inside = np.flatnonzero(_in_window(np.arange(last + 1) * dt_sample, cfg))
+    if len(inside) == 0 or inside[-1] + 1 >= last:
+        return duration
+    return float(inside[-1] + 1) * dt_sample
+
+
 def _window_values(trace: SignalTrace, cfg: DetectionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sample times and smoothed current inside the evaluation window."""
-    lo, hi = cfg.window
+    hi = cfg.window[1]
     if len(trace) == 0 or trace.t[-1] + _T_EPS < hi:
         raise InsufficientDataError(
             f"trace ends at {trace.t[-1] if len(trace) else 0.0:.3f} s, "
             f"window needs {hi:.3f} s"
         )
-    mask = (trace.t >= lo - _T_EPS) & (trace.t <= hi + _T_EPS)
+    mask = _in_window(trace.t, cfg)
     return trace.t[mask], smooth_causal(trace.i_meas, cfg.smoothing)[mask]
 
 

@@ -77,10 +77,12 @@ run_scenario works in three stages over a scenario.
 Open loop, the mechanics do not depend on the seed, so run_scenario
 takes the caller's Plant of a scenario as its open-loop record, steps
 it only where no earlier run has and reuses its assembly. detect-batch
-reads the monitored current only, so it builds one Plant per class of
-the class's monitored chain alone (Scenario.monitored) and passes it to
-every episode of that class, so each episode pays only for its noise; a
-call without one builds its own.
+reads the monitored current only, through the detection window's last
+sample, so it builds one Plant per class of the class's monitored chain
+alone (Scenario.monitored), cut one sample past that window
+(control.detection_horizon), and passes it to every episode of that
+class, so each episode pays only for its noise; a call without one
+builds its own.
 
 Closed loop, a run steps a record of its own (a shared Plant serves
 open-loop runs only), MECHANICS_BLOCK samples at a time, and after each

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,18 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haselhand import (
+    calibrate_threshold,
     default_config,
+    detect_grasp,
+    load_config,
     load_trace,
     record_baseline,
     resolve_scenario,
     run_grasp_episode,
     run_scenario,
 )
+from haselhand import cli as cli_module
 from haselhand import plant as plant_module
+from haselhand.cli import CAL_SEED_OFFSET, GRASP_SEED_OFFSET, N_CALIBRATION
 from haselhand.cli import main as cli_main
 from haselhand.config import (ProfileSpec, ScenarioPreset, SimConfig, config_from_dict,
                               config_to_dict, resolve_preset)
-from haselhand.errors import ConfigError, DomainError, ModelConsistencyError
+from haselhand.errors import ConfigError, DomainError, InsufficientDataError, ModelConsistencyError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
 from haselhand.trace import FIXED_COLUMNS, json_text
 from oracles import ScalarChain, equilibrium_contraction, reconstruct_current, slew
@@ -48,7 +55,7 @@ class TestVoltageProfile:
 
     def test_nonpositive_ramp_rejected(self):
         with pytest.raises(ConfigError):
-            ProfileSpec("ramp", 5.5, 0.0)
+            ProfileSpec("ramp_hold", 5.5, 0.0)
 
 
 class TestStep:
@@ -616,11 +623,14 @@ class TestMechanicsCache:
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
         # Each class is stepped once, and only its monitored chain: one
-        # kernel for detect_free and one for detect_cube.
+        # kernel for detect_free and one for detect_cube. Each is stepped
+        # through the window's last sample and one more sample only.
         calls = count_steps(monkeypatch)
         assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
                          "--out", str(tmp_path)]) == 0
-        steps = round(cfg.sim.duration / cfg.sim.dt_internal)
+        samples = round(cfg.detection.window[1] / cfg.sim.dt_sample) + 1
+        steps = samples * cfg.sim.steps_per_sample
+        assert steps == 9910
         assert calls[0] == (1 + 1) * steps
 
     def test_detect_batch_assembles_each_class_once(self, monkeypatch, tmp_path):
@@ -759,3 +769,145 @@ class TestMonitoredChain:
         loaded = load_trace(baseline.save(tmp_path / "baseline.csv"))
         assert loaded.to_csv_text() == baseline.to_csv_text()
         assert json_text(loaded.meta) == json_text(baseline.meta)
+
+
+BASE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "base_config.json"
+BATCH_FILES = ("detect_batch_summary.json", "detector.json")
+
+
+def reference_batch(cfg, seed: int, n_free: int, n_grasp: int) -> dict[str, str]:
+    """The texts of detect-batch's two files, built from full-duration
+    episodes of each class's monitored chain by calibrate_threshold and
+    detect_grasp."""
+    full = {cls: resolve_scenario(cfg, preset).monitored()
+            for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube"))}
+
+    def runs(cls, seed0, n):
+        return [run_scenario(full[cls], cfg.sim, s) for s in range(seed0, seed0 + n)]
+
+    cal_free = runs("free", seed + CAL_SEED_OFFSET, N_CALIBRATION)
+    cal_grasp = runs("grasp", seed + CAL_SEED_OFFSET + 500, N_CALIBRATION)
+    threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
+    det = replace(cfg.detection, i_threshold=threshold)
+    counts, misclassified = {"tp": 0, "tn": 0, "fp": 0, "fn": 0}, []
+    for cls, n, seed0 in (("free", n_free, seed), ("grasp", n_grasp, seed + GRASP_SEED_OFFSET)):
+        for trace in runs(cls, seed0, n):
+            grasped, expected = detect_grasp(trace, det)[0], cls == "grasp"
+            counts[("t" if grasped == expected else "f") + ("p" if grasped else "n")] += 1
+            if grasped != expected:
+                misclassified.append({"class": cls, "seed": trace.meta["seed"]})
+    fingerprint = full["free"].config_fingerprint
+    summary = {
+        "config_hash": fingerprint, "threshold_ua": threshold,
+        "n_free": n_free, "n_grasp": n_grasp, "counts": counts,
+        "correct": counts["tp"] + counts["tn"], "total": n_free + n_grasp,
+        "misclassified": misclassified, "seed": seed,
+    }
+    detector = {
+        "monitored_stack": det.monitored_stack, "i_threshold": threshold,
+        "window": list(det.window), "smoothing": det.smoothing, "debounce": det.debounce,
+        "profile_hash": cal_free[0].meta["profile_hash"], "config_hash": fingerprint,
+    }
+    return {"detect_batch_summary.json": json_text(summary), "detector.json": json_text(detector)}
+
+
+def with_detect_duration(tmp_path, duration: float, cube_duration=None) -> Path:
+    """The default config with its detect presets lasting duration (s),
+    detect_cube cube_duration if given."""
+    doc = config_to_dict(default_config())
+    doc["presets"]["detect_free"]["duration"] = duration
+    doc["presets"]["detect_cube"]["duration"] = cube_duration or duration
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestDetectionWindow:
+    """detect-batch steps each class only through the detection window's
+    last sample and one sample more. The mechanics, the noise and the
+    smoothing are stable on a prefix, so its files are those built from
+    full-duration episodes, byte for byte."""
+
+    def batch(self, tmp_path, seed, n_free, n_grasp, config=None) -> dict[str, str]:
+        argv = ["detect-batch", "--free", str(n_free), "--grasp", str(n_grasp),
+                "--seed", str(seed), "--out", str(tmp_path / "out")]
+        assert cli_main(argv + (["--config", str(config)] if config else [])) == 0
+        return {name: (tmp_path / "out" / name).read_text() for name in BATCH_FILES}
+
+    @pytest.mark.parametrize("config", [None, BASE_CONFIG], ids=["default", "base_config"])
+    @pytest.mark.parametrize("seed", [0, 3, 4242])
+    @pytest.mark.parametrize("n_free, n_grasp", [(1, 1), (2, 1), (5, 5)])
+    def test_files_equal_full_duration_reference(self, tmp_path, config, seed, n_free, n_grasp):
+        cfg = load_config(config) if config else default_config()
+        assert self.batch(tmp_path, seed, n_free, n_grasp, config) == \
+            reference_batch(cfg, seed, n_free, n_grasp)
+
+    def test_classified_traces_are_full_runs_through_the_window(self, cfg, tmp_path,
+                                                                monkeypatch):
+        # The last window sample keeps its central-difference current; only
+        # the one after it, which no window reads, takes a one-sided one.
+        seen, real = [], cli_module.detect_grasp
+        monkeypatch.setattr(cli_module, "detect_grasp",
+                            lambda trace, det: seen.append(trace) or real(trace, det))
+        self.batch(tmp_path, 3, 1, 1)
+        last = round(cfg.detection.window[1] / cfg.sim.dt_sample)
+        assert len(seen) == 2
+        for trace in seen:
+            full = run_scenario(resolve_scenario(cfg, trace.meta["scenario"]).monitored(),
+                                cfg.sim, trace.meta["seed"])
+            assert len(trace) == last + 2
+            assert trace.i_meas[:last + 1].tobytes() == full.i_meas[:last + 1].tobytes()
+
+    @pytest.mark.parametrize("durations, error", [
+        ((0.95, None), InsufficientDataError),
+        ((2.0, 1.5), ConfigError),
+    ], ids=["ending_inside_the_window", "differing_per_class"])
+    def test_refused_durations_exit_2_as_with_full_runs(self, tmp_path, capsys, durations,
+                                                        error):
+        # Traces of two durations mix profiles even where their prefixes
+        # through the window agree.
+        path = with_detect_duration(tmp_path, *durations)
+        cfg = load_config(path)
+        free, cube = (resolve_scenario(cfg, preset).monitored()
+                      for preset in ("detect_free", "detect_cube"))
+        with pytest.raises(error) as exc:
+            calibrate_threshold([run_scenario(free, cfg.sim, 0)],
+                                [run_scenario(cube, cfg.sim, 1)], cfg.detection)
+        out = tmp_path / "out"
+        assert cli_main(["detect-batch", "--free", "1", "--grasp", "1",
+                         "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert not out.exists()
+
+    def test_duration_equal_to_the_window_end_steps_the_whole_run(self, tmp_path, monkeypatch):
+        path = with_detect_duration(tmp_path, 0.99)
+        cfg = load_config(path)
+        calls = count_steps(monkeypatch)
+        files = self.batch(tmp_path, 3, 2, 1, path)
+        assert calls[0] == (1 + 1) * round(0.99 / cfg.sim.dt_internal)
+        assert files == reference_batch(cfg, 3, 2, 1)
+
+    def test_check_failing_past_the_horizon_fails_grasp_only(self, cfg, tmp_path, capsys,
+                                                              monkeypatch):
+        # Every kernel reports a stall residual above the bound after the
+        # internal steps detect-batch takes: only a run stepped further fails.
+        horizon = (round(cfg.detection.window[1] / cfg.sim.dt_sample) + 1) \
+            * cfg.sim.steps_per_sample
+        real = ChainSim.run
+
+        def late_fault(chain, v, dt_over_tau):
+            x, target, residual = real(chain, v, dt_over_tau)
+            k0 = getattr(chain, "stepped", 0)
+            chain.stepped = k0 + len(v)
+            late = np.arange(k0 + 1, k0 + len(v) + 1) > horizon
+            return x, target, np.where(late, 1.0, residual)
+
+        monkeypatch.setattr(ChainSim, "run", late_fault)
+        out = tmp_path / "out"
+        assert cli_main(["detect-batch", "--free", "2", "--grasp", "2",
+                         "--out", str(out / "batch")]) == 0
+        capsys.readouterr()
+        assert cli_main(["grasp", "--preset", "detect_cube", "--seed", "3",
+                         "--out", str(out / "grasp")]) == 3
+        assert "stall residual" in capsys.readouterr().err
+        assert not (out / "grasp").exists()

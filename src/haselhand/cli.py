@@ -33,7 +33,6 @@ from .config import (
     decode,
     default_config,
     load_config,
-    profile_hash,
     resolve_preset,
     resolve_scenario,
 )
@@ -176,21 +175,15 @@ def cmd_detect_batch(args) -> int:
 
     # Detection reads the monitored current only, through its window: only
     # that chain is stepped, and only that far.
-    scenarios, hashes = {}, {}
+    plants = {}
     for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube")):
         full = resolve_scenario(cfg, preset).monitored()
-        # A class's traces are prefixes of its full episodes and carry their
-        # hash: calibrate_threshold compares it and detector.json records it.
-        hashes[cls] = profile_hash(full.profiles, full.duration, cfg.sim.dt_sample)
-        scenarios[cls] = replace(full, duration=detection_horizon(
-            full.duration, cfg.sim.dt_sample, cfg.detection))
-    # Every episode of a class has the same mechanics: one record steps them once.
-    plants = {cls: Plant(scenario, cfg.sim) for cls, scenario in scenarios.items()}
+        horizon = detection_horizon(full.duration, cfg.sim.dt_sample, cfg.detection)
+        # Every episode of a class has the same mechanics: one record steps them once.
+        plants[cls] = Plant(replace(full, duration=horizon), cfg.sim)
 
     def episode(cls, seed):
-        trace = run_scenario(scenarios[cls], cfg.sim, seed, plant=plants[cls])
-        trace.meta["profile_hash"] = hashes[cls]
-        return trace
+        return run_scenario(plants[cls].scenario, cfg.sim, seed, plant=plants[cls])
 
     cal_free = [episode("free", args.seed + CAL_SEED_OFFSET + k) for k in range(N_CALIBRATION)]
     cal_grasp = [episode("grasp", args.seed + CAL_SEED_OFFSET + 500 + k)
@@ -202,8 +195,8 @@ def cmd_detect_batch(args) -> int:
         "window": list(cfg.detection.window),
         "smoothing": cfg.detection.smoothing,
         "debounce": cfg.detection.debounce,
-        "profile_hash": hashes["free"],
-        "config_hash": scenarios["free"].config_fingerprint,
+        "profile_hash": plants["free"].scenario.profile_fingerprint,
+        "config_hash": plants["free"].scenario.config_fingerprint,
     }
     # The batch is classified by the detector replay reads back, so a
     # threshold outside its domain is refused here, before any write.
@@ -223,7 +216,7 @@ def cmd_detect_batch(args) -> int:
     total = args.free + args.grasp
     correct = counts["tp"] + counts["tn"]
     summary = {
-        "config_hash": scenarios["free"].config_fingerprint,
+        "config_hash": plants["free"].scenario.config_fingerprint,
         "threshold_ua": threshold,
         "n_free": args.free,
         "n_grasp": args.grasp,

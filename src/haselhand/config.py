@@ -17,7 +17,8 @@ Unknown keys are ignored.
 Field metadata also declares each field's domain next to its default:
 "gt", "ge", "lt", "le" bounds and "in" choices. decode checks it where
 the key path is known and prefixes a block's cross-field errors with the
-block's path. A dataclass built in code is not range-checked.
+block's path. A dataclass built in code is not range-checked, except
+that ProfileSpec refuses a kind outside its declared choices.
 
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
@@ -149,8 +150,21 @@ class ProfileSpec:
     ramp_s: float = 1.0
 
     def __post_init__(self):
+        choices = type(self).__dataclass_fields__["kind"].metadata["in"]
+        if self.kind not in choices:
+            raise ConfigError(f"kind: {self.kind!r} must be one of {choices!r}")
         if self.kind != "hold" and self.ramp_s <= 0:
             raise ConfigError("ramp duration must be > 0")
+
+    def doc(self) -> dict[str, Any]:
+        """The schedule's canonical document: the fields its kind reads."""
+        return {k: v for k, v in encode(self).items() if k != "ramp_s" or self.kind == "ramp_hold"}
+
+    @functools.cached_property
+    def identity(self) -> tuple[str, bytes]:
+        """doc() by bit pattern, so -0.0 is not 0.0; computed once per object."""
+        kind, *numbers = self.doc().values()
+        return kind, np.array(numbers).tobytes()
 
     def __call__(self, t):
         """Commanded voltage (kV) at time t (s): a float for a float, an
@@ -511,9 +525,9 @@ def config_hash(cfg: HandConfig) -> str:
     return hashlib.sha256(canonical_json(config_to_dict(cfg)).encode()).hexdigest()[:16]
 
 
-def profile_hash(profiles: dict[str, ProfileSpec], duration: float, dt_sample: float) -> str:
-    """Fingerprint of the voltage schedule a baseline was recorded under."""
-    doc = {"profiles": encode(profiles), "duration": duration, "dt_sample": dt_sample}
+def profile_hash(schedule: ProfileSpec, duration: float, dt_sample: float) -> str:
+    """Fingerprint of the monitored chain's schedule, duration and dt_sample."""
+    doc = {"profiles": {"*": schedule.doc()}, "duration": duration, "dt_sample": dt_sample}
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:16]
 
 
@@ -600,13 +614,16 @@ class Scenario:
     duration: float
     controller: str
     monitored_stack: str    # detection stack if the chains drive it, else the first chain
-    profiles: dict[str, ProfileSpec]
     config_fingerprint: str
+    profile_fingerprint: str  # profile_hash of the monitored chain's schedule
 
     def monitored(self) -> Scenario:
         """This scenario with its monitored chain alone. Each chain moves on
         its own, so that chain's columns and the monitored current are the
-        full scenario's; the name, profiles and hashes stay."""
+        full scenario's. The name and both fingerprints stay: the profile
+        fingerprint covers the monitored chain's schedule only, and a
+        replace() of the duration keeps it too, so a shortened run carries
+        the full episode's."""
         return replace(self, chains=tuple(c for c in self.chains
                                           if c.tendon_id == self.monitored_stack))
 
@@ -680,6 +697,7 @@ def resolve_preset(
                 f"detection.monitored_stack {monitored!r}, which its fingers do not drive"
             )
         monitored = chains[0].tendon_id
+    schedule = next(c.profile for c in chains if c.tendon_id == monitored)
 
     return Scenario(
         name=preset_name,
@@ -689,6 +707,6 @@ def resolve_preset(
         duration=duration,
         controller=ctrl,
         monitored_stack=monitored,
-        profiles=dict(preset.profiles),
         config_fingerprint=config_hash(cfg),
+        profile_fingerprint=profile_hash(schedule, duration, cfg.sim.dt_sample),
     )

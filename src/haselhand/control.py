@@ -87,6 +87,8 @@ def _window_values(trace: SignalTrace, cfg: DetectionConfig) -> tuple[np.ndarray
             f"window needs {hi:.3f} s"
         )
     mask = _in_window(trace.t, cfg)
+    if not mask.any():
+        raise InsufficientDataError(f"window [{cfg.window[0]}, {hi}] s holds no sample")
     return trace.t[mask], smooth_causal(trace.i_meas, cfg.smoothing)[mask]
 
 
@@ -148,9 +150,10 @@ def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrac
     The monitored chain runs its schedule open loop without the object,
     alone: the controller reads its current only, and each chain moves
     on its own. So the trace holds the monitored stack's keyed columns
-    only. The baseline is an ordinary trace: its meta carries the profile
-    hash it was recorded under, and it is saved with SignalTrace.save and
-    read back with load_trace.
+    only. The baseline is an ordinary trace: its meta carries the
+    scenario's profile hash, which fingerprints the monitored chain's
+    schedule, the duration and dt_sample, as the guarded run's does. It
+    is saved with SignalTrace.save and read back with load_trace.
     """
     return run_scenario(replace(scenario.monitored(), obj=None, controller="none"), sim, seed)
 

@@ -46,7 +46,9 @@ run_scenario works in three stages over a scenario.
   Chains with the same breakpoint table, breakaway force, v_ref, force
   exponent and schedule, compared by bit pattern, start alike and move
   alike, so Plant steps one ChainSim kernel per distinct (table,
-  schedule) and records its motion once, for every chain it serves.
+  schedule) and records its motion once, for every chain it serves. A
+  schedule is its ProfileSpec.identity: its kind and the numbers that
+  kind reads, by bit pattern, so a hold's unread ramp_s splits nothing.
   Plant computes each distinct schedule's applied voltage (slew-limited,
   capped at the amplifier ceiling) once, when it is built, in runs
   checked on arrays like the kernel's; each kernel steps in runs on it.
@@ -82,7 +84,10 @@ sample, so it builds one Plant per class of the class's monitored chain
 alone (Scenario.monitored), cut one sample past that window
 (control.detection_horizon), and passes it to every episode of that
 class, so each episode pays only for its noise; a call without one
-builds its own.
+builds its own. A trace's hashes come from its scenario, not its record:
+the profile hash fingerprints the monitored chain's schedule, the
+duration and dt_sample (Scenario.profile_fingerprint), and the one-chain
+and shortened scenarios keep the full episode's.
 
 Closed loop, a run steps a record of its own (a shared Plant serves
 open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
@@ -109,7 +114,7 @@ from .config import (
     ProfileSpec,
     Scenario,
     SimConfig,
-    profile_hash,
+    profile_hash,  # noqa: F401 -- unused, kept: perfbench's config.hash span wraps it
 )
 from .errors import ConfigError, DomainError, ModelConsistencyError
 from .kinematics import contact_force
@@ -350,12 +355,10 @@ def _slew(cmd: np.ndarray, v: float, dv_max: float, ceiling: float) -> np.ndarra
     return out
 
 
-def _kernel_key(chain: ChainSim, schedule: ProfileSpec) -> tuple[str, bytes]:
-    """Everything a chain's motion under a schedule depends on, its floats
-    as bit patterns: -0.0 and 0.0 differ, and a NaN matches its own bits."""
-    floats = [*chain.xs, *chain.fs, *chain.ls, chain.f_breakaway, chain.v_ref, chain.exponent,
-              schedule.target_kv, schedule.ramp_s]
-    return schedule.kind, np.array(floats).tobytes()
+def _kernel_key(chain: ChainSim, schedule: ProfileSpec) -> tuple[tuple[str, bytes], bytes]:
+    """Everything a chain's motion under a schedule depends on, by bit pattern."""
+    floats = [*chain.xs, *chain.fs, *chain.ls, chain.f_breakaway, chain.v_ref, chain.exponent]
+    return schedule.identity, np.array(floats).tobytes()
 
 
 # (header name, value, sample) of a trace's first non-finite value.
@@ -372,7 +375,8 @@ def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> NonFinite:
 
 
 class SeedFree(NamedTuple):
-    """What a run's trace takes from its record alone, whatever the seed.
+    """What a run's trace takes from its record alone, whatever the seed;
+    its meta's hashes come from the scenario.
 
     keyed holds the trace's keyed column groups (KEYED_COLUMNS) and
     i_free the noise-free current of the monitored stack. head and tail
@@ -388,7 +392,6 @@ class SeedFree(NamedTuple):
     first_contact: dict[str, float]
     final_x_target: dict[str, float]
     max_residual: float
-    profile_hash: str
 
 
 class Plant:
@@ -401,7 +404,7 @@ class Plant:
     schedules[kernel_of[c]]. chains keeps every chain's own spec and
     contact table.
 
-    volts maps each distinct schedule to its applied voltage (kV) after
+    volts maps each schedule identity to its applied voltage (kV) after
     every internal step, index 0 being the start, under the amplifier's
     limits (kV per internal step, ceiling); v_mon is the monitored
     chain's. Row i, column k of x, target and residual holds kernel i's
@@ -427,9 +430,9 @@ class Plant:
         steps = (self.n_samples - 1) * sim.steps_per_sample
         t = np.arange(1, steps + 1) * sim.dt_internal
         self.limits = (scenario.amplifier.slew_max * sim.dt_internal, scenario.amplifier.v_ceiling)
-        self.volts = {p: np.concatenate(([0.0], _slew(p(t), 0.0, *self.limits)))
-                      for p in dict.fromkeys(self.schedules)}
-        self.v_mon = self.volts[self.schedules[self.kernel_of[self.mon]]]
+        self.volts = {key: np.concatenate(([0.0], _slew(p(t), 0.0, *self.limits)))
+                      for key, p in {p.identity: p for p in self.schedules}.items()}
+        self.v_mon = self.volts[scenario.chains[self.mon].profile.identity]
         self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
         self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
@@ -444,12 +447,12 @@ class Plant:
         against the net force at every step. Every step of the monitored
         chain's kernel is recorded.
         """
-        k0, sps = self.end, self.sim.steps_per_sample
+        k0, sps, r = self.end, self.sim.steps_per_sample, self.sim.dt_internal / self.sim.tau_mech
         if k_end <= k0:
             return
         steps, recorded = slice(k0 * sps + 1, k_end * sps + 1), slice(k0 + 1, k_end + 1)
         for i, (kernel, schedule) in enumerate(zip(self.kernels, self.schedules)):
-            run = kernel.run(self.volts[schedule][steps], self.sim.dt_internal / self.sim.tau_mech)
+            run = kernel.run(self.volts[schedule.identity][steps], r)
             for record, values in zip((self.x, self.target, self.residual), run):
                 record[i, recorded] = values[sps - 1::sps]
             if i == self.kernel_of[self.mon]:
@@ -469,10 +472,10 @@ class Plant:
         j = k * self.sim.steps_per_sample
         t_prev = max(k - 1, 0) * self.sim.dt_sample
         dv_max, ceiling = self.limits
-        held = {p: min(p(t_prev), ceiling) for p in self.volts}
-        for p, v in self.volts.items():
-            v[j + 1:] = _slew(np.full(len(v) - j - 1, held[p]), float(v[j]), dv_max, ceiling)
-        self.hold = (k, held[self.scenario.chains[self.mon].profile])
+        held = {p.identity: min(p(t_prev), ceiling) for p in self.schedules}
+        for key, v in self.volts.items():
+            v[j + 1:] = _slew(np.full(len(v) - j - 1, held[key]), float(v[j]), dv_max, ceiling)
+        self.hold = (k, held[self.scenario.chains[self.mon].profile.identity])
         self.end = k
         for i, kernel in enumerate(self.kernels):
             kernel.x, kernel.max_residual = float(self.x[i, k]), float(self.residual[i, k])
@@ -544,7 +547,6 @@ class Plant:
             final_x_target={ch.spec.tendon_id: float(self.target[i, -1])
                             for ch, i in zip(self.chains, self.kernel_of)},
             max_residual=max_residual,
-            profile_hash=profile_hash(scenario.profiles, scenario.duration, sim.dt_sample),
         )
         return self._seed_free
 
@@ -640,7 +642,7 @@ def run_scenario(
         "scenario": scenario.name,
         "seed": int(seed),
         "config_hash": scenario.config_fingerprint,
-        "profile_hash": rec.profile_hash,
+        "profile_hash": scenario.profile_fingerprint,
         "dt_sample": sim.dt_sample,
         "dt_internal": sim.dt_internal,
         "duration": scenario.duration,

@@ -369,6 +369,47 @@ class TestReplay:
         assert not list((tmp_path / "o").rglob("*"))
 
 
+def with_presets(**presets):
+    """A mutate that adds presets (name -> fingers, profiles document)."""
+    def mutate(doc):
+        for name, (fingers, profiles) in presets.items():
+            doc["presets"][name] = {"fingers": fingers, "profiles": profiles}
+    return mutate
+
+
+HOLD_3KV = {"kind": "hold", "target_kv": 3.0}
+
+
+class TestScheduleIdentity:
+    """A trace's profile hash fingerprints the monitored chain's schedule
+    (the numbers its kind reads), the duration and dt_sample, however the
+    preset spells its profiles: a detector replays traces of equal schedules."""
+
+    @pytest.mark.parametrize("first, second", [
+        ((["index"], {"*": {**HOLD_3KV, "ramp_s": 1.0}}),
+         (["index"], {"*": {**HOLD_3KV, "ramp_s": 2.0}})),
+        ((["thumb", "index"], {"*": {}}),
+         (["thumb", "index"], {"*": {}, "index_mcp": {}})),
+    ], ids=["hold_ramp_s_unread", "profiles_spelled_twice"])
+    def test_replay_across_equal_schedules_passes(self, tmp_path, first, second):
+        cfg_path = write_config(tmp_path, with_presets(a=first, b=second))
+        out = tmp_path / "o"
+        for preset in ("a", "b"):
+            assert run_cli("grasp", "--preset", preset, "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+        meta_a, meta_b = (json.loads((out / f"{p}_seed0.meta.json").read_text())
+                          for p in ("a", "b"))
+        assert meta_a["profile_hash"] == meta_b["profile_hash"]
+        detector = tmp_path / "detector.json"
+        detector.write_text(json.dumps({
+            "i_threshold": 1.0, **{key: meta_a[key] for key in (
+                "monitored_stack", "profile_hash", "config_hash")}}))
+        assert run_cli("replay", "--trace", str(out / "b_seed0.csv"),
+                       "--detector", str(detector), "--out", str(out)) == 0
+        verdict = json.loads((out / "b_seed0.verdict.json").read_text())
+        assert verdict["profile_hash"] == meta_a["profile_hash"]
+
+
 NAN_NET_AT_REST = "chain index_mcp: net force nan N at x = 0.0 mm is not finite"
 INF_CURRENT = "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)'"
 
@@ -449,6 +490,15 @@ class TestBadInputs:
                        "--out", str(out)) == 2
         assert ("presets.pinch_cube.profiles.*.kind: 'ramp' must be one of ('hold', 'ramp_hold')"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_detection_window_without_a_sample_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, set_key("detection.window", [0.8805, 0.8808]))
+        out = tmp_path / "o"
+        assert run_cli("detect-batch", "--free", "1", "--grasp", "1", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "config error: window [0.8805, 0.8808] s holds no sample\n"
         assert not out.exists()
 
     # Each value is JSON text: an integer beyond Python's int-to-string

@@ -27,6 +27,7 @@ from haselhand.config import (
     resolve_scenario,
 )
 from haselhand.errors import ConfigError
+from haselhand.plant import run_scenario
 from haselhand.transmission import TendonPath
 
 
@@ -385,3 +386,40 @@ class TestStepBudget:
         at_budget = MAX_INTERNAL_STEPS * DEFAULT_DOC["sim"]["dt_internal"]
         doc = _with_leaf(DEFAULT_DOC, "presets.pinch_cube.duration", at_budget)
         assert config_from_dict(doc).presets["pinch_cube"].duration == at_budget
+
+
+BASE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "base_config.json"
+
+# Every shipped preset's profile hash, as each trace's meta records it.
+SHIPPED_PROFILE_HASHES = {
+    "free_motion": "46aa5c3b697082ab", "pinch_mushroom": "46aa5c3b697082ab",
+    "pinch_cube": "46aa5c3b697082ab", "tripod_toy": "46aa5c3b697082ab",
+    "power_grasp_bottle": "46aa5c3b697082ab", "detect_free": "46aa5c3b697082ab",
+    "detect_cube": "46aa5c3b697082ab", "balloon_hold": "fe254373aded66d5",
+}
+
+
+class TestScheduleIdentity:
+    """A schedule is its kind and the numbers that kind reads, by bit pattern."""
+
+    @pytest.mark.parametrize("kind", ["ramp", "bogus"])
+    def test_kind_outside_its_choices_is_refused_in_code(self, kind):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"kind: {kind!r} must be one of ('hold', 'ramp_hold')")):
+            ProfileSpec(kind, 5.5, 1.0)
+
+    def test_identity_holds_what_the_kind_reads(self):
+        assert ProfileSpec("hold", 3.0, 1.0).identity == ProfileSpec("hold", 3.0, 2.0).identity
+        assert ProfileSpec("ramp_hold", 3.0, 1.0).identity != \
+            ProfileSpec("ramp_hold", 3.0, 2.0).identity
+        assert ProfileSpec("hold", 0.0).identity != ProfileSpec("hold", -0.0).identity
+        assert ProfileSpec("hold", 3.0).identity != ProfileSpec("ramp_hold", 3.0).identity
+
+    @pytest.mark.parametrize("config", [None, BASE_CONFIG], ids=["default", "base_config"])
+    def test_every_shipped_preset_keeps_its_profile_hash(self, config):
+        cfg = load_config(config) if config else default_config()
+        assert set(cfg.presets) == set(SHIPPED_PROFILE_HASHES)
+        for name, want in SHIPPED_PROFILE_HASHES.items():
+            # The monitored chain alone: its trace carries the full episode's hash.
+            trace = run_scenario(resolve_scenario(cfg, name).monitored(), cfg.sim, 0)
+            assert trace.meta["profile_hash"] == want, name

@@ -299,9 +299,11 @@ class TestContactAwareStep:
         (held,) = plants
         open_loop = Plant(scenario, cfg.sim).volts
         j, amp = 850 * cfg.sim.steps_per_sample, scenario.amplifier
+        specs = {p.identity: p for p in held.schedules}
         assert len(held.volts) == 3
-        for p, v in held.volts.items():
-            assert v[:j + 1].tobytes() == open_loop[p][:j + 1].tobytes()
+        for key, v in held.volts.items():
+            p = specs[key]
+            assert v[:j + 1].tobytes() == open_loop[key][:j + 1].tobytes()
             cmd = np.full(len(v) - j - 1, min(p(849 * cfg.sim.dt_sample), amp.v_ceiling))
             tail = slew(cmd, float(v[j]), amp.slew_max * cfg.sim.dt_internal, amp.v_ceiling)
             assert v[j + 1:].tobytes() == tail.tobytes()

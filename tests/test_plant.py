@@ -583,6 +583,37 @@ class TestSharedKernels:
         assert _episode_bytes(shared) == _episode_bytes(alone)
 
 
+class TestScheduleIdentity:
+    """Plant keys kernels and applied voltages by ProfileSpec.identity: a
+    hold's unread ramp_s does not split them, and -0.0 is not 0.0."""
+
+    def test_holds_differing_in_ramp_share_one_voltage_and_their_kernels(self, cfg):
+        preset = ScenarioPreset("holds", ("index", "middle"), profiles={
+            "*": ProfileSpec("hold", 3.0, 1.0), "middle_mcp": ProfileSpec("hold", 3.0, 2.0)})
+        plant = Plant(resolve_preset(cfg, preset), cfg.sim)
+        # index and middle have equal tables: one kernel per tendon role.
+        assert len(plant.volts) == 1
+        assert len(plant.kernels) == 2
+
+    def test_signed_zero_hold_keeps_the_monitored_chains_bits(self, cfg):
+        # thumb_mcp, the first schedule, commands 0.0; the monitored chain -0.0.
+        preset = ScenarioPreset("zeros", ("thumb", "index"), profiles={
+            "*": ProfileSpec("hold", 0.0), "index_mcp": ProfileSpec("hold", -0.0)})
+        scenario = resolve_preset(cfg, preset)
+
+        def hold_at_100(i_meas):
+            return 100 if len(i_meas) >= 100 else None
+
+        full, alone = (run_scenario(s, cfg.sim, 0, hold_at_100)
+                       for s in (scenario, scenario.monitored()))
+        assert alone.v_cmd.tobytes() == np.full(len(alone.t), -0.0).tobytes()
+        assert full.v_cmd.tobytes() == alone.v_cmd.tobytes()
+        (held,), (held_alone,) = (t.meta["events"]["hold"] for t in (full, alone))
+        assert math.copysign(1.0, held_alone["v_held"]) == -1.0
+        assert np.float64(held["v_held"]).tobytes() == np.float64(held_alone["v_held"]).tobytes()
+        assert json_text(full.meta["events"]) == json_text(alone.meta["events"])
+
+
 class TestMechanicsCache:
     """A caller keeps the open-loop mechanics of a scenario by passing one
     Plant to each of its runs (run_scenario's plant): a warm record."""

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_domains
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class StackConfig:
     force_exponent: float = field(default=2.0, metadata={"gt": 0.0})
 
     def __post_init__(self):
+        check_domains(self)
         if len(self.force_knots) < 2:
             raise ConfigError("force_knots needs at least two points")
         xs = [x for x, _ in self.force_knots]

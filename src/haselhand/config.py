@@ -15,10 +15,9 @@ A dataclass stored under a dict key takes its name from that key.
 Unknown keys are ignored.
 
 Field metadata also declares each field's domain next to its default:
-"gt", "ge", "lt", "le" bounds and "in" choices. decode checks it where
-the key path is known and prefixes a block's cross-field errors with the
-block's path. A dataclass built in code is not range-checked, except
-that ProfileSpec refuses a kind outside its declared choices.
+"gt", "ge", "lt", "le" bounds and "in" choices. Each dataclass checks
+them when it is built (errors.check_domains), from a document or in
+code; decode prefixes a block's errors with the block's key path.
 
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
@@ -32,7 +31,6 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -41,7 +39,7 @@ from typing import Any, Optional, Union
 import numpy as np
 
 from .actuator import StackConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_domains
 from .kinematics import FingerLayout, JointSpec, ObjectModel
 from .trace import json_text, read_json, write_atomic
 from .transmission import TendonPath, excursion_of
@@ -83,6 +81,7 @@ class AmplifierModel:
     slew_max: float = field(default=100.0, metadata={"gt": 0.0})     # kV/s
     monitor_noise_v: float = field(default=0.005, metadata={"ge": 0.0})  # kV std dev
     monitor_noise_i: float = field(default=0.05, metadata={"ge": 0.0})   # uA std dev
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,7 @@ class SimConfig:
     duration: float = field(default=2.0, metadata={"ge": 0.0})      # default episode length, s
 
     def __post_init__(self):
+        check_domains(self)
         if self.dt_internal > self.dt_sample:
             raise ConfigError("dt_internal must be <= dt_sample")
         ratio = self.dt_sample / self.dt_internal
@@ -136,6 +136,7 @@ class DetectionConfig:
     baseline_seed: int = field(default=10000019, metadata={"ge": 0})  # seeds auto-recorded baselines
 
     def __post_init__(self):
+        check_domains(self)
         lo, hi = self.window
         if not 0 <= lo < hi:
             raise ConfigError("window must satisfy 0 <= start < end")
@@ -150,9 +151,7 @@ class ProfileSpec:
     ramp_s: float = 1.0
 
     def __post_init__(self):
-        choices = type(self).__dataclass_fields__["kind"].metadata["in"]
-        if self.kind not in choices:
-            raise ConfigError(f"kind: {self.kind!r} must be one of {choices!r}")
+        check_domains(self)
         if self.kind != "hold" and self.ramp_s <= 0:
             raise ConfigError("ramp duration must be > 0")
 
@@ -188,6 +187,7 @@ class ScenarioPreset:
     amp_ceiling: Optional[float] = field(default=None, metadata=V_CEILING_DOMAIN)  # overrides
 
     def __post_init__(self):
+        check_domains(self)
         if not self.fingers:
             raise ConfigError("needs at least one finger")
         if "*" not in self.profiles:
@@ -385,21 +385,13 @@ def _path(where: str, key) -> str:
     return f"{where}.{key}" if where else str(key)
 
 
-# Domain keys of field metadata: the test a value must pass, and its text.
-_DOMAIN = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
-           "le": (operator.le, "<="), "in": (lambda value, choices: value in choices, "one of")}
-
-
 @functools.cache
-def _schema(cls) -> tuple[tuple[str, str, Any, bool, tuple], ...]:
-    """(field name, JSON key, resolved type, required, domain) per field of
-    a dataclass, computed once per class. domain holds a (test, text,
-    bound) triple for each domain key in the field's metadata."""
+def _schema(cls) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(field name, JSON key, resolved type, required) per field of dataclass cls."""
     types = typing.get_type_hints(cls)
     return tuple(
         (f.name, f.metadata.get("json", f.name), types[f.name],
-         f.metadata.get("required", f.default is MISSING and f.default_factory is MISSING),
-         tuple((*_DOMAIN[k], f.metadata[k]) for k in _DOMAIN if k in f.metadata))
+         f.metadata.get("required", f.default is MISSING and f.default_factory is MISSING))
         for f in fields(cls)
     )
 
@@ -415,7 +407,7 @@ def encode(value: Any, keyed: bool = False) -> Any:
     if isinstance(value, dict):
         return {k: encode(v, keyed=True) for k, v in value.items()}
     return {key: encode(getattr(value, name))
-            for name, key, _, _, _ in _schema(type(value)) if not (keyed and name == "name")}
+            for name, key, _, _ in _schema(type(value)) if not (keyed and name == "name")}
 
 
 def _object(doc: Any, where: str) -> dict:
@@ -429,23 +421,17 @@ def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
     """Build dataclass cls from a JSON object, the inverse of encode.
 
     Absent keys take the field default; a field without one, or marked
-    required in its metadata, must be present. A present value must lie
-    in its field's declared domain. where is the key path used in error
-    messages, and it prefixes the errors of cls's own cross-field checks;
-    name fills a name field from a dict key.
+    required in its metadata, must be present. where is the key path used
+    in error messages: it prefixes the errors of cls's own checks, joined
+    to a domain error's key by "."; name fills a name field from a dict key.
     """
     doc = _object(doc, where)
     kwargs = {}
-    for fname, key, tp, required, domain in _schema(cls):
+    for fname, key, tp, required in _schema(cls):
         if fname == "name" and name is not None:
             kwargs["name"] = name
         elif key in doc:
-            path = _path(where, key)
-            value = kwargs[fname] = _decode_value(tp, doc[key], path)
-            if value is not None:
-                for test, text, bound in domain:
-                    if not test(value, bound):
-                        raise ConfigError(f"{path}: {value!r} must be {text} {bound!r}")
+            kwargs[fname] = _decode_value(tp, doc[key], _path(where, key))
         elif required:
             raise ConfigError(f"{where or 'config'}: missing required key {key!r}")
     try:
@@ -453,7 +439,7 @@ def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
     except ConfigError as exc:
         if not where:
             raise
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}{'.' if exc.key else ': '}{exc}") from None
 
 
 def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any:

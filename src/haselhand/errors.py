@@ -1,4 +1,12 @@
-"""Exception types shared across the simulator and control stack."""
+"""Exception types shared across the package, and the one check of declared field domains."""
+
+import functools
+import operator
+from dataclasses import fields
+
+# Domain keys of field metadata: the test a value must pass, and its text.
+_DOMAIN = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"),
+           "le": (operator.le, "<="), "in": (lambda value, choices: value in choices, "one of")}
 
 
 class HaselHandError(Exception):
@@ -11,6 +19,10 @@ class DomainError(HaselHandError, ValueError):
 
 class ConfigError(HaselHandError, ValueError):
     """A configuration value or reference is invalid."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key  # the JSON key of a field outside its declared domain
 
 
 class TraceSchemaError(ConfigError):
@@ -47,3 +59,16 @@ class InsufficientDataError(HaselHandError, ValueError):
 
 class BaselineExhaustedError(HaselHandError, RuntimeError):
     """The controller ran past the end of its baseline while still ramping."""
+
+
+@functools.cache
+def _domains(cls) -> tuple:
+    return tuple((f.name, f.metadata.get("json", f.name), *_DOMAIN[k], f.metadata[k])
+                 for f in fields(cls) for k in _DOMAIN if k in f.metadata)
+
+
+def check_domains(obj) -> None:
+    """Refuse dataclass obj if a field lies outside its declared domain (None never does)."""
+    for name, key, test, text, bound in _domains(type(obj)):
+        if (value := getattr(obj, name)) is not None and not test(value, bound):
+            raise ConfigError(f"{key}: {value!r} must be {text} {bound!r}", key)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_domains
 
 RIGID_MIN_STIFFNESS = 1e4  # N/rad; below this an object is not "rigid"
 
@@ -33,6 +33,7 @@ class JointSpec:
     r_eff: float = field(metadata={"gt": 0.0})        # effective rolling radius, mm
     theta_max: float = field(metadata={"gt": 0.0, "le": math.pi / 2 + 1e-12})  # flexion limit, rad
     phalanx_len: float = field(metadata={"gt": 0.0})  # contact moment arm, mm
+    __post_init__ = check_domains
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,7 @@ class ObjectModel:
     f_crush: Optional[float] = field(default=None, metadata={"gt": 0.0})   # N
 
     def __post_init__(self):
+        check_domains(self)
         if self.kind == "rigid" and self.k_obj < RIGID_MIN_STIFFNESS:
             raise ConfigError(f"rigid objects need k_obj >= {RIGID_MIN_STIFFNESS}")
         if self.kind == "fragile" and self.f_crush is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_domains
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class TendonPath:
     slack: float = field(default=0.0, metadata={"ge": 0.0})   # consumed before motion, mm
     k_ext: float = field(default=0.0, metadata={"ge": 0.0})   # extensor rate, N/mm of excursion
     f_ext0: float = field(default=0.0, metadata={"ge": 0.0})  # extensor pretension, N
+    __post_init__ = check_domains
 
 
 def excursion_of(path: TendonPath, x):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import haselhand
 from haselhand import config_hash, default_config, load_config, save_config
+from haselhand.actuator import StackConfig
 from haselhand.config import (
     MAX_INTERNAL_STEPS,
     DetectionConfig,
@@ -75,36 +76,48 @@ def _floats(low, high=None, **kw):
     return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False, **kw)
 
 
+def _inside(cls, name, high=None, exclude_max=False):
+    """Values of field name of cls inside its declared domain: "gt" excludes
+    its bound, "ge" includes it. high, if given, is a rule between fields
+    that caps the value; exclude_max leaves it out."""
+    meta = next(f.metadata for f in fields(cls) if f.name == name)
+    if high is None:
+        high, exclude_max = meta.get("lt", meta.get("le")), "lt" in meta
+    low = meta.get("gt", meta.get("ge"))
+    if typing.get_type_hints(cls)[name] is int:
+        return st.integers(low + ("gt" in meta), high)
+    return _floats(low, high, exclude_min="gt" in meta, exclude_max=exclude_max)
+
+
 @st.composite
 def valid_config(draw):
     """The default config with one stack, one tendon path and the detection
-    block replaced by values inside their validated ranges."""
+    block replaced by values inside their validated ranges: each field's
+    declared domain, capped by the rules between fields."""
     cfg = default_config()
     tid = draw(st.sampled_from(sorted(cfg.stacks)))
     v_max = draw(_floats(1e-3, 6.0))
     stack = replace(
         cfg.stacks[tid], v_max=v_max,
-        v_ref=draw(_floats(1e-3, v_max)),
+        v_ref=draw(_inside(StackConfig, "v_ref", v_max)),
         x_free=draw(_floats(cfg.stacks[tid].force_knots[-1][0], exclude_min=True)),
-        c0=draw(_floats(0.0, exclude_min=True)), c_slope=draw(_floats(0.0)),
-        force_exponent=draw(_floats(0.0, exclude_min=True)))
+        **{name: draw(_inside(StackConfig, name)) for name in ("c0", "c_slope", "force_exponent")})
     stacks = {**cfg.stacks, tid: stack}
     pid = draw(st.sampled_from(sorted(cfg.tendons)))
-    ratio = draw(_floats(0.0, exclude_min=True))
+    ratio = draw(_inside(TendonPath, "pulley_ratio"))
     # The slack must leave some of the stroke pulley_ratio * x_free.
     stroke = min(ratio * stacks[pid].x_free, sys.float_info.max)
     path = TendonPath(
-        pulley_ratio=ratio, eta_fwd=draw(_floats(0.0, 1.0, exclude_min=True)),
-        f_breakaway=draw(_floats(0.0)), slack=draw(_floats(0.0, stroke, exclude_max=True)),
-        k_ext=draw(_floats(0.0)), f_ext0=draw(_floats(0.0)))
+        pulley_ratio=ratio, slack=draw(_inside(TendonPath, "slack", stroke, exclude_max=True)),
+        **{name: draw(_inside(TendonPath, name))
+           for name in ("eta_fwd", "f_breakaway", "k_ext", "f_ext0")})
     lo = draw(_floats(0.0, 1e6))
     detection = DetectionConfig(
         monitored_stack=draw(st.sampled_from(sorted(cfg.stacks))),
-        i_threshold=draw(st.none() | _floats(0.0, exclude_min=True)),
+        i_threshold=draw(st.none() | _inside(DetectionConfig, "i_threshold")),
         window=(lo, draw(_floats(lo, exclude_min=True))),
-        smoothing=draw(st.integers(1, 10 ** 9)), debounce=draw(st.integers(1, 10 ** 9)),
-        deviation_mult=draw(_floats(0.0, exclude_min=True)), deviation_floor=draw(_floats(0.0)),
-        baseline_seed=draw(st.integers(0, 2 ** 63)))
+        **{name: draw(_inside(DetectionConfig, name)) for name in (
+            "smoothing", "debounce", "deviation_mult", "deviation_floor", "baseline_seed")})
     return replace(cfg, stacks=stacks, tendons={**cfg.tendons, pid: path},
                    detection=detection)
 
@@ -283,6 +296,19 @@ def _declared_domains(cls, doc, where=""):
 DECLARED = list(_declared_domains(HandConfig, DEFAULT_DOC))
 
 
+def _field_name(obj, key):
+    """The field of dataclass obj whose JSON key is key."""
+    return next(f.name for f in fields(obj) if f.metadata.get("json", f.name) == key)
+
+
+def _block(cfg, keys):
+    """The value at key path keys of cfg, through dict keys, tuple indices and fields."""
+    for key in keys:
+        cfg = (cfg[key] if isinstance(cfg, dict) else cfg[int(key)] if isinstance(cfg, tuple)
+               else getattr(cfg, _field_name(cfg, key)))
+    return cfg
+
+
 def _past(tp, bound, direction):
     """The next value of type tp beyond bound in direction (+1 or -1)."""
     return bound + direction if tp is int else math.nextafter(bound, direction * math.inf)
@@ -359,6 +385,22 @@ class TestNumericBoundary:
         doc = _with_leaf(DEFAULT_DOC, "stacks.index_mcp.c0", 1)
         assert config_from_dict(doc).stacks["index_mcp"].c0 == 1.0
         assert isinstance(config_from_dict(doc).stacks["index_mcp"].c0, float)
+
+
+class TestBoundsInCode:
+    """A dataclass built past the decoder is held to the same declared bounds."""
+
+    @pytest.mark.parametrize("where, value, accepted", BOUNDARY_CASES,
+                             ids=[f"{w}={v!r}" for w, v, _ in BOUNDARY_CASES])
+    def test_declared_bound(self, cfg, where, value, accepted):
+        *parents, key = _keys(where)
+        block = _block(cfg, parents)
+        name = _field_name(block, key)
+        if accepted:
+            assert getattr(replace(block, **{name: value}), name) == value
+        else:
+            with pytest.raises(ConfigError, match="^" + re.escape(f"{key}: {value!r} must be")):
+                replace(block, **{name: value})
 
 
 class TestStepBudget:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of declared field domains."""
 
 import functools
+import math
 import operator
 from dataclasses import fields
 
@@ -61,14 +62,25 @@ class BaselineExhaustedError(HaselHandError, RuntimeError):
     """The controller ran past the end of its baseline while still ramping."""
 
 
+def _finite(value, _bound=None) -> bool:
+    """False if value, or a float in its tuples or dict values, is not finite."""
+    if isinstance(value, (tuple, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 @functools.cache
 def _domains(cls) -> tuple:
-    return tuple((f.name, f.metadata.get("json", f.name), *_DOMAIN[k], f.metadata[k])
-                 for f in fields(cls) for k in _DOMAIN if k in f.metadata)
+    """(name, JSON key, test, bound, text) for each declared domain, then finiteness per field."""
+    keyed = [(f.name, f.metadata.get("json", f.name), f.metadata) for f in fields(cls)]
+    return (tuple((name, key, _DOMAIN[k][0], m[k], f"{_DOMAIN[k][1]} {m[k]!r}")
+                  for name, key, m in keyed for k in _DOMAIN if k in m)
+            + tuple((name, key, _finite, None, "finite") for name, key, _ in keyed))
 
 
 def check_domains(obj) -> None:
-    """Refuse dataclass obj if a field lies outside its declared domain (None never does)."""
-    for name, key, test, text, bound in _domains(type(obj)):
+    """Refuse dataclass obj if a field lies outside its declared domain (None never does)
+    or holds a float that is not finite."""
+    for name, key, test, bound, text in _domains(type(obj)):
         if (value := getattr(obj, name)) is not None and not test(value, bound):
-            raise ConfigError(f"{key}: {value!r} must be {text} {bound!r}", key)
+            raise ConfigError(f"{key}: {value!r} must be {text}", key)

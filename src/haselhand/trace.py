@@ -8,11 +8,11 @@ forces, per-stack contraction and capacitance.
 On disk a trace is a CSV whose header names every column with its unit
 in parentheses, next to a .meta.json companion carrying seed, config
 hash, scenario name and run diagnostics. Floats are written with repr
-so a re-run with the same seed is byte-identical. The encoder works on
-arrays, a block of rows at a time, and calls repr once per distinct
-64-bit pattern in the block; the bytes are those of one repr per cell.
-That pays because coupled joint angles, zero contact forces and rest
-and hold runs repeat most values.
+so a re-run with the same seed is byte-identical. The encoder encodes
+each distinct column once, a block of rows at a time, with one repr per
+run of equal 64-bit patterns; the bytes are those of one repr per cell.
+Coupled joints, chains that share a kernel and equal contact forces give
+equal columns, and rest and hold phases give long runs.
 
 The decoder parses every cell in one np.loadtxt pass, bit for bit the
 float() of each cell; a row-by-row float() scan runs only when that pass
@@ -42,10 +42,10 @@ FIXED_COLUMNS = {"t": "t(s)", "v_cmd": "v_cmd(kV)",
                  "v_meas": "v_meas(kV)", "i_meas": "i_meas(uA)"}
 KEYED_COLUMNS = {"theta": ("theta", "rad"), "f_contact": ("fc", "N"),
                  "x": ("x", "mm"), "c": ("c", "nF")}
-# Rows csv_text encodes and joins at a time. A block's distinct strings
-# are all alive at once, so longer blocks raise peak memory; shorter ones
-# pay numpy's per-call overhead more often.
-CSV_BLOCK_ROWS = 64
+# Rows csv_text encodes at a time (timed best on shipped traces). A block's
+# strings are all alive at once, so longer blocks raise peak memory; each
+# block restarts every run and pays numpy's per-call overhead again.
+CSV_BLOCK_ROWS = 256
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -95,11 +95,11 @@ def csv_text(columns: list[tuple[str, Any]]) -> str:
     """CSV document of (header name, values) columns of equal length.
 
     Each value is written as repr of the float, so equal inputs give
-    equal bytes. The rows are encoded in blocks of CSV_BLOCK_ROWS: the
-    block's values are deduplicated by their 64-bit pattern (so -0.0
-    and 0.0 stay apart), repr runs once per distinct value, and the
-    block is joined into one string. A column whose length differs from
-    the first column's is a ValueError naming it.
+    equal bytes. Columns with equal bytes are encoded once, in blocks of
+    CSV_BLOCK_ROWS rows: a block calls repr where a column's 64-bit pattern
+    differs from the row before (so -0.0 and 0.0 stay apart) or the block
+    starts, repeats each string over its run and gathers the rows by column.
+    A column whose length differs from the first's is a ValueError naming it.
     """
     arrays = [np.asarray(values, dtype=np.float64) for _, values in columns]
     n_rows = len(arrays[0])
@@ -107,13 +107,20 @@ def csv_text(columns: list[tuple[str, Any]]) -> str:
         if len(a) != n_rows:
             raise ValueError(f"column {name!r} has {len(a)} values, "
                              f"column {columns[0][0]!r} has {n_rows}")
+    first: dict[bytes, int] = {}
+    index = [first.setdefault(a.tobytes(), len(first)) for a in arrays]
+    values = np.array([arrays[index.index(k)] for k in range(len(first))])
+    bits = values.view(np.int64)
+    starts = np.ones(values.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
+    starts[:, ::CSV_BLOCK_ROWS] = True
     parts = [",".join(name for name, _ in columns), "\n"]
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        block = np.stack([a[start:start + CSV_BLOCK_ROWS] for a in arrays], axis=1)
-        distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        parts.append("\n".join(map(",".join, text[inverse.reshape(block.shape)].tolist())))
-        parts.append("\n")
+        block = values[:, start:start + CSV_BLOCK_ROWS]
+        at = np.flatnonzero(starts[:, start:start + CSV_BLOCK_ROWS])
+        text = np.array(list(map(repr, block.ravel()[at].tolist())), dtype=object)
+        cells = np.repeat(text, np.diff(at, append=block.size)).reshape(block.shape)
+        parts += ["\n".join(map(",".join, cells[index].T.tolist())), "\n"]
     return "".join(parts)
 
 

@@ -271,29 +271,36 @@ def corrupted_leaf(draw):
 DOMAIN_KEYS = ("gt", "ge", "lt", "le", "in")
 
 
-def _declared_domains(cls, doc, where=""):
-    """(key path, field type, domain) of every field that declares a domain,
-    at the first instance of each dataclass that doc holds."""
+def _reached_fields(cls, doc, where=""):
+    """(key path, field type, field) of every field at the first instance
+    of each dataclass that doc holds."""
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         key = f.metadata.get("json", f.name)
         path, tp = f"{where}.{key}".lstrip("."), hints[f.name]
         if typing.get_origin(tp) is typing.Union:  # Optional[X]
             tp = typing.get_args(tp)[0]
-        domain = {k: f.metadata[k] for k in DOMAIN_KEYS if k in f.metadata}
-        if domain:
-            yield path, tp, domain
+        yield path, tp, f
         value, args = doc.get(key), typing.get_args(tp)
         if is_dataclass(tp):
-            yield from _declared_domains(tp, value, path)
+            yield from _reached_fields(tp, value, path)
         elif typing.get_origin(tp) is dict and is_dataclass(args[1]):
             first = next(iter(value))
-            yield from _declared_domains(args[1], value[first], f"{path}.{first}")
+            yield from _reached_fields(args[1], value[first], f"{path}.{first}")
         elif args and args[-1] is Ellipsis and is_dataclass(args[0]):
-            yield from _declared_domains(args[0], value[0], f"{path}[0]")
+            yield from _reached_fields(args[0], value[0], f"{path}[0]")
 
 
-DECLARED = list(_declared_domains(HandConfig, DEFAULT_DOC))
+def _holds_float(tp) -> bool:
+    return tp is float or any(map(_holds_float, typing.get_args(tp)))
+
+
+REACHED = list(_reached_fields(HandConfig, DEFAULT_DOC))
+# (key path, field type, domain) of every field that declares a domain.
+DECLARED = [(path, tp, domain) for path, tp, f in REACHED
+            if (domain := {k: f.metadata[k] for k in DOMAIN_KEYS if k in f.metadata})]
+# Key paths of the fields that hold floats, alone or in tuples and dicts.
+FLOAT_FIELDS = [path for path, tp, _ in REACHED if _holds_float(tp)]
 
 
 def _field_name(obj, key):
@@ -312,6 +319,16 @@ def _block(cfg, keys):
 def _past(tp, bound, direction):
     """The next value of type tp beyond bound in direction (+1 or -1)."""
     return bound + direction if tp is int else math.nextafter(bound, direction * math.inf)
+
+
+def _with_first_float(value, bad):
+    """value with bad in place of its first float (or of None)."""
+    if isinstance(value, tuple):
+        return (_with_first_float(value[0], bad), *value[1:])
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return {**value, first: _with_first_float(value[first], bad)}
+    return bad
 
 
 def _boundary_cases():
@@ -401,6 +418,17 @@ class TestBoundsInCode:
         else:
             with pytest.raises(ConfigError, match="^" + re.escape(f"{key}: {value!r} must be")):
                 replace(block, **{name: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", FLOAT_FIELDS)
+    def test_non_finite_number_is_refused(self, cfg, where, bad):
+        # The decoder refuses these first; in code the block itself must.
+        *parents, key = _keys(where)
+        block = _block(cfg, parents)
+        name = _field_name(block, key)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{key}: ")) as exc:
+            replace(block, **{name: _with_first_float(getattr(block, name), bad)})
+        assert exc.value.key == key
 
 
 class TestStepBudget:

@@ -36,30 +36,37 @@ floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_inf
 ints = st.one_of(st.integers(-2**53 - 3, 2**53 + 3), st.integers(-2**70, 2**70))
 
 
-def runs(rng: np.random.Generator, pool: list, n: int) -> list:
-    """n values drawn from pool in runs of geometric length."""
+def runs(rng: np.random.Generator, pool: list, n: int, p: float) -> list:
+    """n values drawn from pool in runs of geometric length (mean 1 / p)."""
     out: list = []
     while len(out) < n:
-        out += [pool[rng.integers(len(pool))]] * int(rng.geometric(0.2))
+        out += [pool[rng.integers(len(pool))]] * int(rng.geometric(p))
     return out[:n]
 
 
 @st.composite
 def column_sets(draw):
-    n = draw(st.one_of(st.sampled_from(EDGE_ROWS), st.integers(0, 600)))
+    """1-12 columns, several of them duplicates, as in the shipped wide
+    traces: a duplicate is the same object or an array copy of it. The
+    columns draw their runs from one pool of floats and one of ints.
+    A free row count keeps to 3600 cells (600 rows of up to 6 columns)."""
+    width = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.sampled_from(EDGE_ROWS), st.integers(0, 3600 // max(width, 6))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = {"ints": draw(st.lists(ints, min_size=1, max_size=8)),
+             "floats": draw(st.lists(floats, min_size=1, max_size=16))}
     columns = []
-    for j in range(draw(st.integers(1, 6))):
+    for j in range(width):
         kind = draw(st.sampled_from(["array", "strided", "floats", "ints", "duplicate"]))
         if kind == "duplicate" and columns:
-            columns.append((f"dup{j}", columns[draw(st.integers(0, len(columns) - 1))][1]))
+            values = columns[draw(st.integers(0, len(columns) - 1))][1]
+            columns.append((f"dup{j}", np.array(values, dtype=float) if draw(st.booleans())
+                            else values))
             continue
-        if kind == "ints":
-            columns.append((f"i{j}", runs(rng, draw(st.lists(ints, min_size=1, max_size=8)), n)))
-            continue
-        values = runs(rng, draw(st.lists(floats, min_size=1, max_size=8)), n)
-        if kind == "floats":
-            columns.append((f"f{j}", values))
+        p = draw(st.sampled_from([0.2, 0.005]))  # short runs, or holds across blocks
+        values = runs(rng, pools["ints" if kind == "ints" else "floats"], n, p)
+        if kind in ("ints", "floats"):
+            columns.append((f"{kind[0]}{j}", values))
         elif kind == "strided":
             columns.append((f"s{j}", np.array([values, values]).T[:, 1]))
         else:
@@ -72,6 +79,23 @@ class TestCsvText:
     @given(column_sets())
     def test_bytes_match_one_repr_per_cell(self, columns):
         assert csv_text(columns) == csv_text_oracle(columns)
+
+    def test_repr_once_per_run_per_distinct_column_per_block(self):
+        # A ramp (a run per row) and a held column that switches from -0.0
+        # to 0.0 in its second block and to 1.0 for one row in its third,
+        # each also given as a duplicate.
+        n = 3 * CSV_BLOCK_ROWS + 7
+        ramp = np.arange(n) / 8.0
+        held = np.zeros(n)
+        held[:CSV_BLOCK_ROWS + 10] = -0.0
+        held[2 * CSV_BLOCK_ROWS + 5] = 1.0
+        columns = [("ramp", ramp), ("held", held), ("held_again", held.tolist()),
+                   ("ramp_again", ramp.copy())]
+        with mock.patch.object(haselhand.trace, "repr", create=True, wraps=repr) as counted:
+            text = csv_text(columns)
+        assert text == csv_text_oracle(columns)
+        # The ramp's rows; the held column's 4 block starts, its switch and its pulse.
+        assert counted.call_count == n + 4 + 1 + 2
 
     def test_signed_zeros_in_one_block_stay_apart(self):
         text = csv_text([("a", [0.0, -0.0]), ("b", np.array([-0.0, 0.0]))])

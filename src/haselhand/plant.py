@@ -37,7 +37,7 @@ which the test suite checks bit for bit against a scalar oracle:
 
 The chain geometry (x -> theta map, stroke cap, contact onsets) comes
 from config.ChainSpec and the contact law from kinematics.contact_force:
-ChainSim's load table and Plant.seed_free's theta/f_contact columns call
+ChainSim's load table and Plant.noise_free's theta/f_contact columns call
 them on whole arrays.
 
 run_scenario works in three stages over a scenario.
@@ -56,25 +56,25 @@ run_scenario works in three stages over a scenario.
   stall target and running maximum stall residual, and, at every
   internal step, the monitored chain's contraction. What a kernel holds
   at a sample is also where a hold resumes it from.
-- The assembly, Plant.seed_free, builds once per recorded run whatever
-  the trace takes from the record alone: the theta, f_contact, x and c
-  columns, the commanded voltage, the drawn current of the monitored
-  stack (chosen in config.resolve_preset) without noise, the first
-  contact events, the final stall targets, and the stall-residual and
-  finiteness checks of those. The current comes from Plant.current, the
-  finite differences of capacitance and applied voltage over the
-  internal steps either side of each sample instant: central inside the
-  run, one-sided at its ends. It steps the record to its end first, so
-  a record has one assembly. Its arrays are read-only, so the traces
-  that share them cannot change one another. A failed check is never
-  kept, so it fails every run on the record.
+- The assembly, Plant.noise_free, builds once per record the trace of
+  the run without monitor noise: every column, with v_meas the monitored
+  chain's applied voltage at the samples and i_meas the drawn current of
+  the monitored stack (chosen in config.resolve_preset) without noise,
+  and every meta entry but the seed. The current comes from
+  Plant.current, the finite differences of capacitance and applied
+  voltage over the internal steps either side of each sample instant:
+  central inside the run, one-sided at its ends. It steps the record to
+  its end first, so a record has one assembly, and checks the stall
+  residual and the finiteness of the columns the noise leaves alone.
+  Its columns are read-only, so the traces that share them cannot change
+  one another. A failed check is never kept, so it fails every run on
+  the record.
 - The per-seed pass in run_scenario draws the Gaussian monitor noise
   from a seeded generator in one block whose values are those of one
   draw per monitor per sample, in sample order, so runs are
-  reproducible byte for byte. It adds the noise to the monitored
-  chain's applied voltage and to the noise-free current, giving v_meas
-  and i_meas, and checks only those two for finiteness: a huge monitor
-  noise can overflow them.
+  reproducible byte for byte. It adds the noise to v_meas and i_meas,
+  checks only those two for finiteness (a huge monitor noise can
+  overflow them), and returns them with the seed, in dicts of its own.
 
 Open loop, the mechanics do not depend on the seed, so run_scenario
 takes the caller's Plant of a scenario as its open-loop record, steps
@@ -104,7 +104,8 @@ assembles its trace.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from dataclasses import replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -374,26 +375,6 @@ def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> NonFinite:
     return columns[c][0], columns[c][1][k], k
 
 
-class SeedFree(NamedTuple):
-    """What a run's trace takes from its record alone, whatever the seed;
-    its meta's hashes come from the scenario.
-
-    keyed holds the trace's keyed column groups (KEYED_COLUMNS) and
-    i_free the noise-free current of the monitored stack. head and tail
-    are the first non-finite value of the seed-free columns before and
-    after the per-seed v_meas and i_meas in trace order, or None.
-    """
-    t: np.ndarray
-    v_cmd: np.ndarray
-    i_free: np.ndarray
-    keyed: dict[str, dict[str, np.ndarray]]
-    head: NonFinite
-    tail: NonFinite
-    first_contact: dict[str, float]
-    final_x_target: dict[str, float]
-    max_residual: float
-
-
 class Plant:
     """A scenario's chain tables and their motion, recorded at the samples.
 
@@ -436,7 +417,8 @@ class Plant:
         self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
         self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
-        self._seed_free: Optional[SeedFree] = None
+        self._noise_free: Optional[SignalTrace] = None
+        self._head_tail: tuple[NonFinite, NonFinite] = (None, None)
 
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it.
@@ -496,16 +478,17 @@ class Plant:
         dc = (capacitance_of(stack, x[hi]) - capacitance_of(stack, x[lo])) / span
         return displacement_current(capacitance_of(stack, x[idx]), dv, v[idx], dc)
 
-    def seed_free(self) -> SeedFree:
-        """The seed-free part of the trace of the whole run. The first call
+    def noise_free(self) -> SignalTrace:
+        """The run's trace without monitor noise or seed: v_meas is the
+        monitored chain's applied voltage at the samples. The first call
         steps the record to its end and builds it; later calls return it.
 
-        Its arrays are read-only, so the traces that share them cannot
+        Its columns are read-only, so the traces that share them cannot
         change one another. Raises ModelConsistencyError, on every call,
         when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
         """
-        if self._seed_free is not None:
-            return self._seed_free
+        if self._noise_free is not None:
+            return self._noise_free
         scenario, sim, n = self.scenario, self.sim, self.n_samples
         self.extend(n - 1)
         max_residual = float(self.residual[:, -1].max())
@@ -536,19 +519,29 @@ class Plant:
                     engaged = np.maximum(xs, xt) >= x_on - 1e-12
                     if engaged.any():
                         first_contact[key] = float(t[int(np.argmax(engaged))])
-        i_free = self.current(0, n)
-        for a in (t, v_cmd, i_free, *(a for cols in keyed.values() for a in cols.values())):
+        v_meas, i_meas = self.v_mon[::sim.steps_per_sample].copy(), self.current(0, n)
+        for a in (t, v_cmd, v_meas, i_meas, *(a for cols in keyed.values() for a in cols.values())):
             a.flags.writeable = False
-        self._seed_free = SeedFree(
-            t=t, v_cmd=v_cmd, i_free=i_free, keyed=keyed,
-            head=_nonfinite([(FIXED_COLUMNS["t"], t), (FIXED_COLUMNS["v_cmd"], v_cmd)]),
-            tail=_nonfinite(keyed_columns(keyed)),
-            first_contact=first_contact,
-            final_x_target={ch.spec.tendon_id: float(self.target[i, -1])
-                            for ch, i in zip(self.chains, self.kernel_of)},
-            max_residual=max_residual,
-        )
-        return self._seed_free
+        self._head_tail = (_nonfinite([(FIXED_COLUMNS["t"], t), (FIXED_COLUMNS["v_cmd"], v_cmd)]),
+                           _nonfinite(keyed_columns(keyed)))
+        hold = [] if self.hold is None else [{"t": float(t[self.hold[0]]), "v_held": self.hold[1]}]
+        self._noise_free = SignalTrace(t=t, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas, **keyed, meta={
+            "scenario": scenario.name,
+            "config_hash": scenario.config_fingerprint,
+            "profile_hash": scenario.profile_fingerprint,
+            "dt_sample": sim.dt_sample,
+            "dt_internal": sim.dt_internal,
+            "duration": scenario.duration,
+            "monitored_stack": scenario.monitored_stack,
+            "object": scenario.obj.name if scenario.obj else None,
+            "noise": {"v": scenario.amplifier.monitor_noise_v, "i": scenario.amplifier.monitor_noise_i},
+            "max_equilibrium_residual_n": max_residual,
+            "final_x_target": {ch.spec.tendon_id: float(self.target[i, -1])
+                               for ch, i in zip(self.chains, self.kernel_of)},
+            "events": {"first_contact": first_contact, "hold": hold},
+            "controller_modes": {"final": "holding" if hold else "ramping"},
+        })
+        return self._noise_free
 
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
@@ -597,12 +590,17 @@ def run_scenario(
     plant, when given, is the caller's open-loop record of these very
     scenario and sim objects, shared with its other runs; one with a
     commander (a closed-loop run holds a record of its own) or of other
-    objects is a ValueError. Every column but v_meas and i_meas comes
-    from the record's Plant.seed_free, so the traces of one record share
-    those arrays, read-only. Raises ModelConsistencyError when the run's stall
-    residual exceeds STALL_RESIDUAL_TOL_N, and DomainError when a net
-    force or a returned column is not finite, and ConfigError, before
-    any work, for a negative seed, which the generator cannot take.
+    objects is a ValueError. The trace is the record's Plant.noise_free
+    with noise in v_meas and i_meas and the seed in its meta, so the
+    traces of one record share their other columns, read-only. Raises
+    ModelConsistencyError when the run's stall residual exceeds
+    STALL_RESIDUAL_TOL_N, DomainError when a net force or a returned
+    column is not finite, and ConfigError, before any work, for a
+    negative seed, which the generator cannot take.
+
+    The meta's config_hash and profile_hash are those of the config that
+    resolved the scenario: run under another SimConfig, the trace records
+    that sim's dt_sample, which its profile hash does not cover.
     """
     if seed < 0:
         raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
@@ -614,46 +612,33 @@ def run_scenario(
     if plant.scenario is not scenario or plant.sim is not sim:
         raise ValueError(f"scenario {scenario.name}: the plant was built from "
                          f"another scenario or sim object")
-    sigma_v = scenario.amplifier.monitor_noise_v
-    sigma_i = scenario.amplifier.monitor_noise_i
+    amp = scenario.amplifier
     # Generator.normal(loc, scale) is loc + scale * standard_normal, so
     # this block equals one normal() per monitor per sample, v first.
     z = np.random.default_rng(seed).standard_normal((plant.n_samples, 2))
-    noise_v, noise_i = 0.0 + sigma_v * z[:, 0], 0.0 + sigma_i * z[:, 1]
+    noise_v, noise_i = 0.0 + amp.monitor_noise_v * z[:, 0], 0.0 + amp.monitor_noise_i * z[:, 1]
 
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
     if k_hold is not None:
         plant.hold_at(k_hold)
-    rec = plant.seed_free()
+    free = plant.noise_free()
 
     # Only the noise depends on the seed, and a huge sigma can overflow it.
-    v_meas = plant.v_mon[::sim.steps_per_sample] + noise_v
-    i_meas = rec.i_free + noise_i
-    bad = rec.head or _nonfinite([(FIXED_COLUMNS["v_meas"], v_meas),
-                                  (FIXED_COLUMNS["i_meas"], i_meas)]) or rec.tail
+    v_meas, i_meas = free.v_meas + noise_v, free.i_meas + noise_i
+    head, tail = plant._head_tail
+    bad = head or _nonfinite([(FIXED_COLUMNS["v_meas"], v_meas),
+                              (FIXED_COLUMNS["i_meas"], i_meas)]) or tail
     if bad:
         name, value, k = bad
         raise DomainError(f"scenario {scenario.name}: non-finite value {value} "
                           f"in column {name!r} at sample {k}")
 
-    hold_events = [] if plant.hold is None else [
-        {"t": float(rec.t[plant.hold[0]]), "v_held": plant.hold[1]}]
-    meta = {
-        "scenario": scenario.name,
-        "seed": int(seed),
-        "config_hash": scenario.config_fingerprint,
-        "profile_hash": scenario.profile_fingerprint,
-        "dt_sample": sim.dt_sample,
-        "dt_internal": sim.dt_internal,
-        "duration": scenario.duration,
-        "monitored_stack": scenario.monitored_stack,
-        "object": scenario.obj.name if scenario.obj else None,
-        "noise": {"v": sigma_v, "i": sigma_i},
-        "max_equilibrium_residual_n": rec.max_residual,
-        "final_x_target": dict(rec.final_x_target),
-        "events": {"first_contact": dict(rec.first_contact), "hold": hold_events},
-        "controller_modes": {"final": "holding" if hold_events else "ramping"},
-    }
     # Each trace has dicts of its own; the arrays in them are shared, read-only.
-    return SignalTrace(t=rec.t, v_cmd=rec.v_cmd, v_meas=v_meas, i_meas=i_meas, meta=meta,
-                       **{group: dict(cols) for group, cols in rec.keyed.items()})
+    meta, events = free.meta, free.meta["events"]
+    return replace(free, v_meas=v_meas, i_meas=i_meas,
+                   **{group: dict(getattr(free, group)) for group in KEYED_COLUMNS},
+                   meta={**meta, "seed": int(seed), "noise": dict(meta["noise"]),
+                         "final_x_target": dict(meta["final_x_target"]),
+                         "events": {"first_contact": dict(events["first_contact"]),
+                                    "hold": [dict(e) for e in events["hold"]]},
+                         "controller_modes": dict(meta["controller_modes"])})

@@ -191,6 +191,26 @@ class TestRunScenario:
             run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, seed=0)
 
 
+    @pytest.mark.parametrize("preset", [name for name, p in default_config().presets.items()
+                                        if p.controller != "contact_aware"])
+    def test_run_is_its_records_noise_free_trace_with_the_seed(self, cfg_nf, preset):
+        # Without monitor noise a run adds nothing but its seed: every other
+        # column is the record's, byte for byte, and v_meas and i_meas are
+        # the record's plus a zero noise (which turns -0.0 into 0.0).
+        scenario = resolve_scenario(cfg_nf, preset)
+        plant = Plant(scenario, cfg_nf.sim)
+        trace = run_scenario(scenario, cfg_nf.sim, 7, plant=plant)
+        free = plant.noise_free()
+        per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
+        for (name, a), (free_name, b) in zip(trace.columns(), free.columns(), strict=True):
+            assert name == free_name
+            if name in per_seed:
+                assert np.array_equal(a, b), name
+            else:
+                assert a.tobytes() == b.tobytes(), name
+        assert "seed" not in free.meta and trace.meta == {**free.meta, "seed": 7}
+
+
 class TestTraceInvariants:
     def test_deadband_no_motion_below_onset(self, cfg, free_trace_nf):
         # Below the lowest breakaway-equivalent voltage of the engaged
@@ -683,10 +703,11 @@ class TestMechanicsCache:
         assert built == [2, 2]
 
     def test_traces_of_one_plant_share_read_only_columns(self, cfg):
-        scenario = resolve_scenario(cfg, "detect_cube")
+        scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario, cfg.sim)
         first, second = (run_scenario(scenario, cfg.sim, seed, plant=plant) for seed in (1, 2))
-        text = second.to_csv_text()
+        free = plant.noise_free()
+        texts = [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)]
         shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
                   if a is b]
         per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
@@ -695,10 +716,18 @@ class TestMechanicsCache:
         for name, values in shared:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
-        # The column dicts are each trace's own.
+        # The column dicts are each trace's own, and so are the meta's
+        # nested dicts and lists.
         first.x["index_mcp"] = np.zeros(len(first))
         del first.theta["index_mcp"]
-        assert second.to_csv_text() == text
+        meta = first.meta
+        assert meta["events"]["first_contact"] and meta["events"]["hold"] == []
+        meta["events"]["first_contact"].clear()
+        meta["events"]["hold"].append({"t": 0.0, "v_held": 0.0})
+        meta["final_x_target"]["index_mcp"] = -1.0
+        meta["noise"]["v"] = -1.0
+        meta["controller_modes"]["final"] = "holding"
+        assert [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)] == texts
 
     @pytest.mark.parametrize("failure", ["residual", "finiteness"])
     def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure):

@@ -1,0 +1,168 @@
+"""The output matrix: every shipped CLI output, with a sha256 manifest.
+
+Usage:
+    python tools/outputs.py [--src DIR] [--out DIR]
+    python tools/outputs.py --against REV [--out DIR]
+
+The matrix runs haselhand's CLI verbs in one process, once with the
+built-in config and once with perfbench/base_config.json (read only):
+
+- characterize;
+- detect-batch 25/25 at seeds 0, 3 and 4242;
+- grasp of every preset, as shipped, with --no-controller and with
+  --no-object, at seeds 0, 3 and 4242;
+- replay of each grasp trace against its seed's detector.
+
+Besides each verb's own files, every call leaves its exit code, stdout
+and stderr as files. The calls run in the output directory on relative
+paths, so no file names it. The script then prints one line per file,
+"<sha256>  <path>", sorted by path.
+
+--src builds with the package in DIR (default: this checkout's src).
+--against REV builds the matrix twice, each in an interpreter of its
+own: with this checkout's package and with the package of
+`git archive REV`, extracted into a temporary directory. Both read this
+checkout's base config. It prints the paths whose bytes differ or that
+only one build wrote, and exits 1 if there are any. --out keeps the
+files (with --against, under tree/ and rev/); otherwise they go to a
+temporary directory that is removed.
+
+The script uses the standard library and the package only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BASE_CONFIG = ROOT / "perfbench" / "base_config.json"
+SEEDS = (0, 3, 4242)
+VARIANTS = {"shipped": [], "no-controller": ["--no-controller"], "no-object": ["--no-object"]}
+
+
+def import_package(src: Path):
+    """haselhand imported from src, and from nowhere else."""
+    sys.path.insert(0, str(src))
+    import haselhand.cli
+    if Path(haselhand.cli.__file__).resolve().parents[1] != src.resolve():
+        raise SystemExit(f"outputs: haselhand was imported from {haselhand.cli.__file__}, "
+                         f"not from {src}")
+    return haselhand
+
+
+def call(cli, argv: list[str], name: str) -> None:
+    """Run one CLI call; keep its exit code, stdout and stderr under calls/."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses its arguments this way
+            code = exc.code
+    for suffix, text in ((".exit", f"{code}\n"), (".stdout", out.getvalue()),
+                         (".stderr", err.getvalue())):
+        path = Path("calls", name + suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def build(src: Path, out: Path) -> None:
+    """Write the matrix with the package in src into out."""
+    haselhand = import_package(src)
+    presets = list(haselhand.default_config().presets)
+    os.environ.pop("HASELHAND_OUT", None)  # it would override every --out
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    for label, config in (("default", []), ("base", ["--config", str(BASE_CONFIG)])):
+        call(haselhand.cli, ["characterize", "--out", f"{label}/characterize", *config],
+             f"{label}/characterize")
+        for seed in SEEDS:
+            call(haselhand.cli, ["detect-batch", "--seed", str(seed), "--out",
+                                 f"{label}/detect-batch/seed{seed}", *config],
+                 f"{label}/detect-batch/seed{seed}")
+        for variant, flags in VARIANTS.items():
+            for preset in presets:
+                for seed in SEEDS:
+                    grasp, stem = f"{label}/grasp/{variant}", f"{preset}_seed{seed}"
+                    call(haselhand.cli, ["grasp", "--preset", preset, "--seed", str(seed),
+                                         "--out", grasp, *flags, *config], f"{grasp}/{stem}")
+                    call(haselhand.cli, ["replay", "--trace", f"{grasp}/{stem}.csv", "--detector",
+                                         f"{label}/detect-batch/seed{seed}/detector.json",
+                                         "--out", f"{label}/replay/{variant}"],
+                         f"{label}/replay/{variant}/{stem}")
+
+
+def manifest(out: Path) -> str:
+    """"<sha256>  <path>" of every file under out, sorted by path."""
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    return "".join(f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  {f}\n" for f in files)
+
+
+def build_in_child(src: Path, out: Path) -> subprocess.Popen:
+    """This script, in an interpreter of its own, building with src into out."""
+    return subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
+                             "--src", str(src), "--out", str(out)],
+                            stdout=subprocess.PIPE, text=True)
+
+
+def against(rev: str, out: Path, scratch: Path) -> int:
+    """Compare the matrix of this checkout's package with REV's."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # The "data" filter refuses absolute and escaping members where it exists.
+        tar.extractall(scratch / "rev", **({"filter": "data"} if hasattr(tarfile, "data_filter")
+                                           else {}))
+    children = [build_in_child(ROOT / "src", out / "tree"),
+                build_in_child(scratch / "rev" / "src", out / "rev")]
+    texts = [child.communicate()[0] for child in children]
+    if any(child.returncode for child in children):
+        print("outputs: a build failed", file=sys.stderr)
+        return 2
+    # Each manifest line is "<sha256>  <path>": map path to digest.
+    tree, other = (dict(line.split("  ", 1)[::-1] for line in text.splitlines()) for text in texts)
+    paths = tree.keys() | other.keys()
+    differ = sorted(p for p in paths if tree.get(p) != other.get(p))
+    for path in differ:
+        where = ("only in tree" if path not in other else
+                 "only in rev" if path not in tree else "differs")
+        print(f"{where}: {path}")
+    print(f"{len(paths)} files, {len(differ)} differ from {rev}")
+    return 1 if differ else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the package's source directory (default: this checkout's src)")
+    parser.add_argument("--out", type=Path, help="keep the outputs in this directory")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the package of a git revision")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="haselhand-outputs-") as scratch:
+        out = (args.out or Path(scratch) / "out").resolve()
+        if out.exists() and any(out.iterdir()):
+            parser.error(f"--out {out} is not empty")
+        if args.against:
+            status = against(args.against, out, Path(scratch))
+        else:
+            build(args.src.resolve(), out)
+            sys.stdout.write(manifest(out))
+            status = 0
+        os.chdir(ROOT)  # leave the directory before it is removed
+    print(f"outputs: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

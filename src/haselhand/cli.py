@@ -109,7 +109,7 @@ def cmd_characterize(args) -> int:
         )
         scenario = resolve_preset(cfg, preset)
         # The sweeps read v_cmd and theta, which no seed moves.
-        trace = run_scenario(scenario, cfg.sim, seed=0)
+        trace = run_scenario(scenario, seed=0)
 
         # The trace holds this finger's joints only, keyed "<finger>_<joint>".
         columns = [("v_cmd(kV)", trace.v_cmd)]
@@ -178,12 +178,12 @@ def cmd_detect_batch(args) -> int:
     plants = {}
     for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube")):
         full = resolve_scenario(cfg, preset).monitored()
-        horizon = detection_horizon(full.duration, cfg.sim.dt_sample, cfg.detection)
+        horizon = detection_horizon(full, cfg.detection)
         # Every episode of a class has the same mechanics: one record steps them once.
-        plants[cls] = Plant(replace(full, duration=horizon), cfg.sim)
+        plants[cls] = Plant(replace(full, duration=horizon))
 
     def episode(cls, seed):
-        return run_scenario(plants[cls].scenario, cfg.sim, seed, plant=plants[cls])
+        return run_scenario(plants[cls].scenario, seed, plant=plants[cls])
 
     cal_free = [episode("free", args.seed + CAL_SEED_OFFSET + k) for k in range(N_CALIBRATION)]
     cal_grasp = [episode("grasp", args.seed + CAL_SEED_OFFSET + 500 + k)

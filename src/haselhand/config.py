@@ -591,25 +591,35 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved, runnable scenario."""
+    """A fully resolved, runnable scenario, stepped and sampled under its sim."""
 
     name: str
     chains: tuple[ChainSpec, ...]
     obj: Optional[ObjectModel]
     amplifier: AmplifierModel
+    sim: SimConfig
     duration: float
+    episode: float          # the full episode's duration, which the profile hash covers
     controller: str
     monitored_stack: str    # detection stack if the chains drive it, else the first chain
-    config_fingerprint: str
-    profile_fingerprint: str  # profile_hash of the monitored chain's schedule
+    config_fingerprint: str  # config_hash of the config that resolved the scenario
+
+    def __post_init__(self):
+        self.sim.check_duration(self.duration, f"preset {self.name}: duration")
+
+    @functools.cached_property
+    def profile_fingerprint(self) -> str:
+        """profile_hash of the monitored chain's schedule, episode and dt_sample."""
+        schedule = next(c.profile for c in self.chains if c.tendon_id == self.monitored_stack)
+        return profile_hash(schedule, self.episode, self.sim.dt_sample)
 
     def monitored(self) -> Scenario:
         """This scenario with its monitored chain alone. Each chain moves on
         its own, so that chain's columns and the monitored current are the
         full scenario's. The name and both fingerprints stay: the profile
-        fingerprint covers the monitored chain's schedule only, and a
-        replace() of the duration keeps it too, so a shortened run carries
-        the full episode's."""
+        fingerprint covers the monitored chain's schedule and the full
+        episode only, so a replace() of the duration keeps it too, and a
+        shortened run carries the full episode's."""
         return replace(self, chains=tuple(c for c in self.chains
                                           if c.tendon_id == self.monitored_stack))
 
@@ -670,7 +680,6 @@ def resolve_preset(
                                     cfg.tendons[tid], profile))
 
     duration = preset.duration if preset.duration is not None else cfg.sim.duration
-    cfg.sim.check_duration(duration, f"preset {preset_name}: duration")
     ctrl = controller if controller is not None else preset.controller
 
     # The monitor reads the detection stack; a preset that does not drive
@@ -683,16 +692,16 @@ def resolve_preset(
                 f"detection.monitored_stack {monitored!r}, which its fingers do not drive"
             )
         monitored = chains[0].tendon_id
-    schedule = next(c.profile for c in chains if c.tendon_id == monitored)
 
     return Scenario(
         name=preset_name,
         chains=tuple(chains),
         obj=obj,
         amplifier=amplifier,
+        sim=cfg.sim,
         duration=duration,
+        episode=duration,
         controller=ctrl,
         monitored_stack=monitored,
         config_fingerprint=config_hash(cfg),
-        profile_fingerprint=profile_hash(schedule, duration, cfg.sim.dt_sample),
     )

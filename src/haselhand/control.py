@@ -27,7 +27,6 @@ from .config import (
     DetectionConfig,
     HandConfig,
     Scenario,
-    SimConfig,
     profile_hash,  # noqa: F401 -- unused, kept: perfbench's config.hash span wraps it
     resolve_scenario,
 )
@@ -64,13 +63,14 @@ def _in_window(t: np.ndarray, cfg: DetectionConfig) -> np.ndarray:
     return (t >= lo - _T_EPS) & (t <= hi + _T_EPS)
 
 
-def detection_horizon(duration: float, dt_sample: float, cfg: DetectionConfig) -> float:
+def detection_horizon(scenario: Scenario, cfg: DetectionConfig) -> float:
     """Length (s) of the shortest episode whose verdict a detector reads as
-    it reads one of duration's: every sample through the window's last,
-    plus the next, whose internal step that last sample's central-difference
+    it reads the scenario's: every sample through the window's last, plus
+    the next, whose internal step that last sample's central-difference
     current takes. The smoothing is causal, so no later sample counts. It
-    is duration itself when the window holds none of the episode's samples
+    is the scenario's duration when the window holds none of its samples
     or ends at its last sample or after it."""
+    duration, dt_sample = scenario.duration, scenario.sim.dt_sample
     last = round(duration / dt_sample)
     inside = np.flatnonzero(_in_window(np.arange(last + 1) * dt_sample, cfg))
     if len(inside) == 0 or inside[-1] + 1 >= last:
@@ -144,7 +144,7 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrace:
+def record_baseline(scenario: Scenario, seed: int) -> SignalTrace:
     """Record the free-motion trace of a scenario's monitored chain.
 
     The monitored chain runs its schedule open loop without the object,
@@ -152,10 +152,10 @@ def record_baseline(scenario: Scenario, sim: SimConfig, seed: int) -> SignalTrac
     on its own. So the trace holds the monitored stack's keyed columns
     only. The baseline is an ordinary trace: its meta carries the
     scenario's profile hash, which fingerprints the monitored chain's
-    schedule, the duration and dt_sample, as the guarded run's does. It
-    is saved with SignalTrace.save and read back with load_trace.
+    schedule, the full episode and dt_sample, as the guarded run's does.
+    It is saved with SignalTrace.save and read back with load_trace.
     """
-    return run_scenario(replace(scenario.monitored(), obj=None, controller="none"), sim, seed)
+    return run_scenario(replace(scenario.monitored(), obj=None, controller="none"), seed)
 
 
 class ContactAwareController:
@@ -236,9 +236,9 @@ def run_grasp_episode(
 
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
-        ctrl = ContactAwareController(record_baseline(scenario, cfg.sim, det.baseline_seed), det)
+        ctrl = ContactAwareController(record_baseline(scenario, det.baseline_seed), det)
 
-    trace = run_scenario(scenario, cfg.sim, seed, ctrl.command if ctrl is not None else None)
+    trace = run_scenario(scenario, seed, ctrl.command if ctrl is not None else None)
 
     touched, holds = trace.meta["events"]["first_contact"], trace.meta["events"]["hold"]
     events: list[dict[str, Any]] = [{"type": "contact", "joint": key, "t": t_c}

@@ -85,9 +85,9 @@ alone (Scenario.monitored), cut one sample past that window
 (control.detection_horizon), and passes it to every episode of that
 class, so each episode pays only for its noise; a call without one
 builds its own. A trace's hashes come from its scenario, not its record:
-the profile hash fingerprints the monitored chain's schedule, the
-duration and dt_sample (Scenario.profile_fingerprint), and the one-chain
-and shortened scenarios keep the full episode's.
+the profile hash fingerprints the monitored chain's schedule, the full
+episode and the sim's dt_sample (Scenario.profile_fingerprint), so the
+one-chain and shortened scenarios keep the full episode's.
 
 Closed loop, a run steps a record of its own (a shared Plant serves
 open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
@@ -114,7 +114,6 @@ from .config import (
     ChainSpec,
     ProfileSpec,
     Scenario,
-    SimConfig,
     profile_hash,  # noqa: F401 -- unused, kept: perfbench's config.hash span wraps it
 )
 from .errors import ConfigError, DomainError, ModelConsistencyError
@@ -376,7 +375,7 @@ def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> NonFinite:
 
 
 class Plant:
-    """A scenario's chain tables and their motion, recorded at the samples.
+    """A scenario's chain tables and their motion under its sim, recorded at the samples.
 
     Chains with equal breakpoint tables, breakaway force, v_ref, force
     exponent and schedule (compared by bit pattern) move alike, so each
@@ -395,9 +394,9 @@ class Plant:
     0..end are recorded; extend steps further.
     """
 
-    def __init__(self, scenario: Scenario, sim: SimConfig):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.sim = sim
+        self.sim = sim = scenario.sim
         self.chains = [ChainSim(spec, scenario.obj) for spec in scenario.chains]
         keys = [_kernel_key(ch, spec.profile) for ch, spec in zip(self.chains, scenario.chains)]
         ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
@@ -568,12 +567,11 @@ def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
 @np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
     scenario: Scenario,
-    sim: SimConfig,
     seed: int,
     commander: Optional[Callable[[np.ndarray], Optional[int]]] = None,
     plant: Optional[Plant] = None,
 ) -> SignalTrace:
-    """Simulate a scenario and return its 1 kHz monitor trace.
+    """Simulate a scenario under its sim and return its monitor trace.
 
     Deterministic for a fixed seed: the monitor noise comes from one
     seeded generator, so identical runs produce identical traces
@@ -587,31 +585,27 @@ def run_scenario(
     instant and the monitored channel's held voltage are recorded as the
     trace's hold event.
 
-    plant, when given, is the caller's open-loop record of these very
-    scenario and sim objects, shared with its other runs; one with a
-    commander (a closed-loop run holds a record of its own) or of other
-    objects is a ValueError. The trace is the record's Plant.noise_free
+    plant, when given, is the caller's open-loop record of this very
+    scenario object, shared with its other runs; one with a commander (a
+    closed-loop run holds a record of its own) or of another object is a
+    ValueError. The trace is the record's Plant.noise_free
     with noise in v_meas and i_meas and the seed in its meta, so the
     traces of one record share their other columns, read-only. Raises
     ModelConsistencyError when the run's stall residual exceeds
     STALL_RESIDUAL_TOL_N, DomainError when a net force or a returned
     column is not finite, and ConfigError, before any work, for a
     negative seed, which the generator cannot take.
-
-    The meta's config_hash and profile_hash are those of the config that
-    resolved the scenario: run under another SimConfig, the trace records
-    that sim's dt_sample, which its profile hash does not cover.
     """
     if seed < 0:
         raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
     if plant is not None and commander is not None:
         raise ValueError(f"scenario {scenario.name}: a closed-loop run holds a record "
                          f"of its own, so it takes no shared plant")
-    plant = Plant(scenario, sim) if plant is None else plant
+    plant = Plant(scenario) if plant is None else plant
     # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
-    if plant.scenario is not scenario or plant.sim is not sim:
+    if plant.scenario is not scenario:
         raise ValueError(f"scenario {scenario.name}: the plant was built from "
-                         f"another scenario or sim object")
+                         f"another scenario object")
     amp = scenario.amplifier
     # Generator.normal(loc, scale) is loc + scale * standard_normal, so
     # this block equals one normal() per monitor per sample, v first.

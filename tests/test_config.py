@@ -24,6 +24,7 @@ from haselhand.config import (
     config_from_dict,
     config_to_dict,
     decode,
+    profile_hash,
     resolve_preset,
     resolve_scenario,
 )
@@ -452,6 +453,19 @@ class TestStepBudget:
         with pytest.raises(ConfigError, match="preset adhoc: duration 2.0 s asks for more"):
             resolve_preset(cfg, preset)
 
+    @pytest.mark.parametrize("sim, message", [
+        ({"dt_sample": 3e-3, "duration": 0.3},
+         "preset detect_free: duration 2.0 s is not a multiple of dt_sample 0.003 s"),
+        ({"dt_internal": 1e-6, "duration": 0.5},
+         "preset detect_free: duration 2.0 s asks for more than 1000000 internal steps "
+         "of 1e-06 s per chain"),
+    ], ids=["off_the_sample_grid", "over_budget"])
+    def test_scenario_checks_its_duration_against_a_replaced_sim(self, cfg, sim, message):
+        # A run reads its sim from the scenario, so every scenario built is checked.
+        scenario = resolve_scenario(cfg, "detect_free").monitored()
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(scenario, sim=replace(cfg.sim, **sim))
+
     def test_budget_itself_accepted(self):
         at_budget = MAX_INTERNAL_STEPS * DEFAULT_DOC["sim"]["dt_internal"]
         doc = _with_leaf(DEFAULT_DOC, "presets.pinch_cube.duration", at_budget)
@@ -491,5 +505,19 @@ class TestScheduleIdentity:
         assert set(cfg.presets) == set(SHIPPED_PROFILE_HASHES)
         for name, want in SHIPPED_PROFILE_HASHES.items():
             # The monitored chain alone: its trace carries the full episode's hash.
-            trace = run_scenario(resolve_scenario(cfg, name).monitored(), cfg.sim, 0)
+            trace = run_scenario(resolve_scenario(cfg, name).monitored(), 0)
             assert trace.meta["profile_hash"] == want, name
+
+    def test_profile_hash_covers_the_scenarios_own_dt_sample(self, cfg):
+        schedule = ProfileSpec("ramp_hold", 5.5, 1.0)
+        preset = ScenarioPreset("probe", ("index",), profiles={"*": schedule}, duration=0.1)
+        khz = resolve_preset(cfg, preset)
+        want = run_scenario(khz, 0).meta["profile_hash"]
+        assert want == profile_hash(schedule, 0.1, 1e-3)
+        slow = run_scenario(replace(khz, sim=replace(cfg.sim, dt_sample=2e-3)), 0)
+        assert slow.meta["dt_sample"] == 2e-3
+        assert slow.meta["profile_hash"] == profile_hash(schedule, 0.1, 2e-3) != want
+        # The one-chain and the shortened scenario keep the full episode's hash.
+        assert len(khz.monitored().chains) < len(khz.chains)
+        for kept in (khz.monitored(), replace(khz, duration=0.05)):
+            assert run_scenario(kept, 0).meta["profile_hash"] == want

@@ -62,7 +62,7 @@ class TestSmoothing:
         # Detection, calibration and the controller all read this array,
         # so it must be the plain oldest-first window mean, not a cumsum
         # difference that drifts in the last bits.
-        i = run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=3).i_meas
+        i = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=3).i_meas
         expected = [window_mean(i[max(0, k + 1 - n):k + 1].tolist()) for k in range(len(i))]
         assert smooth_causal(i, n).tobytes() == np.array(expected).tobytes()
 
@@ -125,13 +125,13 @@ class TestCalibrateThreshold:
 
 class TestDetectGrasp:
     def test_cube_episode_detected(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=0)
+        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=0)
         grasped, t_dec = detect_grasp(trace, calibrated_detection)
         assert grasped
         assert calibrated_detection.window[0] <= t_dec <= calibrated_detection.window[1]
 
     def test_free_motion_not_detected(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_free"), cfg.sim, seed=0)
+        trace = run_scenario(resolve_scenario(cfg, "detect_free"), seed=0)
         grasped, t_dec = detect_grasp(trace, calibrated_detection)
         assert not grasped
         assert t_dec is None
@@ -153,7 +153,7 @@ class TestDetectGrasp:
             detect_grasp(synthetic_trace([0.0] * 1001), det_cfg())
 
     def test_streaming_matches_offline(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), cfg.sim, seed=3)
+        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=3)
         offline = detect_grasp(trace, calibrated_detection)
         det = StreamingDetector(calibrated_detection)
         for k in range(len(trace)):
@@ -218,7 +218,7 @@ def run_with_commander(cfg, decide):
         calls.append(len(i_meas))
         return decide(i_meas)
 
-    trace = run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, 0, commander)
+    trace = run_scenario(resolve_scenario(cfg, "pinch_cube"), 0, commander)
     return trace, calls
 
 
@@ -275,8 +275,8 @@ class TestContactAwareStep:
         # The hold at 0.85 s must rewrite each schedule, not only the
         # monitored one. Open loop, thumb_mcp goes on to 1.17 mm.
         scenario = resolve_preset(cfg, MIXED_SCHEDULES)
-        open_loop = run_scenario(scenario, cfg.sim, 0)
-        held = run_scenario(scenario, cfg.sim, 0, hold_at(850))
+        open_loop = run_scenario(scenario, 0)
+        held = run_scenario(scenario, 0, hold_at(850))
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
         for tid, x in held.x.items():
             assert x[-1] <= open_loop.x[tid][-1]
@@ -295,9 +295,9 @@ class TestContactAwareStep:
 
         monkeypatch.setattr(plant_module, "Plant", Recorded)
         scenario = resolve_preset(cfg, MIXED_SCHEDULES)
-        run_scenario(scenario, cfg.sim, 0, hold_at(850))
+        run_scenario(scenario, 0, hold_at(850))
         (held,) = plants
-        open_loop = Plant(scenario, cfg.sim).volts
+        open_loop = Plant(scenario).volts
         j, amp = 850 * cfg.sim.steps_per_sample, scenario.amplifier
         specs = {p.identity: p for p in held.schedules}
         assert len(held.volts) == 3
@@ -331,7 +331,7 @@ def oracle_hold_sample(i_meas, baseline_i, n, threshold):
 class TestContactAwareSearch:
     def test_balloon_holds_where_per_sample_oracle_does(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
         ctrl = ContactAwareController(baseline, cfg.detection)
         base_i = baseline.i_meas.tolist()
         for seed in range(25):
@@ -344,9 +344,9 @@ class TestContactAwareSearch:
 
     def test_hold_does_not_depend_on_later_samples(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
         ctrl = ContactAwareController(baseline, cfg.detection)
-        i_meas = run_scenario(scenario, cfg.sim, seed=0).i_meas[:-1]
+        i_meas = run_scenario(scenario, seed=0).i_meas[:-1]
         k = ctrl.command(i_meas)
         assert k is not None and 0 < k < len(i_meas)
         assert ctrl.command(i_meas[:k]) == k
@@ -416,19 +416,19 @@ class TestGraspEpisodes:
 
     def test_truncated_baseline_exhausts(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
         cut = len(baseline.t) // 4
         truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
         ctrl = ContactAwareController(truncated, det)
         # Without the check, the ramp would run on past the baseline uncontrolled.
-        i_meas = run_scenario(scenario, cfg.sim, seed=0).i_meas
+        i_meas = run_scenario(scenario, seed=0).i_meas
         assert ctrl.command(i_meas[:cut]) is None
         with pytest.raises(BaselineExhaustedError):
             ctrl.command(i_meas[:cut + 1])
 
     def test_baseline_round_trip(self, cfg, tmp_path):
-        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"), cfg.sim,
+        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"),
                                    cfg.detection.baseline_seed)
         path = baseline.save(tmp_path / "baseline.csv")
         loaded = load_trace(path)

@@ -63,7 +63,7 @@ class TestStep:
         preset = ScenarioPreset("rest", ("thumb", "index"),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.05)
-        trace = run_scenario(resolve_preset(cfg_nf, preset), cfg_nf.sim, seed=0)
+        trace = run_scenario(resolve_preset(cfg_nf, preset), seed=0)
         assert all((x == 0.0).all() for x in trace.x.values())
         assert (trace.i_meas == 0.0).all()
         for tid, c in trace.c.items():
@@ -76,7 +76,7 @@ class TestStep:
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=3.0)
         sim = replace(cfg_nf.sim, duration=3.0)
-        trace = run_scenario(resolve_preset(cfg_nf, preset), sim, seed=0)
+        trace = run_scenario(replace(resolve_preset(cfg_nf, preset), sim=sim), seed=0)
         tail = slice(2700, 3001)
         for tid in trace.x:
             assert np.ptp(trace.x[tid][tail]) < 1e-6
@@ -92,10 +92,10 @@ class TestStep:
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=2.0)
         scenario = resolve_preset(cfg_nf, preset)
-        coarse = run_scenario(scenario, cfg_nf.sim, seed=0)
+        coarse = run_scenario(scenario, seed=0)
         fine_sim = SimConfig(dt_internal=1e-5, dt_sample=1e-3,
                              tau_mech=cfg_nf.sim.tau_mech, duration=2.0)
-        fine = run_scenario(scenario, fine_sim, seed=0)
+        fine = run_scenario(replace(scenario, sim=fine_sim), seed=0)
         for key in coarse.theta:
             a, b = coarse.theta[key][-1], fine.theta[key][-1]
             assert a == pytest.approx(b, rel=1e-3)
@@ -126,14 +126,14 @@ class TestStep:
 class TestRunScenario:
     def test_deterministic_traces(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
-        a = run_scenario(scenario, cfg.sim, seed=11).to_csv_text()
-        b = run_scenario(scenario, cfg.sim, seed=11).to_csv_text()
+        a = run_scenario(scenario, seed=11).to_csv_text()
+        b = run_scenario(scenario, seed=11).to_csv_text()
         assert a == b
 
     def test_different_seeds_differ(self, cfg):
         scenario = resolve_scenario(cfg, "free_motion")
-        a = run_scenario(scenario, cfg.sim, seed=0)
-        b = run_scenario(scenario, cfg.sim, seed=1)
+        a = run_scenario(scenario, seed=0)
+        b = run_scenario(scenario, seed=1)
         assert not np.array_equal(a.i_meas, b.i_meas)
 
     def test_mcp_saturates_near_thirty_degrees(self, free_trace_nf):
@@ -144,7 +144,7 @@ class TestRunScenario:
         preset = ScenarioPreset("zero", ("index",),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.0)
-        trace = run_scenario(resolve_preset(cfg, preset), cfg.sim, seed=0)
+        trace = run_scenario(resolve_preset(cfg, preset), seed=0)
         assert len(trace) == 1
         assert trace.t[0] == 0.0
 
@@ -156,7 +156,7 @@ class TestRunScenario:
         scenario = resolve_preset(cfg, preset)
         for k in (None, 0):
             seen = []
-            trace = run_scenario(scenario, cfg.sim, 0, lambda i, k=k: seen.append(len(i)) or k)
+            trace = run_scenario(scenario, 0, lambda i, k=k: seen.append(len(i)) or k)
             assert seen == [0]
             held = [{"t": 0.0, "v_held": 2.0}] if k == 0 else []
             assert trace.meta["events"]["hold"] == held
@@ -176,7 +176,7 @@ class TestRunScenario:
         scenario = resolve_scenario(cfg, "pinch_cube")
         with mock.patch.object(plant_module, "Plant") as built:
             with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
-                run_scenario(scenario, cfg.sim, seed=-1)
+                run_scenario(scenario, seed=-1)
         built.assert_not_called()
 
     # A library caller gets the refusal alone, as a CLI user does: numpy's
@@ -188,7 +188,7 @@ class TestRunScenario:
         cfg = config_from_dict(doc)
         with pytest.raises(DomainError, match=re.escape(
                 "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0")):
-            run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, seed=0)
+            run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=0)
 
 
     @pytest.mark.parametrize("preset", [name for name, p in default_config().presets.items()
@@ -198,8 +198,8 @@ class TestRunScenario:
         # column is the record's, byte for byte, and v_meas and i_meas are
         # the record's plus a zero noise (which turns -0.0 into 0.0).
         scenario = resolve_scenario(cfg_nf, preset)
-        plant = Plant(scenario, cfg_nf.sim)
-        trace = run_scenario(scenario, cfg_nf.sim, 7, plant=plant)
+        plant = Plant(scenario)
+        trace = run_scenario(scenario, 7, plant=plant)
         free = plant.noise_free()
         per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
         for (name, a), (free_name, b) in zip(trace.columns(), free.columns(), strict=True):
@@ -227,7 +227,7 @@ class TestTraceInvariants:
 
     def test_voltage_ceiling_respected(self, cfg):
         scenario = resolve_scenario(cfg, "free_motion")
-        trace = run_scenario(scenario, cfg.sim, seed=5)
+        trace = run_scenario(scenario, seed=5)
         limit = scenario.amplifier.v_ceiling + 6 * scenario.amplifier.monitor_noise_v
         assert (trace.v_meas <= limit).all()
 
@@ -243,7 +243,7 @@ class TestTraceInvariants:
         # With dt_internal == dt_sample the monitor's differences are the
         # sampled ones: central inside the run, one-sided at its ends.
         sim = replace(cfg_nf.sim, dt_internal=cfg_nf.sim.dt_sample)
-        trace = run_scenario(resolve_scenario(cfg_nf, "pinch_cube"), sim, seed=0)
+        trace = run_scenario(replace(resolve_scenario(cfg_nf, "pinch_cube"), sim=sim), seed=0)
         stack = trace.meta["monitored_stack"]
         v, c, i, dt = trace.v_meas, trace.c[stack], trace.i_meas, sim.dt_sample
         assert np.array_equal(i[1:-1], reconstruct_current(trace, stack)[1:-1])
@@ -254,9 +254,9 @@ class TestTraceInvariants:
         # The current may only collapse below half the matched free
         # trace after the object has entered the force balance.
         for seed in range(3):
-            grasp = run_scenario(resolve_scenario(cfg, "pinch_cube"), cfg.sim, seed=seed)
+            grasp = run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=seed)
             free = run_scenario(
-                resolve_scenario(cfg, "pinch_cube", drop_object=True), cfg.sim, seed=seed)
+                resolve_scenario(cfg, "pinch_cube", drop_object=True), seed=seed)
             t_flag = min(grasp.meta["events"]["first_contact"].values())
             dropped = np.nonzero(grasp.i_meas < 0.5 * free.i_meas)[0]
             if len(dropped):
@@ -292,7 +292,7 @@ class TestStallSolverAgainstBisection:
         # walk multiplies by the table's columns one by one; numpy
         # scalars there would slow every step.
         scenario = resolve_scenario(cfg, "pinch_cube")
-        for chain in Plant(scenario, cfg.sim).chains:
+        for chain in Plant(scenario).chains:
             values = chain.xs + chain.fs + chain.ls + [chain.x_cap]
             values += [v for row in chain.contact.values() for v in row]
             assert {type(v) for v in values} == {float}
@@ -586,7 +586,7 @@ class TestSharedKernels:
     def test_twin_chains_match_chains_run_alone(self, cfg, preset, controller, seed):
         config = replace(cfg, presets={**cfg.presets, preset.name: preset})
         scenario = resolve_scenario(config, preset.name)
-        assert len(Plant(scenario, cfg.sim).kernels) < len(scenario.chains)
+        assert len(Plant(scenario).kernels) < len(scenario.chains)
         shared = run_grasp_episode(config, preset.name, seed, controller=controller)
         with mock.patch.object(plant_module, "_kernel_key", run_alone):
             alone = run_grasp_episode(config, preset.name, seed, controller=controller)
@@ -595,7 +595,7 @@ class TestSharedKernels:
     @pytest.mark.parametrize("preset, kernels", [("power_grasp_bottle", 4), ("tripod_toy", 4)])
     def test_shipped_hold_resumes_shared_kernels(self, cfg, preset, kernels):
         # 10 and 6 chains; closed loop, both presets hold before the end.
-        assert len(Plant(resolve_scenario(cfg, preset), cfg.sim).kernels) == kernels
+        assert len(Plant(resolve_scenario(cfg, preset)).kernels) == kernels
         shared = run_grasp_episode(cfg, preset, 3, controller="contact_aware")
         assert shared.trace.meta["events"]["hold"]
         with mock.patch.object(plant_module, "_kernel_key", run_alone):
@@ -610,7 +610,7 @@ class TestScheduleIdentity:
     def test_holds_differing_in_ramp_share_one_voltage_and_their_kernels(self, cfg):
         preset = ScenarioPreset("holds", ("index", "middle"), profiles={
             "*": ProfileSpec("hold", 3.0, 1.0), "middle_mcp": ProfileSpec("hold", 3.0, 2.0)})
-        plant = Plant(resolve_preset(cfg, preset), cfg.sim)
+        plant = Plant(resolve_preset(cfg, preset))
         # index and middle have equal tables: one kernel per tendon role.
         assert len(plant.volts) == 1
         assert len(plant.kernels) == 2
@@ -624,7 +624,7 @@ class TestScheduleIdentity:
         def hold_at_100(i_meas):
             return 100 if len(i_meas) >= 100 else None
 
-        full, alone = (run_scenario(s, cfg.sim, 0, hold_at_100)
+        full, alone = (run_scenario(s, 0, hold_at_100)
                        for s in (scenario, scenario.monitored()))
         assert alone.v_cmd.tobytes() == np.full(len(alone.t), -0.0).tobytes()
         assert full.v_cmd.tobytes() == alone.v_cmd.tobytes()
@@ -644,10 +644,10 @@ class TestMechanicsCache:
         # runs before them. Cold runs build their own.
         for config, seeds in ((cfg, (3, 4)), (cfg_nf, (3,))):
             scenario = resolve_scenario(config, preset)
-            shared = Plant(scenario, config.sim)
+            shared = Plant(scenario)
             for seed in seeds:
-                warm = run_scenario(scenario, config.sim, seed, plant=shared)
-                cold = run_scenario(scenario, config.sim, seed)
+                warm = run_scenario(scenario, seed, plant=shared)
+                cold = run_scenario(scenario, seed)
                 assert warm.to_csv_text() == cold.to_csv_text(), seed
                 assert json_text(warm.meta) == json_text(cold.meta), seed
             assert shared.end == shared.n_samples - 1
@@ -656,20 +656,20 @@ class TestMechanicsCache:
         # A closed-loop run holds its own record in place, so it is refused
         # a shared one before anything is stepped or asked.
         scenario = resolve_scenario(cfg, "balloon_hold")
-        plant, calls = Plant(scenario, cfg.sim), []
+        plant, calls = Plant(scenario), []
         with pytest.raises(ValueError, match="closed-loop run"):
-            run_scenario(scenario, cfg.sim, 3, lambda i: calls.append(len(i)), plant=plant)
+            run_scenario(scenario, 3, lambda i: calls.append(len(i)), plant=plant)
         assert plant.end == 0 and calls == []
 
     def test_plant_of_another_scenario_or_sim_is_refused(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
-        plant = Plant(scenario, cfg.sim)
+        plant = Plant(scenario)
         # An equal scenario or sim is not enough: == takes -0.0 for 0.0.
         twin, sim = resolve_scenario(cfg, "pinch_cube"), replace(cfg.sim)
         assert twin == scenario and sim == cfg.sim
-        for other, other_sim in ((twin, cfg.sim), (scenario, sim)):
-            with pytest.raises(ValueError, match="another scenario or sim object"):
-                run_scenario(other, other_sim, 0, plant=plant)
+        for other in (twin, replace(scenario, sim=sim)):
+            with pytest.raises(ValueError, match="another scenario object"):
+                run_scenario(other, 0, plant=plant)
         assert plant.end == 0
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
@@ -704,8 +704,8 @@ class TestMechanicsCache:
 
     def test_traces_of_one_plant_share_read_only_columns(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
-        plant = Plant(scenario, cfg.sim)
-        first, second = (run_scenario(scenario, cfg.sim, seed, plant=plant) for seed in (1, 2))
+        plant = Plant(scenario)
+        first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
         free = plant.noise_free()
         texts = [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)]
         shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
@@ -740,11 +740,11 @@ class TestMechanicsCache:
             stack = replace(cfg.stacks["index_mcp"], c0=1e308)
             config, error = replace(cfg, stacks={**cfg.stacks, "index_mcp": stack}), DomainError
         scenario = resolve_scenario(config, "pinch_cube")
-        plant = Plant(scenario, config.sim)
+        plant = Plant(scenario)
         messages = []
         for seed in (0, 0, 1):
             with pytest.raises(error) as exc, np.errstate(over="ignore", invalid="ignore"):
-                run_scenario(scenario, config.sim, seed, plant=plant)
+                run_scenario(scenario, seed, plant=plant)
             messages.append(str(exc.value))
         assert len(set(messages)) == 1
         assert plant.end == plant.n_samples - 1
@@ -809,9 +809,9 @@ class TestMonitoredChain:
             full = resolve_scenario(cfg, preset, drop_object=drop_object)
             alone, stack = full.monitored(), full.monitored_stack
             assert [c.tendon_id for c in alone.chains] == [stack]
-            plants = Plant(full, cfg.sim), Plant(alone, cfg.sim)
+            plants = Plant(full), Plant(alone)
             for seed in (0, 3, 4242):
-                want, got = (run_scenario(p.scenario, cfg.sim, seed, plant=p) for p in plants)
+                want, got = (run_scenario(p.scenario, seed, plant=p) for p in plants)
                 for name in self.MONITORED:
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
                 for group in ("x", "c"):
@@ -823,7 +823,7 @@ class TestMonitoredChain:
     def test_baseline_holds_the_monitored_chain_only(self, cfg, tmp_path):
         scenario = resolve_scenario(cfg, "balloon_hold")
         (chain,) = scenario.monitored().chains
-        baseline = record_baseline(scenario, cfg.sim, cfg.detection.baseline_seed)
+        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
         assert set(baseline.x) == set(baseline.c) == {scenario.monitored_stack}
         assert set(baseline.theta) == set(baseline.f_contact) == set(chain.joint_keys)
         loaded = load_trace(baseline.save(tmp_path / "baseline.csv"))
@@ -843,7 +843,7 @@ def reference_batch(cfg, seed: int, n_free: int, n_grasp: int) -> dict[str, str]
             for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube"))}
 
     def runs(cls, seed0, n):
-        return [run_scenario(full[cls], cfg.sim, s) for s in range(seed0, seed0 + n)]
+        return [run_scenario(full[cls], s) for s in range(seed0, seed0 + n)]
 
     cal_free = runs("free", seed + CAL_SEED_OFFSET, N_CALIBRATION)
     cal_grasp = runs("grasp", seed + CAL_SEED_OFFSET + 500, N_CALIBRATION)
@@ -914,7 +914,7 @@ class TestDetectionWindow:
         assert len(seen) == 2
         for trace in seen:
             full = run_scenario(resolve_scenario(cfg, trace.meta["scenario"]).monitored(),
-                                cfg.sim, trace.meta["seed"])
+                                trace.meta["seed"])
             assert len(trace) == last + 2
             assert trace.i_meas[:last + 1].tobytes() == full.i_meas[:last + 1].tobytes()
 
@@ -931,8 +931,8 @@ class TestDetectionWindow:
         free, cube = (resolve_scenario(cfg, preset).monitored()
                       for preset in ("detect_free", "detect_cube"))
         with pytest.raises(error) as exc:
-            calibrate_threshold([run_scenario(free, cfg.sim, 0)],
-                                [run_scenario(cube, cfg.sim, 1)], cfg.detection)
+            calibrate_threshold([run_scenario(free, 0)],
+                                [run_scenario(cube, 1)], cfg.detection)
         out = tmp_path / "out"
         assert cli_main(["detect-batch", "--free", "1", "--grasp", "1",
                          "--config", str(path), "--out", str(out)]) == 2

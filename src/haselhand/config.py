@@ -598,14 +598,18 @@ class Scenario:
     obj: Optional[ObjectModel]
     amplifier: AmplifierModel
     sim: SimConfig
-    duration: float
-    episode: float          # the full episode's duration, which the profile hash covers
+    duration: float = field(metadata={"ge": 0.0})
+    episode: float = field(metadata={"ge": 0.0})  # the full episode, which the profile hash covers
     controller: str
     monitored_stack: str    # detection stack if the chains drive it, else the first chain
     config_fingerprint: str  # config_hash of the config that resolved the scenario
 
     def __post_init__(self):
+        check_domains(self)
         self.sim.check_duration(self.duration, f"preset {self.name}: duration")
+        if self.duration > self.episode:
+            raise ConfigError(f"preset {self.name}: duration {self.duration} s "
+                              f"exceeds its episode {self.episode} s")
 
     @functools.cached_property
     def profile_fingerprint(self) -> str:

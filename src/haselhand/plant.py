@@ -65,16 +65,16 @@ run_scenario works in three stages over a scenario.
   voltage over the internal steps either side of each sample instant:
   central inside the run, one-sided at its ends. It steps the record to
   its end first, so a record has one assembly, and checks the stall
-  residual and the finiteness of the columns the noise leaves alone.
-  Its columns are read-only, so the traces that share them cannot change
-  one another. A failed check is never kept, so it fails every run on
-  the record.
+  residual. Its columns are read-only, so the traces that share them
+  cannot change one another. A failed check is never kept, so it fails
+  every run on the record.
 - The per-seed pass in run_scenario draws the Gaussian monitor noise
   from a seeded generator in one block whose values are those of one
   draw per monitor per sample, in sample order, so runs are
-  reproducible byte for byte. It adds the noise to v_meas and i_meas,
-  checks only those two for finiteness (a huge monitor noise can
-  overflow them), and returns them with the seed, in dicts of its own.
+  reproducible byte for byte. It returns the assembly with the noise
+  added to v_meas and i_meas and the seed to a copy of its meta, with
+  dicts of its own at every depth, and then checks that trace's columns
+  for finiteness in file order (a huge monitor noise can overflow them).
 
 Open loop, the mechanics do not depend on the seed, so run_scenario
 takes the caller's Plant of a scenario as its open-loop record, steps
@@ -104,6 +104,7 @@ assembles its trace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -118,7 +119,7 @@ from .config import (
 )
 from .errors import ConfigError, DomainError, ModelConsistencyError
 from .kinematics import contact_force
-from .trace import FIXED_COLUMNS, KEYED_COLUMNS, SignalTrace, keyed_columns
+from .trace import KEYED_COLUMNS, SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
 
 # Samples by which a commander's walk steps the open-loop record ahead.
@@ -361,17 +362,21 @@ def _kernel_key(chain: ChainSim, schedule: ProfileSpec) -> tuple[tuple[str, byte
     return schedule.identity, np.array(floats).tobytes()
 
 
-# (header name, value, sample) of a trace's first non-finite value.
-NonFinite = Optional[tuple[str, float, int]]
-
-
-def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> NonFinite:
-    """The first non-finite value of columns, column by column in order."""
+def _nonfinite(columns: list[tuple[str, np.ndarray]]) -> Optional[tuple[str, float, int]]:
+    """(header name, value, sample) of the first non-finite value of
+    columns, column by column in order, or None."""
     finite = np.isfinite([values for _, values in columns])
     if finite.all():
         return None
     c, k = np.argwhere(~finite)[0]
     return columns[c][0], columns[c][1][k], k
+
+
+def _copied(value):
+    """value with each dict and list in it, at every depth, a new one."""
+    if isinstance(value, dict):
+        return {key: _copied(v) for key, v in value.items()}
+    return [_copied(v) for v in value] if isinstance(value, list) else value
 
 
 class Plant:
@@ -416,8 +421,6 @@ class Plant:
         self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
         self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
-        self._noise_free: Optional[SignalTrace] = None
-        self._head_tail: tuple[NonFinite, NonFinite] = (None, None)
 
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it.
@@ -477,17 +480,16 @@ class Plant:
         dc = (capacitance_of(stack, x[hi]) - capacitance_of(stack, x[lo])) / span
         return displacement_current(capacitance_of(stack, x[idx]), dv, v[idx], dc)
 
+    @functools.cached_property
     def noise_free(self) -> SignalTrace:
         """The run's trace without monitor noise or seed: v_meas is the
-        monitored chain's applied voltage at the samples. The first call
-        steps the record to its end and builds it; later calls return it.
+        monitored chain's applied voltage at the samples. The first read
+        steps the record to its end and builds it; later reads return it.
 
         Its columns are read-only, so the traces that share them cannot
-        change one another. Raises ModelConsistencyError, on every call,
+        change one another. Raises ModelConsistencyError, on every read,
         when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
         """
-        if self._noise_free is not None:
-            return self._noise_free
         scenario, sim, n = self.scenario, self.sim, self.n_samples
         self.extend(n - 1)
         max_residual = float(self.residual[:, -1].max())
@@ -521,10 +523,8 @@ class Plant:
         v_meas, i_meas = self.v_mon[::sim.steps_per_sample].copy(), self.current(0, n)
         for a in (t, v_cmd, v_meas, i_meas, *(a for cols in keyed.values() for a in cols.values())):
             a.flags.writeable = False
-        self._head_tail = (_nonfinite([(FIXED_COLUMNS["t"], t), (FIXED_COLUMNS["v_cmd"], v_cmd)]),
-                           _nonfinite(keyed_columns(keyed)))
         hold = [] if self.hold is None else [{"t": float(t[self.hold[0]]), "v_held": self.hold[1]}]
-        self._noise_free = SignalTrace(t=t, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas, **keyed, meta={
+        return SignalTrace(t=t, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas, **keyed, meta={
             "scenario": scenario.name,
             "config_hash": scenario.config_fingerprint,
             "profile_hash": scenario.profile_fingerprint,
@@ -540,7 +540,6 @@ class Plant:
             "events": {"first_contact": first_contact, "hold": hold},
             "controller_modes": {"final": "holding" if hold else "ramping"},
         })
-        return self._noise_free
 
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
@@ -588,13 +587,13 @@ def run_scenario(
     plant, when given, is the caller's open-loop record of this very
     scenario object, shared with its other runs; one with a commander (a
     closed-loop run holds a record of its own) or of another object is a
-    ValueError. The trace is the record's Plant.noise_free
-    with noise in v_meas and i_meas and the seed in its meta, so the
+    ValueError. The trace is the record's Plant.noise_free with noise
+    in v_meas and i_meas and the seed in a copy of its meta, so the
     traces of one record share their other columns, read-only. Raises
     ModelConsistencyError when the run's stall residual exceeds
-    STALL_RESIDUAL_TOL_N, DomainError when a net force or a returned
-    column is not finite, and ConfigError, before any work, for a
-    negative seed, which the generator cannot take.
+    STALL_RESIDUAL_TOL_N, DomainError when a net force or a value of the
+    trace is not finite (the first in file order), and ConfigError,
+    before any work, for a negative seed, which the generator cannot take.
     """
     if seed < 0:
         raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
@@ -615,24 +614,17 @@ def run_scenario(
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
     if k_hold is not None:
         plant.hold_at(k_hold)
-    free = plant.noise_free()
+    free = plant.noise_free
 
-    # Only the noise depends on the seed, and a huge sigma can overflow it.
-    v_meas, i_meas = free.v_meas + noise_v, free.i_meas + noise_i
-    head, tail = plant._head_tail
-    bad = head or _nonfinite([(FIXED_COLUMNS["v_meas"], v_meas),
-                              (FIXED_COLUMNS["i_meas"], i_meas)]) or tail
+    # Only the noise depends on the seed. Each trace has dicts of its own at
+    # every depth; the arrays in them are shared, read-only.
+    trace = replace(free, v_meas=free.v_meas + noise_v, i_meas=free.i_meas + noise_i,
+                    **{group: dict(getattr(free, group)) for group in KEYED_COLUMNS},
+                    meta={**_copied(free.meta), "seed": int(seed)})
+    # A huge sigma can overflow the noise; the first bad value is named in file order.
+    bad = _nonfinite(trace.columns())
     if bad:
         name, value, k = bad
         raise DomainError(f"scenario {scenario.name}: non-finite value {value} "
                           f"in column {name!r} at sample {k}")
-
-    # Each trace has dicts of its own; the arrays in them are shared, read-only.
-    meta, events = free.meta, free.meta["events"]
-    return replace(free, v_meas=v_meas, i_meas=i_meas,
-                   **{group: dict(getattr(free, group)) for group in KEYED_COLUMNS},
-                   meta={**meta, "seed": int(seed), "noise": dict(meta["noise"]),
-                         "final_x_target": dict(meta["final_x_target"]),
-                         "events": {"first_contact": dict(events["first_contact"]),
-                                    "hold": [dict(e) for e in events["hold"]]},
-                         "controller_modes": dict(meta["controller_modes"])})
+    return trace

@@ -466,6 +466,21 @@ class TestStepBudget:
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             replace(scenario, sim=replace(cfg.sim, **sim))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"duration": -1.0}, "duration: -1.0 must be >= 0.0"),
+        ({"duration": math.nan}, "duration: nan must be >= 0.0"),
+        ({"duration": math.inf}, "duration: inf must be finite"),
+        ({"duration": 3.0}, "preset pinch_cube: duration 3.0 s exceeds its episode 2.0 s"),
+        ({"episode": -1.0}, "episode: -1.0 must be >= 0.0"),
+    ], ids=["negative", "nan", "inf", "past_its_episode", "negative_episode"])
+    def test_scenario_checks_its_duration_and_episode(self, cfg, change, message):
+        # Each once built and its run failed in numpy or carried another
+        # episode's profile hash, or it failed in round() (NaN, infinity).
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(scenario, **change)
+        assert replace(scenario, duration=-0.0).duration == 0.0
+
     def test_budget_itself_accepted(self):
         at_budget = MAX_INTERNAL_STEPS * DEFAULT_DOC["sim"]["dt_internal"]
         doc = _with_leaf(DEFAULT_DOC, "presets.pinch_cube.duration", at_budget)

@@ -190,6 +190,19 @@ class TestRunScenario:
                 "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0")):
             run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_non_finite_value_is_named_in_file_order(self):
+        # A huge noise overflows v_meas, and the huge c0 makes i_meas and
+        # every c_index_mcp value infinite: v_meas comes first in the file.
+        doc = config_to_dict(default_config())
+        doc["stacks"]["index_mcp"]["c0"] = 1e308
+        doc["amplifier"]["monitor_noise_v"] = 1e308
+        cfg = config_from_dict(doc)
+        with pytest.raises(DomainError, match="^" + re.escape(
+                "scenario pinch_cube: non-finite value -inf in column 'v_meas(kV)' "
+                "at sample 6") + "$"):
+            run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=0)
+
 
     @pytest.mark.parametrize("preset", [name for name, p in default_config().presets.items()
                                         if p.controller != "contact_aware"])
@@ -200,7 +213,7 @@ class TestRunScenario:
         scenario = resolve_scenario(cfg_nf, preset)
         plant = Plant(scenario)
         trace = run_scenario(scenario, 7, plant=plant)
-        free = plant.noise_free()
+        free = plant.noise_free
         per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
         for (name, a), (free_name, b) in zip(trace.columns(), free.columns(), strict=True):
             assert name == free_name
@@ -706,7 +719,7 @@ class TestMechanicsCache:
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario)
         first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
-        free = plant.noise_free()
+        free = plant.noise_free
         texts = [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)]
         shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
                   if a is b]
@@ -728,6 +741,40 @@ class TestMechanicsCache:
         meta["noise"]["v"] = -1.0
         meta["controller_modes"]["final"] = "holding"
         assert [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)] == texts
+
+    def test_runs_copy_meta_entries_they_do_not_name(self, cfg):
+        # A run names no meta entry but its seed: what the record's trace
+        # holds reaches every run by value, at every depth.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        plant = Plant(scenario)
+        free = plant.noise_free
+        free.meta["events"]["first_force"] = {"index_mcp": 0.25}
+        free.meta["probe"] = {"levels": [{"k": 1.0}]}
+        first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
+        for trace in (first, second):
+            assert trace.meta["events"]["first_force"] == {"index_mcp": 0.25}
+            assert trace.meta["probe"] == {"levels": [{"k": 1.0}]}
+        texts = [json_text(t.meta) for t in (second, free)]
+        first.meta["events"]["first_force"]["index_mcp"] = -1.0
+        first.meta["probe"]["levels"][0]["k"] = -1.0
+        first.meta["probe"]["levels"].append({})
+        assert [json_text(t.meta) for t in (second, free)] == texts
+
+    def test_runs_check_the_columns_their_noise_leaves_alone(self, cfg):
+        # The check reads the returned trace: a value a run does not compute
+        # is checked too, and the first in file order is named.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        plant = Plant(scenario)
+        free = plant.noise_free
+        at_5 = np.arange(len(free)) == 5
+        free.c["index_mcp"] = np.where(at_5, np.nan, free.c["index_mcp"])
+        with pytest.raises(DomainError, match=re.escape(
+                "non-finite value nan in column 'c_index_mcp(nF)' at sample 5")):
+            run_scenario(scenario, 0, plant=plant)
+        free.v_cmd = np.where(at_5, np.inf, free.v_cmd)
+        with pytest.raises(DomainError, match=re.escape(
+                "non-finite value inf in column 'v_cmd(kV)' at sample 5")):
+            run_scenario(scenario, 1, plant=plant)
 
     @pytest.mark.parametrize("failure", ["residual", "finiteness"])
     def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure):

@@ -48,7 +48,7 @@ from .errors import (
 from .kinematics import fingertip_force
 from .plant import Plant, run_scenario
 from .trace import column_name, csv_text, json_text, load_trace, read_json, write_atomic
-from .transmission import delivered_tension, extensor_tension, reflected_load
+from .transmission import delivered_tension
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,13 +69,6 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 # characterize
 # ---------------------------------------------------------------------------
-
-def _onset_voltage(cfg: HandConfig, tendon_id: str) -> Optional[float]:
-    """Commanded voltage below which stiction keeps the chain at rest."""
-    path = cfg.tendons[tendon_id]
-    need = path.f_breakaway + reflected_load(path, extensor_tension(path, 0.0))
-    return voltage_for_force(cfg.stacks[tendon_id], need, f"stack {tendon_id}")
-
 
 def cmd_characterize(args) -> int:
     cfg = _load(args)
@@ -107,17 +100,20 @@ def cmd_characterize(args) -> int:
             profiles={"*": ProfileSpec(target_kv=min(stack.v_ref, cfg.amplifier.v_ceiling))},
             duration=2.0,
         )
-        scenario = resolve_preset(cfg, preset)
-        # The sweeps read v_cmd and theta, which no seed moves.
-        trace = run_scenario(scenario, seed=0)
+        # A bench test reads no monitor: the record alone, with no seed or noise.
+        plant = Plant(resolve_preset(cfg, preset))
+        trace = plant.noise_free
 
         # The trace holds this finger's joints only, keyed "<finger>_<joint>".
         columns = [("v_cmd(kV)", trace.v_cmd)]
         columns += [(column_name("theta", key), theta) for key, theta in trace.theta.items()]
         files[f"voltage_angle_{finger}.csv"] = csv_text(columns)
 
-        for tid in layout.tendon_ids:
-            meta["onset_voltage_kv"][tid] = _onset_voltage(cfg, tid)
+        # An onset voltage overcomes the breakaway force and the load at rest, ls[0].
+        for chain in plant.chains:
+            tid = chain.spec.tendon_id
+            meta["onset_voltage_kv"][tid] = voltage_for_force(
+                chain.spec.stack, chain.f_breakaway + chain.ls[0], f"stack {tid}")
         for key, theta in trace.theta.items():
             meta["saturation_deg"][key] = float(np.degrees(theta[-1]))
 

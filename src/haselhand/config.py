@@ -605,7 +605,10 @@ class Scenario:
     config_fingerprint: str  # config_hash of the config that resolved the scenario
 
     def __post_init__(self):
-        check_domains(self)
+        try:
+            check_domains(self)
+        except ConfigError as exc:
+            raise ConfigError(f"preset {self.name}: {exc}", exc.key) from None
         self.sim.check_duration(self.duration, f"preset {self.name}: duration")
         if self.duration > self.episode:
             raise ConfigError(f"preset {self.name}: duration {self.duration} s "

@@ -4,9 +4,9 @@ Each oracle computes one thing the package computes faster, in the
 most direct way: the grasp detector sample by sample, the chain step
 one Python call at a time, the slew-limited amplifier voltage one step
 at a time, the stall point by bisection on the force balance, the
-monitored current from the stored capacitance and voltage columns, and
-the CSV document one repr per cell. None of them
-is used by the package itself.
+onset voltage from the transmission laws at rest, the monitored current
+from the stored capacitance and voltage columns, and the CSV document
+one repr per cell. None of them is used by the package itself.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from haselhand.actuator import StackConfig, active_force
-from haselhand.config import DetectionConfig
+from haselhand.actuator import StackConfig, active_force, voltage_for_force
+from haselhand.config import DetectionConfig, HandConfig
 from haselhand.errors import ConfigError, InsufficientDataError, ModelConsistencyError
 from haselhand.trace import SignalTrace
+from haselhand.transmission import extensor_tension, reflected_load
 
 _T_EPS = 1e-9
 
@@ -231,6 +232,15 @@ def equilibrium_contraction(
     raise ModelConsistencyError(
         f"force balance did not converge to {force_tol} N in {max_iter} iterations"
     )
+
+
+def onset_voltage(cfg: HandConfig, tendon_id: str) -> Optional[float]:
+    """Commanded voltage below which stiction keeps the chain at rest: the
+    stack's force at zero contraction must overcome the breakaway force
+    plus the extensor's pretension, reflected through the pulley."""
+    path = cfg.tendons[tendon_id]
+    need = path.f_breakaway + reflected_load(path, extensor_tension(path, 0.0))
+    return voltage_for_force(cfg.stacks[tendon_id], need, f"stack {tendon_id}")
 
 
 def reconstruct_current(trace: SignalTrace, stack: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from haselhand.config import config_to_dict, default_config
 from haselhand.errors import TraceSchemaError
 from haselhand.plant import ChainSim
 from haselhand.trace import load_trace
+from oracles import onset_voltage
 
 
 def run_cli(*argv) -> int:
@@ -157,6 +158,28 @@ class TestCharacterize:
         for name in ("voltage_angle_index.csv", "voltage_angle_thumb.csv",
                      "fingertip_force.csv", "characterize.meta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_monitor_noise_does_not_reach_the_sweeps(self, tmp_path):
+        # The bench test reads no monitor, so a noise that overflows every
+        # monitored sample changes nothing it writes but the config hash.
+        noisy = write_config(tmp_path, lambda d: d["amplifier"].update(
+            monitor_noise_v=1e308, monitor_noise_i=1e308))
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert run_cli("characterize", "--out", str(quiet)) == 0
+        assert run_cli("characterize", "--config", str(noisy), "--out", str(loud)) == 0
+        for name in ("voltage_angle_index.csv", "voltage_angle_thumb.csv", "fingertip_force.csv"):
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+        metas = [json.loads((out / "characterize.meta.json").read_text()) for out in (quiet, loud)]
+        assert metas[0].pop("config_hash") != metas[1].pop("config_hash")
+        assert metas[0] == metas[1]
+
+    def test_onsets_are_the_transmission_laws(self, tmp_path):
+        cfg = default_config()
+        assert run_cli("characterize", "--out", str(tmp_path)) == 0
+        onsets = json.loads((tmp_path / "characterize.meta.json").read_text())["onset_voltage_kv"]
+        tendons = [tid for finger in ("index", "thumb") for tid in cfg.fingers[finger].tendon_ids]
+        assert len(tendons) == 4
+        assert onsets == {tid: onset_voltage(cfg, tid) for tid in tendons}
 
 
 class TestGrasp:

@@ -467,11 +467,11 @@ class TestStepBudget:
             replace(scenario, sim=replace(cfg.sim, **sim))
 
     @pytest.mark.parametrize("change, message", [
-        ({"duration": -1.0}, "duration: -1.0 must be >= 0.0"),
-        ({"duration": math.nan}, "duration: nan must be >= 0.0"),
-        ({"duration": math.inf}, "duration: inf must be finite"),
+        ({"duration": -1.0}, "preset pinch_cube: duration: -1.0 must be >= 0.0"),
+        ({"duration": math.nan}, "preset pinch_cube: duration: nan must be >= 0.0"),
+        ({"duration": math.inf}, "preset pinch_cube: duration: inf must be finite"),
         ({"duration": 3.0}, "preset pinch_cube: duration 3.0 s exceeds its episode 2.0 s"),
-        ({"episode": -1.0}, "episode: -1.0 must be >= 0.0"),
+        ({"episode": -1.0}, "preset pinch_cube: episode: -1.0 must be >= 0.0"),
     ], ids=["negative", "nan", "inf", "past_its_episode", "negative_episode"])
     def test_scenario_checks_its_duration_and_episode(self, cfg, change, message):
         # Each once built and its run failed in numpy or carried another

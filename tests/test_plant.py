@@ -30,7 +30,7 @@ from haselhand.config import (ProfileSpec, ScenarioPreset, SimConfig, config_fro
 from haselhand.errors import ConfigError, DomainError, InsufficientDataError, ModelConsistencyError
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
 from haselhand.trace import FIXED_COLUMNS, json_text
-from oracles import ScalarChain, equilibrium_contraction, reconstruct_current, slew
+from oracles import ScalarChain, equilibrium_contraction, onset_voltage, reconstruct_current, slew
 
 
 class TestVoltageProfile:
@@ -228,9 +228,8 @@ class TestTraceInvariants:
     def test_deadband_no_motion_below_onset(self, cfg, free_trace_nf):
         # Below the lowest breakaway-equivalent voltage of the engaged
         # chains the stiction gate keeps every joint parked.
-        from haselhand.cli import _onset_voltage
         engaged = list(free_trace_nf.x)
-        onset = min(_onset_voltage(cfg, tid) for tid in engaged)
+        onset = min(onset_voltage(cfg, tid) for tid in engaged)
         assert onset > 3.0
         below = free_trace_nf.v_cmd < onset - 1e-9
         assert below.sum() > 100

@@ -95,13 +95,12 @@ def cmd_characterize(args) -> int:
         mcp = layout.tendon_ids[0]
         stack, path = cfg.stacks[mcp], cfg.tendons[mcp]
         preset = ScenarioPreset(
-            name=f"characterize_{finger}",
             fingers=(finger,),
             profiles={"*": ProfileSpec(target_kv=min(stack.v_ref, cfg.amplifier.v_ceiling))},
             duration=2.0,
         )
         # A bench test reads no monitor: the record alone, with no seed or noise.
-        plant = Plant(resolve_preset(cfg, preset))
+        plant = Plant(resolve_preset(cfg, f"characterize_{finger}", preset))
         trace = plant.noise_free
 
         # The trace holds this finger's joints only, keyed "<finger>_<joint>".

@@ -11,8 +11,8 @@ between them. Every default lives only on its dataclass field: a key
 may be left out exactly when its field has a default, except for the
 keys whose field metadata marks them required (fingers.*.tendons,
 presets.*.profiles). Field metadata may also rename a key ("json").
-A dataclass stored under a dict key takes its name from that key.
-Unknown keys are ignored.
+An entry of fingers, objects or presets is named by its key alone: its
+dataclass has no name field. Unknown keys are ignored.
 
 Field metadata also declares each field's domain next to its default:
 "gt", "ge", "lt", "le" bounds and "in" choices. Each dataclass checks
@@ -66,6 +66,7 @@ STACK_KNOTS = {
 
 
 V_CEILING_DOMAIN = {"ge": 0.0, "le": 6.0}  # kV: the amplifier's output range
+CONTROLLERS = {"in": ("none", "detect", "contact_aware")}
 
 # Internal steps one episode may ask of each chain: 50 times the shipped
 # 2 s at 10 kHz. Run time and the mechanics record grow with it, so a
@@ -177,13 +178,12 @@ class ProfileSpec:
 
 @dataclass(frozen=True)
 class ScenarioPreset:
-    name: str
     fingers: tuple[str, ...]
     obj: Optional[str] = field(default=None, metadata={"json": "object"})
     profiles: dict[str, ProfileSpec] = field(
         default_factory=lambda: {"*": ProfileSpec()}, metadata={"required": True})
     duration: Optional[float] = field(default=None, metadata={"ge": 0.0})  # else sim.duration
-    controller: str = field(default="none", metadata={"in": ("none", "detect", "contact_aware")})
+    controller: str = field(default="none", metadata=CONTROLLERS)
     amp_ceiling: Optional[float] = field(default=None, metadata=V_CEILING_DOMAIN)  # overrides
 
     def __post_init__(self):
@@ -235,8 +235,6 @@ class HandConfig:
                                       f"the key of {keyed[key]}")
                 keyed[key] = where
         for fname, layout in self.fingers.items():
-            if fname != layout.name:
-                raise ConfigError(f"fingers.{fname}: layout name {layout.name!r} != key")
             for tid in layout.tendon_ids:
                 if tid not in self.stacks:
                     raise ConfigError(f"fingers.{fname}.tendons: unknown stack {tid!r}")
@@ -265,8 +263,6 @@ class HandConfig:
             )
         for pname, preset in self.presets.items():
             where = f"presets.{pname}"
-            if pname != preset.name:
-                raise ConfigError(f"{where}: preset name {preset.name!r} != key")
             for fname in preset.fingers:
                 if fname not in self.fingers:
                     raise ConfigError(f"{where}.fingers: unknown finger {fname!r}")
@@ -301,7 +297,6 @@ def default_config() -> HandConfig:
 
     # Thumb: two active joints (MCP, IP), CMC abduction fixed.
     fingers["thumb"] = FingerLayout(
-        name="thumb",
         joints=(
             JointSpec("mcp", R_MCP, HALF_PI, 32.0),
             JointSpec("ip", R_THUMB_IP, HALF_PI, 25.0),
@@ -317,7 +312,6 @@ def default_config() -> HandConfig:
     # Long fingers: independent MCP tendon, coupled PIP/DIP tendon.
     for name in ("index", "middle", "ring", "pinky"):
         fingers[name] = FingerLayout(
-            name=name,
             joints=(
                 JointSpec("mcp", R_MCP, HALF_PI, 45.0),
                 JointSpec("pip", R_PIP, HALF_PI, 28.0),
@@ -340,30 +334,30 @@ def default_config() -> HandConfig:
 
     # The paper's masses, unsimulated: cube 49 g, mushroom 18, toy 107, bottle 26, balloon 2.
     objects = {
-        "cube": ObjectModel("cube", "rigid", 1e4, _contacts(0.10, 0.15, 0.18, 0.18, 0.18)),
-        "mushroom": ObjectModel("mushroom", "rigid", 1e4, _contacts(0.10, 0.18, 0.30, 0.30, 0.30)),
+        "cube": ObjectModel("rigid", 1e4, _contacts(0.10, 0.15, 0.18, 0.18, 0.18)),
+        "mushroom": ObjectModel("rigid", 1e4, _contacts(0.10, 0.18, 0.30, 0.30, 0.30)),
         "stuffed_toy": ObjectModel(
-            "stuffed_toy", "compliant", 60.0, _contacts(0.10, 0.15, 0.25, 0.25, 0.25)),
+            "compliant", 60.0, _contacts(0.10, 0.15, 0.25, 0.25, 0.25)),
         "pet_bottle": ObjectModel(
-            "pet_bottle", "compliant", 300.0, _contacts(0.10, 0.18, 0.22, 0.22, 0.22)),
+            "compliant", 300.0, _contacts(0.10, 0.18, 0.22, 0.22, 0.22)),
         "paper_balloon": ObjectModel(
-            "paper_balloon", "fragile", 150.0, _contacts(0.10, 0.15, 0.15, 0.15, 0.15),
+            "fragile", 150.0, _contacts(0.10, 0.15, 0.15, 0.15, 0.15),
             f_crush=0.5),
     }
 
     # Presets without profiles run the default ProfileSpec, the 5.5 kV ramp.
     presets = {
-        "free_motion": ScenarioPreset("free_motion", ("thumb", "index")),
-        "pinch_mushroom": ScenarioPreset("pinch_mushroom", ("thumb", "index"), "mushroom"),
-        "pinch_cube": ScenarioPreset("pinch_cube", ("thumb", "index"), "cube"),
-        "tripod_toy": ScenarioPreset("tripod_toy", ("thumb", "index", "middle"), "stuffed_toy"),
-        "power_grasp_bottle": ScenarioPreset("power_grasp_bottle", FINGER_NAMES, "pet_bottle"),
+        "free_motion": ScenarioPreset(("thumb", "index")),
+        "pinch_mushroom": ScenarioPreset(("thumb", "index"), "mushroom"),
+        "pinch_cube": ScenarioPreset(("thumb", "index"), "cube"),
+        "tripod_toy": ScenarioPreset(("thumb", "index", "middle"), "stuffed_toy"),
+        "power_grasp_bottle": ScenarioPreset(FINGER_NAMES, "pet_bottle"),
         "detect_free": ScenarioPreset(
-            "detect_free", ("thumb", "index"), controller="detect"),
+            ("thumb", "index"), controller="detect"),
         "detect_cube": ScenarioPreset(
-            "detect_cube", ("thumb", "index"), "cube", controller="detect"),
+            ("thumb", "index"), "cube", controller="detect"),
         "balloon_hold": ScenarioPreset(
-            "balloon_hold", ("thumb", "index"), "paper_balloon",
+            ("thumb", "index"), "paper_balloon",
             {"*": ProfileSpec(target_kv=6.0, ramp_s=1.2)},
             controller="contact_aware", amp_ceiling=6.0),
     }
@@ -396,18 +390,17 @@ def _schema(cls) -> tuple[tuple[str, str, Any, bool], ...]:
     )
 
 
-def encode(value: Any, keyed: bool = False) -> Any:
+def encode(value: Any) -> Any:
     """JSON document of a dataclass value: objects for dataclasses and
-    dicts, arrays for tuples. keyed drops the name field of a dataclass
-    stored under a dict key, where the key already carries it."""
+    dicts, arrays for tuples."""
     if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, tuple):
         return [encode(v) for v in value]
     if isinstance(value, dict):
-        return {k: encode(v, keyed=True) for k, v in value.items()}
+        return {k: encode(v) for k, v in value.items()}
     return {key: encode(getattr(value, name))
-            for name, key, _, _ in _schema(type(value)) if not (keyed and name == "name")}
+            for name, key, _, _ in _schema(type(value))}
 
 
 def _object(doc: Any, where: str) -> dict:
@@ -417,20 +410,18 @@ def _object(doc: Any, where: str) -> dict:
     return doc
 
 
-def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
+def decode(cls, doc: Any, where: str = ""):
     """Build dataclass cls from a JSON object, the inverse of encode.
 
     Absent keys take the field default; a field without one, or marked
     required in its metadata, must be present. where is the key path used
     in error messages: it prefixes the errors of cls's own checks, joined
-    to a domain error's key by "."; name fills a name field from a dict key.
+    to a domain error's key by ".".
     """
     doc = _object(doc, where)
     kwargs = {}
     for fname, key, tp, required in _schema(cls):
-        if fname == "name" and name is not None:
-            kwargs["name"] = name
-        elif key in doc:
+        if key in doc:
             kwargs[fname] = _decode_value(tp, doc[key], _path(where, key))
         elif required:
             raise ConfigError(f"{where or 'config'}: missing required key {key!r}")
@@ -442,7 +433,7 @@ def decode(cls, doc: Any, where: str = "", name: Optional[str] = None):
         raise ConfigError(f"{where}{'.' if exc.key else ': '}{exc}") from None
 
 
-def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any:
+def _decode_value(tp, value: Any, where: str) -> Any:
     # A JSON number only: bool is an int subclass in Python but not a
     # number here, an int field takes no fraction and a float field no
     # NaN or infinity (every range check in the model is false for NaN).
@@ -463,16 +454,16 @@ def _decode_value(tp, value: Any, where: str, name: Optional[str] = None) -> Any
             raise ConfigError(f"{where}: expected a string, got {value!r}")
         return value
     if is_dataclass(tp):
-        return decode(tp, value, where, name)
+        return decode(tp, value, where)
     origin = typing.get_origin(tp)
     if origin is Union:  # Optional[X]
         if value is None:
             return None
         tp = next(a for a in typing.get_args(tp) if a is not type(None))
-        return _decode_value(tp, value, where, name)
+        return _decode_value(tp, value, where)
     if origin is dict:
         item = typing.get_args(tp)[1]
-        return {k: _decode_value(item, v, _path(where, k), name=k)
+        return {k: _decode_value(item, v, _path(where, k))
                 for k, v in _object(value, where).items()}
     # The remaining annotations are tuples.
     if not isinstance(value, list):
@@ -582,7 +573,7 @@ class ChainSpec:
         table, x_cap = {}, self.x_cap
         for j in self.joint_group:
             joint = self.layout.joints[j]
-            theta_c = obj.contact_angle(self.layout.name, joint.name)
+            theta_c = obj.contact_angle(self.finger, joint.name)
             x_on = self.x_at(theta_c) if theta_c is not None else math.inf
             if x_on < x_cap:
                 table[j] = (x_on, float(self.theta_at(x_on)), obj.k_obj, joint.phalanx_len)
@@ -596,11 +587,12 @@ class Scenario:
     name: str
     chains: tuple[ChainSpec, ...]
     obj: Optional[ObjectModel]
+    obj_name: Optional[str]  # obj's key in the config's objects; None exactly when obj is
     amplifier: AmplifierModel
     sim: SimConfig
     duration: float = field(metadata={"ge": 0.0})
     episode: float = field(metadata={"ge": 0.0})  # the full episode, which the profile hash covers
-    controller: str
+    controller: str = field(metadata=CONTROLLERS)
     monitored_stack: str    # detection stack if the chains drive it, else the first chain
     config_fingerprint: str  # config_hash of the config that resolved the scenario
 
@@ -613,6 +605,11 @@ class Scenario:
         if self.duration > self.episode:
             raise ConfigError(f"preset {self.name}: duration {self.duration} s "
                               f"exceeds its episode {self.episode} s")
+        if (self.obj is None) != (self.obj_name is None):
+            raise ConfigError(f"preset {self.name}: obj and obj_name must both be set or both None")
+        if all(c.tendon_id != self.monitored_stack for c in self.chains):
+            raise ConfigError(f"preset {self.name}: no chain drives monitored_stack "
+                              f"{self.monitored_stack!r}")
 
     @functools.cached_property
     def profile_fingerprint(self) -> str:
@@ -647,20 +644,21 @@ def resolve_scenario(
         raise ConfigError(
             f"unknown preset {preset_name!r}; available: {', '.join(sorted(cfg.presets))}"
         )
-    return resolve_preset(cfg, cfg.presets[preset_name],
+    return resolve_preset(cfg, preset_name, cfg.presets[preset_name],
                           drop_object=drop_object, controller=controller)
 
 
 def resolve_preset(
     cfg: HandConfig,
+    preset_name: str,
     preset: ScenarioPreset,
     *,
     drop_object: bool = False,
     controller: Optional[str] = None,
 ) -> Scenario:
-    """Resolve a preset against cfg; an ad hoc preset must use fingers and an object cfg has."""
-    obj = None if (drop_object or preset.obj is None) else cfg.objects[preset.obj]
-    preset_name = preset.name
+    """Resolve a preset, named preset_name, against cfg; an ad hoc preset
+    must use fingers and an object cfg has."""
+    obj_name = None if drop_object else preset.obj
 
     ceiling = preset.amp_ceiling if preset.amp_ceiling is not None else cfg.amplifier.v_ceiling
     amplifier = replace(cfg.amplifier, v_ceiling=ceiling)
@@ -703,7 +701,8 @@ def resolve_preset(
     return Scenario(
         name=preset_name,
         chains=tuple(chains),
-        obj=obj,
+        obj=cfg.objects[obj_name] if obj_name is not None else None,
+        obj_name=obj_name,
         amplifier=amplifier,
         sim=cfg.sim,
         duration=duration,

@@ -155,7 +155,8 @@ def record_baseline(scenario: Scenario, seed: int) -> SignalTrace:
     schedule, the full episode and dt_sample, as the guarded run's does.
     It is saved with SignalTrace.save and read back with load_trace.
     """
-    return run_scenario(replace(scenario.monitored(), obj=None, controller="none"), seed)
+    alone = replace(scenario.monitored(), obj=None, obj_name=None, controller="none")
+    return run_scenario(alone, seed)
 
 
 class ContactAwareController:
@@ -196,18 +197,17 @@ class ContactAwareController:
 
 @dataclass
 class EpisodeReport:
-    """Everything one grasp episode produced: trace, events, verdicts."""
+    """Everything one grasp episode produced: trace, events, verdicts.
+    The trace's meta names its scenario and seed."""
 
-    scenario: str
-    seed: int
     trace: SignalTrace
     events: list[dict[str, Any]]
     verdicts: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "scenario": self.scenario,
-            "seed": self.seed,
+            "scenario": self.trace.meta["scenario"],
+            "seed": self.trace.meta["seed"],
             "config_hash": self.trace.meta.get("config_hash"),
             "profile_hash": self.trace.meta.get("profile_hash"),
             "events": self.events,
@@ -273,9 +273,7 @@ def run_grasp_episode(
             verdicts["f_crush"] = scenario.obj.f_crush
             verdicts["force_bound"] = _force_bound(scenario, trace)
 
-    return EpisodeReport(
-        scenario=preset_name, seed=seed, trace=trace, events=events, verdicts=verdicts,
-    )
+    return EpisodeReport(trace=trace, events=events, verdicts=verdicts)
 
 
 def _force_bound(scenario, trace: SignalTrace) -> float:

@@ -45,7 +45,6 @@ class FingerLayout:
     with the coupled pair sharing a single tendon.
     """
 
-    name: str
     joints: tuple[JointSpec, ...]
     coupled_pair: Optional[tuple[int, int]] = None
     tendon_ids: tuple[str, ...] = field(default=(), metadata={"json": "tendons", "required": True})
@@ -92,7 +91,6 @@ class ObjectModel:
     joints without an entry never touch the object.
     """
 
-    name: str
     kind: str = field(metadata={"in": ("rigid", "compliant", "fragile")})
     k_obj: float = field(metadata={"gt": 0.0})          # contact stiffness, N/rad
     theta_contact: dict[str, dict[str, float]]

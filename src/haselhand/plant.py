@@ -532,7 +532,7 @@ class Plant:
             "dt_internal": sim.dt_internal,
             "duration": scenario.duration,
             "monitored_stack": scenario.monitored_stack,
-            "object": scenario.obj.name if scenario.obj else None,
+            "object": scenario.obj_name,
             "noise": {"v": scenario.amplifier.monitor_noise_v, "i": scenario.amplifier.monitor_noise_i},
             "max_equilibrium_residual_n": max_residual,
             "final_x_target": {ch.spec.tendon_id: float(self.target[i, -1])

@@ -28,7 +28,9 @@ from haselhand.config import (
     resolve_preset,
     resolve_scenario,
 )
+from haselhand.control import run_grasp_episode
 from haselhand.errors import ConfigError
+from haselhand.kinematics import FingerLayout, ObjectModel
 from haselhand.plant import run_scenario
 from haselhand.transmission import TendonPath
 
@@ -213,17 +215,65 @@ class TestPresetValidation:
     def test_controller_name_checked(self):
         doc = {"fingers": ["index"], "profiles": {"*": {}}, "controller": "pid"}
         with pytest.raises(ConfigError, match="presets.x.controller: 'pid' must be one of"):
-            decode(ScenarioPreset, doc, "presets.x", name="x")
+            decode(ScenarioPreset, doc, "presets.x")
 
     def test_wildcard_profile_required(self):
         with pytest.raises(ConfigError):
-            ScenarioPreset("x", ("index",), profiles={"index_mcp": ProfileSpec()})
+            ScenarioPreset(("index",), profiles={"index_mcp": ProfileSpec()})
 
     def test_default_config_self_consistent(self, cfg):
         # Every preset resolves; every chain's profile fits the ceiling.
         for name in cfg.presets:
             scenario = resolve_scenario(cfg, name)
             assert scenario.chains
+
+
+class TestNamedByKey:
+    """A finger, object or preset is named by its key in the config alone."""
+
+    def test_no_entry_under_a_key_declares_a_name(self):
+        # The item type of every dict field of every dataclass the config reaches.
+        items = {typing.get_args(hint)[1] for cls in _dataclasses_in(HandConfig, [])
+                 for hint in typing.get_type_hints(cls).values() if typing.get_origin(hint) is dict}
+        keyed = {tp for tp in items if is_dataclass(tp)}
+        assert keyed == {StackConfig, TendonPath, FingerLayout, ObjectModel,
+                         ScenarioPreset, ProfileSpec}
+        assert [cls for cls in keyed if "name" in {f.name for f in fields(cls)}] == []
+
+    def test_trace_names_the_objects_key(self, cfg):
+        # The cube's model under a second key: the meta names the key the preset uses.
+        config = replace(cfg, objects={**cfg.objects, "ball": cfg.objects["cube"]},
+                         presets={**cfg.presets,
+                                  "pinch_cube": replace(cfg.presets["pinch_cube"], obj="ball")})
+        for drop_object, name in ((False, "ball"), (True, None)):
+            scenario = resolve_scenario(config, "pinch_cube", drop_object=drop_object)
+            assert run_scenario(replace(scenario, duration=0.1), 0).meta["object"] == name
+
+
+class TestScenarioRefusals:
+    """A scenario refuses what no run can give meaning to, naming its preset."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"controller": "bogus"}, "preset pinch_cube: controller: 'bogus' must be one of "
+                                  "('none', 'detect', 'contact_aware')"),
+        ({"monitored_stack": "nope"}, "preset pinch_cube: no chain drives monitored_stack 'nope'"),
+        ({"monitored_stack": "middle_mcp"},
+         "preset pinch_cube: no chain drives monitored_stack 'middle_mcp'"),
+        ({"obj": None}, "preset pinch_cube: obj and obj_name must both be set or both None"),
+        ({"obj_name": None}, "preset pinch_cube: obj and obj_name must both be set or both None"),
+    ], ids=["controller", "unknown_stack", "undriven_stack", "obj_alone", "obj_name_alone"])
+    def test_scenario_refuses(self, cfg, change, message):
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            replace(scenario, **change)
+
+    def test_unknown_controller_refused_before_a_run(self, cfg):
+        message = ("preset pinch_cube: controller: 'bogus' must be one of "
+                   "('none', 'detect', 'contact_aware')")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            resolve_scenario(cfg, "pinch_cube", controller="bogus")
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            run_grasp_episode(cfg, "pinch_cube", 0, controller="bogus")
 
 
 def _numeric_leaves(doc, path=""):
@@ -449,9 +499,9 @@ class TestStepBudget:
         # characterize builds its 2 s presets in code, past the decoder.
         cfg = config_from_dict(_with_leaf(_with_leaf(DEFAULT_DOC, "sim.dt_internal", 1e-9),
                                           "sim.duration", 0.0))
-        preset = ScenarioPreset("adhoc", ("index",), duration=2.0)
+        preset = ScenarioPreset(("index",), duration=2.0)
         with pytest.raises(ConfigError, match="preset adhoc: duration 2.0 s asks for more"):
-            resolve_preset(cfg, preset)
+            resolve_preset(cfg, "adhoc", preset)
 
     @pytest.mark.parametrize("sim, message", [
         ({"dt_sample": 3e-3, "duration": 0.3},
@@ -525,8 +575,8 @@ class TestScheduleIdentity:
 
     def test_profile_hash_covers_the_scenarios_own_dt_sample(self, cfg):
         schedule = ProfileSpec("ramp_hold", 5.5, 1.0)
-        preset = ScenarioPreset("probe", ("index",), profiles={"*": schedule}, duration=0.1)
-        khz = resolve_preset(cfg, preset)
+        preset = ScenarioPreset(("index",), profiles={"*": schedule}, duration=0.1)
+        khz = resolve_preset(cfg, "probe", preset)
         want = run_scenario(khz, 0).meta["profile_hash"]
         assert want == profile_hash(schedule, 0.1, 1e-3)
         slow = run_scenario(replace(khz, sim=replace(cfg.sim, dt_sample=2e-3)), 0)

@@ -223,7 +223,7 @@ def run_with_commander(cfg, decide):
 
 
 # Three distinct schedules; thumb_mcp is still below its onset at 0.85 s.
-MIXED_SCHEDULES = ScenarioPreset("mixed", ("thumb", "index"), profiles={
+MIXED_SCHEDULES = ScenarioPreset(("thumb", "index"), profiles={
     "*": ProfileSpec("ramp_hold", 5.5, 1.0),
     "thumb_mcp": ProfileSpec("ramp_hold", 5.5, 1.4),
     "thumb_ip": ProfileSpec("hold", 4.0),
@@ -274,7 +274,7 @@ class TestContactAwareStep:
     def test_hold_stops_every_schedule(self, cfg):
         # The hold at 0.85 s must rewrite each schedule, not only the
         # monitored one. Open loop, thumb_mcp goes on to 1.17 mm.
-        scenario = resolve_preset(cfg, MIXED_SCHEDULES)
+        scenario = resolve_preset(cfg, "mixed", MIXED_SCHEDULES)
         open_loop = run_scenario(scenario, 0)
         held = run_scenario(scenario, 0, hold_at(850))
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
@@ -294,7 +294,7 @@ class TestContactAwareStep:
                 plants.append(self)
 
         monkeypatch.setattr(plant_module, "Plant", Recorded)
-        scenario = resolve_preset(cfg, MIXED_SCHEDULES)
+        scenario = resolve_preset(cfg, "mixed", MIXED_SCHEDULES)
         run_scenario(scenario, 0, hold_at(850))
         (held,) = plants
         open_loop = Plant(scenario).volts

@@ -31,7 +31,6 @@ R_HALF = 12.0 / math.pi     # each of the coupled pair; sum rolls 12 mm to 90 de
 
 def index_layout() -> FingerLayout:
     return FingerLayout(
-        name="index",
         joints=(
             JointSpec("mcp", R_MCP, HALF_PI, 45.0),
             JointSpec("pip", R_HALF, HALF_PI, 28.0),
@@ -44,7 +43,6 @@ def index_layout() -> FingerLayout:
 
 def thumb_layout() -> FingerLayout:
     return FingerLayout(
-        name="thumb",
         joints=(
             JointSpec("mcp", R_MCP, HALF_PI, 32.0),
             JointSpec("ip", 24.0 / math.pi, HALF_PI, 25.0),
@@ -56,10 +54,10 @@ def thumb_layout() -> FingerLayout:
 STACK = default_config().stacks["index_mcp"]
 
 
-def chain(layout: FingerLayout, tendon: int) -> ChainSpec:
-    """The chain driving the layout's tendon-th joint group, through an
-    ideal 1:2 pulley without slack, so contraction x gives excursion 2x."""
-    return ChainSpec(layout.tendon_ids[tendon], layout.name, layout,
+def chain(layout: FingerLayout, tendon: int, finger: str = "index") -> ChainSpec:
+    """The chain driving the tendon-th joint group of the layout of finger,
+    through an ideal 1:2 pulley without slack, so contraction x gives excursion 2x."""
+    return ChainSpec(layout.tendon_ids[tendon], finger, layout,
                      layout.tendon_joint_groups()[tendon], STACK,
                      TendonPath(eta_fwd=1.0, f_breakaway=0.0), ProfileSpec())
 
@@ -106,9 +104,9 @@ class TestAnglesFromExcursion:
 
     def test_thumb_has_independent_joints(self):
         layout = thumb_layout()
-        assert [chain(layout, t).joint_group for t in (0, 1)] == [(0,), (1,)]
-        assert chain(layout, 0).theta_at(8.5) == pytest.approx(HALF_PI)
-        assert chain(layout, 1).theta_at(0.0) == 0.0
+        assert [chain(layout, t, "thumb").joint_group for t in (0, 1)] == [(0,), (1,)]
+        assert chain(layout, 0, "thumb").theta_at(8.5) == pytest.approx(HALF_PI)
+        assert chain(layout, 1, "thumb").theta_at(0.0) == 0.0
 
     @given(theta=st.floats(0, HALF_PI))
     @settings(max_examples=100)
@@ -123,18 +121,17 @@ class TestTendonTension:
     the rolling radius of the driven group (summed over a coupled pair)."""
 
     @staticmethod
-    def contact_tension(layout, tendon, obj, x):
-        sim = ChainSim(chain(layout, tendon), obj)
-        free = ChainSim(chain(layout, tendon), None)
+    def contact_tension(layout, tendon, obj, x, finger="index"):
+        sim = ChainSim(chain(layout, tendon, finger), obj)
+        free = ChainSim(chain(layout, tendon, finger), None)
         # eta = 1 and pulley ratio 2: the load is twice the tendon tension.
         return (float(sim._load_at(x)) - float(free._load_at(x))) / 2.0
 
     def test_moment_arm_division(self):
-        layout = FingerLayout("t", (JointSpec("mcp", 10.0, HALF_PI, 40.0),),
-                              tendon_ids=("t_mcp",))
-        obj = ObjectModel("o", "compliant", 100.0, {"t": {"mcp": 0.3}})
-        x = chain(layout, 0).x_at(0.31)
-        assert self.contact_tension(layout, 0, obj, x) == pytest.approx(1.0 * 40.0 / 10.0)
+        layout = FingerLayout((JointSpec("mcp", 10.0, HALF_PI, 40.0),), tendon_ids=("t_mcp",))
+        obj = ObjectModel("compliant", 100.0, {"t": {"mcp": 0.3}})
+        x = chain(layout, 0, "t").x_at(0.31)
+        assert self.contact_tension(layout, 0, obj, x, "t") == pytest.approx(1.0 * 40.0 / 10.0)
 
     def test_zero_torque(self):
         # Without an object, and below the onset with one, the load is
@@ -157,7 +154,7 @@ class TestTendonTension:
         assert tension == pytest.approx(t_in, rel=1e-6)
 
     def test_coupled_pair_sums_radii(self):
-        obj = ObjectModel("o", "compliant", 100.0, {"index": {"pip": 0.3, "dip": 0.3}})
+        obj = ObjectModel("compliant", 100.0, {"index": {"pip": 0.3, "dip": 0.3}})
         x = chain(index_layout(), 1).x_at(0.31)
         force = 100.0 * 0.01
         expected = (force * 28.0 + force * 22.0) / (2 * R_HALF)
@@ -166,7 +163,7 @@ class TestTendonTension:
 
 def cube(theta_c=0.3, k_obj=1e4) -> ObjectModel:
     return ObjectModel(
-        "cube", "rigid", k_obj,
+        "rigid", k_obj,
         {"index": {"mcp": theta_c, "pip": theta_c, "dip": theta_c}},
     )
 
@@ -196,7 +193,7 @@ class TestContactTorque:
             assert hi - 0.3 <= 1e-3 + 1e-9
 
     def test_unlisted_joint_never_contacts(self):
-        obj = ObjectModel("o", "compliant", 100.0, {"index": {"mcp": 0.1}})
+        obj = ObjectModel("compliant", 100.0, {"index": {"mcp": 0.1}})
         assert chain(index_layout(), 1).contact_table(obj) == {}
         table = chain(index_layout(), 0).contact_table(obj)
         assert list(table) == [0]
@@ -231,13 +228,13 @@ class TestFingertipForce:
 class TestValidation:
     def test_rigid_needs_high_stiffness(self):
         with pytest.raises(ConfigError):
-            ObjectModel("o", "rigid", 100.0, {})
+            ObjectModel("rigid", 100.0, {})
 
     def test_fragile_needs_crush_threshold(self):
         with pytest.raises(ConfigError):
-            ObjectModel("o", "fragile", 100.0, {})
+            ObjectModel("fragile", 100.0, {})
 
     def test_bad_coupled_pair(self):
         with pytest.raises(ConfigError):
-            FingerLayout("x", (JointSpec("mcp", 1.0, HALF_PI, 10.0),),
+            FingerLayout((JointSpec("mcp", 1.0, HALF_PI, 10.0),),
                          coupled_pair=(0, 3), tendon_ids=("a",))

@@ -47,11 +47,11 @@ class TestVoltageProfile:
         assert all(prof(t) == 0.0 for t in (0.0, 0.5, 10.0))
 
     def test_target_above_ceiling_rejected(self, cfg):
-        preset = ScenarioPreset("over", ("index",),
+        preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("ramp_hold", 6.5, 1.0)},
                                 amp_ceiling=6.0)
         with pytest.raises(ConfigError, match="ceiling"):
-            resolve_preset(cfg, preset)
+            resolve_preset(cfg, "over", preset)
 
     def test_nonpositive_ramp_rejected(self):
         with pytest.raises(ConfigError):
@@ -60,10 +60,10 @@ class TestVoltageProfile:
 
 class TestStep:
     def test_rest_is_a_fixed_point_at_zero_volts(self, cfg_nf):
-        preset = ScenarioPreset("rest", ("thumb", "index"),
+        preset = ScenarioPreset(("thumb", "index"),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.05)
-        trace = run_scenario(resolve_preset(cfg_nf, preset), seed=0)
+        trace = run_scenario(resolve_preset(cfg_nf, "rest", preset), seed=0)
         assert all((x == 0.0).all() for x in trace.x.values())
         assert (trace.i_meas == 0.0).all()
         for tid, c in trace.c.items():
@@ -72,11 +72,11 @@ class TestStep:
     def test_converged_hold_is_steady(self, cfg_nf):
         # After a long hold the stall point is reached: x and c freeze
         # and the noise-free current vanishes.
-        preset = ScenarioPreset("hold_test", ("index",),
+        preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=3.0)
         sim = replace(cfg_nf.sim, duration=3.0)
-        trace = run_scenario(replace(resolve_preset(cfg_nf, preset), sim=sim), seed=0)
+        trace = run_scenario(replace(resolve_preset(cfg_nf, "hold_test", preset), sim=sim), seed=0)
         tail = slice(2700, 3001)
         for tid in trace.x:
             assert np.ptp(trace.x[tid][tail]) < 1e-6
@@ -88,10 +88,10 @@ class TestStep:
 
     def test_refined_integration_agrees(self, cfg_nf):
         # Oracle: the same model integrated ten times finer.
-        preset = ScenarioPreset("ref_test", ("index",),
+        preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=2.0)
-        scenario = resolve_preset(cfg_nf, preset)
+        scenario = resolve_preset(cfg_nf, "ref_test", preset)
         coarse = run_scenario(scenario, seed=0)
         fine_sim = SimConfig(dt_internal=1e-5, dt_sample=1e-3,
                              tau_mech=cfg_nf.sim.tau_mech, duration=2.0)
@@ -141,19 +141,19 @@ class TestRunScenario:
         assert 25.0 <= final <= 35.0
 
     def test_zero_duration_single_row(self, cfg):
-        preset = ScenarioPreset("zero", ("index",),
+        preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.0)
-        trace = run_scenario(resolve_preset(cfg, preset), seed=0)
+        trace = run_scenario(resolve_preset(cfg, "zero", preset), seed=0)
         assert len(trace) == 1
         assert trace.t[0] == 0.0
 
     def test_zero_duration_walk_asks_commander_once(self, cfg):
         # One sample: the commander sees no current and may only name 0.
-        preset = ScenarioPreset("zero", ("index",),
+        preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("hold", 2.0)},
                                 duration=0.0)
-        scenario = resolve_preset(cfg, preset)
+        scenario = resolve_preset(cfg, "zero", preset)
         for k in (None, 0):
             seen = []
             trace = run_scenario(scenario, 0, lambda i, k=k: seen.append(len(i)) or k)
@@ -585,7 +585,7 @@ def twin_presets(draw):
         profiles.update((stack, draw(st.sampled_from(schedules)))
                         for stack in TWIN_FINGERS["thumb"])
     obj = draw(st.sampled_from((None, "cube", "stuffed_toy", "paper_balloon")))
-    return ScenarioPreset("twins", fingers, obj=obj, profiles=profiles, duration=1.0)
+    return ScenarioPreset(fingers, obj=obj, profiles=profiles, duration=1.0)
 
 
 class TestSharedKernels:
@@ -596,12 +596,12 @@ class TestSharedKernels:
     @given(twin_presets(), st.sampled_from(("none", "contact_aware")), st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
     def test_twin_chains_match_chains_run_alone(self, cfg, preset, controller, seed):
-        config = replace(cfg, presets={**cfg.presets, preset.name: preset})
-        scenario = resolve_scenario(config, preset.name)
+        config = replace(cfg, presets={**cfg.presets, "twins": preset})
+        scenario = resolve_scenario(config, "twins")
         assert len(Plant(scenario).kernels) < len(scenario.chains)
-        shared = run_grasp_episode(config, preset.name, seed, controller=controller)
+        shared = run_grasp_episode(config, "twins", seed, controller=controller)
         with mock.patch.object(plant_module, "_kernel_key", run_alone):
-            alone = run_grasp_episode(config, preset.name, seed, controller=controller)
+            alone = run_grasp_episode(config, "twins", seed, controller=controller)
         assert _episode_bytes(shared) == _episode_bytes(alone)
 
     @pytest.mark.parametrize("preset, kernels", [("power_grasp_bottle", 4), ("tripod_toy", 4)])
@@ -620,18 +620,18 @@ class TestScheduleIdentity:
     hold's unread ramp_s does not split them, and -0.0 is not 0.0."""
 
     def test_holds_differing_in_ramp_share_one_voltage_and_their_kernels(self, cfg):
-        preset = ScenarioPreset("holds", ("index", "middle"), profiles={
+        preset = ScenarioPreset(("index", "middle"), profiles={
             "*": ProfileSpec("hold", 3.0, 1.0), "middle_mcp": ProfileSpec("hold", 3.0, 2.0)})
-        plant = Plant(resolve_preset(cfg, preset))
+        plant = Plant(resolve_preset(cfg, "holds", preset))
         # index and middle have equal tables: one kernel per tendon role.
         assert len(plant.volts) == 1
         assert len(plant.kernels) == 2
 
     def test_signed_zero_hold_keeps_the_monitored_chains_bits(self, cfg):
         # thumb_mcp, the first schedule, commands 0.0; the monitored chain -0.0.
-        preset = ScenarioPreset("zeros", ("thumb", "index"), profiles={
+        preset = ScenarioPreset(("thumb", "index"), profiles={
             "*": ProfileSpec("hold", 0.0), "index_mcp": ProfileSpec("hold", -0.0)})
-        scenario = resolve_preset(cfg, preset)
+        scenario = resolve_preset(cfg, "zeros", preset)
 
         def hold_at_100(i_meas):
             return 100 if len(i_meas) >= 100 else None

@@ -13,19 +13,28 @@ built-in config and once with perfbench/base_config.json (read only):
   --no-object, at seeds 0, 3 and 4242;
 - replay of each grasp trace against its seed's detector.
 
+Then come the edge calls, under edge/: each verb on configs derived
+from the built-in one (written beside the calls) that the model can or
+cannot give meaning to, and a replay against a detector that lacks its
+config_hash.
+
 Besides each verb's own files, every call leaves its exit code, stdout
 and stderr as files. The calls run in the output directory on relative
 paths, so no file names it. The script then prints one line per file,
-"<sha256>  <path>", sorted by path.
+"<sha256>  <path>", sorted by path. Every call states the exit code it
+expects: a build prints each call that exits otherwise to stderr and
+exits 1.
 
 --src builds with the package in DIR (default: this checkout's src).
+The expected exit codes are this checkout's, so a build with --src
+records its exit codes and does not hold them to the expectations.
 --against REV builds the matrix twice, each in an interpreter of its
 own: with this checkout's package and with the package of
 `git archive REV`, extracted into a temporary directory. Both read this
 checkout's base config. It prints the paths whose bytes differ or that
-only one build wrote, and exits 1 if there are any. --out keeps the
-files (with --against, under tree/ and rev/); otherwise they go to a
-temporary directory that is removed.
+only one build wrote, the .exit files among them, and exits 1 if there
+are any. --out keeps the files (with --against, under tree/ and rev/);
+otherwise they go to a temporary directory that is removed.
 
 The script uses the standard library and the package only.
 """
@@ -36,6 +45,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +58,29 @@ ROOT = Path(__file__).resolve().parents[1]
 BASE_CONFIG = ROOT / "perfbench" / "base_config.json"
 SEEDS = (0, 3, 4242)
 VARIANTS = {"shipped": [], "no-controller": ["--no-controller"], "no-object": ["--no-object"]}
+# One episode of each class reaches every check an edge config meets.
+SHORT_BATCH = ["detect-batch", "--free", "1", "--grasp", "1"]
+GRASP = ["grasp", "--preset", "pinch_cube"]
+# Per derived config: the key path it sets, the value, and each call's
+# (verb, argv, expected exit code).
+EDGE_CONFIGS = {
+    # Monitor noise reaches the monitored columns only, which characterize does not run.
+    "monitor-noise-1e308": ("amplifier.monitor_noise_v", 1e308, [
+        ("characterize", ["characterize"], 0),
+        ("grasp", GRASP, 2),
+        ("detect-batch", SHORT_BATCH, 2),
+    ]),
+    # A preset naming a finger the config lacks refuses the whole config.
+    "unknown-finger": ("presets.pinch_cube.fingers", ["index", "nosuch"], [
+        ("characterize", ["characterize"], 2),
+        ("grasp", GRASP, 2),
+        ("detect-batch", SHORT_BATCH, 2),
+    ]),
+    # A window between two samples holds none to decide on.
+    "narrow-window": ("detection.window", [0.8805, 0.8808], [
+        ("detect-batch", SHORT_BATCH, 2),
+    ]),
+}
 
 
 def import_package(src: Path):
@@ -60,8 +93,9 @@ def import_package(src: Path):
     return haselhand
 
 
-def call(cli, argv: list[str], name: str) -> None:
-    """Run one CLI call; keep its exit code, stdout and stderr under calls/."""
+def call(cli, argv: list[str], name: str, want: int = 0) -> list[str]:
+    """Run one CLI call; keep its exit code, stdout and stderr under calls/.
+    Returns the call's mismatch with its expected exit code want, if any."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -73,32 +107,62 @@ def call(cli, argv: list[str], name: str) -> None:
         path = Path("calls", name + suffix)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+    return [] if code == want else [f"calls/{name}: exit {code}, expected {want}"]
 
 
-def build(src: Path, out: Path) -> None:
-    """Write the matrix with the package in src into out."""
+def write_json(path: str, doc) -> str:
+    """Write doc to path as indented JSON; returns path."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def build(src: Path, out: Path) -> list[str]:
+    """Write the matrix with the package in src into out; returns the
+    calls that did not exit as expected."""
     haselhand = import_package(src)
     presets = list(haselhand.default_config().presets)
     os.environ.pop("HASELHAND_OUT", None)  # it would override every --out
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    cli, missed = haselhand.cli, []
     for label, config in (("default", []), ("base", ["--config", str(BASE_CONFIG)])):
-        call(haselhand.cli, ["characterize", "--out", f"{label}/characterize", *config],
-             f"{label}/characterize")
+        missed += call(cli, ["characterize", "--out", f"{label}/characterize", *config],
+                       f"{label}/characterize")
         for seed in SEEDS:
-            call(haselhand.cli, ["detect-batch", "--seed", str(seed), "--out",
+            missed += call(cli, ["detect-batch", "--seed", str(seed), "--out",
                                  f"{label}/detect-batch/seed{seed}", *config],
-                 f"{label}/detect-batch/seed{seed}")
+                           f"{label}/detect-batch/seed{seed}")
         for variant, flags in VARIANTS.items():
             for preset in presets:
                 for seed in SEEDS:
                     grasp, stem = f"{label}/grasp/{variant}", f"{preset}_seed{seed}"
-                    call(haselhand.cli, ["grasp", "--preset", preset, "--seed", str(seed),
+                    missed += call(cli, ["grasp", "--preset", preset, "--seed", str(seed),
                                          "--out", grasp, *flags, *config], f"{grasp}/{stem}")
-                    call(haselhand.cli, ["replay", "--trace", f"{grasp}/{stem}.csv", "--detector",
+                    # balloon_hold's profile hash is not the detect-batch detector's.
+                    missed += call(cli, ["replay", "--trace", f"{grasp}/{stem}.csv", "--detector",
                                          f"{label}/detect-batch/seed{seed}/detector.json",
                                          "--out", f"{label}/replay/{variant}"],
-                         f"{label}/replay/{variant}/{stem}")
+                                   f"{label}/replay/{variant}/{stem}",
+                                   2 if preset == "balloon_hold" else 0)
+
+    for case, (where, value, calls) in EDGE_CONFIGS.items():
+        doc = haselhand.config.config_to_dict(haselhand.default_config())
+        *parents, leaf = where.split(".")
+        block = doc
+        for key in parents:
+            block = block[key]
+        block[leaf] = value
+        config = write_json(f"edge/{case}/config.json", doc)
+        for verb, argv, want in calls:
+            missed += call(cli, [*argv, "--config", config, "--out", f"edge/{case}/{verb}"],
+                           f"edge/{case}/{verb}", want)
+    detector = json.loads(Path("default/detect-batch/seed0/detector.json").read_text())
+    del detector["config_hash"]
+    missed += call(cli, ["replay", "--trace", "default/grasp/shipped/pinch_cube_seed0.csv",
+                         "--detector", write_json("edge/no-config-hash/detector.json", detector),
+                         "--out", "edge/no-config-hash/replay"], "edge/no-config-hash/replay", 2)
+    return missed
 
 
 def manifest(out: Path) -> str:
@@ -142,8 +206,9 @@ def against(rev: str, out: Path, scratch: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="the package's source directory (default: this checkout's src)")
+    parser.add_argument("--src", type=Path,
+                        help="the package's source directory (default: this checkout's src); "
+                             "its exit codes are not held to the expectations")
     parser.add_argument("--out", type=Path, help="keep the outputs in this directory")
     parser.add_argument("--against", metavar="REV",
                         help="compare with the package of a git revision")
@@ -156,9 +221,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.against:
             status = against(args.against, out, Path(scratch))
         else:
-            build(args.src.resolve(), out)
+            missed = build((args.src or ROOT / "src").resolve(), out)
             sys.stdout.write(manifest(out))
-            status = 0
+            if args.src is not None:  # another package's exit codes are recorded, not checked
+                missed = []
+            for line in missed:
+                print(line, file=sys.stderr)
+            status = 1 if missed else 0
         os.chdir(ROOT)  # leave the directory before it is removed
     print(f"outputs: {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return status

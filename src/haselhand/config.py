@@ -19,6 +19,13 @@ Field metadata also declares each field's domain next to its default:
 them when it is built (errors.check_domains), from a document or in
 code; decode prefixes a block's errors with the block's key path.
 
+HandConfig checks the rules between blocks: names that key trace
+columns, references (a preset's in check_references) and preset
+durations. A Scenario checks itself however it is built, by
+resolve_preset or dataclasses.replace: the rig's limits per chain
+(target <= amplifier ceiling and v_max, each stack driven once), its
+duration, episode and monitored stack.
+
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
 everything else (extensor rates, friction split, contact angles) is
@@ -214,27 +221,24 @@ class HandConfig:
 
     def __post_init__(self):
         """Cross-references between blocks; each error names its key path."""
-        # Stack ids and finger and joint names key trace columns, whose
-        # header is one comma-separated line.
-        names = [(f"stacks.{tid}", tid) for tid in self.stacks]
-        for fname, layout in self.fingers.items():
-            names.append((f"fingers.{fname}", fname))
-            names += [(f"fingers.{fname}.joints[{i}].name", j.name)
-                      for i, j in enumerate(layout.joints)]
-        for where, name in names:
+        # Stack ids and finger and joint names key trace columns, whose header is
+        # one comma-separated line, and two joints with one key would share columns.
+        def plain(where: str, name: str) -> None:
             if {",", "\r", "\n"} & set(name):
                 raise ConfigError(f"{where}: {name!r} names trace columns, "
                                   f"so it may not contain a comma, CR or LF")
-        # Every joint is driven, and two with one key would share its columns.
+        for tid in self.stacks:
+            plain(f"stacks.{tid}", tid)
         keyed: dict[str, str] = {}
         for fname, layout in self.fingers.items():
+            plain(f"fingers.{fname}", fname)
             for i, joint in enumerate(layout.joints):
                 where, key = f"fingers.{fname}.joints[{i}].name", joint_key(fname, joint.name)
+                plain(where, joint.name)
                 if key in keyed:
                     raise ConfigError(f"{where}: trace key {key!r} is already "
                                       f"the key of {keyed[key]}")
                 keyed[key] = where
-        for fname, layout in self.fingers.items():
             for tid in layout.tendon_ids:
                 if tid not in self.stacks:
                     raise ConfigError(f"fingers.{fname}.tendons: unknown stack {tid!r}")
@@ -262,19 +266,23 @@ class HandConfig:
                 f"detection.monitored_stack: {self.detection.monitored_stack!r} is not a stack"
             )
         for pname, preset in self.presets.items():
-            where = f"presets.{pname}"
-            for fname in preset.fingers:
-                if fname not in self.fingers:
-                    raise ConfigError(f"{where}.fingers: unknown finger {fname!r}")
-            driven = {tid for fname in preset.fingers for tid in self.fingers[fname].tendon_ids}
-            for tid in preset.profiles:
-                if tid != "*" and tid not in driven:
-                    raise ConfigError(f"{where}.profiles.{tid}: the preset drives no stack "
-                                      f"{tid!r} (it drives {', '.join(sorted(driven))})")
-            if preset.obj is not None and preset.obj not in self.objects:
-                raise ConfigError(f"{where}.object: unknown object {preset.obj!r}")
+            self.check_references(preset, f"presets.{pname}.")
             if preset.duration is not None:
-                self.sim.check_duration(preset.duration, f"{where}.duration")
+                self.sim.check_duration(preset.duration, f"presets.{pname}.duration")
+
+    def check_references(self, preset: ScenarioPreset, where: str) -> None:
+        """Refuse a preset naming a finger or object this config lacks, or
+        profiling a stack it does not drive; where prefixes each message."""
+        for fname in preset.fingers:
+            if fname not in self.fingers:
+                raise ConfigError(f"{where}fingers: unknown finger {fname!r}")
+        driven = {tid for fname in preset.fingers for tid in self.fingers[fname].tendon_ids}
+        for tid in preset.profiles:
+            if tid != "*" and tid not in driven:
+                raise ConfigError(f"{where}profiles.{tid}: the preset drives no stack "
+                                  f"{tid!r} (it drives {', '.join(sorted(driven))})")
+        if preset.obj is not None and preset.obj not in self.objects:
+            raise ConfigError(f"{where}object: unknown object {preset.obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +605,17 @@ class Scenario:
     config_fingerprint: str  # config_hash of the config that resolved the scenario
 
     def __post_init__(self):
+        # The rig's limits per chain: amplifier ceiling, each stack driven once, v_max.
+        for i, chain in enumerate(self.chains):
+            tid, target = chain.tendon_id, chain.profile.target_kv
+            if target > self.amplifier.v_ceiling:
+                raise ConfigError(f"preset {self.name}: profile target {target} kV "
+                                  f"exceeds amplifier ceiling {self.amplifier.v_ceiling} kV")
+            if any(c.tendon_id == tid for c in self.chains[:i]):
+                raise ConfigError(f"preset {self.name}: stack {tid!r} is driven twice")
+            if target > chain.stack.v_max:
+                raise ConfigError(f"preset {self.name}: profile target {target} kV "
+                                  f"exceeds stack {tid} v_max {chain.stack.v_max} kV")
         try:
             check_domains(self)
         except ConfigError as exc:
@@ -635,11 +654,7 @@ def resolve_scenario(
     drop_object: bool = False,
     controller: Optional[str] = None,
 ) -> Scenario:
-    """Turn a named preset into a runnable scenario.
-
-    HandConfig has checked the preset's fingers and object; resolve_preset
-    checks its chains and their profile targets before any simulation.
-    """
+    """Turn a named preset into a runnable scenario, checked before any simulation."""
     if preset_name not in cfg.presets:
         raise ConfigError(
             f"unknown preset {preset_name!r}; available: {', '.join(sorted(cfg.presets))}"
@@ -656,34 +671,18 @@ def resolve_preset(
     drop_object: bool = False,
     controller: Optional[str] = None,
 ) -> Scenario:
-    """Resolve a preset, named preset_name, against cfg; an ad hoc preset
-    must use fingers and an object cfg has."""
+    """Resolve a preset, named preset_name, against cfg: one chain per
+    tendon of its fingers. Any preset is accepted: its references are
+    checked here, and the Scenario checks its chains and duration."""
+    cfg.check_references(preset, f"preset {preset_name}: ")
     obj_name = None if drop_object else preset.obj
-
     ceiling = preset.amp_ceiling if preset.amp_ceiling is not None else cfg.amplifier.v_ceiling
-    amplifier = replace(cfg.amplifier, v_ceiling=ceiling)
-
-    chains: list[ChainSpec] = []
-    for fname in preset.fingers:
-        layout = cfg.fingers[fname]
-        for tid, group in zip(layout.tendon_ids, layout.tendon_joint_groups()):
-            profile = preset.profiles.get(tid, preset.profiles["*"])
-            if profile.target_kv > amplifier.v_ceiling:
-                raise ConfigError(
-                    f"preset {preset_name}: profile target {profile.target_kv} kV "
-                    f"exceeds amplifier ceiling {amplifier.v_ceiling} kV"
-                )
-            if any(c.tendon_id == tid for c in chains):
-                raise ConfigError(f"preset {preset_name}: stack {tid!r} is driven twice")
-            stack = cfg.stacks[tid]
-            if profile.target_kv > stack.v_max:
-                raise ConfigError(
-                    f"preset {preset_name}: profile target {profile.target_kv} kV "
-                    f"exceeds stack {tid} v_max {stack.v_max} kV"
-                )
-            chains.append(ChainSpec(tid, fname, layout, group, stack,
-                                    cfg.tendons[tid], profile))
-
+    chains = tuple(
+        ChainSpec(tid, fname, layout, group, cfg.stacks[tid], cfg.tendons[tid],
+                  preset.profiles.get(tid, preset.profiles["*"]))
+        for fname in preset.fingers for layout in [cfg.fingers[fname]]
+        for tid, group in zip(layout.tendon_ids, layout.tendon_joint_groups())
+    )
     duration = preset.duration if preset.duration is not None else cfg.sim.duration
     ctrl = controller if controller is not None else preset.controller
 
@@ -700,10 +699,10 @@ def resolve_preset(
 
     return Scenario(
         name=preset_name,
-        chains=tuple(chains),
+        chains=chains,
         obj=cfg.objects[obj_name] if obj_name is not None else None,
         obj_name=obj_name,
-        amplifier=amplifier,
+        amplifier=replace(cfg.amplifier, v_ceiling=ceiling),
         sim=cfg.sim,
         duration=duration,
         episode=duration,

@@ -16,6 +16,7 @@ from haselhand import config_hash, default_config, load_config, save_config
 from haselhand.actuator import StackConfig
 from haselhand.config import (
     MAX_INTERNAL_STEPS,
+    AmplifierModel,
     DetectionConfig,
     HandConfig,
     ProfileSpec,
@@ -250,6 +251,9 @@ class TestNamedByKey:
             assert run_scenario(replace(scenario, duration=0.1), 0).meta["object"] == name
 
 
+PINCH_CUBE = resolve_scenario(default_config(), "pinch_cube")
+
+
 class TestScenarioRefusals:
     """A scenario refuses what no run can give meaning to, naming its preset."""
 
@@ -261,11 +265,33 @@ class TestScenarioRefusals:
          "preset pinch_cube: no chain drives monitored_stack 'middle_mcp'"),
         ({"obj": None}, "preset pinch_cube: obj and obj_name must both be set or both None"),
         ({"obj_name": None}, "preset pinch_cube: obj and obj_name must both be set or both None"),
-    ], ids=["controller", "unknown_stack", "undriven_stack", "obj_alone", "obj_name_alone"])
+        # The rig's limits, with the messages a preset asking for the same gets at resolve time.
+        ({"amplifier": AmplifierModel(v_ceiling=4.0)},
+         "preset pinch_cube: profile target 5.5 kV exceeds amplifier ceiling 4.0 kV"),
+        ({"chains": (replace(PINCH_CUBE.chains[0], stack=replace(
+            PINCH_CUBE.chains[0].stack, v_ref=5.0, v_max=5.0)), *PINCH_CUBE.chains[1:])},
+         "preset pinch_cube: profile target 5.5 kV exceeds stack thumb_mcp v_max 5.0 kV"),
+        ({"chains": PINCH_CUBE.chains + PINCH_CUBE.chains[:1]},
+         "preset pinch_cube: stack 'thumb_mcp' is driven twice"),
+    ], ids=["controller", "unknown_stack", "undriven_stack", "obj_alone", "obj_name_alone",
+            "above_ceiling", "above_v_max", "stack_driven_twice"])
     def test_scenario_refuses(self, cfg, change, message):
         scenario = resolve_scenario(cfg, "pinch_cube")
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             replace(scenario, **change)
+
+    @pytest.mark.parametrize("preset, message", [
+        (ScenarioPreset(("nosuch",)), "preset adhoc: fingers: unknown finger 'nosuch'"),
+        (ScenarioPreset(("index",), obj="nosuch"),
+         "preset adhoc: object: unknown object 'nosuch'"),
+        (ScenarioPreset(("index",), profiles={"*": ProfileSpec(), "thumb_mcp": ProfileSpec()}),
+         "preset adhoc: profiles.thumb_mcp: the preset drives no stack 'thumb_mcp' "
+         "(it drives index_mcp, index_pip_dip)"),
+    ], ids=["unknown_finger", "unknown_object", "undriven_profile"])
+    def test_ad_hoc_preset_references_checked_at_resolve(self, cfg, preset, message):
+        # A preset built in code never passed HandConfig's checks.
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            resolve_preset(cfg, "adhoc", preset)
 
     def test_unknown_controller_refused_before_a_run(self, cfg):
         message = ("preset pinch_cube: controller: 'bogus' must be one of "

@@ -76,6 +76,13 @@ EDGE_CONFIGS = {
         ("grasp", GRASP, 2),
         ("detect-batch", SHORT_BATCH, 2),
     ]),
+    # A ceiling below a preset's 6 kV target refuses that preset alone, when it resolves.
+    "balloon-ceiling-5kv": ("presets.balloon_hold.amp_ceiling", 5.0, [
+        ("characterize", ["characterize"], 0),
+        ("grasp-balloon_hold", ["grasp", "--preset", "balloon_hold"], 2),
+        ("grasp", GRASP, 0),
+        ("detect-batch", SHORT_BATCH, 0),
+    ]),
     # A window between two samples holds none to decide on.
     "narrow-window": ("detection.window", [0.8805, 0.8808], [
         ("detect-batch", SHORT_BATCH, 2),

@@ -7,9 +7,11 @@ Verbs:
     replay        rerun grasp detection offline on a recorded trace
 
 Every command is deterministic given its inputs and writes plot-ready
-CSV/JSON only; all outputs carry the config hash. Exit codes: 0 success,
-2 configuration error, 3 model-consistency error, 4 calibration failure.
-HASELHAND_OUT overrides the output directory.
+CSV/JSON only; all outputs carry the config hash. Each cmd_* returns its
+files (name -> text, in write order) and its stdout line; main writes and
+prints them once the verb has returned, so a refused run writes nothing.
+Exit codes: 0 success, 2 configuration error, 3 model-consistency error,
+4 calibration failure. HASELHAND_OUT overrides the output directory.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def _load(args) -> HandConfig:
 
 
 def _outdir(args) -> Path:
-    """The output directory. It is not created here: write_atomic creates
-    it with the first file, so a refused run leaves no directory behind."""
+    """The output directory, which main alone resolves. write_atomic creates
+    it with main's first write, so a refused run leaves no directory behind."""
     return Path(os.environ.get("HASELHAND_OUT") or args.out)
 
 
@@ -70,13 +72,12 @@ def _outdir(args) -> Path:
 # characterize
 # ---------------------------------------------------------------------------
 
-def cmd_characterize(args) -> int:
+def cmd_characterize(args) -> tuple[dict[str, str], str]:
     cfg = _load(args)
     missing = [finger for finger in ("index", "thumb") if finger not in cfg.fingers]
     if missing:
         raise ConfigError(f"characterize sweeps the index and thumb fingers; "
                           f"the config has no {' and no '.join(missing)}")
-    out = _outdir(args)
     meta: dict[str, Any] = {
         "config_hash": config_hash(cfg),
         "onset_voltage_kv": {},
@@ -86,8 +87,6 @@ def cmd_characterize(args) -> int:
     sweep_top = min(5.5, cfg.amplifier.v_ceiling)
     volts = np.array([round(0.01 * k, 10) for k in range(int(round(sweep_top / 0.01)) + 1)])
     tips = [("v(kV)", volts)]
-    # Every file's text is made before the first is written, so a refused
-    # run writes nothing.
     files: dict[str, str] = {}
 
     for finger in ("index", "thumb"):
@@ -97,7 +96,6 @@ def cmd_characterize(args) -> int:
         preset = ScenarioPreset(
             fingers=(finger,),
             profiles={"*": ProfileSpec(target_kv=min(stack.v_ref, cfg.amplifier.v_ceiling))},
-            duration=2.0,
         )
         # A bench test reads no monitor: the record alone, with no seed or noise.
         plant = Plant(resolve_preset(cfg, f"characterize_{finger}", preset))
@@ -126,19 +124,15 @@ def cmd_characterize(args) -> int:
 
     files["fingertip_force.csv"] = csv_text(tips)
     files["characterize.meta.json"] = json_text(meta)
-    for name, text in files.items():
-        write_atomic(out / name, text)
-    print(f"characterize: wrote {out}/voltage_angle_*.csv, fingertip_force.csv")
-    return EXIT_OK
+    return files, f"characterize: wrote {args.out}/voltage_angle_*.csv, fingertip_force.csv"
 
 
 # ---------------------------------------------------------------------------
 # grasp
 # ---------------------------------------------------------------------------
 
-def cmd_grasp(args) -> int:
+def cmd_grasp(args) -> tuple[dict[str, str], str]:
     cfg = _load(args)
-    out = _outdir(args)
     report = run_grasp_episode(
         cfg,
         args.preset,
@@ -147,10 +141,9 @@ def cmd_grasp(args) -> int:
         controller="none" if args.no_controller else None,
     )
     stem = f"{args.preset}_seed{args.seed}"
-    report.trace.save(out / f"{stem}.csv")
-    write_atomic(out / f"{stem}.report.json", json_text(report.to_dict()))
-    print(f"grasp: {args.preset} seed={args.seed} verdicts={report.verdicts}")
-    return EXIT_OK
+    files = report.trace.file_texts(f"{stem}.csv")
+    files[f"{stem}.report.json"] = json_text(report.to_dict())
+    return files, f"grasp: {args.preset} seed={args.seed} verdicts={report.verdicts}"
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +155,8 @@ GRASP_SEED_OFFSET = 100_000
 N_CALIBRATION = 4
 
 
-def cmd_detect_batch(args) -> int:
+def cmd_detect_batch(args) -> tuple[dict[str, str], str]:
     cfg = _load(args)
-    out = _outdir(args)
     if args.free < 1 or args.grasp < 1:
         raise ConfigError("detect-batch needs at least one episode of each class")
 
@@ -221,18 +213,16 @@ def cmd_detect_batch(args) -> int:
         "misclassified": misclassified,
         "seed": args.seed,
     }
-    write_atomic(out / "detect_batch_summary.json", json_text(summary))
-    write_atomic(out / "detector.json", json_text(detector_doc))
-    print(f"detect-batch: {correct}/{total} correct, threshold {threshold:.3f} uA")
-    return EXIT_OK
+    files = {"detect_batch_summary.json": json_text(summary),
+             "detector.json": json_text(detector_doc)}
+    return files, f"detect-batch: {correct}/{total} correct, threshold {threshold:.3f} uA"
 
 
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
 
-def cmd_replay(args) -> int:
-    out = _outdir(args)
+def cmd_replay(args) -> tuple[dict[str, str], str]:
     detector_doc = read_json(args.detector)
     det = decode(DetectionConfig, detector_doc, "detector")
     trace = load_trace(args.trace)
@@ -258,10 +248,8 @@ def cmd_replay(args) -> int:
         "config_hash": trace.meta.get("config_hash"),
         "profile_hash": trace.meta.get("profile_hash"),
     }
-    path = out / (Path(args.trace).stem + ".verdict.json")
-    write_atomic(path, json_text(verdict))
-    print(f"replay: grasped={grasped} decision_time={t_dec}")
-    return EXIT_OK
+    files = {Path(args.trace).stem + ".verdict.json": json_text(verdict)}
+    return files, f"replay: grasped={grasped} decision_time={t_dec}"
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # HASELHAND_OUT wins over --out; a verb's stdout line may name the result.
+    args.out = _outdir(args)
     try:
         # An overflow or NaN is refused by name where a result is checked
         # for finite values, so numpy's warning would only precede that line.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            files, line = args.func(args)
+        for name, text in files.items():
+            write_atomic(args.out / name, text)
     except CalibrationError as exc:
         print(f"calibration failure: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
@@ -339,6 +330,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HaselHandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

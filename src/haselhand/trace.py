@@ -159,11 +159,15 @@ class SignalTrace:
     def to_csv_text(self) -> str:
         return csv_text(self.columns())
 
+    def file_texts(self, csv_path: str | Path) -> dict[str, str]:
+        """path -> text of the CSV at csv_path, then of its .meta.json companion."""
+        return {str(csv_path): self.to_csv_text(),
+                str(Path(csv_path).with_suffix(".meta.json")): json_text(self.meta)}
+
     def save(self, csv_path: str | Path) -> Path:
-        csv_path = Path(csv_path)
-        write_atomic(csv_path, self.to_csv_text())
-        write_atomic(csv_path.with_suffix(".meta.json"), json_text(self.meta))
-        return csv_path
+        for path, text in self.file_texts(csv_path).items():
+            write_atomic(Path(path), text)
+        return Path(csv_path)
 
 
 def _parse_header(header: str) -> list[str]:

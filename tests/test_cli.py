@@ -8,7 +8,7 @@ import pytest
 from haselhand import cli as cli_module
 from haselhand.cli import main
 from haselhand.config import config_to_dict, default_config
-from haselhand.errors import TraceSchemaError
+from haselhand.errors import ConfigError, TraceSchemaError
 from haselhand.plant import ChainSim
 from haselhand.trace import load_trace
 from oracles import onset_voltage
@@ -180,6 +180,16 @@ class TestCharacterize:
         tendons = [tid for finger in ("index", "thumb") for tid in cfg.fingers[finger].tendon_ids]
         assert len(tendons) == 4
         assert onsets == {tid: onset_voltage(cfg, tid) for tid in tendons}
+
+    def test_sweeps_run_the_configs_episode(self, tmp_path):
+        # The bench test has no duration of its own: it runs sim.duration.
+        cfg_path = write_config(tmp_path, lambda d: d.__setitem__(
+            "sim", {"dt_sample": 0.003, "duration": 3.0}))
+        out = tmp_path / "out"
+        assert run_cli("characterize", "--config", str(cfg_path), "--out", str(out)) == 0
+        for finger in ("index", "thumb"):
+            rows = (out / f"voltage_angle_{finger}.csv").read_text().splitlines()
+            assert len(rows) - 1 == 1001
 
 
 class TestGrasp:
@@ -808,6 +818,38 @@ class TestBadInputs:
                        "--out", str(tmp_path / "o"))
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+
+class TestLateRefusal:
+    @pytest.mark.parametrize("argv", [
+        ("characterize",),
+        ("grasp", "--preset", "pinch_cube"),
+        ("detect-batch", "--free", "1", "--grasp", "1"),
+        ("replay", "--trace", "{batch}/detect_cube_seed100000.csv",
+         "--detector", "{batch}/detector.json"),
+    ], ids=["characterize", "grasp", "detect_batch", "replay"])
+    def test_refusal_at_the_last_document_writes_nothing(self, batch_out, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        # A verb's last JSON document is made after all its work: a refusal
+        # there must leave no file of the run behind, not even the earlier ones.
+        argv = [arg.format(batch=batch_out) for arg in argv]
+        encode, calls = cli_module.json_text, []
+        monkeypatch.setattr(cli_module, "json_text", lambda doc: calls.append(doc) or encode(doc))
+        assert run_cli(*argv, "--out", str(tmp_path / "first")) == 0
+        last = len(calls)
+        calls.clear()
+
+        def refuse_last(doc):
+            calls.append(doc)
+            if len(calls) == last:
+                raise ConfigError("refused late")
+            return encode(doc)
+
+        monkeypatch.setattr(cli_module, "json_text", refuse_last)
+        out = tmp_path / "o"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: refused late\n"
+        assert not out.exists()
 
 
 class TestModelConsistency:

@@ -83,6 +83,13 @@ EDGE_CONFIGS = {
         ("grasp", GRASP, 0),
         ("detect-batch", SHORT_BATCH, 0),
     ]),
+    # Every episode without a duration of its own, characterize's included,
+    # runs sim.duration: 1,000 periods of 3 ms.
+    "sim-3ms-3s": ("sim", {"dt_sample": 0.003, "duration": 3.0}, [
+        ("characterize", ["characterize"], 0),
+        ("grasp", GRASP, 0),
+        ("detect-batch", SHORT_BATCH, 0),
+    ]),
     # A window between two samples holds none to decide on.
     "narrow-window": ("detection.window", [0.8805, 0.8808], [
         ("detect-batch", SHORT_BATCH, 2),

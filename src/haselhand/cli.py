@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration error, 3 model-consistency error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -31,7 +32,7 @@ from .config import (
     HandConfig,
     ProfileSpec,
     ScenarioPreset,
-    config_hash,
+    config_hash,  # noqa: F401 -- unused, kept: perfbench's config.hash span wraps it
     decode,
     default_config,
     load_config,
@@ -57,9 +58,11 @@ EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_CALIBRATION = 4
 
+_builtin_config = functools.cache(default_config)  # built on first use; no verb mutates it
+
 
 def _load(args) -> HandConfig:
-    return load_config(args.config) if args.config else default_config()
+    return load_config(args.config) if args.config else _builtin_config()
 
 
 def _outdir(args) -> Path:
@@ -79,7 +82,7 @@ def cmd_characterize(args) -> tuple[dict[str, str], str]:
         raise ConfigError(f"characterize sweeps the index and thumb fingers; "
                           f"the config has no {' and no '.join(missing)}")
     meta: dict[str, Any] = {
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg.fingerprint,
         "onset_voltage_kv": {},
         "saturation_deg": {},
         "fingertip_n": {},
@@ -264,6 +267,7 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haselhand",

@@ -24,7 +24,9 @@ columns, references (a preset's in check_references) and preset
 durations. A Scenario checks itself however it is built, by
 resolve_preset or dataclasses.replace: the rig's limits per chain
 (target <= amplifier ceiling and v_max, each stack driven once), its
-duration, episode and monitored stack.
+duration, episode and monitored stack. A config is not mutated after
+construction: a changed one is built with dataclasses.replace, so
+HandConfig.fingerprint, its config_hash, is computed once per object.
 
 The shipped defaults are calibration values: the two quoted points of
 the 2-stack force curve are the only numbers treated as ground truth,
@@ -208,7 +210,7 @@ def joint_key(finger: str, joint: str) -> str:
 
 @dataclass(frozen=True)
 class HandConfig:
-    """The whole experiment configuration document."""
+    """The whole experiment configuration document; not mutated once built."""
 
     stacks: dict[str, StackConfig]
     tendons: dict[str, TendonPath]
@@ -269,6 +271,10 @@ class HandConfig:
             self.check_references(preset, f"presets.{pname}.")
             if preset.duration is not None:
                 self.sim.check_duration(preset.duration, f"presets.{pname}.duration")
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        return config_hash(self)
 
     def check_references(self, preset: ScenarioPreset, where: str) -> None:
         """Refuse a preset naming a finger or object this config lacks, or
@@ -708,5 +714,5 @@ def resolve_preset(
         episode=duration,
         controller=ctrl,
         monitored_stack=monitored,
-        config_fingerprint=config_hash(cfg),
+        config_fingerprint=cfg.fingerprint,
     )

@@ -7,7 +7,7 @@ import pytest
 
 from haselhand import cli as cli_module
 from haselhand.cli import main
-from haselhand.config import config_to_dict, default_config
+from haselhand.config import config_hash, config_to_dict, default_config
 from haselhand.errors import ConfigError, TraceSchemaError
 from haselhand.plant import ChainSim
 from haselhand.trace import load_trace
@@ -875,3 +875,45 @@ class TestOutputDirOverride:
         assert run_cli("characterize", "--out", str(tmp_path / "ignored")) == 0
         assert (target / "characterize.meta.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestOneProcess:
+    def test_repeated_calls_write_the_same_bytes(self, batch_out, tmp_path, monkeypatch):
+        # The parser and the built-in config are built once per process:
+        # no call may change what a later call writes.
+        builtin = cli_module._builtin_config()
+
+        def good_calls(root):
+            return [
+                ("characterize", "--out", root / "characterize"),
+                ("grasp", "--preset", "balloon_hold", "--out", root / "grasp"),
+                ("detect-batch", "--free", "1", "--grasp", "1", "--out", root / "batch"),
+                ("replay", "--trace", batch_out / "detect_cube_seed100000.csv",
+                 "--detector", root / "batch" / "detector.json", "--out", root / "replay"),
+            ]
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        monkeypatch.setenv("HASELHAND_OUT", str(tmp_path / "env"))
+        assert run_cli("characterize", "--out", str(tmp_path / "ignored")) == 0
+        monkeypatch.delenv("HASELHAND_OUT")
+        for argv in good_calls(tmp_path / "first"):
+            assert run_cli(*map(str, argv)) == 0
+        with pytest.raises(SystemExit) as exc:
+            run_cli("grasp", "--preset", "pinch_cube", "--seed", "-1")
+        assert exc.value.code == 2
+        assert run_cli("grasp", "--preset", "no_such_preset",
+                       "--out", str(tmp_path / "refused")) == 2
+        for argv in good_calls(tmp_path / "second"):
+            assert run_cli(*map(str, argv)) == 0
+
+        first = files(tmp_path / "first")
+        assert len(first) == 10
+        assert files(tmp_path / "second") == first
+        assert files(tmp_path / "env") == files(tmp_path / "first" / "characterize")
+        assert not (tmp_path / "ignored").exists()
+        assert not (tmp_path / "refused").exists()
+        assert cli_module._builtin_config() is builtin
+        assert builtin == default_config()
+        assert builtin.fingerprint == config_hash(builtin) == config_hash(default_config())

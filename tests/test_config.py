@@ -137,6 +137,22 @@ class TestValidRoundTrip:
         assert config_hash(loaded) == config_hash(cfg)
 
 
+class TestFingerprint:
+    def test_is_the_hash_of_the_saved_and_loaded_config(self, tmp_path):
+        cfg = default_config()
+        save_config(cfg, tmp_path / "config.json")
+        assert cfg.fingerprint == config_hash(load_config(tmp_path / "config.json"))
+
+    def test_a_replaced_config_gets_its_own(self, cfg):
+        before = cfg.fingerprint  # cached on the original before the replace
+        changed = replace(cfg, sim=replace(cfg.sim, duration=3.0))
+        doc = config_to_dict(cfg)
+        doc["sim"]["duration"] = 3.0
+        assert changed.fingerprint != before
+        assert changed.fingerprint == config_hash(config_from_dict(doc))
+        assert cfg.fingerprint == before == config_hash(cfg)
+
+
 class TestCrossReferences:
     def test_preset_with_unknown_finger(self, cfg):
         doc = config_to_dict(cfg)

@@ -402,11 +402,15 @@ class TestGraspEpisodes:
         assert not report.verdicts["grasped"]
         assert not report.verdicts["stable"]
 
-    def test_controlled_episode_hashes_config_once(self, cfg, monkeypatch):
+    def test_controlled_episode_hashes_config_once(self, monkeypatch):
+        # A fresh config: the session's has computed its fingerprint already.
+        cfg = config_module.default_config()
         calls = []
         real = config_module.config_hash
         monkeypatch.setattr(config_module, "config_hash",
                             lambda c: calls.append(c) or real(c))
+        run_grasp_episode(cfg, "balloon_hold", seed=0)
+        assert len(calls) == 1
         run_grasp_episode(cfg, "balloon_hold", seed=0)
         assert len(calls) == 1
 

@@ -5,7 +5,8 @@ Usage:
     python tools/outputs.py --against REV [--out DIR]
 
 The matrix runs haselhand's CLI verbs in one process, once with the
-built-in config and once with perfbench/base_config.json (read only):
+built-in config (the default half) and once with
+perfbench/base_config.json, read only (the base half):
 
 - characterize;
 - detect-batch 25/25 at seeds 0, 3 and 4242;
@@ -23,17 +24,24 @@ and stderr as files. The calls run in the output directory on relative
 paths, so no file names it. The script then prints one line per file,
 "<sha256>  <path>", sorted by path. Every call states the exit code it
 expects: a build prints each call that exits otherwise to stderr and
-exits 1.
+exits 1. base_config.json holds the built-in config. Each base-half
+call loads it afresh, while the default-half calls share one built-in
+config per process, so the two halves must match file by file: a build
+prints each base-half file whose bytes differ from its default-half
+twin, or that has none, and exits 1. The one exception is
+calls/base/characterize.stdout, which names its own directory.
 
 --src builds with the package in DIR (default: this checkout's src).
 The expected exit codes are this checkout's, so a build with --src
-records its exit codes and does not hold them to the expectations.
+records its exit codes and does not hold them, or its halves, to the
+expectations.
 --against REV builds the matrix twice, each in an interpreter of its
 own: with this checkout's package and with the package of
 `git archive REV`, extracted into a temporary directory. Both read this
 checkout's base config. It prints the paths whose bytes differ or that
-only one build wrote, the .exit files among them, and exits 1 if there
-are any. --out keeps the files (with --against, under tree/ and rev/);
+only one build wrote, the .exit files among them, and this checkout's
+base-half files that differ from their twins, and exits 1 if there are
+any. --out keeps the files (with --against, under tree/ and rev/);
 otherwise they go to a temporary directory that is removed.
 
 The script uses the standard library and the package only.
@@ -58,6 +66,8 @@ ROOT = Path(__file__).resolve().parents[1]
 BASE_CONFIG = ROOT / "perfbench" / "base_config.json"
 SEEDS = (0, 3, 4242)
 VARIANTS = {"shipped": [], "no-controller": ["--no-controller"], "no-object": ["--no-object"]}
+HALVES = ("default", "base")
+NAMES_ITS_DIRECTORY = "calls/base/characterize.stdout"
 # One episode of each class reaches every check an edge config meets.
 SHORT_BATCH = ["detect-batch", "--free", "1", "--grasp", "1"]
 GRASP = ["grasp", "--preset", "pinch_cube"]
@@ -140,7 +150,7 @@ def build(src: Path, out: Path) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     cli, missed = haselhand.cli, []
-    for label, config in (("default", []), ("base", ["--config", str(BASE_CONFIG)])):
+    for label, config in zip(HALVES, ([], ["--config", str(BASE_CONFIG)])):
         missed += call(cli, ["characterize", "--out", f"{label}/characterize", *config],
                        f"{label}/characterize")
         for seed in SEEDS:
@@ -185,6 +195,22 @@ def manifest(out: Path) -> str:
     return "".join(f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  {f}\n" for f in files)
 
 
+def digests(text: str) -> dict[str, str]:
+    """A manifest's "<sha256>  <path>" lines as path -> digest."""
+    return dict(line.split("  ", 1)[::-1] for line in text.splitlines())
+
+
+def halves_differ(files: dict[str, str]) -> list[str]:
+    """A line for each base-half path whose digest is not its default-half twin's."""
+    default, base = ({path.replace(f"{label}/", "base/", 1): digest
+                      for path, digest in files.items()
+                      if path.startswith((f"{label}/", f"calls/{label}/"))}
+                     for label in HALVES)
+    return [f"{path}: differs from its default-half twin"
+            for path in sorted(default.keys() | base.keys())
+            if default.get(path) != base.get(path) and path != NAMES_ITS_DIRECTORY]
+
+
 def build_in_child(src: Path, out: Path) -> subprocess.Popen:
     """This script, in an interpreter of its own, building with src into out."""
     return subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
@@ -206,16 +232,18 @@ def against(rev: str, out: Path, scratch: Path) -> int:
     if any(child.returncode for child in children):
         print("outputs: a build failed", file=sys.stderr)
         return 2
-    # Each manifest line is "<sha256>  <path>": map path to digest.
-    tree, other = (dict(line.split("  ", 1)[::-1] for line in text.splitlines()) for text in texts)
+    tree, other = (digests(text) for text in texts)
     paths = tree.keys() | other.keys()
     differ = sorted(p for p in paths if tree.get(p) != other.get(p))
     for path in differ:
         where = ("only in tree" if path not in other else
                  "only in rev" if path not in tree else "differs")
         print(f"{where}: {path}")
+    halves = halves_differ(tree)
+    for line in halves:
+        print(line)
     print(f"{len(paths)} files, {len(differ)} differ from {rev}")
-    return 1 if differ else 0
+    return 1 if differ or halves else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,9 +264,10 @@ def main(argv: list[str] | None = None) -> int:
             status = against(args.against, out, Path(scratch))
         else:
             missed = build((args.src or ROOT / "src").resolve(), out)
-            sys.stdout.write(manifest(out))
-            if args.src is not None:  # another package's exit codes are recorded, not checked
-                missed = []
+            text = manifest(out)
+            sys.stdout.write(text)
+            # Another package's exit codes and halves are recorded, not checked.
+            missed = [] if args.src is not None else missed + halves_differ(digests(text))
             for line in missed:
                 print(line, file=sys.stderr)
             status = 1 if missed else 0

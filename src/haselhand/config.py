@@ -210,7 +210,8 @@ def joint_key(finger: str, joint: str) -> str:
 
 @dataclass(frozen=True)
 class HandConfig:
-    """The whole experiment configuration document; not mutated once built."""
+    """The whole experiment configuration document; not mutated once built,
+    which keeps its fingerprint and memo true (a replace() starts afresh)."""
 
     stacks: dict[str, StackConfig]
     tendons: dict[str, TendonPath]
@@ -275,6 +276,12 @@ class HandConfig:
     @functools.cached_property
     def fingerprint(self) -> str:
         return config_hash(self)
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Seed-free results, each stored once its work has succeeded and kept
+        as long as the config. Not a field: never encoded, compared or hashed."""
+        return {}
 
     def check_references(self, preset: ScenarioPreset, where: str) -> None:
         """Refuse a preset naming a finger or object this config lacks, or

@@ -9,8 +9,8 @@ moving average smooth_causal; detection additionally debounces over
 consecutive samples so single noise excursions cannot trigger it.
 
 Contact-aware control is one decision. The baseline is the free-motion
-trace of the monitored chain under the same voltage schedule, which each
-episode records itself.
+trace of the monitored chain under the same voltage schedule, recorded
+with a fixed seed, so the config keeps each preset's controller.
 ContactAwareController only names the sample at which the plant stops
 ramping; the plant then holds every channel at its previous command
 (see run_scenario).
@@ -166,12 +166,13 @@ class ContactAwareController:
     pipeline latency), smoothed like the baseline, against the smoothed
     baseline at the same instant. A drop of more than the deviation
     threshold, set from the baseline's own residual noise, means the
-    finger met something.
+    finger met something. Episodes share it, so baseline_smoothed is read-only.
     """
 
     def __init__(self, baseline: SignalTrace, det: DetectionConfig):
         self.smoothing = det.smoothing
         self.baseline_smoothed = smooth_causal(baseline.i_meas, det.smoothing)
+        self.baseline_smoothed.flags.writeable = False
         resid_std = float(np.std(baseline.i_meas - self.baseline_smoothed))
         self.deviation_threshold = max(det.deviation_mult * resid_std, det.deviation_floor)
 
@@ -227,8 +228,9 @@ def run_grasp_episode(
 
     The preset decides the controller: "none" runs the schedule open
     loop, "detect" classifies the finished trace against the calibrated
-    threshold, "contact_aware" closes the loop on the baseline deviation
-    (recording its baseline first, with the detection baseline seed).
+    threshold, "contact_aware" closes the loop on the baseline deviation.
+    Its baseline (detection baseline seed) depends on the config and the
+    preset alone, so cfg.memo keeps the preset's controller.
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
@@ -236,7 +238,10 @@ def run_grasp_episode(
 
     ctrl: Optional[ContactAwareController] = None
     if scenario.controller == "contact_aware":
-        ctrl = ContactAwareController(record_baseline(scenario, det.baseline_seed), det)
+        ctrl = cfg.memo.get(("contact_aware", preset_name))
+        if ctrl is None:
+            ctrl = cfg.memo[("contact_aware", preset_name)] = ContactAwareController(
+                record_baseline(scenario, det.baseline_seed), det)
 
     trace = run_scenario(scenario, seed, ctrl.command if ctrl is not None else None)
 

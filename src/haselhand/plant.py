@@ -77,17 +77,19 @@ run_scenario works in three stages over a scenario.
   for finiteness in file order (a huge monitor noise can overflow them).
 
 Open loop, the mechanics do not depend on the seed, so run_scenario
-takes the caller's Plant of a scenario as its open-loop record, steps
-it only where no earlier run has and reuses its assembly. detect-batch
+takes the caller's Plant of a scenario as its open-loop record, steps it
+only where no earlier run has and reuses its assembly. detect-batch
 reads the monitored current only, through the detection window's last
 sample, so it builds one Plant per class of the class's monitored chain
 alone (Scenario.monitored), cut one sample past that window
 (control.detection_horizon), and passes it to every episode of that
-class, so each episode pays only for its noise; a call without one
-builds its own. A trace's hashes come from its scenario, not its record:
-the profile hash fingerprints the monitored chain's schedule, the full
-episode and the sim's dt_sample (Scenario.profile_fingerprint), so the
-one-chain and shortened scenarios keep the full episode's.
+class, so each episode pays only for its noise. The config keeps both
+(HandConfig.memo) once episodes have assembled and checked them, never a
+part-stepped one that raised. A call without one builds its own. A
+trace's hashes come from its scenario, not its record: the profile hash
+fingerprints the monitored chain's schedule, the full episode and the
+sim's dt_sample (Scenario.profile_fingerprint), so the one-chain and
+shortened scenarios keep the full episode's.
 
 Closed loop, a run steps a record of its own (a shared Plant serves
 open-loop runs only), MECHANICS_BLOCK samples at a time, and after each

@@ -12,11 +12,20 @@ from haselhand import (
     resolve_scenario,
     run_scenario,
 )
+from haselhand import cli as cli_module
 
 
 # Seconds a test that uses time_limit may run: an in-process grasp takes
 # well under 0.1 s, so only a run that never ends reaches it.
 TIME_LIMIT_S = 5.0
+
+
+@pytest.fixture(autouse=True)
+def fresh_builtin_config():
+    """Each test's CLI calls start from a built-in config with an empty
+    memo, so a kernel a test patches really runs and nothing it computes
+    under a patch reaches a later test."""
+    cli_module._builtin_config.cache_clear()
 
 
 @pytest.fixture

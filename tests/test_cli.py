@@ -1,15 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from haselhand import cli as cli_module
+from haselhand import control as control_module
 from haselhand.cli import main
 from haselhand.config import config_hash, config_to_dict, default_config
 from haselhand.errors import ConfigError, TraceSchemaError
-from haselhand.plant import ChainSim
+from haselhand.plant import ChainSim, Plant
 from haselhand.trace import load_trace
 from oracles import onset_voltage
 
@@ -852,15 +857,18 @@ class TestLateRefusal:
         assert not out.exists()
 
 
+_stall_walk = ChainSim.stall_walk
+
+
+def halfway_walk(chain, a, offset):
+    """A broken ChainSim.stall_walk: lands halfway to each stall point,
+    with the residual there."""
+    target = 0.5 * _stall_walk(chain, a, offset)[0]
+    return target, np.abs(chain.net(a, target) - offset)
+
+
 class TestModelConsistency:
     def test_broken_stall_walk_exits_3(self, tmp_path, capsys, monkeypatch):
-        real = ChainSim.stall_walk
-
-        def halfway_walk(chain, a, offset):
-            # Lands halfway to each stall point, with the residual there.
-            target = 0.5 * real(chain, a, offset)[0]
-            return target, np.abs(chain.net(a, target) - offset)
-
         monkeypatch.setattr(ChainSim, "stall_walk", halfway_walk)
         out = tmp_path / "o"
         assert run_cli("grasp", "--preset", "pinch_cube", "--out", str(out)) == 3
@@ -917,3 +925,95 @@ class TestOneProcess:
         assert cli_module._builtin_config() is builtin
         assert builtin == default_config()
         assert builtin.fingerprint == config_hash(builtin) == config_hash(default_config())
+
+    def test_second_calls_reuse_the_memo_and_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # The built-in config keeps detect-batch's two class records and
+        # balloon_hold's controller: a second call steps no chain for the
+        # batch, builds no Plant for it and records no baseline, yet writes
+        # the first call's bytes, and a memoized batch at a new seed writes
+        # what a freshly loaded copy of the config does.
+        batch = ("detect-batch", "--free", "1", "--grasp", "2", "--seed", "7")
+        grasp = ("grasp", "--preset", "balloon_hold", "--seed", "3")
+        for argv in (batch, grasp):
+            assert run_cli(*argv, "--out", str(tmp_path / "first")) == 0
+
+        counts = {"steps": 0, "plants": 0, "baselines": 0}
+
+        def counting(key, fn, size=lambda *args: 1):
+            def wrapper(*args):
+                counts[key] += size(*args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ChainSim, "run",
+                            counting("steps", ChainSim.run, lambda chain, v, r: len(v)))
+        monkeypatch.setattr(Plant, "__init__", counting("plants", Plant.__init__))
+        monkeypatch.setattr(control_module, "record_baseline",
+                            counting("baselines", control_module.record_baseline))
+        assert run_cli(*batch, "--out", str(tmp_path / "second")) == 0
+        assert counts == {"steps": 0, "plants": 0, "baselines": 0}
+        assert run_cli(*grasp, "--out", str(tmp_path / "second")) == 0
+        assert counts["baselines"] == 0
+        assert counts["plants"] == 1  # the grasp's own closed-loop record
+
+        def files(root):
+            return {p.name: p.read_bytes() for p in root.iterdir()}
+
+        assert len(files(tmp_path / "first")) == 5
+        assert files(tmp_path / "second") == files(tmp_path / "first")
+
+        config, counts["steps"] = write_config(tmp_path), 0
+        new_seed = ("detect-batch", "--free", "2", "--grasp", "1", "--seed", "11")
+        assert run_cli(*new_seed, "--out", str(tmp_path / "memo")) == 0
+        assert counts["steps"] == 0
+        assert run_cli(*new_seed, "--config", str(config), "--out", str(tmp_path / "fresh")) == 0
+        assert counts["steps"] > 0
+        assert files(tmp_path / "memo") == files(tmp_path / "fresh")
+
+    def test_a_failed_batch_is_not_kept(self, tmp_path, capsys, monkeypatch):
+        # A record that failed its check may be stepped part-way: none is
+        # kept, so the same call unpatched writes what a fresh process does.
+        argv = ["detect-batch", "--free", "1", "--grasp", "1", "--seed", "5"]
+        with monkeypatch.context() as patch:
+            patch.setattr(ChainSim, "stall_walk", halfway_walk)
+            assert run_cli(*argv, "--out", str(tmp_path / "broken")) == 3
+        assert "stall residual" in capsys.readouterr().err
+        assert "detect-batch" not in cli_module._builtin_config().memo
+        assert run_cli(*argv, "--out", str(tmp_path / "again")) == 0
+
+        src = Path(cli_module.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "HASELHAND_OUT"}
+        subprocess.run([sys.executable, "-m", "haselhand.cli", *argv, "--out", "fresh"],
+                       cwd=tmp_path, env={**env, "PYTHONPATH": str(src)}, check=True,
+                       capture_output=True)
+        names = ("detect_batch_summary.json", "detector.json")
+        assert [(tmp_path / "again" / n).read_bytes() for n in names] == \
+            [(tmp_path / "fresh" / n).read_bytes() for n in names]
+        assert not (tmp_path / "broken").exists()
+
+    def test_a_loaded_config_keeps_nothing(self, tmp_path, monkeypatch):
+        # A --config call's records live and die with the config it loaded;
+        # the built-in config's memo is left as it was.
+        calls = [("detect-batch", "--free", "1", "--grasp", "1"),
+                 ("grasp", "--preset", "balloon_hold")]
+        builtin = cli_module._builtin_config()
+        for argv in calls:
+            assert run_cli(*argv, "--out", str(tmp_path / "builtin")) == 0
+        kept = dict(builtin.memo)
+        assert set(kept) == {"detect-batch", ("contact_aware", "balloon_hold")}
+
+        loaded, load = [], cli_module.load_config
+
+        def load_config(path):
+            cfg = load(path)
+            loaded.append((weakref.ref(cfg), cfg.memo))
+            return cfg
+
+        monkeypatch.setattr(cli_module, "load_config", load_config)
+        base = Path(__file__).resolve().parents[1] / "perfbench" / "base_config.json"
+        for argv in calls:
+            assert run_cli(*argv, "--config", str(base), "--out", str(tmp_path / "base")) == 0
+        assert [len(memo) for _, memo in loaded] == [1, 1]
+        assert [ref() for ref, _ in loaded] == [None, None]
+        assert builtin.memo.keys() == kept.keys()
+        assert all(builtin.memo[key] is value for key, value in kept.items())

@@ -152,6 +152,15 @@ class TestFingerprint:
         assert changed.fingerprint == config_hash(config_from_dict(doc))
         assert cfg.fingerprint == before == config_hash(cfg)
 
+    def test_memo_is_no_part_of_the_config(self):
+        # The memo is neither encoded nor compared, and a replace() starts an empty one.
+        cfg = default_config()
+        cfg.memo["probe"] = object()
+        assert cfg == default_config()
+        assert cfg.fingerprint == config_hash(default_config())
+        assert "memo" not in config_to_dict(cfg)
+        assert replace(cfg).memo == {}
+
 
 class TestCrossReferences:
     def test_preset_with_unknown_finger(self, cfg):

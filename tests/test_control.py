@@ -19,6 +19,7 @@ from haselhand import (
     smooth_causal,
 )
 from haselhand import config as config_module
+from haselhand import control as control_module
 from haselhand import plant as plant_module
 from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
@@ -308,6 +309,12 @@ class TestContactAwareStep:
             tail = slew(cmd, float(v[j]), amp.slew_max * cfg.sim.dt_internal, amp.v_ceiling)
             assert v[j + 1:].tobytes() == tail.tobytes()
 
+    def test_baseline_is_read_only(self):
+        # The episodes of a config share its controller.
+        ctrl = flat_controller(1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            ctrl.baseline_smoothed[0] = 0.0
+
     def test_exhausted_baseline_raises(self):
         ctrl = flat_controller(1.0, n=10)
         assert ctrl.command(np.ones(10)) is None
@@ -413,6 +420,27 @@ class TestGraspEpisodes:
         assert len(calls) == 1
         run_grasp_episode(cfg, "balloon_hold", seed=0)
         assert len(calls) == 1
+
+    def test_controlled_episodes_of_a_config_share_one_baseline(self, monkeypatch):
+        # The baseline depends on the config and the preset alone: the
+        # config records it once, for episodes of any seed or object, and
+        # an episode on its memo is the episode on a fresh config.
+        cfg, calls = config_module.default_config(), []
+        real = control_module.record_baseline
+        monkeypatch.setattr(control_module, "record_baseline",
+                            lambda *args: calls.append(args) or real(*args))
+        run_grasp_episode(cfg, "balloon_hold", seed=0)
+        memoized = [run_grasp_episode(cfg, "balloon_hold", seed=5, drop_object=drop)
+                    for drop in (False, True)]
+        assert len(calls) == 1
+        for drop, report in zip((False, True), memoized):
+            fresh = run_grasp_episode(config_module.default_config(), "balloon_hold",
+                                      seed=5, drop_object=drop)
+            assert report.trace.to_csv_text() == fresh.trace.to_csv_text()
+            assert report.to_dict() == fresh.to_dict()
+        assert len(calls) == 3
+        run_grasp_episode(replace(cfg), "balloon_hold", seed=0)
+        assert len(calls) == 4
 
     def test_negative_seed_is_refused(self, cfg):
         with pytest.raises(ConfigError, match="seed -1 must be >= 0"):

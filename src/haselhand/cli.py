@@ -11,7 +11,7 @@ CSV/JSON only; all outputs carry the config hash. Each cmd_* returns its
 files (name -> text, in write order) and its stdout line; main writes and
 prints them once the verb has returned, so a refused run writes nothing.
 The built-in config is built once per process, and its memo keeps the
-seed-free work of detect-batch and contact-aware grasps for later calls.
+open-loop record of each scenario a call runs for later calls.
 Exit codes: 0 success, 2 configuration error, 3 model-consistency error,
 4 calibration failure. HASELHAND_OUT overrides the output directory.
 """
@@ -41,7 +41,8 @@ from .config import (
     resolve_preset,
     resolve_scenario,
 )
-from .control import calibrate_threshold, detect_grasp, detection_horizon, run_grasp_episode
+from .control import (calibrate_threshold, detect_grasp, detection_horizon, run_grasp_episode,
+                      run_on_record)
 from .errors import (
     CalibrationError,
     ConfigError,
@@ -51,7 +52,7 @@ from .errors import (
     ModelConsistencyError,
 )
 from .kinematics import fingertip_force
-from .plant import Plant, run_scenario
+from .plant import Plant, run_scenario  # noqa: F401 -- run_scenario: perfbench's span wraps it
 from .trace import column_name, csv_text, json_text, load_trace, read_json, write_atomic
 from .transmission import delivered_tension
 
@@ -166,20 +167,18 @@ def cmd_detect_batch(args) -> tuple[dict[str, str], str]:
         raise ConfigError("detect-batch needs at least one episode of each class")
 
     # Detection reads the monitored current only, through its window: only
-    # that chain is stepped, and only that far. The mechanics do not depend
-    # on the seed: the config keeps each class's record once episodes read it.
-    plants = cfg.memo.get("detect-batch") or {
-        cls: Plant(replace(full, duration=detection_horizon(full, cfg.detection)))
-        for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube"))
-        for full in [resolve_scenario(cfg, preset).monitored()]}
+    # that chain is stepped, and only that far, once per config.
+    presets = {"free": "detect_free", "grasp": "detect_cube"}
 
     def episode(cls, seed):
-        return run_scenario(plants[cls].scenario, seed, plant=plants[cls])
+        def resolve():
+            full = resolve_scenario(cfg, presets[cls]).monitored()
+            return replace(full, duration=detection_horizon(full, cfg.detection))
+        return run_on_record(cfg, (presets[cls], "detect-batch"), resolve, seed)
 
     cal_free = [episode("free", args.seed + CAL_SEED_OFFSET + k) for k in range(N_CALIBRATION)]
     cal_grasp = [episode("grasp", args.seed + CAL_SEED_OFFSET + 500 + k)
                  for k in range(N_CALIBRATION)]
-    cfg.memo["detect-batch"] = plants  # both records assembled and checked
     threshold = calibrate_threshold(cal_free, cal_grasp, cfg.detection)
     detector_doc = {
         "monitored_stack": cfg.detection.monitored_stack,
@@ -187,8 +186,8 @@ def cmd_detect_batch(args) -> tuple[dict[str, str], str]:
         "window": list(cfg.detection.window),
         "smoothing": cfg.detection.smoothing,
         "debounce": cfg.detection.debounce,
-        "profile_hash": plants["free"].scenario.profile_fingerprint,
-        "config_hash": plants["free"].scenario.config_fingerprint,
+        "profile_hash": cal_free[0].meta["profile_hash"],
+        "config_hash": cal_free[0].meta["config_hash"],
     }
     # The batch is classified by the detector replay reads back, so a
     # threshold outside its domain is refused here, before any write.
@@ -208,7 +207,7 @@ def cmd_detect_batch(args) -> tuple[dict[str, str], str]:
     total = args.free + args.grasp
     correct = counts["tp"] + counts["tn"]
     summary = {
-        "config_hash": plants["free"].scenario.config_fingerprint,
+        "config_hash": detector_doc["config_hash"],
         "threshold_ua": threshold,
         "n_free": args.free,
         "n_grasp": args.grasp,

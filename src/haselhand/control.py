@@ -10,16 +10,21 @@ consecutive samples so single noise excursions cannot trigger it.
 
 Contact-aware control is one decision. The baseline is the free-motion
 trace of the monitored chain under the same voltage schedule, recorded
-with a fixed seed, so the config keeps each preset's controller.
-ContactAwareController only names the sample at which the plant stops
-ramping; the plant then holds every channel at its previous command
-(see run_scenario).
+with a fixed seed. ContactAwareController only names the sample at which
+the plant stops ramping; the plant then holds every channel at its
+previous command (see run_scenario).
+
+Every run of a config starts from its scenario's open-loop record,
+which does not depend on the seed: run_on_record is the one place that
+takes it from the config's memo or builds and keeps it. The baseline,
+each grasp episode, open loop or closed, and detect-batch's episodes
+all run there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .kinematics import contact_force
-from .plant import run_scenario
+from .plant import Plant, run_scenario
 from .trace import SignalTrace
 
 _T_EPS = 1e-9
@@ -144,8 +149,25 @@ def detect_grasp(trace: SignalTrace, cfg: DetectionConfig) -> tuple[bool, Option
 # Baseline recording and the contact-aware controller
 # ---------------------------------------------------------------------------
 
-def record_baseline(scenario: Scenario, seed: int) -> SignalTrace:
-    """Record the free-motion trace of a scenario's monitored chain.
+def run_on_record(cfg: HandConfig, key: tuple, resolve: Callable[[], Scenario], seed: int,
+                  commander: Optional[Callable] = None) -> SignalTrace:
+    """Run seed, under commander if given, on cfg's open-loop record (a
+    Plant) of the scenario that resolve returns, filed under key.
+
+    The record does not depend on the seed, so cfg.memo keeps it for the
+    config's lifetime, once a run on it has returned; resolve is called
+    only while there is none. This is the only code that reads or writes
+    cfg.memo, and records are all it holds.
+    """
+    plant = cfg.memo.get(key) or Plant(resolve())
+    trace = run_scenario(plant.scenario, seed, commander, plant=plant)
+    cfg.memo[key] = plant
+    return trace
+
+
+def record_baseline(cfg: HandConfig, preset_name: str) -> SignalTrace:
+    """Record the free-motion trace of a preset's monitored chain at the
+    detection baseline seed.
 
     The monitored chain runs its schedule open loop without the object,
     alone: the controller reads its current only, and each chain moves
@@ -155,8 +177,11 @@ def record_baseline(scenario: Scenario, seed: int) -> SignalTrace:
     schedule, the full episode and dt_sample, as the guarded run's does.
     It is saved with SignalTrace.save and read back with load_trace.
     """
-    alone = replace(scenario.monitored(), obj=None, obj_name=None, controller="none")
-    return run_scenario(alone, seed)
+    def resolve():
+        full = resolve_scenario(cfg, preset_name)
+        return replace(full.monitored(), obj=None, obj_name=None, controller="none")
+
+    return run_on_record(cfg, (preset_name, "baseline"), resolve, cfg.detection.baseline_seed)
 
 
 class ContactAwareController:
@@ -166,7 +191,8 @@ class ContactAwareController:
     pipeline latency), smoothed like the baseline, against the smoothed
     baseline at the same instant. A drop of more than the deviation
     threshold, set from the baseline's own residual noise, means the
-    finger met something. Episodes share it, so baseline_smoothed is read-only.
+    finger met something. Each controlled episode builds its own from the
+    config's baseline record; baseline_smoothed is read-only.
     """
 
     def __init__(self, baseline: SignalTrace, det: DetectionConfig):
@@ -229,21 +255,18 @@ def run_grasp_episode(
     The preset decides the controller: "none" runs the schedule open
     loop, "detect" classifies the finished trace against the calibrated
     threshold, "contact_aware" closes the loop on the baseline deviation.
-    Its baseline (detection baseline seed) depends on the config and the
-    preset alone, so cfg.memo keeps the preset's controller.
+    No run reads the controller from its scenario, so controlled and
+    open-loop episodes of a preset and object share one record.
     """
     scenario = resolve_scenario(cfg, preset_name, drop_object=drop_object,
                                 controller=controller)
     det = cfg.detection
 
-    ctrl: Optional[ContactAwareController] = None
-    if scenario.controller == "contact_aware":
-        ctrl = cfg.memo.get(("contact_aware", preset_name))
-        if ctrl is None:
-            ctrl = cfg.memo[("contact_aware", preset_name)] = ContactAwareController(
-                record_baseline(scenario, det.baseline_seed), det)
+    ctrl = (ContactAwareController(record_baseline(cfg, preset_name), det)
+            if scenario.controller == "contact_aware" else None)
 
-    trace = run_scenario(scenario, seed, ctrl.command if ctrl is not None else None)
+    trace = run_on_record(cfg, (preset_name, drop_object), lambda: scenario, seed,
+                          ctrl.command if ctrl is not None else None)
 
     touched, holds = trace.meta["events"]["first_contact"], trace.meta["events"]["hold"]
     events: list[dict[str, Any]] = [{"type": "contact", "joint": key, "t": t_c}

@@ -76,36 +76,38 @@ run_scenario works in three stages over a scenario.
   dicts of its own at every depth, and then checks that trace's columns
   for finiteness in file order (a huge monitor noise can overflow them).
 
-Open loop, the mechanics do not depend on the seed, so run_scenario
-takes the caller's Plant of a scenario as its open-loop record, steps it
-only where no earlier run has and reuses its assembly. detect-batch
-reads the monitored current only, through the detection window's last
-sample, so it builds one Plant per class of the class's monitored chain
-alone (Scenario.monitored), cut one sample past that window
-(control.detection_horizon), and passes it to every episode of that
-class, so each episode pays only for its noise. The config keeps both
-(HandConfig.memo) once episodes have assembled and checked them, never a
-part-stepped one that raised. A call without one builds its own. A
-trace's hashes come from its scenario, not its record: the profile hash
+A scenario's open-loop motion does not depend on the seed, so
+run_scenario takes the caller's Plant of a scenario as its open-loop
+record, steps it only where no earlier run has and reuses its assembly.
+The config keeps one record per scenario it runs (control.run_on_record,
+HandConfig.memo), so every run of a config, open loop or closed, pays
+only for its noise and its hold. detect-batch reads the monitored
+current only, through the detection window's last sample, so its record
+of each class is the class's monitored chain alone (Scenario.monitored),
+cut one sample past that window (control.detection_horizon). A trace's
+hashes come from its scenario, not its record: the profile hash
 fingerprints the monitored chain's schedule, the full episode and the
 sim's dt_sample (Scenario.profile_fingerprint), so the one-chain and
 shortened scenarios keep the full episode's.
 
-Closed loop, a run steps a record of its own (a shared Plant serves
-open-loop runs only), MECHANICS_BLOCK samples at a time, and after each
-block hands the commander the measured current of every sample recorded
-so far, each sample's computed once; it stops when the commander names
-a hold sample or the run ends. A hold at sample k holds that record in
-place (Plant.hold_at): every schedule's voltage after sample k slews
-toward its command at sample k - 1 (at sample 0 for k = 0), limited to
-the amplifier ceiling, and the kernels resume from their sample-k
-state: chains that shared a kernel are in one state there and hold one
-command, so they keep sharing it. The run steps on from sample k and
-assembles its trace.
+Closed loop, a run walks the open-loop record, MECHANICS_BLOCK samples
+at a time, stepping it where no earlier run has, and after each block
+hands the commander the measured current of every sample recorded so
+far, each sample's computed once; it stops when the commander names a
+hold sample or the run ends. A hold at sample k works on a copy of the
+record (Plant.held_at), so the record stays open loop for later runs:
+every schedule's voltage after sample k slews toward its command at
+sample k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling,
+and the copy steps on from sample k on the record's kernels. Chains that
+shared a kernel are in one state there and hold one command, so they
+keep sharing it. extend sets each kernel to its record's state before it
+steps, so a record and its copies share kernels, and a record whose
+extend raised part-way is again the record at its end.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import replace
 from typing import Callable, Optional
@@ -427,6 +429,8 @@ class Plant:
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it.
 
+        Each kernel starts from this record's state at sample end, which
+        it may have left for a held copy's or a run that raised part-way.
         ChainSim.run steps each kernel on a slice of its schedule's
         applied voltage in verified runs: held runs by one array
         comparison, pushed runs by the x recurrence alone, each checked
@@ -438,6 +442,7 @@ class Plant:
             return
         steps, recorded = slice(k0 * sps + 1, k_end * sps + 1), slice(k0 + 1, k_end + 1)
         for i, (kernel, schedule) in enumerate(zip(self.kernels, self.schedules)):
+            kernel.x, kernel.max_residual = float(self.x[i, k0]), float(self.residual[i, k0])
             run = kernel.run(self.volts[schedule.identity][steps], r)
             for record, values in zip((self.x, self.target, self.residual), run):
                 record[i, recorded] = values[sps - 1::sps]
@@ -445,26 +450,31 @@ class Plant:
                 self.x_mon[steps] = run[0]
         self.end = k_end
 
-    def hold_at(self, k: int) -> None:
-        """Hold this record from sample k on: each schedule's voltage after
-        sample k becomes, in place, the slew toward its command at sample
-        k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling,
-        and each kernel goes back to its sample-k state, so extend steps
-        on from sample k. hold records k and the monitored chain's held
-        command. A record is held once.
+    def held_at(self, k: int) -> Plant:
+        """A copy of this record, stepped to sample k or further, held from
+        sample k on: each schedule's voltage after sample k is the slew
+        toward its command at sample k - 1 (at sample 0 for k = 0), limited
+        to the amplifier ceiling. The copy's hold records k and the
+        monitored chain's held command; it has arrays of its own, recorded
+        through sample k, and no assembly yet, so extend steps it on from
+        there.
 
-        The kernels stay those of the open-loop record: the chains of a
-        kernel are in one state at sample k and hold one command."""
-        j = k * self.sim.steps_per_sample
-        t_prev = max(k - 1, 0) * self.sim.dt_sample
+        It shares this record's kernels, which extend sets to the stepped
+        record's state first: the chains of a kernel are in one state at
+        sample k and hold one command."""
+        held = copy.copy(self)
+        held.__dict__.pop("noise_free", None)
+        j, t_prev = k * self.sim.steps_per_sample, max(k - 1, 0) * self.sim.dt_sample
         dv_max, ceiling = self.limits
-        held = {p.identity: min(p(t_prev), ceiling) for p in self.schedules}
-        for key, v in self.volts.items():
-            v[j + 1:] = _slew(np.full(len(v) - j - 1, held[key]), float(v[j]), dv_max, ceiling)
-        self.hold = (k, held[self.scenario.chains[self.mon].profile.identity])
-        self.end = k
-        for i, kernel in enumerate(self.kernels):
-            kernel.x, kernel.max_residual = float(self.x[i, k]), float(self.residual[i, k])
+        cmd = {p.identity: min(p(t_prev), ceiling) for p in self.schedules}
+        held.volts = {key: np.concatenate((v[:j + 1], _slew(np.full(len(v) - j - 1, cmd[key]),
+                                                             float(v[j]), dv_max, ceiling)))
+                      for key, v in self.volts.items()}
+        mon = self.scenario.chains[self.mon].profile.identity
+        held.v_mon, held.hold, held.end = held.volts[mon], (k, cmd[mon]), k
+        held.x, held.target, held.residual, held.x_mon = (
+            a.copy() for a in (self.x, self.target, self.residual, self.x_mon))
+        return held
 
     def current(self, k0: int, k1: int) -> np.ndarray:
         """Noise-free drawn current (uA) of the monitored stack at samples
@@ -587,11 +597,12 @@ def run_scenario(
     trace's hold event.
 
     plant, when given, is the caller's open-loop record of this very
-    scenario object, shared with its other runs; one with a commander (a
-    closed-loop run holds a record of its own) or of another object is a
-    ValueError. The trace is the record's Plant.noise_free with noise
-    in v_meas and i_meas and the seed in a copy of its meta, so the
-    traces of one record share their other columns, read-only. Raises
+    scenario object, shared with its other runs, open loop or closed; one
+    of another object is a ValueError. A closed-loop run steps the record
+    up to its hold and holds a copy (Plant.held_at). The trace is the
+    Plant.noise_free of the record, or of the held copy, with noise in
+    v_meas and i_meas and the seed in a copy of its meta, so the traces of
+    one record share their other columns, read-only. Raises
     ModelConsistencyError when the run's stall residual exceeds
     STALL_RESIDUAL_TOL_N, DomainError when a net force or a value of the
     trace is not finite (the first in file order), and ConfigError,
@@ -599,9 +610,6 @@ def run_scenario(
     """
     if seed < 0:
         raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
-    if plant is not None and commander is not None:
-        raise ValueError(f"scenario {scenario.name}: a closed-loop run holds a record "
-                         f"of its own, so it takes no shared plant")
     plant = Plant(scenario) if plant is None else plant
     # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
     if plant.scenario is not scenario:
@@ -614,9 +622,7 @@ def run_scenario(
     noise_v, noise_i = 0.0 + amp.monitor_noise_v * z[:, 0], 0.0 + amp.monitor_noise_i * z[:, 1]
 
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
-    if k_hold is not None:
-        plant.hold_at(k_hold)
-    free = plant.noise_free
+    free = (plant if k_hold is None else plant.held_at(k_hold)).noise_free
 
     # Only the noise depends on the seed. Each trace has dicts of its own at
     # every depth; the arrays in them are shared, read-only.

@@ -21,11 +21,14 @@ TIME_LIMIT_S = 5.0
 
 
 @pytest.fixture(autouse=True)
-def fresh_builtin_config():
-    """Each test's CLI calls start from a built-in config with an empty
-    memo, so a kernel a test patches really runs and nothing it computes
+def fresh_memos(cfg, cfg_nf):
+    """Each test starts from configs with empty memos: its CLI calls from
+    a fresh built-in config, its episodes on the session configs from no
+    record, so a kernel a test patches really runs and nothing it computes
     under a patch reaches a later test."""
     cli_module._builtin_config.cache_clear()
+    cfg.memo.clear()
+    cfg_nf.memo.clear()
 
 
 @pytest.fixture

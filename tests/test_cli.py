@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from haselhand import cli as cli_module
-from haselhand import control as control_module
 from haselhand.cli import main
 from haselhand.config import config_hash, config_to_dict, default_config
 from haselhand.errors import ConfigError, TraceSchemaError
@@ -928,16 +927,17 @@ class TestOneProcess:
 
     def test_second_calls_reuse_the_memo_and_write_the_same_bytes(self, tmp_path, monkeypatch):
         # The built-in config keeps detect-batch's two class records and
-        # balloon_hold's controller: a second call steps no chain for the
-        # batch, builds no Plant for it and records no baseline, yet writes
-        # the first call's bytes, and a memoized batch at a new seed writes
-        # what a freshly loaded copy of the config does.
+        # balloon_hold's baseline and episode records: a second call builds
+        # no Plant and steps no open-loop record, the controlled grasp only
+        # its held copy from the hold on, yet each writes the first call's
+        # bytes, and a memoized batch at a new seed writes what a freshly
+        # loaded copy of the config does.
         batch = ("detect-batch", "--free", "1", "--grasp", "2", "--seed", "7")
         grasp = ("grasp", "--preset", "balloon_hold", "--seed", "3")
         for argv in (batch, grasp):
             assert run_cli(*argv, "--out", str(tmp_path / "first")) == 0
 
-        counts = {"steps": 0, "plants": 0, "baselines": 0}
+        counts = {"steps": 0, "plants": 0, "open-loop samples": 0}
 
         def counting(key, fn, size=lambda *args: 1):
             def wrapper(*args):
@@ -948,13 +948,14 @@ class TestOneProcess:
         monkeypatch.setattr(ChainSim, "run",
                             counting("steps", ChainSim.run, lambda chain, v, r: len(v)))
         monkeypatch.setattr(Plant, "__init__", counting("plants", Plant.__init__))
-        monkeypatch.setattr(control_module, "record_baseline",
-                            counting("baselines", control_module.record_baseline))
+        monkeypatch.setattr(Plant, "extend", counting(
+            "open-loop samples", Plant.extend,
+            lambda plant, k_end: max(k_end - plant.end, 0) if plant.hold is None else 0))
         assert run_cli(*batch, "--out", str(tmp_path / "second")) == 0
-        assert counts == {"steps": 0, "plants": 0, "baselines": 0}
+        assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
         assert run_cli(*grasp, "--out", str(tmp_path / "second")) == 0
-        assert counts["baselines"] == 0
-        assert counts["plants"] == 1  # the grasp's own closed-loop record
+        assert counts["plants"] == counts["open-loop samples"] == 0
+        assert counts["steps"] > 0  # the held copy's, after the hold
 
         def files(root):
             return {p.name: p.read_bytes() for p in root.iterdir()}
@@ -970,6 +971,27 @@ class TestOneProcess:
         assert counts["steps"] > 0
         assert files(tmp_path / "memo") == files(tmp_path / "fresh")
 
+    def test_open_loop_grasp_reuses_its_record(self, tmp_path, monkeypatch):
+        # A second uncontrolled grasp finds its record stepped and
+        # assembled: it steps no chain and writes the first call's bytes.
+        grasp = ("grasp", "--preset", "balloon_hold", "--no-controller")
+        assert run_cli(*grasp, "--seed", "3", "--out", str(tmp_path / "first")) == 0
+        steps = [0]
+        real = ChainSim.run
+
+        def counted(chain, v, dt_over_tau):
+            steps[0] += len(v)
+            return real(chain, v, dt_over_tau)
+
+        monkeypatch.setattr(ChainSim, "run", counted)
+        for seed in ("4", "3"):
+            assert run_cli(*grasp, "--seed", seed, "--out", str(tmp_path / "second")) == 0
+        assert steps == [0]
+        first = {p.name: p.read_bytes() for p in (tmp_path / "first").iterdir()}
+        assert len(first) == 3
+        assert all((tmp_path / "second" / name).read_bytes() == text
+                   for name, text in first.items())
+
     def test_a_failed_batch_is_not_kept(self, tmp_path, capsys, monkeypatch):
         # A record that failed its check may be stepped part-way: none is
         # kept, so the same call unpatched writes what a fresh process does.
@@ -978,8 +1000,10 @@ class TestOneProcess:
             patch.setattr(ChainSim, "stall_walk", halfway_walk)
             assert run_cli(*argv, "--out", str(tmp_path / "broken")) == 3
         assert "stall residual" in capsys.readouterr().err
-        assert "detect-batch" not in cli_module._builtin_config().memo
+        memo = cli_module._builtin_config().memo
+        assert memo == {}
         assert run_cli(*argv, "--out", str(tmp_path / "again")) == 0
+        assert set(memo) == {("detect_free", "detect-batch"), ("detect_cube", "detect-batch")}
 
         src = Path(cli_module.__file__).resolve().parents[1]
         env = {k: v for k, v in os.environ.items() if k != "HASELHAND_OUT"}
@@ -1000,7 +1024,9 @@ class TestOneProcess:
         for argv in calls:
             assert run_cli(*argv, "--out", str(tmp_path / "builtin")) == 0
         kept = dict(builtin.memo)
-        assert set(kept) == {"detect-batch", ("contact_aware", "balloon_hold")}
+        assert set(kept) == {("detect_free", "detect-batch"), ("detect_cube", "detect-batch"),
+                             ("balloon_hold", "baseline"), ("balloon_hold", False)}
+        assert all(isinstance(record, Plant) for record in kept.values())
 
         loaded, load = [], cli_module.load_config
 
@@ -1013,7 +1039,7 @@ class TestOneProcess:
         base = Path(__file__).resolve().parents[1] / "perfbench" / "base_config.json"
         for argv in calls:
             assert run_cli(*argv, "--config", str(base), "--out", str(tmp_path / "base")) == 0
-        assert [len(memo) for _, memo in loaded] == [1, 1]
+        assert [len(memo) for _, memo in loaded] == [2, 2]
         assert [ref() for ref, _ in loaded] == [None, None]
         assert builtin.memo.keys() == kept.keys()
         assert all(builtin.memo[key] is value for key, value in kept.items())

@@ -19,8 +19,6 @@ from haselhand import (
     smooth_causal,
 )
 from haselhand import config as config_module
-from haselhand import control as control_module
-from haselhand import plant as plant_module
 from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
 from haselhand.plant import MECHANICS_BLOCK, Plant
@@ -287,18 +285,17 @@ class TestContactAwareStep:
     def test_hold_slews_each_schedule_from_the_hold_step(self, cfg, monkeypatch):
         # Up to step 8,500 (sample 850) each schedule's applied voltage is
         # the open-loop one; after it, the slew toward the held command.
-        plants = []
-
-        class Recorded(Plant):
-            def __init__(self, *args):
-                super().__init__(*args)
-                plants.append(self)
-
-        monkeypatch.setattr(plant_module, "Plant", Recorded)
+        # The record the hold copies stays open loop.
+        real, holds = Plant.held_at, []
+        monkeypatch.setattr(Plant, "held_at", lambda plant, k: holds.append(
+            (plant, real(plant, k))) or holds[-1][1])
         scenario = resolve_preset(cfg, "mixed", MIXED_SCHEDULES)
         run_scenario(scenario, 0, hold_at(850))
-        (held,) = plants
+        ((record, held),) = holds
         open_loop = Plant(scenario).volts
+        assert record.hold is None
+        assert {key: v.tobytes() for key, v in record.volts.items()} == \
+            {key: v.tobytes() for key, v in open_loop.items()}
         j, amp = 850 * cfg.sim.steps_per_sample, scenario.amplifier
         specs = {p.identity: p for p in held.schedules}
         assert len(held.volts) == 3
@@ -310,7 +307,7 @@ class TestContactAwareStep:
             assert v[j + 1:].tobytes() == tail.tobytes()
 
     def test_baseline_is_read_only(self):
-        # The episodes of a config share its controller.
+        # A controller decides from the baseline it was built with.
         ctrl = flat_controller(1.0)
         with pytest.raises(ValueError, match="read-only"):
             ctrl.baseline_smoothed[0] = 0.0
@@ -337,8 +334,7 @@ def oracle_hold_sample(i_meas, baseline_i, n, threshold):
 
 class TestContactAwareSearch:
     def test_balloon_holds_where_per_sample_oracle_does(self, cfg):
-        scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
+        baseline = record_baseline(cfg, "balloon_hold")
         ctrl = ContactAwareController(baseline, cfg.detection)
         base_i = baseline.i_meas.tolist()
         for seed in range(25):
@@ -351,7 +347,7 @@ class TestContactAwareSearch:
 
     def test_hold_does_not_depend_on_later_samples(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
+        baseline = record_baseline(cfg, "balloon_hold")
         ctrl = ContactAwareController(baseline, cfg.detection)
         i_meas = run_scenario(scenario, seed=0).i_meas[:-1]
         k = ctrl.command(i_meas)
@@ -425,22 +421,26 @@ class TestGraspEpisodes:
         # The baseline depends on the config and the preset alone: the
         # config records it once, for episodes of any seed or object, and
         # an episode on its memo is the episode on a fresh config.
-        cfg, calls = config_module.default_config(), []
-        real = control_module.record_baseline
-        monkeypatch.setattr(control_module, "record_baseline",
-                            lambda *args: calls.append(args) or real(*args))
+        cfg, built = config_module.default_config(), []
+        real = Plant.__init__
+        monkeypatch.setattr(Plant, "__init__", lambda plant, scenario: built.append(scenario)
+                            or real(plant, scenario))
+
+        def baselines():  # the monitored chain alone, without the object
+            return sum(len(s.chains) == 1 and s.obj is None for s in built)
+
         run_grasp_episode(cfg, "balloon_hold", seed=0)
         memoized = [run_grasp_episode(cfg, "balloon_hold", seed=5, drop_object=drop)
                     for drop in (False, True)]
-        assert len(calls) == 1
+        assert baselines() == 1
         for drop, report in zip((False, True), memoized):
             fresh = run_grasp_episode(config_module.default_config(), "balloon_hold",
                                       seed=5, drop_object=drop)
             assert report.trace.to_csv_text() == fresh.trace.to_csv_text()
             assert report.to_dict() == fresh.to_dict()
-        assert len(calls) == 3
+        assert baselines() == 3
         run_grasp_episode(replace(cfg), "balloon_hold", seed=0)
-        assert len(calls) == 4
+        assert baselines() == 4
 
     def test_negative_seed_is_refused(self, cfg):
         with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
@@ -448,7 +448,7 @@ class TestGraspEpisodes:
 
     def test_truncated_baseline_exhausts(self, cfg):
         scenario = resolve_scenario(cfg, "balloon_hold")
-        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
+        baseline = record_baseline(cfg, "balloon_hold")
         cut = len(baseline.t) // 4
         truncated = replace(baseline, t=baseline.t[:cut], i_meas=baseline.i_meas[:cut])
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
@@ -460,8 +460,7 @@ class TestGraspEpisodes:
             ctrl.command(i_meas[:cut + 1])
 
     def test_baseline_round_trip(self, cfg, tmp_path):
-        baseline = record_baseline(resolve_scenario(cfg, "balloon_hold"),
-                                   cfg.detection.baseline_seed)
+        baseline = record_baseline(cfg, "balloon_hold")
         path = baseline.save(tmp_path / "baseline.csv")
         loaded = load_trace(path)
         assert np.array_equal(loaded.i_meas, baseline.i_meas)

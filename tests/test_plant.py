@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haselhand import (
+    ContactAwareController,
     calibrate_threshold,
     default_config,
     detect_grasp,
@@ -591,7 +592,8 @@ def twin_presets(draw):
 class TestSharedKernels:
     """Chains alike in table and schedule share one kernel; each chain's
     trace columns, the meta and the report are those of chains stepped
-    alone, open loop and closed (where a hold keeps the kernels)."""
+    alone, open loop and closed (where a hold keeps the kernels). The runs
+    alone take a config of their own, whose memo holds no record."""
 
     @given(twin_presets(), st.sampled_from(("none", "contact_aware")), st.integers(0, 2 ** 16))
     @settings(max_examples=30, deadline=None)
@@ -601,7 +603,7 @@ class TestSharedKernels:
         assert len(Plant(scenario).kernels) < len(scenario.chains)
         shared = run_grasp_episode(config, "twins", seed, controller=controller)
         with mock.patch.object(plant_module, "_kernel_key", run_alone):
-            alone = run_grasp_episode(config, "twins", seed, controller=controller)
+            alone = run_grasp_episode(replace(config), "twins", seed, controller=controller)
         assert _episode_bytes(shared) == _episode_bytes(alone)
 
     @pytest.mark.parametrize("preset, kernels", [("power_grasp_bottle", 4), ("tripod_toy", 4)])
@@ -611,7 +613,7 @@ class TestSharedKernels:
         shared = run_grasp_episode(cfg, preset, 3, controller="contact_aware")
         assert shared.trace.meta["events"]["hold"]
         with mock.patch.object(plant_module, "_kernel_key", run_alone):
-            alone = run_grasp_episode(cfg, preset, 3, controller="contact_aware")
+            alone = run_grasp_episode(replace(cfg), preset, 3, controller="contact_aware")
         assert _episode_bytes(shared) == _episode_bytes(alone)
 
 
@@ -646,32 +648,80 @@ class TestScheduleIdentity:
         assert json_text(full.meta["events"]) == json_text(alone.meta["events"])
 
 
+def differing_columns(a, b) -> list[str]:
+    """Names of the columns whose bits differ between traces a and b, or
+    that only one of them has."""
+    x, y = dict(a.columns()), dict(b.columns())
+    return [name for name in {**x, **y}
+            if name not in x or name not in y or x[name].tobytes() != y[name].tobytes()]
+
+
+def hold_at(k):
+    """Stub commander that holds at sample k as soon as it may name it."""
+    return lambda i_meas: k if len(i_meas) >= k else None
+
+
 class TestMechanicsCache:
     """A caller keeps the open-loop mechanics of a scenario by passing one
-    Plant to each of its runs (run_scenario's plant): a warm record."""
+    Plant to each of its runs (run_scenario's plant): a warm record. A
+    closed-loop run walks it and holds a copy, so it stays open loop."""
 
     @pytest.mark.parametrize("preset", tuple(default_config().presets))
     def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, preset):
         # Runs that share one Plant find it stepped and assembled by the
-        # runs before them. Cold runs build their own.
+        # runs before them, open loop or closed, with a hold early, late,
+        # at once or never (the run ends first). Cold runs build their own.
+        commanders = [hold_at(120), hold_at(1700), None, hold_at(0), hold_at(10 ** 6)]
+        if preset == "balloon_hold":
+            commanders.append(ContactAwareController(
+                record_baseline(cfg, preset), cfg.detection).command)
         for config, seeds in ((cfg, (3, 4)), (cfg_nf, (3,))):
             scenario = resolve_scenario(config, preset)
             shared = Plant(scenario)
             for seed in seeds:
-                warm = run_scenario(scenario, seed, plant=shared)
-                cold = run_scenario(scenario, seed)
-                assert warm.to_csv_text() == cold.to_csv_text(), seed
-                assert json_text(warm.meta) == json_text(cold.meta), seed
+                for commander in commanders:
+                    warm = run_scenario(scenario, seed, commander, plant=shared)
+                    cold = run_scenario(scenario, seed, commander)
+                    assert differing_columns(warm, cold) == [], seed
+                    assert json_text(warm.meta) == json_text(cold.meta), seed
+                    assert shared.hold is None
             assert shared.end == shared.n_samples - 1
 
-    def test_closed_loop_run_refuses_a_shared_plant(self, cfg):
-        # A closed-loop run holds its own record in place, so it is refused
-        # a shared one before anything is stepped or asked.
+    def test_closed_loop_run_on_a_shared_plant_leaves_it_open_loop(self, cfg):
+        # The walk steps the shared record, which the next run finds
+        # stepped; the hold works on a copy, so an open-loop run after it
+        # is the fresh open-loop run.
         scenario = resolve_scenario(cfg, "balloon_hold")
-        plant, calls = Plant(scenario), []
-        with pytest.raises(ValueError, match="closed-loop run"):
-            run_scenario(scenario, 3, lambda i: calls.append(len(i)), plant=plant)
-        assert plant.end == 0 and calls == []
+        plant = Plant(scenario)
+        held = run_scenario(scenario, 3, hold_at(850), plant=plant)
+        assert differing_columns(held, run_scenario(scenario, 3, hold_at(850))) == []
+        assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
+        assert plant.hold is None and plant.end == 850
+        assert "noise_free" not in vars(plant)
+        open_loop = run_scenario(scenario, 3, plant=plant)
+        assert differing_columns(open_loop, run_scenario(scenario, 3)) == []
+        assert open_loop.meta["events"]["hold"] == []
+
+    def test_an_extend_that_raised_steps_again_from_its_end(self, cfg, monkeypatch):
+        # The second kernel raises once, after the first has stepped: the
+        # record is still the record at its end, and steps on from there.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        plant, real, calls = Plant(scenario), ChainSim.run, []
+        assert len(plant.kernels) > 1
+
+        def fails_once(chain, v, dt_over_tau):
+            calls.append(chain)
+            if len(calls) == 2:
+                raise DomainError("injected")
+            return real(chain, v, dt_over_tau)
+
+        monkeypatch.setattr(ChainSim, "run", fails_once)
+        with pytest.raises(DomainError, match="injected"):
+            plant.extend(plant.n_samples - 1)
+        assert plant.end == 0
+        got, want = plant.noise_free, Plant(scenario).noise_free
+        assert differing_columns(got, want) == []
+        assert json_text(got.meta) == json_text(want.meta)
 
     def test_plant_of_another_scenario_or_sim_is_refused(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
@@ -870,7 +920,7 @@ class TestMonitoredChain:
     def test_baseline_holds_the_monitored_chain_only(self, cfg, tmp_path):
         scenario = resolve_scenario(cfg, "balloon_hold")
         (chain,) = scenario.monitored().chains
-        baseline = record_baseline(scenario, cfg.detection.baseline_seed)
+        baseline = record_baseline(cfg, "balloon_hold")
         assert set(baseline.x) == set(baseline.c) == {scenario.monitored_stack}
         assert set(baseline.theta) == set(baseline.f_contact) == set(chain.joint_keys)
         loaded = load_trace(baseline.save(tmp_path / "baseline.csv"))

@@ -27,12 +27,13 @@ expects: a build prints each call that exits otherwise to stderr and
 exits 1. base_config.json holds the built-in config. Each base-half
 call loads it afresh and computes everything anew, while the
 default-half calls share one built-in config per process, and with it
-the seed-free work its memo keeps (detect-batch's class records, a
-contact-aware preset's controller) from the first call that computed
-it. So the two halves must match file by file, memoized calls against
-fresh ones: a build prints each base-half file whose bytes differ from
-its default-half twin, or that has none, and exits 1. The one exception
-is calls/base/characterize.stdout, which names its own directory.
+the open-loop records its memo keeps (detect-batch's class records, a
+preset's baseline and episode records) from the first call that
+computed them. So the two halves must match file by file, memoized
+calls against fresh ones: a build prints each base-half file whose
+bytes differ from its default-half twin, or that has none, and exits 1.
+The one exception is calls/base/characterize.stdout, which names its
+own directory.
 
 --src builds with the package in DIR (default: this checkout's src).
 The expected exit codes are this checkout's, so a build with --src

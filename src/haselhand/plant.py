@@ -81,7 +81,7 @@ run_scenario takes the caller's Plant of a scenario as its open-loop
 record, steps it only where no earlier run has and reuses its assembly.
 The config keeps one record per scenario it runs (control.run_on_record,
 HandConfig.memo), so every run of a config, open loop or closed, pays
-only for its noise and its hold. detect-batch reads the monitored
+only for its noise and a new hold sample. detect-batch reads the monitored
 current only, through the detection window's last sample, so its record
 of each class is the class's monitored chain alone (Scenario.monitored),
 cut one sample past that window (control.detection_horizon). A trace's
@@ -102,7 +102,10 @@ and the copy steps on from sample k on the record's kernels. Chains that
 shared a kernel are in one state there and hold one command, so they
 keep sharing it. extend sets each kernel to its record's state before it
 steps, so a record and its copies share kernels, and a record whose
-extend raised part-way is again the record at its end.
+extend raised part-way is again the record at its end. The held copy's
+assembly depends on k alone, so the record keeps it per hold sample
+(Plant.held_free), and not the copy, whose arrays are the size of the
+record's: a later run that holds at k steps nothing.
 """
 
 from __future__ import annotations
@@ -400,7 +403,8 @@ class Plant:
     contraction (mm), stall target (mm) and running maximum stall
     residual (N) after internal step k * steps_per_sample; x_mon holds
     the monitored chain's contraction after every internal step. Samples
-    0..end are recorded; extend steps further.
+    0..end are recorded; extend steps further. held_free maps each hold
+    sample a run has held this record at to its held copy's noise_free.
     """
 
     def __init__(self, scenario: Scenario):
@@ -425,6 +429,7 @@ class Plant:
         self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
         self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
+        self.held_free: dict[int, SignalTrace] = {}
 
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it.
@@ -464,6 +469,7 @@ class Plant:
         sample k and hold one command."""
         held = copy.copy(self)
         held.__dict__.pop("noise_free", None)
+        held.held_free = {}
         j, t_prev = k * self.sim.steps_per_sample, max(k - 1, 0) * self.sim.dt_sample
         dv_max, ceiling = self.limits
         cmd = {p.identity: min(p(t_prev), ceiling) for p in self.schedules}
@@ -599,10 +605,13 @@ def run_scenario(
     plant, when given, is the caller's open-loop record of this very
     scenario object, shared with its other runs, open loop or closed; one
     of another object is a ValueError. A closed-loop run steps the record
-    up to its hold and holds a copy (Plant.held_at). The trace is the
+    up to its hold and holds a copy (Plant.held_at), whose noise_free the
+    record keeps by hold sample (Plant.held_free), so a later run that
+    holds at that sample steps nothing more. The trace is the
     Plant.noise_free of the record, or of the held copy, with noise in
-    v_meas and i_meas and the seed in a copy of its meta, so the traces of
-    one record share their other columns, read-only. Raises
+    v_meas and i_meas and the seed in a copy of its meta, made by
+    dataclasses.replace: the traces of one noise_free share its other
+    columns, read-only, and its encoded frame (SignalTrace.to_csv_text). Raises
     ModelConsistencyError when the run's stall residual exceeds
     STALL_RESIDUAL_TOL_N, DomainError when a net force or a value of the
     trace is not finite (the first in file order), and ConfigError,
@@ -622,7 +631,12 @@ def run_scenario(
     noise_v, noise_i = 0.0 + amp.monitor_noise_v * z[:, 0], 0.0 + amp.monitor_noise_i * z[:, 1]
 
     k_hold = None if commander is None else _walk(plant, commander, noise_i)
-    free = (plant if k_hold is None else plant.held_at(k_hold)).noise_free
+    if k_hold is None:
+        free = plant.noise_free
+    elif k_hold in plant.held_free:
+        free = plant.held_free[k_hold]
+    else:
+        free = plant.held_free[k_hold] = plant.held_at(k_hold).noise_free
 
     # Only the noise depends on the seed. Each trace has dicts of its own at
     # every depth; the arrays in them are shared, read-only.

@@ -12,7 +12,10 @@ so a re-run with the same seed is byte-identical. The encoder encodes
 each distinct column once, a block of rows at a time, with one repr per
 run of equal 64-bit patterns; the bytes are those of one repr per cell.
 Coupled joints, chains that share a kernel and equal contact forces give
-equal columns, and rest and hold phases give long runs.
+equal columns, and rest and hold phases give long runs. The traces of one
+record (plant.run_scenario) differ in v_meas and i_meas alone: from
+their second encode on, they take the text of every other column from a
+frame they share, built once (SignalTrace.to_csv_text).
 
 The decoder parses every cell in one np.loadtxt pass, bit for bit the
 float() of each cell; a row-by-row float() scan runs only when that pass
@@ -91,8 +94,9 @@ def read_json(path: str | Path) -> Any:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-def csv_text(columns: list[tuple[str, Any]]) -> str:
-    """CSV document of (header name, values) columns of equal length.
+def csv_rows(columns: list[tuple[str, Any]]) -> list[str]:
+    """Each row's text, without its newline, of (header name, values)
+    columns of equal length.
 
     Each value is written as repr of the float, so equal inputs give
     equal bytes. Columns with equal bytes are encoded once, in blocks of
@@ -114,14 +118,20 @@ def csv_text(columns: list[tuple[str, Any]]) -> str:
     starts = np.ones(values.shape, dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
     starts[:, ::CSV_BLOCK_ROWS] = True
-    parts = [",".join(name for name, _ in columns), "\n"]
+    rows: list[str] = []
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
         block = values[:, start:start + CSV_BLOCK_ROWS]
         at = np.flatnonzero(starts[:, start:start + CSV_BLOCK_ROWS])
         text = np.array(list(map(repr, block.ravel()[at].tolist())), dtype=object)
         cells = np.repeat(text, np.diff(at, append=block.size)).reshape(block.shape)
-        parts += ["\n".join(map(",".join, cells[index].T.tolist())), "\n"]
-    return "".join(parts)
+        rows += map(",".join, cells[index].T.tolist())
+    return rows
+
+
+def csv_text(columns: list[tuple[str, Any]]) -> str:
+    """CSV document of (header name, values) columns of equal length: the
+    header, then csv_rows, each line ending in a newline."""
+    return "\n".join([",".join(name for name, _ in columns), *csv_rows(columns)]) + "\n"
 
 
 def column_name(group: str, key: str) -> str:
@@ -148,6 +158,9 @@ class SignalTrace:
     x: dict[str, np.ndarray]          # stack id -> mm
     c: dict[str, np.ndarray]          # stack id -> nF
     meta: dict[str, Any] = field(default_factory=dict)
+    # The encoded seed-free columns of a record (see to_csv_text), shared
+    # with every trace that dataclasses.replace makes of this one.
+    frame: dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -157,7 +170,35 @@ class SignalTrace:
         return cols + keyed_columns({group: getattr(self, group) for group in KEYED_COLUMNS})
 
     def to_csv_text(self) -> str:
-        return csv_text(self.columns())
+        """csv_text of columns(), its seed-free columns taken from the frame
+        where it serves.
+
+        The traces of one record share every column but v_meas and i_meas.
+        The first of them to encode keeps its seed-free columns (t, v_cmd
+        and the keyed groups) in the frame and encodes in full, as csv_text
+        does. The second also keeps each row's text of them, split either
+        side of v_meas and i_meas, so it and every later trace encodes those
+        two columns alone. The frame serves a trace only when its seed-free
+        columns are the frame's, name for name and array for array, each
+        read-only; any other trace encodes in full and leaves it alone.
+        """
+        columns = self.columns()
+        free, measured = columns[:2] + columns[4:], columns[2:4]
+        read_only = all(isinstance(a, np.ndarray) and not a.flags.writeable for _, a in free)
+        # setdefault returns free itself only to the first trace to encode.
+        if not read_only or self.frame.setdefault("columns", free) is free:
+            return csv_text(columns)
+        n_rows = len(self.t)
+        if ([(name, id(a)) for name, a in self.frame["columns"]] != [(name, id(a)) for name, a in free]
+                or any(len(a) != n_rows for _, a in measured)):
+            return csv_text(columns)
+        if "rows" not in self.frame:
+            tails = [f",{row}\n" for row in csv_rows(columns[4:])] if len(columns) > 4 else ["\n"] * n_rows
+            self.frame["rows"] = [f"{row}," for row in csv_rows(columns[:2])], tails
+        heads, tails = self.frame["rows"]
+        parts = [",".join(name for name, _ in columns) + "\n", *[""] * (3 * n_rows)]
+        parts[1::3], parts[2::3], parts[3::3] = heads, csv_rows(measured), tails
+        return "".join(parts)
 
     def file_texts(self, csv_path: str | Path) -> dict[str, str]:
         """path -> text of the CSV at csv_path, then of its .meta.json companion."""

@@ -927,10 +927,11 @@ class TestOneProcess:
 
     def test_second_calls_reuse_the_memo_and_write_the_same_bytes(self, tmp_path, monkeypatch):
         # The built-in config keeps detect-batch's two class records and
-        # balloon_hold's baseline and episode records: a second call builds
-        # no Plant and steps no open-loop record, the controlled grasp only
-        # its held copy from the hold on, yet each writes the first call's
-        # bytes, and a memoized batch at a new seed writes what a freshly
+        # balloon_hold's baseline and episode records, the latter with its
+        # held traces: a second call builds no Plant and steps nothing, yet
+        # each writes the first call's bytes. A controlled grasp that holds
+        # at a new sample steps a held copy from the hold on, and nothing
+        # else. Each memoized call at a new seed writes what a freshly
         # loaded copy of the config does.
         batch = ("detect-batch", "--free", "1", "--grasp", "2", "--seed", "7")
         grasp = ("grasp", "--preset", "balloon_hold", "--seed", "3")
@@ -954,8 +955,7 @@ class TestOneProcess:
         assert run_cli(*batch, "--out", str(tmp_path / "second")) == 0
         assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
         assert run_cli(*grasp, "--out", str(tmp_path / "second")) == 0
-        assert counts["plants"] == counts["open-loop samples"] == 0
-        assert counts["steps"] > 0  # the held copy's, after the hold
+        assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
 
         def files(root):
             return {p.name: p.read_bytes() for p in root.iterdir()}
@@ -963,7 +963,18 @@ class TestOneProcess:
         assert len(files(tmp_path / "first")) == 5
         assert files(tmp_path / "second") == files(tmp_path / "first")
 
-        config, counts["steps"] = write_config(tmp_path), 0
+        # Seed 3 holds at 0.886 s, seed 0 a sample earlier.
+        config, new_hold = write_config(tmp_path), ("grasp", "--preset", "balloon_hold", "--seed", "0")
+        assert run_cli(*new_hold, "--out", str(tmp_path / "held")) == 0
+        record = cli_module._builtin_config().memo[("balloon_hold", False)]
+        assert sorted(record.held_free) == [885, 886]
+        held_steps = (record.n_samples - 1 - 885) * record.sim.steps_per_sample
+        assert counts == {"steps": held_steps * len(record.kernels), "plants": 0,
+                          "open-loop samples": 0}
+        assert run_cli(*new_hold, "--config", str(config), "--out", str(tmp_path / "held_fresh")) == 0
+        assert files(tmp_path / "held") == files(tmp_path / "held_fresh")
+
+        counts["steps"] = 0
         new_seed = ("detect-batch", "--free", "2", "--grasp", "1", "--seed", "11")
         assert run_cli(*new_seed, "--out", str(tmp_path / "memo")) == 0
         assert counts["steps"] == 0

@@ -32,6 +32,7 @@ from haselhand.errors import ConfigError, DomainError, InsufficientDataError, Mo
 from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
 from haselhand.trace import FIXED_COLUMNS, json_text
 from oracles import ScalarChain, equilibrium_contraction, onset_voltage, reconstruct_current, slew
+from oracles import csv_text as csv_text_oracle
 
 
 class TestVoltageProfile:
@@ -670,8 +671,10 @@ class TestMechanicsCache:
     def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, preset):
         # Runs that share one Plant find it stepped and assembled by the
         # runs before them, open loop or closed, with a hold early, late,
-        # at once or never (the run ends first). Cold runs build their own.
-        commanders = [hold_at(120), hold_at(1700), None, hold_at(0), hold_at(10 ** 6)]
+        # at once, never (the run ends first) or again at an earlier run's
+        # sample, whose held trace the record keeps. Cold runs build their own.
+        commanders = [hold_at(120), hold_at(1700), None, hold_at(0), hold_at(10 ** 6),
+                      hold_at(120)]
         if preset == "balloon_hold":
             commanders.append(ContactAwareController(
                 record_baseline(cfg, preset), cfg.detection).command)
@@ -686,6 +689,22 @@ class TestMechanicsCache:
                     assert json_text(warm.meta) == json_text(cold.meta), seed
                     assert shared.hold is None
             assert shared.end == shared.n_samples - 1
+            assert {0, 120, 1700} <= shared.held_free.keys()
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((None, 40, 120))),
+                    min_size=1, max_size=5), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_traces_of_one_record_encode_as_the_oracle(self, cfg, runs, data):
+        # Open-loop runs and runs held at repeated and at new samples share
+        # one record. Each trace, encoded any number of times in any order,
+        # is one repr per cell of its columns.
+        scenario = replace(resolve_scenario(cfg, "pinch_cube"), duration=0.2)
+        plant = Plant(scenario)
+        traces = [run_scenario(scenario, seed, None if k is None else hold_at(k), plant=plant)
+                  for seed, k in runs]
+        want = [csv_text_oracle(trace.columns()) for trace in traces]
+        for i in data.draw(st.lists(st.integers(0, len(traces) - 1), min_size=1, max_size=12)):
+            assert traces[i].to_csv_text() == want[i]
 
     def test_closed_loop_run_on_a_shared_plant_leaves_it_open_loop(self, cfg):
         # The walk steps the shared record, which the next run finds

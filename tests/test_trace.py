@@ -3,6 +3,7 @@ loadtxt decoder reads the bits and errors of one float() per cell."""
 
 import os
 import stat
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import haselhand.trace
 from haselhand.errors import TraceSchemaError
-from haselhand.trace import (CSV_BLOCK_ROWS, FIXED_COLUMNS, _scan_rows, csv_text, load_trace,
-                             write_atomic)
+from haselhand.trace import (CSV_BLOCK_ROWS, FIXED_COLUMNS, SignalTrace, _scan_rows, csv_text,
+                             load_trace, write_atomic)
 from oracles import csv_text as csv_text_oracle
 
 
@@ -105,6 +106,109 @@ class TestCsvText:
     def test_unequal_columns_name_the_column(self, second):
         with pytest.raises(ValueError, match="column 'b' has"):
             csv_text([("a", [1.0, 2.0]), ("b", second)])
+
+
+def read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def record(n: int, keys: int) -> SignalTrace:
+    """A record's noise-free trace as Plant.noise_free gives it: read-only
+    columns, one theta array for the joints of a group, held runs in v_cmd,
+    f_contact and x. keys joints and stacks; none gives no keyed column."""
+    rng = np.random.default_rng(n)
+    ramp = np.minimum(np.arange(n) / 100.0, 1.5)
+    theta, x = read_only(np.cumsum(rng.random(n))), read_only(ramp * 2.0)
+    return SignalTrace(
+        t=read_only(np.arange(n) * 1e-3), v_cmd=read_only(ramp), v_meas=read_only(ramp),
+        i_meas=read_only(rng.normal(size=n)),
+        theta={f"j{k}": theta for k in range(keys)},
+        f_contact={f"j{k}": read_only(np.maximum(ramp - 1.0, 0.0) * k) for k in range(keys)},
+        x={f"s{k}": x for k in range(keys)}, c={f"s{k}": read_only(x / 7.0) for k in range(keys)})
+
+
+def seeded(free: SignalTrace, seed: int) -> SignalTrace:
+    """A run of free's record at seed, as run_scenario makes it."""
+    rng = np.random.default_rng(seed)
+    return replace(free, v_meas=free.v_meas + rng.normal(size=len(free)),
+                   i_meas=free.i_meas + rng.normal(size=len(free)))
+
+
+def encodes(trace: SignalTrace) -> tuple[str, list[int]]:
+    """trace's CSV text, and the width of each column set csv_rows encodes for it."""
+    widths, real = [], haselhand.trace.csv_rows
+
+    def counted(columns):
+        widths.append(len(columns))
+        return real(columns)
+
+    with mock.patch.object(haselhand.trace, "csv_rows", counted):
+        return trace.to_csv_text(), widths
+
+
+class TestFrame:
+    """The traces of one record encode its seed-free columns once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, CSV_BLOCK_ROWS + 1]), st.integers(0, 2),
+           st.lists(st.integers(0, 3), min_size=1, max_size=10))
+    def test_traces_of_one_record_encode_as_the_oracle(self, n, keys, order):
+        # The record's own trace and three runs of it, encoded in the drawn
+        # order, each any number of times.
+        free = record(n, keys)
+        traces = [free, *(seeded(free, seed) for seed in (1, 2, 3))]
+        want = [csv_text_oracle(trace.columns()) for trace in traces]
+        for i in order:
+            assert traces[i].to_csv_text() == want[i]
+
+    def test_the_second_encode_builds_the_frame(self):
+        # The first encode is csv_text's; the second encodes the seed-free
+        # columns once more, into the frame; later ones v_meas and i_meas.
+        free = record(300, 2)
+        width = len(free.columns())
+        widths = []
+        for seed in (1, 2, 3, 4):
+            trace = seeded(free, seed)
+            text, encoded = encodes(trace)
+            assert text == csv_text_oracle(trace.columns())
+            widths.append(encoded)
+        assert widths[0] == [width] and sum(widths[1]) == width
+        assert widths[2:] == [[2], [2]]
+
+    @pytest.mark.parametrize("change", ["new column", "new key", "new writable column",
+                                        "written column"])
+    def test_a_trace_off_the_frame_encodes_in_full_and_leaves_it(self, change):
+        free = record(300, 2)
+        for seed in (1, 2):
+            seeded(free, seed).to_csv_text()
+        frame = free.frame
+        columns, rows = frame["columns"], frame["rows"]
+        kept = [list(part) for part in rows]
+        trace = seeded(free, 3)
+        if change == "new column":
+            trace = replace(trace, theta={**trace.theta, "j1": read_only(trace.theta["j1"] + 1.0)})
+        elif change == "new key":
+            trace = replace(trace, x={**trace.x, "s2": trace.x["s1"]})
+        elif change == "new writable column":
+            trace = replace(trace, v_cmd=trace.v_cmd + 1.0)
+        else:  # the record's own array, made writable and written
+            trace.f_contact["j1"].flags.writeable = True
+            trace.f_contact["j1"][-1] = 5.0
+        text, encoded = encodes(trace)
+        assert text == csv_text_oracle(trace.columns())
+        assert encoded == [len(trace.columns())]
+        assert trace.frame is frame and frame.keys() == {"columns", "rows"}
+        assert frame["columns"] is columns and frame["rows"] is rows
+        assert [list(part) for part in rows] == kept
+
+    def test_writable_columns_never_claim_the_frame(self):
+        free = record(300, 2)
+        trace = replace(free, t=np.array(free.t))
+        for _ in range(3):
+            assert encodes(trace) == (csv_text_oracle(trace.columns()), [len(trace.columns())])
+        assert free.frame == {}
 
 
 HEADER = ",".join(FIXED_COLUMNS.values())

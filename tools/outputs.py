@@ -28,10 +28,13 @@ exits 1. base_config.json holds the built-in config. Each base-half
 call loads it afresh and computes everything anew, while the
 default-half calls share one built-in config per process, and with it
 the open-loop records its memo keeps (detect-batch's class records, a
-preset's baseline and episode records) from the first call that
-computed them. So the two halves must match file by file, memoized
-calls against fresh ones: a build prints each base-half file whose
-bytes differ from its default-half twin, or that has none, and exits 1.
+preset's baseline and episode records), each with its held traces and
+encoded frames, from the first call that computed them. So the two
+halves must match file by file, memoized calls against fresh ones: a
+build prints each base-half file whose bytes differ from its
+default-half twin, or that has none, and exits 1. Seeds 3 and 4242 both
+hold balloon_hold at 0.886 s, so its default-half grasp at seed 4242
+reuses seed 3's held trace, and its base-half twin builds it afresh.
 The one exception is calls/base/characterize.stdout, which names its
 own directory.
 

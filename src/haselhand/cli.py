@@ -11,8 +11,8 @@ CSV/JSON only; all outputs carry the config hash. Each cmd_* returns its
 files (name -> text, in write order) and its stdout line; main writes and
 prints them once the verb has returned, so a refused run writes nothing.
 The built-in config is built once per process, and its memo keeps the
-open-loop record of each scenario a call runs, with its held traces and
-encoded frames, for later calls.
+open-loop record of each scenario a call runs, with what the record
+keeps (Plant.noise_free), for later calls.
 Exit codes: 0 success, 2 configuration error, 3 model-consistency error,
 4 calibration failure. HASELHAND_OUT overrides the output directory.
 """
@@ -106,7 +106,7 @@ def cmd_characterize(args) -> tuple[dict[str, str], str]:
         )
         # A bench test reads no monitor: the record alone, with no seed or noise.
         plant = Plant(resolve_preset(cfg, f"characterize_{finger}", preset))
-        trace = plant.noise_free
+        trace = plant.noise_free()
 
         # The trace holds this finger's joints only, keyed "<finger>_<joint>".
         columns = [("v_cmd(kV)", trace.v_cmd)]

@@ -280,8 +280,8 @@ class HandConfig:
     @functools.cached_property
     def memo(self) -> dict:
         """The open-loop records (Plant) of the scenarios this config has run,
-        each stored once a run on it has returned and kept, with its held
-        traces and encoded frames, as long as the config;
+        each stored once a run on it has returned and kept, with what it
+        keeps (Plant.noise_free), as long as the config;
         control.run_on_record alone reads and writes it. Not a field: never
         encoded, compared or hashed."""
         return {}

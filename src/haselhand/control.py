@@ -16,7 +16,8 @@ previous command (see run_scenario).
 
 Every run of a config starts from its scenario's open-loop record,
 which does not depend on the seed: run_on_record is the one place that
-takes it from the config's memo or builds and keeps it. The baseline,
+takes it from the config's memo or builds and keeps it; the record
+keeps its noise-free traces itself (Plant.noise_free). The baseline,
 each grasp episode, open loop or closed, and detect-batch's episodes
 all run there.
 """
@@ -191,8 +192,11 @@ class ContactAwareController:
     pipeline latency), smoothed like the baseline, against the smoothed
     baseline at the same instant. A drop of more than the deviation
     threshold, set from the baseline's own residual noise, means the
-    finger met something. Each controlled episode builds its own from the
-    config's baseline record; baseline_smoothed is read-only.
+    finger met something. The threshold fits a full window of smoothing
+    samples; sample k < smoothing - 1 averages only k + 1, whose noise is
+    sqrt(smoothing / (k + 1)) times larger, so its threshold is scaled by
+    that factor. Each controlled episode builds its own from the config's
+    baseline record; baseline_smoothed and thresholds are read-only.
     """
 
     def __init__(self, baseline: SignalTrace, det: DetectionConfig):
@@ -201,14 +205,17 @@ class ContactAwareController:
         self.baseline_smoothed.flags.writeable = False
         resid_std = float(np.std(baseline.i_meas - self.baseline_smoothed))
         self.deviation_threshold = max(det.deviation_mult * resid_std, det.deviation_floor)
+        averaged = np.minimum(np.arange(1, len(self.baseline_smoothed) + 1), self.smoothing)
+        self.thresholds = self.deviation_threshold * np.sqrt(self.smoothing / averaged)
+        self.thresholds.flags.writeable = False
 
     def command(self, i_meas: np.ndarray) -> Optional[int]:
         """First sample k <= len(i_meas) whose previous sample's smoothed
-        current lies more than the deviation threshold below the smoothed
+        current lies more than that sample's threshold below the smoothed
         baseline, or None; BaselineExhaustedError past the baseline."""
         n = min(len(i_meas), len(self.baseline_smoothed))
         drop = self.baseline_smoothed[:n] - smooth_causal(i_meas[:n], self.smoothing)
-        hits = np.flatnonzero(drop > self.deviation_threshold)
+        hits = np.flatnonzero(drop > self.thresholds[:n])
         if len(hits):
             return int(hits[0]) + 1
         if len(i_meas) > n:

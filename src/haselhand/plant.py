@@ -56,18 +56,16 @@ run_scenario works in three stages over a scenario.
   stall target and running maximum stall residual, and, at every
   internal step, the monitored chain's contraction. What a kernel holds
   at a sample is also where a hold resumes it from.
-- The assembly, Plant.noise_free, builds once per record the trace of
-  the run without monitor noise: every column, with v_meas the monitored
-  chain's applied voltage at the samples and i_meas the drawn current of
-  the monitored stack (chosen in config.resolve_preset) without noise,
-  and every meta entry but the seed. The current comes from
+- The assembly, Plant.noise_free, builds the trace of the run without
+  monitor noise: every column, with v_meas the monitored chain's applied
+  voltage at the samples and i_meas the drawn current of the monitored
+  stack (chosen in config.resolve_preset) without noise, and every meta
+  entry but the seed. The current comes from
   Plant.current, the finite differences of capacitance and applied
   voltage over the internal steps either side of each sample instant:
   central inside the run, one-sided at its ends. It steps the record to
-  its end first, so a record has one assembly, and checks the stall
-  residual. Its columns are read-only, so the traces that share them
-  cannot change one another. A failed check is never kept, so it fails
-  every run on the record.
+  its end first and checks the stall residual; the record keeps what it
+  builds (see Plant.noise_free).
 - The per-seed pass in run_scenario draws the Gaussian monitor noise
   from a seeded generator in one block whose values are those of one
   draw per monitor per sample, in sample order, so runs are
@@ -78,7 +76,7 @@ run_scenario works in three stages over a scenario.
 
 A scenario's open-loop motion does not depend on the seed, so
 run_scenario takes the caller's Plant of a scenario as its open-loop
-record, steps it only where no earlier run has and reuses its assembly.
+record, steps it only where no earlier run has and reuses what it keeps.
 The config keeps one record per scenario it runs (control.run_on_record,
 HandConfig.memo), so every run of a config, open loop or closed, pays
 only for its noise and a new hold sample. detect-batch reads the monitored
@@ -103,15 +101,13 @@ shared a kernel are in one state there and hold one command, so they
 keep sharing it. extend sets each kernel to its record's state before it
 steps, so a record and its copies share kernels, and a record whose
 extend raised part-way is again the record at its end. The held copy's
-assembly depends on k alone, so the record keeps it per hold sample
-(Plant.held_free), and not the copy, whose arrays are the size of the
-record's: a later run that holds at k steps nothing.
+assembly depends on k alone, so the record keeps it (Plant.noise_free(k)):
+a later run that holds at k steps nothing.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import replace
 from typing import Callable, Optional
 
@@ -403,8 +399,7 @@ class Plant:
     contraction (mm), stall target (mm) and running maximum stall
     residual (N) after internal step k * steps_per_sample; x_mon holds
     the monitored chain's contraction after every internal step. Samples
-    0..end are recorded; extend steps further. held_free maps each hold
-    sample a run has held this record at to its held copy's noise_free.
+    0..end are recorded; extend steps further. free is noise_free's map.
     """
 
     def __init__(self, scenario: Scenario):
@@ -429,7 +424,7 @@ class Plant:
         self.x, self.target, self.residual = np.zeros((3, len(self.kernels), self.n_samples))
         self.x_mon = np.zeros(steps + 1)
         self.hold: Optional[tuple[int, float]] = None
-        self.held_free: dict[int, SignalTrace] = {}
+        self.free: dict[Optional[int], SignalTrace] = {}
 
     def extend(self, k_end: int) -> None:
         """Step every kernel from sample end to sample k_end and record it.
@@ -461,15 +456,14 @@ class Plant:
         toward its command at sample k - 1 (at sample 0 for k = 0), limited
         to the amplifier ceiling. The copy's hold records k and the
         monitored chain's held command; it has arrays of its own, recorded
-        through sample k, and no assembly yet, so extend steps it on from
-        there.
+        through sample k, and an empty map of traces, so extend steps it on
+        from there.
 
         It shares this record's kernels, which extend sets to the stepped
         record's state first: the chains of a kernel are in one state at
         sample k and hold one command."""
         held = copy.copy(self)
-        held.__dict__.pop("noise_free", None)
-        held.held_free = {}
+        held.free = {}
         j, t_prev = k * self.sim.steps_per_sample, max(k - 1, 0) * self.sim.dt_sample
         dv_max, ceiling = self.limits
         cmd = {p.identity: min(p(t_prev), ceiling) for p in self.schedules}
@@ -498,16 +492,26 @@ class Plant:
         dc = (capacitance_of(stack, x[hi]) - capacitance_of(stack, x[lo])) / span
         return displacement_current(capacitance_of(stack, x[idx]), dv, v[idx], dc)
 
-    @functools.cached_property
-    def noise_free(self) -> SignalTrace:
-        """The run's trace without monitor noise or seed: v_meas is the
-        monitored chain's applied voltage at the samples. The first read
-        steps the record to its end and builds it; later reads return it.
+    def noise_free(self, k: Optional[int] = None) -> SignalTrace:
+        """The trace without monitor noise or seed of this record's run (k
+        None), or of its copy held from sample k (held_at(k)): v_meas is the
+        monitored chain's applied voltage at the samples. Its columns are
+        read-only, so the traces that share them cannot change one another.
 
-        Its columns are read-only, so the traces that share them cannot
-        change one another. Raises ModelConsistencyError, on every read,
-        when the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
+        The record keeps one map, free, of the traces it has built: key
+        None holds the open-loop trace, key k the trace held from sample k,
+        which depends on k alone. An entry is stored only once its assembly
+        has returned, and a later call returns it, stepping nothing; each
+        trace carries its encoded frame (SignalTrace.frame). The held copy
+        itself is not kept, since its arrays are the size of the record's.
+        A first call steps the record, or the held copy, to its end. Raises
+        ModelConsistencyError, on every call, when the run's stall residual
+        exceeds STALL_RESIDUAL_TOL_N.
         """
+        if k is not None and k not in self.free:
+            self.free[k] = self.held_at(k).noise_free()
+        if k in self.free:
+            return self.free[k]
         scenario, sim, n = self.scenario, self.sim, self.n_samples
         self.extend(n - 1)
         max_residual = float(self.residual[:, -1].max())
@@ -542,7 +546,7 @@ class Plant:
         for a in (t, v_cmd, v_meas, i_meas, *(a for cols in keyed.values() for a in cols.values())):
             a.flags.writeable = False
         hold = [] if self.hold is None else [{"t": float(t[self.hold[0]]), "v_held": self.hold[1]}]
-        return SignalTrace(t=t, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas, **keyed, meta={
+        self.free[None] = SignalTrace(t=t, v_cmd=v_cmd, v_meas=v_meas, i_meas=i_meas, **keyed, meta={
             "scenario": scenario.name,
             "config_hash": scenario.config_fingerprint,
             "profile_hash": scenario.profile_fingerprint,
@@ -558,6 +562,7 @@ class Plant:
             "events": {"first_contact": first_contact, "hold": hold},
             "controller_modes": {"final": "holding" if hold else "ramping"},
         })
+        return self.free[None]
 
 
 def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
@@ -605,13 +610,11 @@ def run_scenario(
     plant, when given, is the caller's open-loop record of this very
     scenario object, shared with its other runs, open loop or closed; one
     of another object is a ValueError. A closed-loop run steps the record
-    up to its hold and holds a copy (Plant.held_at), whose noise_free the
-    record keeps by hold sample (Plant.held_free), so a later run that
-    holds at that sample steps nothing more. The trace is the
-    Plant.noise_free of the record, or of the held copy, with noise in
-    v_meas and i_meas and the seed in a copy of its meta, made by
-    dataclasses.replace: the traces of one noise_free share its other
-    columns, read-only, and its encoded frame (SignalTrace.to_csv_text). Raises
+    up to its hold sample k. The trace is the record's Plant.noise_free(k),
+    with k None open loop, with noise in v_meas and i_meas and the seed in
+    a copy of its meta, made by dataclasses.replace: the traces of one
+    noise-free trace share its other columns, read-only, and its encoded
+    frame (SignalTrace.to_csv_text). Raises
     ModelConsistencyError when the run's stall residual exceeds
     STALL_RESIDUAL_TOL_N, DomainError when a net force or a value of the
     trace is not finite (the first in file order), and ConfigError,
@@ -630,13 +633,7 @@ def run_scenario(
     z = np.random.default_rng(seed).standard_normal((plant.n_samples, 2))
     noise_v, noise_i = 0.0 + amp.monitor_noise_v * z[:, 0], 0.0 + amp.monitor_noise_i * z[:, 1]
 
-    k_hold = None if commander is None else _walk(plant, commander, noise_i)
-    if k_hold is None:
-        free = plant.noise_free
-    elif k_hold in plant.held_free:
-        free = plant.held_free[k_hold]
-    else:
-        free = plant.held_free[k_hold] = plant.held_at(k_hold).noise_free
+    free = plant.noise_free(None if commander is None else _walk(plant, commander, noise_i))
 
     # Only the noise depends on the seed. Each trace has dicts of its own at
     # every depth; the arrays in them are shared, read-only.

@@ -1,13 +1,18 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haselhand import cli as cli_module
 from haselhand.cli import main
@@ -967,7 +972,7 @@ class TestOneProcess:
         config, new_hold = write_config(tmp_path), ("grasp", "--preset", "balloon_hold", "--seed", "0")
         assert run_cli(*new_hold, "--out", str(tmp_path / "held")) == 0
         record = cli_module._builtin_config().memo[("balloon_hold", False)]
-        assert sorted(record.held_free) == [885, 886]
+        assert record.free.keys() == {885, 886}
         held_steps = (record.n_samples - 1 - 885) * record.sim.steps_per_sample
         assert counts == {"steps": held_steps * len(record.kernels), "plants": 0,
                           "open-loop samples": 0}
@@ -1054,3 +1059,97 @@ class TestOneProcess:
         assert [ref() for ref, _ in loaded] == [None, None]
         assert builtin.memo.keys() == kept.keys()
         assert all(builtin.memo[key] is value for key, value in kept.items())
+
+
+BASE_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "base_config.json"
+
+# The calls of TestCallOrder: a grasp or a detect-batch by its arguments,
+# and a replay by the earlier grasp whose trace it reads (an index, taken
+# modulo the grasps that wrote one).
+GRASP_CALLS = st.tuples(st.just("grasp"), st.sampled_from(("balloon_hold", "pinch_cube", "tripod_toy")),
+                        st.integers(0, 6), st.sampled_from(("", "--no-controller", "--no-object")))
+# A controlled balloon_hold holds at sample 885 (seeds 0, 2, 9, 19 and 20)
+# or 886 (the others), so two hold samples of one record meet in a list.
+HELD_CALLS = st.tuples(st.just("grasp"), st.just("balloon_hold"), st.integers(0, 20), st.just(""))
+BATCH_CALLS = st.tuples(st.just("detect-batch"), st.integers(1, 2), st.integers(1, 2),
+                        st.integers(0, 6))
+REPLAY_CALLS = st.tuples(st.just("replay"), st.integers(0, 7))
+
+
+def argv_of(call) -> list[str]:
+    """The CLI arguments, without --out, of a grasp or detect-batch call."""
+    if call[0] == "grasp":
+        _, preset, seed, flag = call
+        return ["grasp", "--preset", preset, "--seed", str(seed), *([flag] if flag else [])]
+    _, free, grasp, seed = call
+    return ["detect-batch", "--free", str(free), "--grasp", str(grasp), "--seed", str(seed)]
+
+
+def written(out: Path) -> dict[str, bytes]:
+    """The files a call wrote into out, by name; none if it made no out."""
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """Runs a call once per key, under --config perfbench/base_config.json
+    (the built-in config, loaded afresh, so the call computes everything
+    anew); returns its exit code and output directory."""
+    root, done = tmp_path_factory.mktemp("fresh"), {}
+
+    def run(key, argv):
+        if key not in done:
+            out = root / str(len(done))
+            done[key] = run_cli(*argv, "--out", str(out)), out
+        return done[key]
+
+    return run
+
+
+class TestCallOrder:
+    @given(st.one_of(st.none(), GRASP_CALLS, BATCH_CALLS),
+           st.lists(st.one_of(GRASP_CALLS, HELD_CALLS, BATCH_CALLS, REPLAY_CALLS),
+                    min_size=1, max_size=8))
+    # Both hold samples, one held trace encoded three times and replayed, a
+    # --no-object record beside its object one, and records a broken call
+    # left behind; then a broken controlled grasp, and the same call again.
+    @example(broken=("detect-batch", 1, 2, 5), calls=[
+        ("grasp", "balloon_hold", 3, ""), ("grasp", "balloon_hold", 0, ""),
+        ("grasp", "balloon_hold", 4, ""), ("grasp", "balloon_hold", 5, ""), ("replay", 3),
+        ("detect-batch", 1, 2, 5), ("grasp", "pinch_cube", 1, "--no-object"),
+        ("grasp", "pinch_cube", 1, "")])
+    @example(broken=("grasp", "balloon_hold", 3, ""), calls=[("grasp", "balloon_hold", 3, "")])
+    @settings(max_examples=15, deadline=None)
+    def test_no_order_of_calls_changes_their_bytes(self, batch_out, fresh_run, broken, calls):
+        # One process from a fresh built-in config runs the calls in order,
+        # the first under a broken stall walk if broken names one, so that
+        # it raises part-way. Each call writes the files and exit code of
+        # its twin on a freshly loaded config, under the same walk.
+        cli_module._builtin_config.cache_clear()
+        grasps, detectors = [], [(("batch_out",), batch_out, batch_out)]
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, call in enumerate(([] if broken is None else [broken]) + calls):
+                patched = broken is not None and i == 0
+                if call[0] == "replay":
+                    if not grasps:
+                        continue
+                    (source, *traces), (det, *dets) = grasps[call[1] % len(grasps)], detectors[-1]
+                    stem = f"{source[2]}_seed{source[3]}.csv"
+                    key = ("replay", source, det)
+                    mine, theirs = (["replay", "--trace", str(trace / stem), "--detector",
+                                     str(d / "detector.json")] for trace, d in zip(traces, dets))
+                else:
+                    key = (patched, *call)
+                    mine = argv_of(call)
+                    theirs = [*mine, "--config", str(BASE_CONFIG)]
+                out = Path(tmp) / str(i)
+                with (mock.patch.object(ChainSim, "stall_walk", halfway_walk) if patched
+                      else contextlib.nullcontext()):
+                    code = run_cli(*mine, "--out", str(out))
+                    fresh_code, fresh_out = fresh_run(key, theirs)
+                assert (code, written(out)) == (fresh_code, written(fresh_out)), (i, call)
+                assert code == 3 or not patched
+                if code == 0 and call[0] == "grasp":
+                    grasps.append((key, out, fresh_out))
+                elif code == 0 and call[0] == "detect-batch":
+                    detectors.append((key, out, fresh_out))

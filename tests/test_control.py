@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -323,11 +324,12 @@ class TestContactAwareStep:
 
 def oracle_hold_sample(i_meas, baseline_i, n, threshold):
     """First sample k whose previous sample's window mean lies more than
-    threshold below the baseline's, walked sample by sample."""
+    threshold below the baseline's, walked sample by sample; a window of
+    m < n samples takes threshold * sqrt(n / m)."""
     for k in range(1, len(baseline_i) + 1):
         lo = max(0, k - n)
         drop = window_mean(baseline_i[lo:k]) - window_mean(i_meas[lo:k])
-        if drop > threshold:
+        if drop > threshold * math.sqrt(n / (k - lo)):
             return k
     return None
 
@@ -357,6 +359,23 @@ class TestContactAwareSearch:
             changed = i_meas.copy()
             changed[k:] = junk
             assert ctrl.command(changed) == k
+
+    @pytest.mark.parametrize("mult", [3, 10])
+    def test_noise_alone_never_holds_before_the_finger_moves(self, cfg, mult):
+        # The first smoothing - 1 samples average fewer values, so their
+        # noise is larger than a full window's. At mult times the shipped
+        # monitor noise, a threshold that does not grow with it holds on
+        # noise alone at 0.001 s (seed 13 at 3x).
+        amp = cfg.amplifier
+        noisy = replace(cfg, amplifier=replace(amp, monitor_noise_v=mult * amp.monitor_noise_v,
+                                               monitor_noise_i=mult * amp.monitor_noise_i))
+        free = run_grasp_episode(noisy, "balloon_hold", 0, drop_object=True,
+                                 controller="none").trace
+        moves = float(free.t[np.argmax(free.x[free.meta["monitored_stack"]] > 0.0)])
+        assert moves == pytest.approx(0.819)
+        for seed in range(100):
+            held = run_grasp_episode(noisy, "balloon_hold", seed).verdicts["contact_time"]
+            assert held is None or held >= moves, seed
 
 
 class TestGraspEpisodes:

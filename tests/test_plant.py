@@ -215,7 +215,7 @@ class TestRunScenario:
         scenario = resolve_scenario(cfg_nf, preset)
         plant = Plant(scenario)
         trace = run_scenario(scenario, 7, plant=plant)
-        free = plant.noise_free
+        free = plant.noise_free()
         per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
         for (name, a), (free_name, b) in zip(trace.columns(), free.columns(), strict=True):
             assert name == free_name
@@ -689,7 +689,7 @@ class TestMechanicsCache:
                     assert json_text(warm.meta) == json_text(cold.meta), seed
                     assert shared.hold is None
             assert shared.end == shared.n_samples - 1
-            assert {0, 120, 1700} <= shared.held_free.keys()
+            assert {0, 120, 1700} <= shared.free.keys()
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((None, 40, 120))),
                     min_size=1, max_size=5), st.data())
@@ -716,7 +716,7 @@ class TestMechanicsCache:
         assert differing_columns(held, run_scenario(scenario, 3, hold_at(850))) == []
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
         assert plant.hold is None and plant.end == 850
-        assert "noise_free" not in vars(plant)
+        assert None not in plant.free
         open_loop = run_scenario(scenario, 3, plant=plant)
         assert differing_columns(open_loop, run_scenario(scenario, 3)) == []
         assert open_loop.meta["events"]["hold"] == []
@@ -738,7 +738,7 @@ class TestMechanicsCache:
         with pytest.raises(DomainError, match="injected"):
             plant.extend(plant.n_samples - 1)
         assert plant.end == 0
-        got, want = plant.noise_free, Plant(scenario).noise_free
+        got, want = plant.noise_free(), Plant(scenario).noise_free()
         assert differing_columns(got, want) == []
         assert json_text(got.meta) == json_text(want.meta)
 
@@ -788,7 +788,7 @@ class TestMechanicsCache:
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario)
         first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
-        free = plant.noise_free
+        free = plant.noise_free()
         texts = [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)]
         shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
                   if a is b]
@@ -816,7 +816,7 @@ class TestMechanicsCache:
         # holds reaches every run by value, at every depth.
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario)
-        free = plant.noise_free
+        free = plant.noise_free()
         free.meta["events"]["first_force"] = {"index_mcp": 0.25}
         free.meta["probe"] = {"levels": [{"k": 1.0}]}
         first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
@@ -834,7 +834,7 @@ class TestMechanicsCache:
         # is checked too, and the first in file order is named.
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario)
-        free = plant.noise_free
+        free = plant.noise_free()
         at_5 = np.arange(len(free)) == 5
         free.c["index_mcp"] = np.where(at_5, np.nan, free.c["index_mcp"])
         with pytest.raises(DomainError, match=re.escape(
@@ -845,10 +845,13 @@ class TestMechanicsCache:
                 "non-finite value inf in column 'v_cmd(kV)' at sample 5")):
             run_scenario(scenario, 1, plant=plant)
 
-    @pytest.mark.parametrize("failure", ["residual", "finiteness"])
-    def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure):
-        # A check that fails on a record is never kept as passed: a
-        # second run on the same Plant raises the same error.
+    @pytest.mark.parametrize("failure, k", [("residual", None), ("residual", 850),
+                                            ("finiteness", None)])
+    def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure, k):
+        # A check that fails on a record, or on its copy held from sample
+        # k, is never kept as passed: a second run on the same Plant, held
+        # there too, raises the same error. The record keeps no trace whose
+        # assembly raised; the finiteness check reads each run's trace.
         config, error = cfg, ModelConsistencyError
         if failure == "residual":
             monkeypatch.setattr(plant_module, "STALL_RESIDUAL_TOL_N", -1.0)
@@ -860,10 +863,13 @@ class TestMechanicsCache:
         messages = []
         for seed in (0, 0, 1):
             with pytest.raises(error) as exc, np.errstate(over="ignore", invalid="ignore"):
-                run_scenario(scenario, seed, plant=plant)
+                run_scenario(scenario, seed, None if k is None else hold_at(k), plant=plant)
             messages.append(str(exc.value))
         assert len(set(messages)) == 1
-        assert plant.end == plant.n_samples - 1
+        assert plant.end == (plant.n_samples - 1 if k is None else k)
+        assert (k in plant.free) == (failure == "finiteness")
+        if failure == "residual":
+            assert "stall residual" in messages[0]
         if failure == "finiteness":
             assert messages[0] == ("scenario pinch_cube: non-finite value inf "
                                    "in column 'i_meas(uA)' at sample 0")

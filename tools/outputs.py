@@ -28,8 +28,8 @@ exits 1. base_config.json holds the built-in config. Each base-half
 call loads it afresh and computes everything anew, while the
 default-half calls share one built-in config per process, and with it
 the open-loop records its memo keeps (detect-batch's class records, a
-preset's baseline and episode records), each with its held traces and
-encoded frames, from the first call that computed them. So the two
+preset's baseline and episode records), each with the noise-free traces
+it keeps (Plant.noise_free), from the first call that computed them. So the two
 halves must match file by file, memoized calls against fresh ones: a
 build prints each base-half file whose bytes differ from its
 default-half twin, or that has none, and exits 1. Seeds 3 and 4242 both
@@ -110,6 +110,13 @@ EDGE_CONFIGS = {
     # A window between two samples holds none to decide on.
     "narrow-window": ("detection.window", [0.8805, 0.8808], [
         ("detect-batch", SHORT_BATCH, 2),
+    ]),
+    # At 3x the shipped monitor noise the controller's first samples, which
+    # average fewer values, are its noisiest: the report's deviation_threshold
+    # and hold time show its margin. Seed 13 would hold here before the finger
+    # moves if their threshold did not grow with their noise.
+    "monitor-noise-3x": ("amplifier", {"monitor_noise_v": 0.015, "monitor_noise_i": 0.15}, [
+        ("grasp-balloon_hold", ["grasp", "--preset", "balloon_hold", "--seed", "13"], 0),
     ]),
 }
 

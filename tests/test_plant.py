@@ -845,8 +845,10 @@ class TestMechanicsCache:
                 "non-finite value inf in column 'v_cmd(kV)' at sample 5")):
             run_scenario(scenario, 1, plant=plant)
 
-    @pytest.mark.parametrize("failure, k", [("residual", None), ("residual", 850),
-                                            ("finiteness", None)])
+    @pytest.mark.parametrize("failure, k", [
+        pytest.param("residual", None, id="residual"),
+        pytest.param("residual", 850, id="residual-held"),
+        pytest.param("finiteness", None, id="finiteness")])
     def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure, k):
         # A check that fails on a record, or on its copy held from sample
         # k, is never kept as passed: a second run on the same Plant, held

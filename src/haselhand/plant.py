@@ -88,21 +88,23 @@ fingerprints the monitored chain's schedule, the full episode and the
 sim's dt_sample (Scenario.profile_fingerprint), so the one-chain and
 shortened scenarios keep the full episode's.
 
-Closed loop, a run walks the open-loop record, MECHANICS_BLOCK samples
-at a time, stepping it where no earlier run has, and after each block
-hands the commander the measured current of every sample recorded so
-far, each sample's computed once; it stops when the commander names a
-hold sample or the run ends. A hold at sample k works on a copy of the
-record (Plant.held_at), so the record stays open loop for later runs:
-every schedule's voltage after sample k slews toward its command at
-sample k - 1 (at sample 0 for k = 0), limited to the amplifier ceiling,
-and the copy steps on from sample k on the record's kernels. Chains that
-shared a kernel are in one state there and hold one command, so they
-keep sharing it. extend sets each kernel to its record's state before it
-steps, so a record and its copies share kernels, and a record whose
-extend raised part-way is again the record at its end. The held copy's
-assembly depends on k alone, so the record keeps it (Plant.noise_free(k)):
-a later run that holds at k steps nothing.
+Closed loop, a run decides once, on the open-loop record stepped to its
+end: one commander call gets the measured current (the record's
+noise-free current plus the run's noise) of every sample but the last
+and names a hold sample k or none. A commander is causal, its decision
+at a sample reading the samples before it alone, so its first hit on
+the whole run is the one it would make sample by sample. A hold at
+sample k works on a copy of the record (Plant.held_at), so the record
+stays open loop for later runs: every schedule's voltage after sample k
+slews toward its command at sample k - 1 (at sample 0 for k = 0),
+limited to the amplifier ceiling, and the copy steps on from sample k on
+the record's kernels. Chains that shared a kernel are in one state there
+and hold one command, so they keep sharing it. extend sets each kernel
+to its record's state before it steps, so a record and its copies share
+kernels, and a record whose extend raised part-way is again the record
+at its end. The held copy's assembly depends on k alone, so the record
+keeps it (Plant.noise_free(k)): a later run that holds at k steps
+nothing.
 """
 
 from __future__ import annotations
@@ -125,8 +127,6 @@ from .kinematics import contact_force
 from .trace import KEYED_COLUMNS, SignalTrace
 from .transmission import excursion_of, extensor_tension, reflected_load
 
-# Samples by which a commander's walk steps the open-loop record ahead.
-MECHANICS_BLOCK = 50
 # Internal steps a chain's first run speculates over, and the most any run does.
 RUN_WINDOW = 256
 RUN_WINDOW_MAX = 16384
@@ -426,8 +426,8 @@ class Plant:
         self.hold: Optional[tuple[int, float]] = None
         self.free: dict[Optional[int], SignalTrace] = {}
 
-    def extend(self, k_end: int) -> None:
-        """Step every kernel from sample end to sample k_end and record it.
+    def extend(self) -> None:
+        """Step every kernel from sample end to the run's last sample and record it.
 
         Each kernel starts from this record's state at sample end, which
         it may have left for a held copy's or a run that raised part-way.
@@ -437,7 +437,8 @@ class Plant:
         against the net force at every step. Every step of the monitored
         chain's kernel is recorded.
         """
-        k0, sps, r = self.end, self.sim.steps_per_sample, self.sim.dt_internal / self.sim.tau_mech
+        k0, k_end = self.end, self.n_samples - 1
+        sps, r = self.sim.steps_per_sample, self.sim.dt_internal / self.sim.tau_mech
         if k_end <= k0:
             return
         steps, recorded = slice(k0 * sps + 1, k_end * sps + 1), slice(k0 + 1, k_end + 1)
@@ -476,13 +477,12 @@ class Plant:
             a.copy() for a in (self.x, self.target, self.residual, self.x_mon))
         return held
 
-    def current(self, k0: int, k1: int) -> np.ndarray:
-        """Noise-free drawn current (uA) of the monitored stack at samples
-        k0..k1 - 1, from the differences around each sample's internal
-        step: 0 / dt = 0 for a run of zero duration. Needs samples up to
-        k1 recorded, or the whole run."""
+    def current(self) -> np.ndarray:
+        """Noise-free drawn current (uA) of the monitored stack at every
+        sample of the run, stepped to its end, from the differences around
+        each sample's internal step: 0 / dt = 0 for a run of zero duration."""
         sps, dt = self.sim.steps_per_sample, self.sim.dt_internal
-        idx = np.arange(k0, k1) * sps
+        idx = np.arange(self.n_samples) * sps
         lo = np.maximum(idx - 1, 0)
         hi = np.minimum(idx + 1, (self.n_samples - 1) * sps)
         span = np.maximum(hi - lo, 1) * dt
@@ -513,7 +513,7 @@ class Plant:
         if k in self.free:
             return self.free[k]
         scenario, sim, n = self.scenario, self.sim, self.n_samples
-        self.extend(n - 1)
+        self.extend()
         max_residual = float(self.residual[:, -1].max())
         if max_residual > STALL_RESIDUAL_TOL_N:
             raise ModelConsistencyError(
@@ -542,7 +542,7 @@ class Plant:
                     engaged = np.maximum(xs, xt) >= x_on - 1e-12
                     if engaged.any():
                         first_contact[key] = float(t[int(np.argmax(engaged))])
-        v_meas, i_meas = self.v_mon[::sim.steps_per_sample].copy(), self.current(0, n)
+        v_meas, i_meas = self.v_mon[::sim.steps_per_sample].copy(), self.current()
         for a in (t, v_cmd, v_meas, i_meas, *(a for cols in keyed.values() for a in cols.values())):
             a.flags.writeable = False
         hold = [] if self.hold is None else [{"t": float(t[self.hold[0]]), "v_held": self.hold[1]}]
@@ -565,21 +565,6 @@ class Plant:
         return self.free[None]
 
 
-def _walk(plant: Plant, commander, noise_i: np.ndarray) -> Optional[int]:
-    """The sample at which the commander asks for a hold, or None; it sees
-    the measured current recorded so far after each block of the record,
-    each sample's computed once."""
-    last = plant.n_samples - 1
-    i_meas, end = np.empty(last), 0
-    while True:
-        start, end = end, min(end + MECHANICS_BLOCK, last)
-        plant.extend(end)
-        i_meas[start:end] = plant.current(start, end) + noise_i[start:end]
-        k = commander(i_meas[:end])
-        if k is not None or end == last:
-            return k
-
-
 # ---------------------------------------------------------------------------
 # Scenario runner
 # ---------------------------------------------------------------------------
@@ -599,24 +584,27 @@ def run_scenario(
     seeded generator, so identical runs produce identical traces
     byte for byte, whether their open-loop record is fresh or shared.
 
-    commander, when given, is consulted once per MECHANICS_BLOCK samples
-    with the measured current of samples 0..m-1 (m < n_samples) until it
-    returns a sample k <= m instead of None. A hold at sample k holds
-    every schedule from sample k on at its command at sample k - 1 (at
-    sample 0 for k = 0), limited to the amplifier ceiling. The hold
-    instant and the monitored channel's held voltage are recorded as the
-    trace's hold event.
+    commander, when given, is called once, with the measured current of
+    samples 0..n_samples-2 of the open-loop run, and returns a sample
+    k <= n_samples - 1 or None; it must be causal (see the module
+    docstring). A hold at sample k holds every schedule from sample k on
+    at its command at sample k - 1 (at sample 0 for k = 0), limited to
+    the amplifier ceiling. The hold instant and the monitored channel's
+    held voltage are recorded as the trace's hold event.
 
     plant, when given, is the caller's open-loop record of this very
     scenario object, shared with its other runs, open loop or closed; one
-    of another object is a ValueError. A closed-loop run steps the record
-    up to its hold sample k. The trace is the record's Plant.noise_free(k),
-    with k None open loop, with noise in v_meas and i_meas and the seed in
-    a copy of its meta, made by dataclasses.replace: the traces of one
-    noise-free trace share its other columns, read-only, and its encoded
-    frame (SignalTrace.to_csv_text). Raises
-    ModelConsistencyError when the run's stall residual exceeds
-    STALL_RESIDUAL_TOL_N, DomainError when a net force or a value of the
+    of another object is a ValueError. Every run, open loop or closed,
+    steps the record to its end where no earlier run has. The trace is
+    the record's Plant.noise_free(k), with k None open loop, with noise
+    in v_meas and i_meas and the seed in a copy of its meta, made by
+    dataclasses.replace: the traces of one noise-free trace share its
+    other columns, read-only, and its encoded frame
+    (SignalTrace.to_csv_text). Raises ModelConsistencyError when the
+    record's stall residual, or its held copy's, exceeds
+    STALL_RESIDUAL_TOL_N (a closed-loop run on a failing record raises
+    the open-loop run's error, before its commander is called),
+    DomainError when a net force or a value of the
     trace is not finite (the first in file order), and ConfigError,
     before any work, for a negative seed, which the generator cannot take.
     """
@@ -633,7 +621,9 @@ def run_scenario(
     z = np.random.default_rng(seed).standard_normal((plant.n_samples, 2))
     noise_v, noise_i = 0.0 + amp.monitor_noise_v * z[:, 0], 0.0 + amp.monitor_noise_i * z[:, 1]
 
-    free = plant.noise_free(None if commander is None else _walk(plant, commander, noise_i))
+    free = plant.noise_free()
+    if commander is not None:
+        free = plant.noise_free(commander(free.i_meas[:-1] + noise_i[:-1]))
 
     # Only the noise depends on the seed. Each trace has dicts of its own at
     # every depth; the arrays in them are shared, read-only.

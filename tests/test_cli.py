@@ -956,7 +956,7 @@ class TestOneProcess:
         monkeypatch.setattr(Plant, "__init__", counting("plants", Plant.__init__))
         monkeypatch.setattr(Plant, "extend", counting(
             "open-loop samples", Plant.extend,
-            lambda plant, k_end: max(k_end - plant.end, 0) if plant.hold is None else 0))
+            lambda plant: plant.n_samples - 1 - plant.end if plant.hold is None else 0))
         assert run_cli(*batch, "--out", str(tmp_path / "second")) == 0
         assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
         assert run_cli(*grasp, "--out", str(tmp_path / "second")) == 0
@@ -972,7 +972,7 @@ class TestOneProcess:
         config, new_hold = write_config(tmp_path), ("grasp", "--preset", "balloon_hold", "--seed", "0")
         assert run_cli(*new_hold, "--out", str(tmp_path / "held")) == 0
         record = cli_module._builtin_config().memo[("balloon_hold", False)]
-        assert record.free.keys() == {885, 886}
+        assert record.free.keys() == {None, 885, 886}
         held_steps = (record.n_samples - 1 - 885) * record.sim.steps_per_sample
         assert counts == {"steps": held_steps * len(record.kernels), "plants": 0,
                           "open-loop samples": 0}

@@ -22,7 +22,7 @@ from haselhand import (
 from haselhand import config as config_module
 from haselhand.config import DetectionConfig, ProfileSpec, ScenarioPreset, resolve_preset
 from haselhand.errors import ConfigError
-from haselhand.plant import MECHANICS_BLOCK, Plant
+from haselhand.plant import Plant
 from haselhand.trace import SignalTrace, load_trace
 from oracles import StreamingDetector, slew, window_mean
 
@@ -258,15 +258,16 @@ class TestContactAwareStep:
     def test_immediate_contact_holds_at_zero(self, cfg):
         assert flat_controller(1.0).command(np.array([0.0])) == 1
         trace, calls = run_with_commander(cfg, lambda i: 0)
-        assert calls == [MECHANICS_BLOCK]
+        # One call, on every sample of the open-loop run but the last.
+        assert calls == [len(trace) - 1]
         assert trace.meta["events"]["hold"] == [{"t": 0.0, "v_held": 0.0}]
         assert (trace.v_cmd == 0.0).all()
         assert all((x == 0.0).all() for x in trace.x.values())
 
     def test_holding_never_reverts(self, cfg):
         trace, calls = run_with_commander(cfg, hold_at(400))
-        # The commander is not consulted again once it named the hold.
-        assert calls == list(range(MECHANICS_BLOCK, 401, MECHANICS_BLOCK))
+        # The commander is called once; the held run does not consult it.
+        assert calls == [len(trace) - 1]
         held = trace.v_cmd[trace.t >= 0.4 - 1e-9]
         assert (held == held[0]).all()
         assert len(trace.meta["events"]["hold"]) == 1

@@ -29,7 +29,7 @@ from haselhand.cli import main as cli_main
 from haselhand.config import (ProfileSpec, ScenarioPreset, SimConfig, config_from_dict,
                               config_to_dict, resolve_preset)
 from haselhand.errors import ConfigError, DomainError, InsufficientDataError, ModelConsistencyError
-from haselhand.plant import MECHANICS_BLOCK, ChainSim, Plant, _slew
+from haselhand.plant import ChainSim, Plant, _slew
 from haselhand.trace import FIXED_COLUMNS, json_text
 from oracles import ScalarChain, equilibrium_contraction, onset_voltage, reconstruct_current, slew
 from oracles import csv_text as csv_text_oracle
@@ -665,7 +665,7 @@ def hold_at(k):
 class TestMechanicsCache:
     """A caller keeps the open-loop mechanics of a scenario by passing one
     Plant to each of its runs (run_scenario's plant): a warm record. A
-    closed-loop run walks it and holds a copy, so it stays open loop."""
+    closed-loop run decides on it and holds a copy, so it stays open loop."""
 
     @pytest.mark.parametrize("preset", tuple(default_config().presets))
     def test_warm_cache_matches_cold_run(self, cfg, cfg_nf, preset):
@@ -707,16 +707,17 @@ class TestMechanicsCache:
             assert traces[i].to_csv_text() == want[i]
 
     def test_closed_loop_run_on_a_shared_plant_leaves_it_open_loop(self, cfg):
-        # The walk steps the shared record, which the next run finds
-        # stepped; the hold works on a copy, so an open-loop run after it
-        # is the fresh open-loop run.
+        # A closed-loop run steps the shared record to its end and keeps
+        # its open-loop trace, which the next run finds; the hold works on
+        # a copy, so an open-loop run after it is the fresh open-loop run.
         scenario = resolve_scenario(cfg, "balloon_hold")
         plant = Plant(scenario)
         held = run_scenario(scenario, 3, hold_at(850), plant=plant)
         assert differing_columns(held, run_scenario(scenario, 3, hold_at(850))) == []
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
-        assert plant.hold is None and plant.end == 850
-        assert None not in plant.free
+        assert plant.hold is None and plant.end == plant.n_samples - 1
+        assert plant.free.keys() == {None, 850}
+        assert plant.free[None].meta["events"]["hold"] == []
         open_loop = run_scenario(scenario, 3, plant=plant)
         assert differing_columns(open_loop, run_scenario(scenario, 3)) == []
         assert open_loop.meta["events"]["hold"] == []
@@ -736,7 +737,7 @@ class TestMechanicsCache:
 
         monkeypatch.setattr(ChainSim, "run", fails_once)
         with pytest.raises(DomainError, match="injected"):
-            plant.extend(plant.n_samples - 1)
+            plant.extend()
         assert plant.end == 0
         got, want = plant.noise_free(), Plant(scenario).noise_free()
         assert differing_columns(got, want) == []
@@ -769,19 +770,19 @@ class TestMechanicsCache:
         # The seed-free columns, noise-free current among them, are built
         # once per class however many episodes share its record, and the
         # built-in config keeps both records for a later call.
-        real, whole_runs = Plant.current, []
+        real, assembled = Plant.current, []
 
-        def counted(plant, k0, k1):
-            whole_runs.append((k0, k1) == (0, plant.n_samples))
-            return real(plant, k0, k1)
+        def counted(plant):
+            assembled.append(plant)
+            return real(plant)
 
         monkeypatch.setattr(Plant, "current", counted)
         built = []
         for n in ("2", "5"):
-            whole_runs.clear()
+            assembled.clear()
             assert cli_main(["detect-batch", "--free", n, "--grasp", n,
                              "--out", str(tmp_path / n)]) == 0
-            built.append(sum(whole_runs))
+            built.append(len(assembled))
         assert built == [2, 0]
 
     def test_traces_of_one_plant_share_read_only_columns(self, cfg):
@@ -847,50 +848,70 @@ class TestMechanicsCache:
 
     @pytest.mark.parametrize("failure, k", [
         pytest.param("residual", None, id="residual"),
-        pytest.param("residual", 850, id="residual-held"),
+        pytest.param("held residual", 850, id="residual-held"),
+        pytest.param("residual", 850, id="residual-closed"),
         pytest.param("finiteness", None, id="finiteness")])
     def test_failing_record_fails_every_run(self, cfg, monkeypatch, failure, k):
         # A check that fails on a record, or on its copy held from sample
         # k, is never kept as passed: a second run on the same Plant, held
         # there too, raises the same error. The record keeps no trace whose
-        # assembly raised; the finiteness check reads each run's trace.
+        # assembly raised; the finiteness check reads each run's trace. A
+        # held copy fails alone once the record's own trace has passed and
+        # is kept. A closed-loop run decides on the record's open-loop
+        # trace, so on a record that fails it raises the open-loop run's
+        # error, its commander never called.
         config, error = cfg, ModelConsistencyError
-        if failure == "residual":
-            monkeypatch.setattr(plant_module, "STALL_RESIDUAL_TOL_N", -1.0)
-        else:  # test_cli's huge_c0: the noise-free current overflows
+        if failure == "finiteness":  # test_cli's huge_c0: the noise-free current overflows
             stack = replace(cfg.stacks["index_mcp"], c0=1e308)
             config, error = replace(cfg, stacks={**cfg.stacks, "index_mcp": stack}), DomainError
         scenario = resolve_scenario(config, "pinch_cube")
-        plant = Plant(scenario)
+        plant, calls = Plant(scenario), []
+        if failure == "held residual":
+            run_scenario(scenario, 0, plant=plant)
+            assert None in plant.free
+        if failure != "finiteness":
+            monkeypatch.setattr(plant_module, "STALL_RESIDUAL_TOL_N", -1.0)
+
+        def commander(i_meas):
+            calls.append(len(i_meas))
+            return hold_at(k)(i_meas)
+
         messages = []
         for seed in (0, 0, 1):
             with pytest.raises(error) as exc, np.errstate(over="ignore", invalid="ignore"):
-                run_scenario(scenario, seed, None if k is None else hold_at(k), plant=plant)
+                run_scenario(scenario, seed, None if k is None else commander, plant=plant)
             messages.append(str(exc.value))
         assert len(set(messages)) == 1
-        assert plant.end == (plant.n_samples - 1 if k is None else k)
+        assert plant.end == plant.n_samples - 1
         assert (k in plant.free) == (failure == "finiteness")
-        if failure == "residual":
+        assert (None in plant.free) == (failure != "residual")
+        if k is not None:
+            assert calls == ([] if failure == "residual" else 3 * [plant.n_samples - 1])
+        if failure != "finiteness":
             assert "stall residual" in messages[0]
+        if failure == "residual":
+            with pytest.raises(error) as exc:
+                run_scenario(scenario, 2, plant=plant)
+            assert messages[0] == str(exc.value)
         if failure == "finiteness":
             assert messages[0] == ("scenario pinch_cube: non-finite value inf "
                                    "in column 'i_meas(uA)' at sample 0")
 
     def test_controlled_grasp_computes_each_current_once(self, monkeypatch, tmp_path):
-        # The walk computes each sample's current once, up to the end of
-        # the block of the hold (near sample 886: 900 samples). The
-        # baseline and the held record each assemble their whole run of
-        # 2,001 samples once.
+        # The baseline, the episode's open-loop record and its copy held
+        # near sample 886 each assemble their whole run of 2,001 samples
+        # once.
         real, samples = Plant.current, []
 
-        def counted(plant, k0, k1):
-            samples.append(k1 - k0)
-            return real(plant, k0, k1)
+        def counted(plant):
+            out = real(plant)
+            samples.append(len(out))
+            return out
 
         monkeypatch.setattr(Plant, "current", counted)
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
-        assert sum(samples) == 900 + 2 * 2001
+        assert samples == 3 * [2001]
 
     def test_controlled_grasp_slews_each_schedule_once_per_record(self, monkeypatch, tmp_path):
         # balloon_hold runs one schedule: its applied voltage is computed
@@ -907,16 +928,37 @@ class TestMechanicsCache:
                          "--out", str(tmp_path)]) == 0
         assert calls[0] == 3
 
-    def test_controlled_grasp_steps_at_most_one_block_more(self, cfg, monkeypatch, tmp_path):
-        # Baseline (the monitored chain alone: 1 kernel) plus episode (4
-        # kernels); the walk may step the episode's open-loop record up to
-        # one block past the hold.
+    def test_controlled_grasp_steps_the_record_and_its_held_copy(self, cfg, monkeypatch,
+                                                                 tmp_path):
+        # Baseline (the monitored chain alone: 1 kernel) plus the episode's
+        # open-loop record (4 kernels), each stepped whole, plus the copy
+        # held from sample 886 on.
         calls = count_steps(monkeypatch)
         assert cli_main(["grasp", "--preset", "balloon_hold", "--seed", "3",
                          "--out", str(tmp_path)]) == 0
         steps = round(cfg.sim.duration / cfg.sim.dt_internal)
-        block = 4 * MECHANICS_BLOCK * cfg.sim.steps_per_sample
-        assert (1 + 4) * steps <= calls[0] <= (1 + 4) * steps + block
+        held = (2000 - 886) * cfg.sim.steps_per_sample
+        assert calls[0] == (1 + 4) * steps + 4 * held
+
+    def test_warm_closed_loop_run_decides_once_and_steps_nothing(self, cfg, monkeypatch):
+        # A run at a new seed that holds where an earlier run held (seeds 3
+        # and 4242 both at 0.886 s) finds the record stepped and both of its
+        # traces kept: its commander is called once, and no chain steps.
+        scenario = resolve_scenario(cfg, "balloon_hold")
+        ctrl = ContactAwareController(record_baseline(cfg, "balloon_hold"), cfg.detection)
+        plant = Plant(scenario)
+        run_scenario(scenario, 3, ctrl.command, plant=plant)
+        calls, steps = [], count_steps(monkeypatch)
+
+        def commander(i_meas):
+            calls.append(len(i_meas))
+            return ctrl.command(i_meas)
+
+        warm = run_scenario(scenario, 4242, commander, plant=plant)
+        assert calls == [plant.n_samples - 1] and steps == [0]
+        assert warm.meta["events"]["hold"][0]["t"] == pytest.approx(0.886)
+        cold = run_scenario(scenario, 4242, ctrl.command)
+        assert differing_columns(warm, cold) == []
 
 
 class TestMonitoredChain:

@@ -161,7 +161,7 @@ def run_on_record(cfg: HandConfig, key: tuple, resolve: Callable[[], Scenario], 
     cfg.memo, and records are all it holds.
     """
     plant = cfg.memo.get(key) or Plant(resolve())
-    trace = run_scenario(plant.scenario, seed, commander, plant=plant)
+    trace = run_scenario(plant, seed, commander)
     cfg.memo[key] = plant
     return trace
 

@@ -40,7 +40,7 @@ from config.ChainSpec and the contact law from kinematics.contact_force:
 ChainSim's load table and Plant.noise_free's theta/f_contact columns call
 them on whole arrays.
 
-run_scenario works in three stages over a scenario.
+run_scenario works in three stages over a scenario's record.
 
 - The mechanics pass, Plant.extend, is the only code that steps chains.
   Chains with the same breakpoint table, breakaway force, v_ref, force
@@ -63,9 +63,9 @@ run_scenario works in three stages over a scenario.
   entry but the seed. The current comes from
   Plant.current, the finite differences of capacitance and applied
   voltage over the internal steps either side of each sample instant:
-  central inside the run, one-sided at its ends. It steps the record to
-  its end first and checks the stall residual; the record keeps what it
-  builds (see Plant.noise_free).
+  central inside the run, one-sided at its ends. It first steps the
+  record from its start to its last sample and checks the stall
+  residual; the record keeps what it builds (see Plant.noise_free).
 - The per-seed pass in run_scenario draws the Gaussian monitor noise
   from a seeded generator in one block whose values are those of one
   draw per monitor per sample, in sample order, so runs are
@@ -74,12 +74,12 @@ run_scenario works in three stages over a scenario.
   dicts of its own at every depth, and then checks that trace's columns
   for finiteness in file order (a huge monitor noise can overflow them).
 
-A scenario's open-loop motion does not depend on the seed, so
-run_scenario takes the caller's Plant of a scenario as its open-loop
-record, steps it only where no earlier run has and reuses what it keeps.
-The config keeps one record per scenario it runs (control.run_on_record,
-HandConfig.memo), so every run of a config, open loop or closed, pays
-only for its noise and a new hold sample. detect-batch reads the monitored
+A scenario's open-loop motion does not depend on the seed, so a run is
+a record and a seed: run_scenario takes a Plant, the open-loop record of
+its scenario, and reuses the traces it keeps. The config keeps one
+record per scenario it runs (control.run_on_record, HandConfig.memo), so
+every run of a config, open loop or closed, pays only for its noise and
+a new hold sample. detect-batch reads the monitored
 current only, through the detection window's last sample, so its record
 of each class is the class's monitored chain alone (Scenario.monitored),
 cut one sample past that window (control.detection_horizon). A trace's
@@ -100,11 +100,11 @@ slews toward its command at sample k - 1 (at sample 0 for k = 0),
 limited to the amplifier ceiling, and the copy steps on from sample k on
 the record's kernels. Chains that shared a kernel are in one state there
 and hold one command, so they keep sharing it. extend sets each kernel
-to its record's state before it steps, so a record and its copies share
-kernels, and a record whose extend raised part-way is again the record
-at its end. The held copy's assembly depends on k alone, so the record
-keeps it (Plant.noise_free(k)): a later run that holds at k steps
-nothing.
+to its record's state at the run's start before it steps, so a record
+and its copies share kernels, and a record whose extend raised part-way
+steps again from its start. The held copy's assembly depends on k
+alone, so the record keeps it (Plant.noise_free(k)): a later run that
+holds at k steps nothing.
 """
 
 from __future__ import annotations
@@ -398,8 +398,9 @@ class Plant:
     chain's. Row i, column k of x, target and residual holds kernel i's
     contraction (mm), stall target (mm) and running maximum stall
     residual (N) after internal step k * steps_per_sample; x_mon holds
-    the monitored chain's contraction after every internal step. Samples
-    0..end are recorded; extend steps further. free is noise_free's map.
+    the monitored chain's contraction after every internal step. extend
+    records the samples from the run's start on: sample 0, or hold[0] for
+    a held copy, which has the record's before it. free is noise_free's map.
     """
 
     def __init__(self, scenario: Scenario):
@@ -414,7 +415,6 @@ class Plant:
         self.schedules = [scenario.chains[c].profile for c in firsts]
         self.mon = [spec.tendon_id for spec in scenario.chains].index(scenario.monitored_stack)
         self.n_samples = round(scenario.duration / sim.dt_sample) + 1
-        self.end = 0
         steps = (self.n_samples - 1) * sim.steps_per_sample
         t = np.arange(1, steps + 1) * sim.dt_internal
         self.limits = (scenario.amplifier.slew_max * sim.dt_internal, scenario.amplifier.v_ceiling)
@@ -427,21 +427,20 @@ class Plant:
         self.free: dict[Optional[int], SignalTrace] = {}
 
     def extend(self) -> None:
-        """Step every kernel from sample end to the run's last sample and record it.
+        """Step every kernel from the run's start (sample 0, or hold[0] for
+        a held copy) to its last sample and record it.
 
-        Each kernel starts from this record's state at sample end, which
-        it may have left for a held copy's or a run that raised part-way.
+        Each kernel starts from this record's state at the start, which it
+        may have left for a held copy's or a run that raised part-way.
         ChainSim.run steps each kernel on a slice of its schedule's
         applied voltage in verified runs: held runs by one array
         comparison, pushed runs by the x recurrence alone, each checked
         against the net force at every step. Every step of the monitored
         chain's kernel is recorded.
         """
-        k0, k_end = self.end, self.n_samples - 1
+        k0 = 0 if self.hold is None else self.hold[0]
         sps, r = self.sim.steps_per_sample, self.sim.dt_internal / self.sim.tau_mech
-        if k_end <= k0:
-            return
-        steps, recorded = slice(k0 * sps + 1, k_end * sps + 1), slice(k0 + 1, k_end + 1)
+        steps, recorded = slice(k0 * sps + 1, len(self.x_mon)), slice(k0 + 1, self.n_samples)
         for i, (kernel, schedule) in enumerate(zip(self.kernels, self.schedules)):
             kernel.x, kernel.max_residual = float(self.x[i, k0]), float(self.residual[i, k0])
             run = kernel.run(self.volts[schedule.identity][steps], r)
@@ -449,16 +448,15 @@ class Plant:
                 record[i, recorded] = values[sps - 1::sps]
             if i == self.kernel_of[self.mon]:
                 self.x_mon[steps] = run[0]
-        self.end = k_end
 
     def held_at(self, k: int) -> Plant:
-        """A copy of this record, stepped to sample k or further, held from
-        sample k on: each schedule's voltage after sample k is the slew
-        toward its command at sample k - 1 (at sample 0 for k = 0), limited
-        to the amplifier ceiling. The copy's hold records k and the
-        monitored chain's held command; it has arrays of its own, recorded
-        through sample k, and an empty map of traces, so extend steps it on
-        from there.
+        """A copy of this record, stepped to its end, held from sample k
+        on: each schedule's voltage after sample k is the slew toward its
+        command at sample k - 1 (at sample 0 for k = 0), limited to the
+        amplifier ceiling. The copy's hold records k and the monitored
+        chain's held command; it has arrays of its own, the record's
+        through sample k, and an empty map of traces, so extend steps it
+        from sample k on.
 
         It shares this record's kernels, which extend sets to the stepped
         record's state first: the chains of a kernel are in one state at
@@ -472,7 +470,7 @@ class Plant:
                                                              float(v[j]), dv_max, ceiling)))
                       for key, v in self.volts.items()}
         mon = self.scenario.chains[self.mon].profile.identity
-        held.v_mon, held.hold, held.end = held.volts[mon], (k, cmd[mon]), k
+        held.v_mon, held.hold = held.volts[mon], (k, cmd[mon])
         held.x, held.target, held.residual, held.x_mon = (
             a.copy() for a in (self.x, self.target, self.residual, self.x_mon))
         return held
@@ -504,11 +502,13 @@ class Plant:
         has returned, and a later call returns it, stepping nothing; each
         trace carries its encoded frame (SignalTrace.frame). The held copy
         itself is not kept, since its arrays are the size of the record's.
-        A first call steps the record, or the held copy, to its end. Raises
-        ModelConsistencyError, on every call, when the run's stall residual
-        exceeds STALL_RESIDUAL_TOL_N.
+        A first call steps the record to its end; a first call with k
+        assembles the record's own trace first, then steps the held copy
+        from sample k. Raises ModelConsistencyError, on every call, when
+        the run's stall residual exceeds STALL_RESIDUAL_TOL_N.
         """
         if k is not None and k not in self.free:
+            self.noise_free()
             self.free[k] = self.held_at(k).noise_free()
         if k in self.free:
             return self.free[k]
@@ -573,48 +573,41 @@ class Plant:
 # numpy's warning would only precede the DomainError.
 @np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
-    scenario: Scenario,
+    plant: Plant,
     seed: int,
     commander: Optional[Callable[[np.ndarray], Optional[int]]] = None,
-    plant: Optional[Plant] = None,
 ) -> SignalTrace:
-    """Simulate a scenario under its sim and return its monitor trace.
+    """Run seed on plant, the open-loop record of its scenario under that
+    scenario's sim, and return the monitor trace.
 
     Deterministic for a fixed seed: the monitor noise comes from one
     seeded generator, so identical runs produce identical traces
-    byte for byte, whether their open-loop record is fresh or shared.
+    byte for byte, whether their record is fresh or shared.
 
     commander, when given, is called once, with the measured current of
-    samples 0..n_samples-2 of the open-loop run, and returns a sample
-    k <= n_samples - 1 or None; it must be causal (see the module
+    samples 0..n_samples-2 of the open-loop run, and returns a sample k
+    in 0..n_samples-1 or None; it must be causal (see the module
     docstring). A hold at sample k holds every schedule from sample k on
     at its command at sample k - 1 (at sample 0 for k = 0), limited to
     the amplifier ceiling. The hold instant and the monitored channel's
     held voltage are recorded as the trace's hold event.
 
-    plant, when given, is the caller's open-loop record of this very
-    scenario object, shared with its other runs, open loop or closed; one
-    of another object is a ValueError. Every run, open loop or closed,
-    steps the record to its end where no earlier run has. The trace is
-    the record's Plant.noise_free(k), with k None open loop, with noise
-    in v_meas and i_meas and the seed in a copy of its meta, made by
-    dataclasses.replace: the traces of one noise-free trace share its
-    other columns, read-only, and its encoded frame
+    The trace is the record's Plant.noise_free(k), with k None open
+    loop, with noise in v_meas and i_meas and the seed in a copy of its
+    meta, made by dataclasses.replace: the traces of one noise-free trace
+    share its other columns, read-only, and its encoded frame
     (SignalTrace.to_csv_text). Raises ModelConsistencyError when the
     record's stall residual, or its held copy's, exceeds
     STALL_RESIDUAL_TOL_N (a closed-loop run on a failing record raises
     the open-loop run's error, before its commander is called),
-    DomainError when a net force or a value of the
-    trace is not finite (the first in file order), and ConfigError,
-    before any work, for a negative seed, which the generator cannot take.
+    DomainError when a net force or a value of the trace is not finite
+    (the first in file order), ConfigError, before any work, for a
+    negative seed, which the generator cannot take, and ValueError,
+    before any held work, for a hold sample outside 0..n_samples-1.
     """
+    scenario = plant.scenario
     if seed < 0:
         raise ConfigError(f"scenario {scenario.name}: seed {seed} must be >= 0")
-    plant = Plant(scenario) if plant is None else plant
-    # By identity: dataclass == takes -0.0 for 0.0, which the mechanics do not.
-    if plant.scenario is not scenario:
-        raise ValueError(f"scenario {scenario.name}: the plant was built from "
-                         f"another scenario object")
     amp = scenario.amplifier
     # Generator.normal(loc, scale) is loc + scale * standard_normal, so
     # this block equals one normal() per monitor per sample, v first.
@@ -623,7 +616,11 @@ def run_scenario(
 
     free = plant.noise_free()
     if commander is not None:
-        free = plant.noise_free(commander(free.i_meas[:-1] + noise_i[:-1]))
+        k = commander(free.i_meas[:-1] + noise_i[:-1])
+        if k is not None and k not in range(plant.n_samples):
+            raise ValueError(f"scenario {scenario.name}: hold sample {k} is outside "
+                             f"0..{plant.n_samples - 1}")
+        free = plant.noise_free(k)
 
     # Only the noise depends on the seed. Each trace has dicts of its own at
     # every depth; the arrays in them are shared, read-only.

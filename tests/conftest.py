@@ -65,13 +65,13 @@ def cfg_nf(cfg) -> HandConfig:
 @pytest.fixture(scope="session")
 def free_trace_nf(cfg_nf):
     """Noise-free free-motion pinch scenario (thumb + index)."""
-    return run_scenario(resolve_scenario(cfg_nf, "free_motion"), seed=0)
+    return run_scenario(Plant(resolve_scenario(cfg_nf, "free_motion")), seed=0)
 
 
 @pytest.fixture(scope="session")
 def cube_trace_nf(cfg_nf):
     """Noise-free rigid-cube pinch, matched to free_trace_nf."""
-    return run_scenario(resolve_scenario(cfg_nf, "pinch_cube"), seed=0)
+    return run_scenario(Plant(resolve_scenario(cfg_nf, "pinch_cube")), seed=0)
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def calibration_traces(cfg):
         # One Plant per class: its mechanics are stepped once.
         scenario = resolve_scenario(cfg, preset)
         plant = Plant(scenario)
-        return [run_scenario(scenario, seed=s, plant=plant) for s in seeds]
+        return [run_scenario(plant, seed=s) for s in seeds]
 
     return runs("detect_free", range(10)), runs("detect_cube", range(10, 20))
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from haselhand import (
+    Plant,
     StackConfig,
     TendonPath,
     active_force,
@@ -65,9 +66,9 @@ def test_criterion_2_eq1_consistency(cfg_nf, free_trace_nf, cube_trace_nf):
         "free_motion": _track(free_trace_nf),
         "pinch_cube": _track(cube_trace_nf),
         "balloon_uncontrolled": _track(run_scenario(
-            resolve_scenario(cfg_nf, "balloon_hold", controller="none"), seed=0)),
+            Plant(resolve_scenario(cfg_nf, "balloon_hold", controller="none")), seed=0)),
         "power_grasp_bottle": _track(run_scenario(
-            resolve_scenario(cfg_nf, "power_grasp_bottle"), seed=0)),
+            Plant(resolve_scenario(cfg_nf, "power_grasp_bottle")), seed=0)),
     }
     ratios = {name: _eq1_rms_ratio(tr, tr.meta["monitored_stack"])
               for name, tr in traces.items()}
@@ -206,12 +207,12 @@ def test_criterion_8_solver_and_integration_sanity(cfg_nf):
 
     # Halving the internal step barely moves the final joint angles.
     scenario = resolve_scenario(cfg_nf, "pinch_cube")
-    coarse = run_scenario(scenario, seed=0)
+    coarse = run_scenario(Plant(scenario), seed=0)
     halved = SimConfig(dt_internal=cfg_nf.sim.dt_internal / 2,
                        dt_sample=cfg_nf.sim.dt_sample,
                        tau_mech=cfg_nf.sim.tau_mech,
                        duration=cfg_nf.sim.duration)
-    fine = run_scenario(replace(scenario, sim=halved), seed=0)
+    fine = run_scenario(Plant(replace(scenario, sim=halved)), seed=0)
     rel_changes = []
     for key in coarse.theta:
         a, b = coarse.theta[key][-1], fine.theta[key][-1]

@@ -943,7 +943,7 @@ class TestOneProcess:
         for argv in (batch, grasp):
             assert run_cli(*argv, "--out", str(tmp_path / "first")) == 0
 
-        counts = {"steps": 0, "plants": 0, "open-loop samples": 0}
+        counts = {"steps": 0, "plants": 0}
 
         def counting(key, fn, size=lambda *args: 1):
             def wrapper(*args):
@@ -954,13 +954,12 @@ class TestOneProcess:
         monkeypatch.setattr(ChainSim, "run",
                             counting("steps", ChainSim.run, lambda chain, v, r: len(v)))
         monkeypatch.setattr(Plant, "__init__", counting("plants", Plant.__init__))
-        monkeypatch.setattr(Plant, "extend", counting(
-            "open-loop samples", Plant.extend,
-            lambda plant: plant.n_samples - 1 - plant.end if plant.hold is None else 0))
         assert run_cli(*batch, "--out", str(tmp_path / "second")) == 0
-        assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
+        assert counts == {"steps": 0, "plants": 0}
         assert run_cli(*grasp, "--out", str(tmp_path / "second")) == 0
-        assert counts == {"steps": 0, "plants": 0, "open-loop samples": 0}
+        assert counts == {"steps": 0, "plants": 0}
+        memo = cli_module._builtin_config().memo.values()
+        assert memo and all(None in record.free for record in memo)
 
         def files(root):
             return {p.name: p.read_bytes() for p in root.iterdir()}
@@ -974,8 +973,7 @@ class TestOneProcess:
         record = cli_module._builtin_config().memo[("balloon_hold", False)]
         assert record.free.keys() == {None, 885, 886}
         held_steps = (record.n_samples - 1 - 885) * record.sim.steps_per_sample
-        assert counts == {"steps": held_steps * len(record.kernels), "plants": 0,
-                          "open-loop samples": 0}
+        assert counts == {"steps": held_steps * len(record.kernels), "plants": 0}
         assert run_cli(*new_hold, "--config", str(config), "--out", str(tmp_path / "held_fresh")) == 0
         assert files(tmp_path / "held") == files(tmp_path / "held_fresh")
 

@@ -32,7 +32,7 @@ from haselhand.config import (
 from haselhand.control import run_grasp_episode
 from haselhand.errors import ConfigError
 from haselhand.kinematics import FingerLayout, ObjectModel
-from haselhand.plant import run_scenario
+from haselhand.plant import Plant, run_scenario
 from haselhand.transmission import TendonPath
 
 
@@ -273,7 +273,7 @@ class TestNamedByKey:
                                   "pinch_cube": replace(cfg.presets["pinch_cube"], obj="ball")})
         for drop_object, name in ((False, "ball"), (True, None)):
             scenario = resolve_scenario(config, "pinch_cube", drop_object=drop_object)
-            assert run_scenario(replace(scenario, duration=0.1), 0).meta["object"] == name
+            assert run_scenario(Plant(replace(scenario, duration=0.1)), 0).meta["object"] == name
 
 
 PINCH_CUBE = resolve_scenario(default_config(), "pinch_cube")
@@ -621,19 +621,19 @@ class TestScheduleIdentity:
         assert set(cfg.presets) == set(SHIPPED_PROFILE_HASHES)
         for name, want in SHIPPED_PROFILE_HASHES.items():
             # The monitored chain alone: its trace carries the full episode's hash.
-            trace = run_scenario(resolve_scenario(cfg, name).monitored(), 0)
+            trace = run_scenario(Plant(resolve_scenario(cfg, name).monitored()), 0)
             assert trace.meta["profile_hash"] == want, name
 
     def test_profile_hash_covers_the_scenarios_own_dt_sample(self, cfg):
         schedule = ProfileSpec("ramp_hold", 5.5, 1.0)
         preset = ScenarioPreset(("index",), profiles={"*": schedule}, duration=0.1)
         khz = resolve_preset(cfg, "probe", preset)
-        want = run_scenario(khz, 0).meta["profile_hash"]
+        want = run_scenario(Plant(khz), 0).meta["profile_hash"]
         assert want == profile_hash(schedule, 0.1, 1e-3)
-        slow = run_scenario(replace(khz, sim=replace(cfg.sim, dt_sample=2e-3)), 0)
+        slow = run_scenario(Plant(replace(khz, sim=replace(cfg.sim, dt_sample=2e-3))), 0)
         assert slow.meta["dt_sample"] == 2e-3
         assert slow.meta["profile_hash"] == profile_hash(schedule, 0.1, 2e-3) != want
         # The one-chain and the shortened scenario keep the full episode's hash.
         assert len(khz.monitored().chains) < len(khz.chains)
         for kept in (khz.monitored(), replace(khz, duration=0.05)):
-            assert run_scenario(kept, 0).meta["profile_hash"] == want
+            assert run_scenario(Plant(kept), 0).meta["profile_hash"] == want

@@ -62,7 +62,7 @@ class TestSmoothing:
         # Detection, calibration and the controller all read this array,
         # so it must be the plain oldest-first window mean, not a cumsum
         # difference that drifts in the last bits.
-        i = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=3).i_meas
+        i = run_scenario(Plant(resolve_scenario(cfg, "detect_cube")), seed=3).i_meas
         expected = [window_mean(i[max(0, k + 1 - n):k + 1].tolist()) for k in range(len(i))]
         assert smooth_causal(i, n).tobytes() == np.array(expected).tobytes()
 
@@ -125,13 +125,13 @@ class TestCalibrateThreshold:
 
 class TestDetectGrasp:
     def test_cube_episode_detected(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=0)
+        trace = run_scenario(Plant(resolve_scenario(cfg, "detect_cube")), seed=0)
         grasped, t_dec = detect_grasp(trace, calibrated_detection)
         assert grasped
         assert calibrated_detection.window[0] <= t_dec <= calibrated_detection.window[1]
 
     def test_free_motion_not_detected(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_free"), seed=0)
+        trace = run_scenario(Plant(resolve_scenario(cfg, "detect_free")), seed=0)
         grasped, t_dec = detect_grasp(trace, calibrated_detection)
         assert not grasped
         assert t_dec is None
@@ -153,7 +153,7 @@ class TestDetectGrasp:
             detect_grasp(synthetic_trace([0.0] * 1001), det_cfg())
 
     def test_streaming_matches_offline(self, cfg, calibrated_detection):
-        trace = run_scenario(resolve_scenario(cfg, "detect_cube"), seed=3)
+        trace = run_scenario(Plant(resolve_scenario(cfg, "detect_cube")), seed=3)
         offline = detect_grasp(trace, calibrated_detection)
         det = StreamingDetector(calibrated_detection)
         for k in range(len(trace)):
@@ -218,7 +218,7 @@ def run_with_commander(cfg, decide):
         calls.append(len(i_meas))
         return decide(i_meas)
 
-    trace = run_scenario(resolve_scenario(cfg, "pinch_cube"), 0, commander)
+    trace = run_scenario(Plant(resolve_scenario(cfg, "pinch_cube")), 0, commander)
     return trace, calls
 
 
@@ -276,8 +276,8 @@ class TestContactAwareStep:
         # The hold at 0.85 s must rewrite each schedule, not only the
         # monitored one. Open loop, thumb_mcp goes on to 1.17 mm.
         scenario = resolve_preset(cfg, "mixed", MIXED_SCHEDULES)
-        open_loop = run_scenario(scenario, 0)
-        held = run_scenario(scenario, 0, hold_at(850))
+        open_loop = run_scenario(Plant(scenario), 0)
+        held = run_scenario(Plant(scenario), 0, hold_at(850))
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
         for tid, x in held.x.items():
             assert x[-1] <= open_loop.x[tid][-1]
@@ -292,7 +292,7 @@ class TestContactAwareStep:
         monkeypatch.setattr(Plant, "held_at", lambda plant, k: holds.append(
             (plant, real(plant, k))) or holds[-1][1])
         scenario = resolve_preset(cfg, "mixed", MIXED_SCHEDULES)
-        run_scenario(scenario, 0, hold_at(850))
+        run_scenario(Plant(scenario), 0, hold_at(850))
         ((record, held),) = holds
         open_loop = Plant(scenario).volts
         assert record.hold is None
@@ -352,7 +352,7 @@ class TestContactAwareSearch:
         scenario = resolve_scenario(cfg, "balloon_hold")
         baseline = record_baseline(cfg, "balloon_hold")
         ctrl = ContactAwareController(baseline, cfg.detection)
-        i_meas = run_scenario(scenario, seed=0).i_meas[:-1]
+        i_meas = run_scenario(Plant(scenario), seed=0).i_meas[:-1]
         k = ctrl.command(i_meas)
         assert k is not None and 0 < k < len(i_meas)
         assert ctrl.command(i_meas[:k]) == k
@@ -474,7 +474,7 @@ class TestGraspEpisodes:
         det = replace(cfg.detection, deviation_floor=1e9)  # never trigger
         ctrl = ContactAwareController(truncated, det)
         # Without the check, the ramp would run on past the baseline uncontrolled.
-        i_meas = run_scenario(scenario, seed=0).i_meas
+        i_meas = run_scenario(Plant(scenario), seed=0).i_meas
         assert ctrl.command(i_meas[:cut]) is None
         with pytest.raises(BaselineExhaustedError):
             ctrl.command(i_meas[:cut + 1])

@@ -65,7 +65,7 @@ class TestStep:
         preset = ScenarioPreset(("thumb", "index"),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.05)
-        trace = run_scenario(resolve_preset(cfg_nf, "rest", preset), seed=0)
+        trace = run_scenario(Plant(resolve_preset(cfg_nf, "rest", preset)), seed=0)
         assert all((x == 0.0).all() for x in trace.x.values())
         assert (trace.i_meas == 0.0).all()
         for tid, c in trace.c.items():
@@ -78,7 +78,8 @@ class TestStep:
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=3.0)
         sim = replace(cfg_nf.sim, duration=3.0)
-        trace = run_scenario(replace(resolve_preset(cfg_nf, "hold_test", preset), sim=sim), seed=0)
+        scenario = replace(resolve_preset(cfg_nf, "hold_test", preset), sim=sim)
+        trace = run_scenario(Plant(scenario), seed=0)
         tail = slice(2700, 3001)
         for tid in trace.x:
             assert np.ptp(trace.x[tid][tail]) < 1e-6
@@ -94,10 +95,10 @@ class TestStep:
                                 profiles={"*": ProfileSpec("ramp_hold", 5.5, 1.0)},
                                 duration=2.0)
         scenario = resolve_preset(cfg_nf, "ref_test", preset)
-        coarse = run_scenario(scenario, seed=0)
+        coarse = run_scenario(Plant(scenario), seed=0)
         fine_sim = SimConfig(dt_internal=1e-5, dt_sample=1e-3,
                              tau_mech=cfg_nf.sim.tau_mech, duration=2.0)
-        fine = run_scenario(replace(scenario, sim=fine_sim), seed=0)
+        fine = run_scenario(Plant(replace(scenario, sim=fine_sim)), seed=0)
         for key in coarse.theta:
             a, b = coarse.theta[key][-1], fine.theta[key][-1]
             assert a == pytest.approx(b, rel=1e-3)
@@ -128,14 +129,14 @@ class TestStep:
 class TestRunScenario:
     def test_deterministic_traces(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
-        a = run_scenario(scenario, seed=11).to_csv_text()
-        b = run_scenario(scenario, seed=11).to_csv_text()
+        a = run_scenario(Plant(scenario), seed=11).to_csv_text()
+        b = run_scenario(Plant(scenario), seed=11).to_csv_text()
         assert a == b
 
     def test_different_seeds_differ(self, cfg):
         scenario = resolve_scenario(cfg, "free_motion")
-        a = run_scenario(scenario, seed=0)
-        b = run_scenario(scenario, seed=1)
+        a = run_scenario(Plant(scenario), seed=0)
+        b = run_scenario(Plant(scenario), seed=1)
         assert not np.array_equal(a.i_meas, b.i_meas)
 
     def test_mcp_saturates_near_thirty_degrees(self, free_trace_nf):
@@ -146,7 +147,7 @@ class TestRunScenario:
         preset = ScenarioPreset(("index",),
                                 profiles={"*": ProfileSpec("hold", 0.0)},
                                 duration=0.0)
-        trace = run_scenario(resolve_preset(cfg, "zero", preset), seed=0)
+        trace = run_scenario(Plant(resolve_preset(cfg, "zero", preset)), seed=0)
         assert len(trace) == 1
         assert trace.t[0] == 0.0
 
@@ -158,7 +159,7 @@ class TestRunScenario:
         scenario = resolve_preset(cfg, "zero", preset)
         for k in (None, 0):
             seen = []
-            trace = run_scenario(scenario, 0, lambda i, k=k: seen.append(len(i)) or k)
+            trace = run_scenario(Plant(scenario), 0, lambda i, k=k: seen.append(len(i)) or k)
             assert seen == [0]
             held = [{"t": 0.0, "v_held": 2.0}] if k == 0 else []
             assert trace.meta["events"]["hold"] == held
@@ -173,13 +174,26 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="unknown preset"):
             resolve_scenario(cfg, "no_such_grasp")
 
-    def test_negative_seed_is_refused_before_a_plant_is_built(self, cfg):
+    def test_negative_seed_is_refused_before_any_stepping(self, cfg):
         # numpy's seeded generators take no negative seed.
-        scenario = resolve_scenario(cfg, "pinch_cube")
-        with mock.patch.object(plant_module, "Plant") as built:
+        plant = Plant(resolve_scenario(cfg, "pinch_cube"))
+        with mock.patch.object(ChainSim, "run") as stepped:
             with pytest.raises(ConfigError, match="seed -1 must be >= 0"):
-                run_scenario(scenario, seed=-1)
-        built.assert_not_called()
+                run_scenario(plant, seed=-1)
+        stepped.assert_not_called()
+        assert plant.free == {}
+
+    @pytest.mark.parametrize("k", [-1, 2001, 1.5], ids=["negative", "n_samples", "fraction"])
+    def test_out_of_range_hold_sample_is_refused(self, cfg, k):
+        # A commander names a sample of the run, 0..n_samples-1: any other
+        # is refused by name before a held copy is made or kept.
+        plant = Plant(resolve_scenario(cfg, "pinch_cube"))
+        assert plant.n_samples == 2001
+        run_scenario(plant, 0)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"scenario pinch_cube: hold sample {k} is outside 0..2000") + "$"):
+            run_scenario(plant, 0, lambda i_meas: k)
+        assert plant.free.keys() == {None}
 
     # A library caller gets the refusal alone, as a CLI user does: numpy's
     # overflow warning on the way to it is silenced.
@@ -190,7 +204,7 @@ class TestRunScenario:
         cfg = config_from_dict(doc)
         with pytest.raises(DomainError, match=re.escape(
                 "scenario pinch_cube: non-finite value inf in column 'i_meas(uA)' at sample 0")):
-            run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=0)
+            run_scenario(Plant(resolve_scenario(cfg, "pinch_cube")), seed=0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_first_non_finite_value_is_named_in_file_order(self):
@@ -203,7 +217,7 @@ class TestRunScenario:
         with pytest.raises(DomainError, match="^" + re.escape(
                 "scenario pinch_cube: non-finite value -inf in column 'v_meas(kV)' "
                 "at sample 6") + "$"):
-            run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=0)
+            run_scenario(Plant(resolve_scenario(cfg, "pinch_cube")), seed=0)
 
 
     @pytest.mark.parametrize("preset", [name for name, p in default_config().presets.items()
@@ -214,7 +228,7 @@ class TestRunScenario:
         # the record's plus a zero noise (which turns -0.0 into 0.0).
         scenario = resolve_scenario(cfg_nf, preset)
         plant = Plant(scenario)
-        trace = run_scenario(scenario, 7, plant=plant)
+        trace = run_scenario(plant, 7)
         free = plant.noise_free()
         per_seed = [FIXED_COLUMNS["v_meas"], FIXED_COLUMNS["i_meas"]]
         for (name, a), (free_name, b) in zip(trace.columns(), free.columns(), strict=True):
@@ -241,7 +255,7 @@ class TestTraceInvariants:
 
     def test_voltage_ceiling_respected(self, cfg):
         scenario = resolve_scenario(cfg, "free_motion")
-        trace = run_scenario(scenario, seed=5)
+        trace = run_scenario(Plant(scenario), seed=5)
         limit = scenario.amplifier.v_ceiling + 6 * scenario.amplifier.monitor_noise_v
         assert (trace.v_meas <= limit).all()
 
@@ -257,7 +271,8 @@ class TestTraceInvariants:
         # With dt_internal == dt_sample the monitor's differences are the
         # sampled ones: central inside the run, one-sided at its ends.
         sim = replace(cfg_nf.sim, dt_internal=cfg_nf.sim.dt_sample)
-        trace = run_scenario(replace(resolve_scenario(cfg_nf, "pinch_cube"), sim=sim), seed=0)
+        scenario = replace(resolve_scenario(cfg_nf, "pinch_cube"), sim=sim)
+        trace = run_scenario(Plant(scenario), seed=0)
         stack = trace.meta["monitored_stack"]
         v, c, i, dt = trace.v_meas, trace.c[stack], trace.i_meas, sim.dt_sample
         assert np.array_equal(i[1:-1], reconstruct_current(trace, stack)[1:-1])
@@ -268,9 +283,9 @@ class TestTraceInvariants:
         # The current may only collapse below half the matched free
         # trace after the object has entered the force balance.
         for seed in range(3):
-            grasp = run_scenario(resolve_scenario(cfg, "pinch_cube"), seed=seed)
+            grasp = run_scenario(Plant(resolve_scenario(cfg, "pinch_cube")), seed=seed)
             free = run_scenario(
-                resolve_scenario(cfg, "pinch_cube", drop_object=True), seed=seed)
+                Plant(resolve_scenario(cfg, "pinch_cube", drop_object=True)), seed=seed)
             t_flag = min(grasp.meta["events"]["first_contact"].values())
             dropped = np.nonzero(grasp.i_meas < 0.5 * free.i_meas)[0]
             if len(dropped):
@@ -639,7 +654,7 @@ class TestScheduleIdentity:
         def hold_at_100(i_meas):
             return 100 if len(i_meas) >= 100 else None
 
-        full, alone = (run_scenario(s, 0, hold_at_100)
+        full, alone = (run_scenario(Plant(s), 0, hold_at_100)
                        for s in (scenario, scenario.monitored()))
         assert alone.v_cmd.tobytes() == np.full(len(alone.t), -0.0).tobytes()
         assert full.v_cmd.tobytes() == alone.v_cmd.tobytes()
@@ -664,7 +679,7 @@ def hold_at(k):
 
 class TestMechanicsCache:
     """A caller keeps the open-loop mechanics of a scenario by passing one
-    Plant to each of its runs (run_scenario's plant): a warm record. A
+    Plant to each of its runs (run_scenario's record): a warm record. A
     closed-loop run decides on it and holds a copy, so it stays open loop."""
 
     @pytest.mark.parametrize("preset", tuple(default_config().presets))
@@ -683,13 +698,12 @@ class TestMechanicsCache:
             shared = Plant(scenario)
             for seed in seeds:
                 for commander in commanders:
-                    warm = run_scenario(scenario, seed, commander, plant=shared)
-                    cold = run_scenario(scenario, seed, commander)
+                    warm = run_scenario(shared, seed, commander)
+                    cold = run_scenario(Plant(scenario), seed, commander)
                     assert differing_columns(warm, cold) == [], seed
                     assert json_text(warm.meta) == json_text(cold.meta), seed
                     assert shared.hold is None
-            assert shared.end == shared.n_samples - 1
-            assert {0, 120, 1700} <= shared.free.keys()
+            assert {None, 0, 120, 1700} <= shared.free.keys()
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((None, 40, 120))),
                     min_size=1, max_size=5), st.data())
@@ -700,7 +714,7 @@ class TestMechanicsCache:
         # is one repr per cell of its columns.
         scenario = replace(resolve_scenario(cfg, "pinch_cube"), duration=0.2)
         plant = Plant(scenario)
-        traces = [run_scenario(scenario, seed, None if k is None else hold_at(k), plant=plant)
+        traces = [run_scenario(plant, seed, None if k is None else hold_at(k))
                   for seed, k in runs]
         want = [csv_text_oracle(trace.columns()) for trace in traces]
         for i in data.draw(st.lists(st.integers(0, len(traces) - 1), min_size=1, max_size=12)):
@@ -712,19 +726,30 @@ class TestMechanicsCache:
         # a copy, so an open-loop run after it is the fresh open-loop run.
         scenario = resolve_scenario(cfg, "balloon_hold")
         plant = Plant(scenario)
-        held = run_scenario(scenario, 3, hold_at(850), plant=plant)
-        assert differing_columns(held, run_scenario(scenario, 3, hold_at(850))) == []
+        held = run_scenario(plant, 3, hold_at(850))
+        assert differing_columns(held, run_scenario(Plant(scenario), 3, hold_at(850))) == []
         assert held.meta["events"]["hold"][0]["t"] == pytest.approx(0.85)
-        assert plant.hold is None and plant.end == plant.n_samples - 1
-        assert plant.free.keys() == {None, 850}
+        assert plant.hold is None and plant.free.keys() == {None, 850}
         assert plant.free[None].meta["events"]["hold"] == []
-        open_loop = run_scenario(scenario, 3, plant=plant)
-        assert differing_columns(open_loop, run_scenario(scenario, 3)) == []
+        open_loop = run_scenario(plant, 3)
+        assert differing_columns(open_loop, run_scenario(Plant(scenario), 3)) == []
         assert open_loop.meta["events"]["hold"] == []
 
-    def test_an_extend_that_raised_steps_again_from_its_end(self, cfg, monkeypatch):
+    def test_a_held_trace_of_a_fresh_record_steps_the_record_first(self, cfg):
+        # A held copy starts from the record at sample k, so asking a fresh
+        # record for a held trace steps and keeps the record's own first.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        plant, stepped = Plant(scenario), Plant(scenario)
+        got = plant.noise_free(850)
+        assert plant.free.keys() == {None, 850}
+        stepped.noise_free()
+        want = stepped.noise_free(850)
+        assert differing_columns(got, want) == []
+        assert json_text(got.meta) == json_text(want.meta)
+
+    def test_an_extend_that_raised_steps_again_from_its_start(self, cfg, monkeypatch):
         # The second kernel raises once, after the first has stepped: the
-        # record is still the record at its end, and steps on from there.
+        # record keeps nothing, and its next assembly steps it whole again.
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant, real, calls = Plant(scenario), ChainSim.run, []
         assert len(plant.kernels) > 1
@@ -738,21 +763,13 @@ class TestMechanicsCache:
         monkeypatch.setattr(ChainSim, "run", fails_once)
         with pytest.raises(DomainError, match="injected"):
             plant.extend()
-        assert plant.end == 0
-        got, want = plant.noise_free(), Plant(scenario).noise_free()
+        assert plant.free == {}
+        steps = count_steps(monkeypatch)
+        got = plant.noise_free()
+        assert steps == [len(plant.kernels) * (len(plant.x_mon) - 1)]
+        want = Plant(scenario).noise_free()
         assert differing_columns(got, want) == []
         assert json_text(got.meta) == json_text(want.meta)
-
-    def test_plant_of_another_scenario_or_sim_is_refused(self, cfg):
-        scenario = resolve_scenario(cfg, "pinch_cube")
-        plant = Plant(scenario)
-        # An equal scenario or sim is not enough: == takes -0.0 for 0.0.
-        twin, sim = resolve_scenario(cfg, "pinch_cube"), replace(cfg.sim)
-        assert twin == scenario and sim == cfg.sim
-        for other in (twin, replace(scenario, sim=sim)):
-            with pytest.raises(ValueError, match="another scenario object"):
-                run_scenario(other, 0, plant=plant)
-        assert plant.end == 0
 
     def test_detect_batch_steps_each_class_once(self, cfg, monkeypatch, tmp_path):
         # Each class is stepped once, and only its monitored chain: one
@@ -788,7 +805,7 @@ class TestMechanicsCache:
     def test_traces_of_one_plant_share_read_only_columns(self, cfg):
         scenario = resolve_scenario(cfg, "pinch_cube")
         plant = Plant(scenario)
-        first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
+        first, second = (run_scenario(plant, seed) for seed in (1, 2))
         free = plant.noise_free()
         texts = [(t.to_csv_text(), json_text(t.meta)) for t in (second, free)]
         shared = [(name, a) for (name, a), (_, b) in zip(first.columns(), second.columns())
@@ -820,7 +837,7 @@ class TestMechanicsCache:
         free = plant.noise_free()
         free.meta["events"]["first_force"] = {"index_mcp": 0.25}
         free.meta["probe"] = {"levels": [{"k": 1.0}]}
-        first, second = (run_scenario(scenario, seed, plant=plant) for seed in (1, 2))
+        first, second = (run_scenario(plant, seed) for seed in (1, 2))
         for trace in (first, second):
             assert trace.meta["events"]["first_force"] == {"index_mcp": 0.25}
             assert trace.meta["probe"] == {"levels": [{"k": 1.0}]}
@@ -840,11 +857,11 @@ class TestMechanicsCache:
         free.c["index_mcp"] = np.where(at_5, np.nan, free.c["index_mcp"])
         with pytest.raises(DomainError, match=re.escape(
                 "non-finite value nan in column 'c_index_mcp(nF)' at sample 5")):
-            run_scenario(scenario, 0, plant=plant)
+            run_scenario(plant, 0)
         free.v_cmd = np.where(at_5, np.inf, free.v_cmd)
         with pytest.raises(DomainError, match=re.escape(
                 "non-finite value inf in column 'v_cmd(kV)' at sample 5")):
-            run_scenario(scenario, 1, plant=plant)
+            run_scenario(plant, 1)
 
     @pytest.mark.parametrize("failure, k", [
         pytest.param("residual", None, id="residual"),
@@ -867,7 +884,7 @@ class TestMechanicsCache:
         scenario = resolve_scenario(config, "pinch_cube")
         plant, calls = Plant(scenario), []
         if failure == "held residual":
-            run_scenario(scenario, 0, plant=plant)
+            run_scenario(plant, 0)
             assert None in plant.free
         if failure != "finiteness":
             monkeypatch.setattr(plant_module, "STALL_RESIDUAL_TOL_N", -1.0)
@@ -876,13 +893,18 @@ class TestMechanicsCache:
             calls.append(len(i_meas))
             return hold_at(k)(i_meas)
 
-        messages = []
+        messages, steps = [], count_steps(monkeypatch)
         for seed in (0, 0, 1):
             with pytest.raises(error) as exc, np.errstate(over="ignore", invalid="ignore"):
-                run_scenario(scenario, seed, None if k is None else commander, plant=plant)
+                run_scenario(plant, seed, None if k is None else commander)
             messages.append(str(exc.value))
         assert len(set(messages)) == 1
-        assert plant.end == plant.n_samples - 1
+        # Each run steps, from its start to its end, the run whose trace
+        # the record does not keep: the record, or its copy held from k.
+        held = failure == "held residual"
+        samples = plant.n_samples - 1 - (k if held else 0)
+        runs = 1 if failure == "finiteness" else 3
+        assert steps == [runs * len(plant.kernels) * samples * plant.sim.steps_per_sample]
         assert (k in plant.free) == (failure == "finiteness")
         assert (None in plant.free) == (failure != "residual")
         if k is not None:
@@ -891,7 +913,7 @@ class TestMechanicsCache:
             assert "stall residual" in messages[0]
         if failure == "residual":
             with pytest.raises(error) as exc:
-                run_scenario(scenario, 2, plant=plant)
+                run_scenario(plant, 2)
             assert messages[0] == str(exc.value)
         if failure == "finiteness":
             assert messages[0] == ("scenario pinch_cube: non-finite value inf "
@@ -947,17 +969,17 @@ class TestMechanicsCache:
         scenario = resolve_scenario(cfg, "balloon_hold")
         ctrl = ContactAwareController(record_baseline(cfg, "balloon_hold"), cfg.detection)
         plant = Plant(scenario)
-        run_scenario(scenario, 3, ctrl.command, plant=plant)
+        run_scenario(plant, 3, ctrl.command)
         calls, steps = [], count_steps(monkeypatch)
 
         def commander(i_meas):
             calls.append(len(i_meas))
             return ctrl.command(i_meas)
 
-        warm = run_scenario(scenario, 4242, commander, plant=plant)
+        warm = run_scenario(plant, 4242, commander)
         assert calls == [plant.n_samples - 1] and steps == [0]
         assert warm.meta["events"]["hold"][0]["t"] == pytest.approx(0.886)
-        cold = run_scenario(scenario, 4242, ctrl.command)
+        cold = run_scenario(Plant(scenario), 4242, ctrl.command)
         assert differing_columns(warm, cold) == []
 
 
@@ -977,7 +999,7 @@ class TestMonitoredChain:
             assert [c.tendon_id for c in alone.chains] == [stack]
             plants = Plant(full), Plant(alone)
             for seed in (0, 3, 4242):
-                want, got = (run_scenario(p.scenario, seed, plant=p) for p in plants)
+                want, got = (run_scenario(p, seed) for p in plants)
                 for name in self.MONITORED:
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
                 for group in ("x", "c"):
@@ -1009,7 +1031,7 @@ def reference_batch(cfg, seed: int, n_free: int, n_grasp: int) -> dict[str, str]
             for cls, preset in (("free", "detect_free"), ("grasp", "detect_cube"))}
 
     def runs(cls, seed0, n):
-        return [run_scenario(full[cls], s) for s in range(seed0, seed0 + n)]
+        return [run_scenario(Plant(full[cls]), s) for s in range(seed0, seed0 + n)]
 
     cal_free = runs("free", seed + CAL_SEED_OFFSET, N_CALIBRATION)
     cal_grasp = runs("grasp", seed + CAL_SEED_OFFSET + 500, N_CALIBRATION)
@@ -1079,7 +1101,7 @@ class TestDetectionWindow:
         last = round(cfg.detection.window[1] / cfg.sim.dt_sample)
         assert len(seen) == 2
         for trace in seen:
-            full = run_scenario(resolve_scenario(cfg, trace.meta["scenario"]).monitored(),
+            full = run_scenario(Plant(resolve_scenario(cfg, trace.meta["scenario"]).monitored()),
                                 trace.meta["seed"])
             assert len(trace) == last + 2
             assert trace.i_meas[:last + 1].tobytes() == full.i_meas[:last + 1].tobytes()
@@ -1097,8 +1119,8 @@ class TestDetectionWindow:
         free, cube = (resolve_scenario(cfg, preset).monitored()
                       for preset in ("detect_free", "detect_cube"))
         with pytest.raises(error) as exc:
-            calibrate_threshold([run_scenario(free, 0)],
-                                [run_scenario(cube, 1)], cfg.detection)
+            calibrate_threshold([run_scenario(Plant(free), 0)],
+                                [run_scenario(Plant(cube), 1)], cfg.detection)
         out = tmp_path / "out"
         assert cli_main(["detect-batch", "--free", "1", "--grasp", "1",
                          "--config", str(path), "--out", str(out)]) == 2

@@ -603,7 +603,9 @@ def run_scenario(
     DomainError when a net force or a value of the trace is not finite
     (the first in file order), ConfigError, before any work, for a
     negative seed, which the generator cannot take, and ValueError,
-    before any held work, for a hold sample outside 0..n_samples-1.
+    before any held work, for a hold sample that is not an integer in
+    0..n_samples-1: a float or a bool is refused, and a numpy integer is
+    taken as the int it equals.
     """
     scenario = plant.scenario
     if seed < 0:
@@ -617,9 +619,12 @@ def run_scenario(
     free = plant.noise_free()
     if commander is not None:
         k = commander(free.i_meas[:-1] + noise_i[:-1])
-        if k is not None and k not in range(plant.n_samples):
-            raise ValueError(f"scenario {scenario.name}: hold sample {k} is outside "
-                             f"0..{plant.n_samples - 1}")
+        if k is not None:
+            if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                    or k not in range(plant.n_samples)):
+                raise ValueError(f"scenario {scenario.name}: hold sample {k} is not an "
+                                 f"integer in 0..{plant.n_samples - 1}")
+            k = int(k)
         free = plant.noise_free(k)
 
     # Only the noise depends on the seed. Each trace has dicts of its own at

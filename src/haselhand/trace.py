@@ -9,8 +9,10 @@ On disk a trace is a CSV whose header names every column with its unit
 in parentheses, next to a .meta.json companion carrying seed, config
 hash, scenario name and run diagnostics. Floats are written with repr
 so a re-run with the same seed is byte-identical. The encoder encodes
-each distinct column once, a block of rows at a time, with one repr per
-run of equal 64-bit patterns; the bytes are those of one repr per cell.
+each distinct column once, a block of rows at a time, into a list of its
+strings with one repr per run of equal 64-bit patterns, and joins each
+row from those lists; the bytes are those of one repr per cell. Every
+shipped trace is one block.
 Coupled joints, chains that share a kernel and equal contact forces give
 equal columns, and rest and hold phases give long runs. The traces of one
 record (plant.run_scenario) differ in v_meas and i_meas alone: from
@@ -45,10 +47,12 @@ FIXED_COLUMNS = {"t": "t(s)", "v_cmd": "v_cmd(kV)",
                  "v_meas": "v_meas(kV)", "i_meas": "i_meas(uA)"}
 KEYED_COLUMNS = {"theta": ("theta", "rad"), "f_contact": ("fc", "N"),
                  "x": ("x", "mm"), "c": ("c", "nF")}
-# Rows csv_text encodes at a time (timed best on shipped traces). A block's
-# strings are all alive at once, so longer blocks raise peak memory; each
-# block restarts every run and pays numpy's per-call overhead again.
-CSV_BLOCK_ROWS = 256
+# Rows csv_rows encodes at a time: a shipped trace (2,001 rows) is one
+# block, which pays numpy's per-call overhead once. A block's strings are
+# all alive at once, so the blocks stay for long episodes: a 100,050-row,
+# 52-column table (a 10-chain trace, tiled) peaks at 171 MB unblocked and
+# at 76 MB, 4% above its rows' own size, in blocks of this size (tracemalloc).
+CSV_BLOCK_ROWS = 4096
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -100,9 +104,11 @@ def csv_rows(columns: list[tuple[str, Any]]) -> list[str]:
 
     Each value is written as repr of the float, so equal inputs give
     equal bytes. Columns with equal bytes are encoded once, in blocks of
-    CSV_BLOCK_ROWS rows: a block calls repr where a column's 64-bit pattern
-    differs from the row before (so -0.0 and 0.0 stay apart) or the block
-    starts, repeats each string over its run and gathers the rows by column.
+    CSV_BLOCK_ROWS rows: a block makes a list of each distinct column's
+    strings, calling repr where the column's 64-bit pattern differs from
+    the row before (so -0.0 and 0.0 stay apart) or the block starts and
+    repeating each string over its run, then joins each row from the
+    lists, a distinct column's list standing for every column equal to it.
     A column whose length differs from the first's is a ValueError naming it.
     """
     arrays = [np.asarray(values, dtype=np.float64) for _, values in columns]
@@ -113,19 +119,26 @@ def csv_rows(columns: list[tuple[str, Any]]) -> list[str]:
                              f"column {columns[0][0]!r} has {n_rows}")
     first: dict[bytes, int] = {}
     index = [first.setdefault(a.tobytes(), len(first)) for a in arrays]
-    values = np.array([arrays[index.index(k)] for k in range(len(first))])
-    bits = values.view(np.int64)
-    starts = np.ones(values.shape, dtype=bool)
-    np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
-    starts[:, ::CSV_BLOCK_ROWS] = True
+    distinct = [arrays[index.index(k)] for k in range(len(first))]
+    del first  # its keys are a copy of every distinct column
     rows: list[str] = []
     for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        block = values[:, start:start + CSV_BLOCK_ROWS]
-        at = np.flatnonzero(starts[:, start:start + CSV_BLOCK_ROWS])
-        text = np.array(list(map(repr, block.ravel()[at].tolist())), dtype=object)
-        cells = np.repeat(text, np.diff(at, append=block.size)).reshape(block.shape)
-        rows += map(",".join, cells[index].T.tolist())
+        texts = [_column_texts(a[start:start + CSV_BLOCK_ROWS]) for a in distinct]
+        rows += map(",".join, zip(*[texts[k] for k in index]))
+        del texts  # before the next block's are built
     return rows
+
+
+def _column_texts(values: np.ndarray) -> list[str]:
+    """repr of each value, called once per run of equal 64-bit patterns;
+    np.repeat spreads the strings only where some run is longer than a row."""
+    bits = values.view(np.int64)
+    at = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if len(at) == len(values) - 1:
+        return list(map(repr, values.tolist()))
+    at = np.concatenate(([0], at))
+    text = np.array(list(map(repr, values[at].tolist())), dtype=object)
+    return np.repeat(text, np.diff(at, append=len(values))).tolist()
 
 
 def csv_text(columns: list[tuple[str, Any]]) -> str:

@@ -183,17 +183,29 @@ class TestRunScenario:
         stepped.assert_not_called()
         assert plant.free == {}
 
-    @pytest.mark.parametrize("k", [-1, 2001, 1.5], ids=["negative", "n_samples", "fraction"])
+    @pytest.mark.parametrize("k", [-1, 2001, 1.5, 850.0, np.float64(850.0), True],
+                             ids=["negative", "n_samples", "fraction", "float", "np-float64",
+                                  "bool"])
     def test_out_of_range_hold_sample_is_refused(self, cfg, k):
-        # A commander names a sample of the run, 0..n_samples-1: any other
-        # is refused by name before a held copy is made or kept.
+        # A commander names a sample of the run, an integer in
+        # 0..n_samples-1: any other is refused by name before a held copy
+        # is made or kept, an integral float or a bool too.
         plant = Plant(resolve_scenario(cfg, "pinch_cube"))
         assert plant.n_samples == 2001
         run_scenario(plant, 0)
         with pytest.raises(ValueError, match="^" + re.escape(
-                f"scenario pinch_cube: hold sample {k} is outside 0..2000") + "$"):
+                f"scenario pinch_cube: hold sample {k} is not an integer in 0..2000") + "$"):
             run_scenario(plant, 0, lambda i_meas: k)
         assert plant.free.keys() == {None}
+
+    def test_numpy_integer_hold_sample_holds_as_its_int(self, cfg):
+        # np.int64(850) holds as 850 does; the record keeps its trace under the int.
+        scenario = resolve_scenario(cfg, "pinch_cube")
+        want = run_scenario(Plant(scenario), 0, lambda i_meas: 850)
+        plant = Plant(scenario)
+        got = run_scenario(plant, 0, lambda i_meas: np.int64(850))
+        assert got.to_csv_text() == want.to_csv_text() and json_text(got.meta) == json_text(want.meta)
+        assert [type(k) for k in plant.free] == [type(None), int] and 850 in plant.free
 
     # A library caller gets the refusal alone, as a CLI user does: numpy's
     # overflow warning on the way to it is silenced.

@@ -1,8 +1,13 @@
-"""The block encoder writes the bytes of one repr per cell, and the
-loadtxt decoder reads the bits and errors of one float() per cell."""
+"""The block encoder writes the bytes of one repr per cell at every block
+size the properties draw (the module's 4,096 rows and small sizes whose
+edges are cheap to cross), and keeps no more than one block's strings
+alive; the loadtxt decoder reads the bits and errors of one float() per
+cell."""
 
 import os
 import stat
+import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -13,8 +18,8 @@ from hypothesis import strategies as st
 
 import haselhand.trace
 from haselhand.errors import TraceSchemaError
-from haselhand.trace import (CSV_BLOCK_ROWS, FIXED_COLUMNS, SignalTrace, _scan_rows, csv_text,
-                             load_trace, write_atomic)
+from haselhand.trace import (CSV_BLOCK_ROWS, FIXED_COLUMNS, SignalTrace, _scan_rows, csv_rows,
+                             csv_text, load_trace, write_atomic)
 from oracles import csv_text as csv_text_oracle
 
 
@@ -29,9 +34,17 @@ SPECIAL = [0.0, -0.0, float("nan"), bits_to_float(0x7FF8000000000123),
            bits_to_float(0xFFF8000000000000), bits_to_float(0x7FF0000000000001),
            float("inf"), float("-inf"), 5e-324, -5e-324, 1.7976931348623157e308,
            1e16, 9999999999999998.0, -1e16, 1e-4, 9.999999999999999e-05, -1e-4]
-# Row counts around the block edges, and the empty table.
-EDGE_ROWS = sorted({0, 1, 255, 256, 257, 513, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                    CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1})
+# Block sizes the properties run the encoder at (patching CSV_BLOCK_ROWS):
+# small ones, cheap to cross (one row, an odd size, the size before
+# 4096-row blocks), and the module's own.
+SMALL_BLOCKS = [1, 7, 256]
+BLOCK_ROWS = sorted({*SMALL_BLOCKS, CSV_BLOCK_ROWS})
+
+
+def edge_rows(block: int) -> list[int]:
+    """Row counts around the edges of block-row blocks, and the empty table."""
+    return sorted({0, 1, block - 1, block, block + 1, 2 * block + 1})
+
 
 floats = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 ints = st.one_of(st.integers(-2**53 - 3, 2**53 + 3), st.integers(-2**70, 2**70))
@@ -39,20 +52,23 @@ ints = st.one_of(st.integers(-2**53 - 3, 2**53 + 3), st.integers(-2**70, 2**70))
 
 def runs(rng: np.random.Generator, pool: list, n: int, p: float) -> list:
     """n values drawn from pool in runs of geometric length (mean 1 / p)."""
-    out: list = []
-    while len(out) < n:
-        out += [pool[rng.integers(len(pool))]] * int(rng.geometric(p))
-    return out[:n]
+    lengths = rng.geometric(p, size=n)  # n runs cover n rows; fewer mostly do
+    used = min(int(np.searchsorted(np.cumsum(lengths), n)) + 1, n)
+    picks = np.repeat(rng.integers(len(pool), size=used), lengths[:used])[:n]
+    return [pool[k] for k in picks.tolist()]
 
 
 @st.composite
 def column_sets(draw):
-    """1-12 columns, several of them duplicates, as in the shipped wide
-    traces: a duplicate is the same object or an array copy of it. The
-    columns draw their runs from one pool of floats and one of ints.
-    A free row count keeps to 3600 cells (600 rows of up to 6 columns)."""
-    width = draw(st.integers(1, 12))
-    n = draw(st.one_of(st.sampled_from(EDGE_ROWS), st.integers(0, 3600 // max(width, 6))))
+    """A block size from BLOCK_ROWS, and 1-12 columns, several of them
+    duplicates, as in the shipped wide traces: a duplicate is the same
+    object or an array copy of it. The columns draw their runs from one
+    pool of floats and one of ints. Their row count is one of edge_rows
+    of the block size or a free count up to 600. A table keeps to 3600
+    cells where it can: past 300 rows it has up to 6 columns."""
+    block = draw(st.sampled_from(BLOCK_ROWS))
+    n = draw(st.one_of(st.sampled_from(edge_rows(block)), st.integers(0, 600)))
+    width = draw(st.integers(1, min(12, max(6, 3600 // max(n, 1)))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pools = {"ints": draw(st.lists(ints, min_size=1, max_size=8)),
              "floats": draw(st.lists(floats, min_size=1, max_size=16))}
@@ -72,14 +88,16 @@ def column_sets(draw):
             columns.append((f"s{j}", np.array([values, values]).T[:, 1]))
         else:
             columns.append((f"a{j}", np.array(values)))
-    return columns
+    return block, columns
 
 
 class TestCsvText:
     @settings(max_examples=300, deadline=None)
     @given(column_sets())
-    def test_bytes_match_one_repr_per_cell(self, columns):
-        assert csv_text(columns) == csv_text_oracle(columns)
+    def test_bytes_match_one_repr_per_cell(self, drawn):
+        block, columns = drawn
+        with mock.patch.object(haselhand.trace, "CSV_BLOCK_ROWS", block):
+            assert csv_text(columns) == csv_text_oracle(columns)
 
     def test_repr_once_per_run_per_distinct_column_per_block(self):
         # A ramp (a run per row) and a held column that switches from -0.0
@@ -97,6 +115,31 @@ class TestCsvText:
         assert text == csv_text_oracle(columns)
         # The ramp's rows; the held column's 4 block starts, its switch and its pulse.
         assert counted.call_count == n + 4 + 1 + 2
+
+    def test_peak_memory_stays_under_twice_the_rows(self):
+        # Three blocks and a row of a ramp, noise, a held column and a
+        # scaled ramp, three of them also given as duplicates. Each distinct
+        # column's strings take about 3.5 times its share of the rows, so
+        # the strings of one block fit under the bound and the whole
+        # table's would not.
+        n = 3 * CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(0)
+        ramp, noise = np.cumsum(rng.random(n)), rng.normal(size=n)
+        held = np.round(ramp / 500.0)
+        columns = [("ramp", ramp), ("noise", noise), ("held", held), ("ramp_again", ramp.copy()),
+                   ("noise_again", noise), ("scaled", ramp / 7.0), ("held_again", held.tolist())]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rows = csv_rows(columns)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert rows == csv_text_oracle(columns).splitlines()[1:]
+        assert peak < 2 * (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)))
 
     def test_signed_zeros_in_one_block_stay_apart(self):
         text = csv_text([("a", [0.0, -0.0]), ("b", np.array([-0.0, 0.0]))])
@@ -152,16 +195,19 @@ class TestFrame:
     """The traces of one record encode its seed-free columns once."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from([0, 1, CSV_BLOCK_ROWS + 1]), st.integers(0, 2),
-           st.lists(st.integers(0, 3), min_size=1, max_size=10))
-    def test_traces_of_one_record_encode_as_the_oracle(self, n, keys, order):
+    @given(st.sampled_from(SMALL_BLOCKS).flatmap(lambda block: st.tuples(
+               st.just(block), st.sampled_from([0, 1, block + 1]))),
+           st.integers(0, 2), st.lists(st.integers(0, 3), min_size=1, max_size=10))
+    def test_traces_of_one_record_encode_as_the_oracle(self, sizes, keys, order):
         # The record's own trace and three runs of it, encoded in the drawn
-        # order, each any number of times.
+        # order, each any number of times, in blocks of a drawn size.
+        block, n = sizes
         free = record(n, keys)
         traces = [free, *(seeded(free, seed) for seed in (1, 2, 3))]
         want = [csv_text_oracle(trace.columns()) for trace in traces]
-        for i in order:
-            assert traces[i].to_csv_text() == want[i]
+        with mock.patch.object(haselhand.trace, "CSV_BLOCK_ROWS", block):
+            for i in order:
+                assert traces[i].to_csv_text() == want[i]
 
     def test_the_second_encode_builds_the_frame(self):
         # The first encode is csv_text's; the second encodes the seed-free

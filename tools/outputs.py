@@ -17,7 +17,16 @@ perfbench/base_config.json, read only (the base half):
 Then come the edge calls, under edge/: each verb on configs derived
 from the built-in one (written beside the calls) that the model can or
 cannot give meaning to, and a replay against a detector that lacks its
-config_hash.
+config_hash. The derived configs (EDGE_CONFIGS) are:
+
+- monitor-noise-1e308: monitor noise that overflows the monitored columns;
+- unknown-finger: a preset naming a finger the config lacks;
+- balloon-ceiling-5kv: an amplifier ceiling below a preset's target;
+- sim-3ms-3s: a 3 ms sample period over 3 s;
+- sim-duration-9s: 9 s episodes, whose 9,001-row traces take the trace
+  encoder over several row blocks;
+- narrow-window: a detection window that holds no sample;
+- monitor-noise-3x: 3x the shipped monitor noise on balloon_hold.
 
 Besides each verb's own files, every call leaves its exit code, stdout
 and stderr as files. The calls run in the output directory on relative
@@ -106,6 +115,11 @@ EDGE_CONFIGS = {
         ("characterize", ["characterize"], 0),
         ("grasp", GRASP, 0),
         ("detect-batch", SHORT_BATCH, 0),
+    ]),
+    # A 9 s episode: its 9,001-row traces span three 4,096-row encoder blocks.
+    "sim-duration-9s": ("sim", {"duration": 9.0}, [
+        ("characterize", ["characterize"], 0),
+        ("grasp", GRASP, 0),
     ]),
     # A window between two samples holds none to decide on.
     "narrow-window": ("detection.window", [0.8805, 0.8808], [
